@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec,
-                    apply_transition_transpose, is_connected,
+                    apply_transition_transpose, hop_distances, is_connected,
                     is_strongly_connected)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
@@ -240,20 +240,9 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     params = CentralityParams(kind=kind)
     _require_undirected_connected(graph, f"{kind} centrality")
     n = graph.node_count
-    offsets, targets = graph.row_offsets, graph.column_targets
     values = np.empty(n)
     for source in range(n):
-        dist = np.full(n, -1, dtype=np.int64)
-        dist[source] = 0
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in targets[offsets[v]:offsets[v + 1]]:
-                    if dist[w] < 0:
-                        dist[w] = dist[v] + 1
-                        nxt.append(int(w))
-            frontier = nxt
+        dist = hop_distances(graph.row_offsets, graph.column_targets, source)
         others = np.delete(dist, source).astype(np.float64)
         if n == 1:
             values[source] = 0.0

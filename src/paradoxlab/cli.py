@@ -13,12 +13,12 @@ Exit codes: 0 success, 1 usage or parameter problems, 2 inadmissible input,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .centrality import (CentralityParams, CentralityVector, compute,
+from .centrality import (DEFAULT_MAX_ITERS, DEFAULT_TOL, VALID_KINDS,
+                         CentralityParams, CentralityVector, compute,
                          pagerank_centrality, solve_lambda1)
 from .errors import (ConvergenceError, GenerationError, InputError,
                      NumericalError, ParameterError, PreconditionError,
@@ -27,16 +27,12 @@ from .formats import (ReportDocument, emit_edge_list, emit_json,
                       emit_matrix_market, emit_report, parse_edge_list,
                       parse_matrix_market)
 from .generators import MODELS, RandomGraphSpec, generate
-from .graph import Graph, is_connected
-from .paradox import (bias_distribution, compare_averages, eaves_check,
+from .graph import Graph
+from .paradox import (BILINEAR_TOL, MAX_EAVES_NODES, MAX_FIEDLER_NODES,
+                      bias_distribution, compare_averages, eaves_check,
                       fiedler_check, harmonic_mean_check, neighbor_average,
                       pagerank_paradox_check, paradox_report,
                       symmetrization_identity)
-
-MEASURES = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
-            "closeness", "harmonic")
-
-THREADS_ENV = "PARADOX_LAB_THREADS"
 
 
 def _add_model_options(parser: argparse.ArgumentParser) -> None:
@@ -56,7 +52,7 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_measure_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--measure", choices=MEASURES, required=True)
+    parser.add_argument("--measure", choices=VALID_KINDS, required=True)
     parser.add_argument("--ell", type=int, default=2,
                         help="walk length for walk_count (default 2)")
     parser.add_argument("--alpha", type=float, default=None,
@@ -67,8 +63,8 @@ def _add_measure_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-12)
-    parser.add_argument("--max-iters", type=int, default=100_000)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("--max-iters", type=int, default=DEFAULT_MAX_ITERS)
 
 
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
@@ -145,8 +141,8 @@ def _measure_params(args: argparse.Namespace,
     return CentralityParams(kind=kind, **kwargs)
 
 
-def _note_promotion(graph: Graph, params: CentralityParams) -> None:
-    if params.kind == "pagerank" and not graph.directed:
+def _note_promotion(graph: Graph, kind: str) -> None:
+    if kind == "pagerank" and not graph.directed:
         print("note: treating the undirected graph as bidirected for "
               "pagerank", file=sys.stderr)
 
@@ -171,62 +167,48 @@ def _cmd_gen(args: argparse.Namespace) -> str:
     return emit_edge_list(graph)
 
 
-def _cmd_centrality(args: argparse.Namespace) -> str:
+def _measured(args: argparse.Namespace,
+              ) -> tuple[Graph, CentralityVector, dict]:
+    """Load the input graph and compute the requested measure on it.
+
+    Returns the graph, the vector and the report fields that the
+    single-graph measure commands share.
+    """
     graph, meta, seed = _load_graph(args)
     params = _measure_params(args, graph)
-    _note_promotion(graph, params)
+    _note_promotion(graph, params.kind)
     vector = compute(graph, params)
-    doc = ReportDocument(graph_meta=meta, measure=params,
-                         node_table=_node_table(graph, vector),
-                         tool_version=__version__, seed=seed)
+    return graph, vector, {"graph_meta": meta, "measure": params,
+                           "tool_version": __version__, "seed": seed}
+
+
+def _cmd_centrality(args: argparse.Namespace) -> str:
+    graph, vector, fields = _measured(args)
+    doc = ReportDocument(node_table=_node_table(graph, vector), **fields)
     return emit_report(doc, args.format)
 
 
 def _cmd_paradox(args: argparse.Namespace) -> str:
-    graph, meta, seed = _load_graph(args)
-    params = _measure_params(args, graph)
-    _note_promotion(graph, params)
-    vector = compute(graph, params)
+    graph, vector, fields = _measured(args)
     report = paradox_report(graph, vector)
     stats = {"mu": report.mu, "mu_bar": report.mu_bar,
              "mu_tilde": report.mu_tilde, "slack": report.slack,
              "paradox_holds": report.paradox_holds,
              "is_regular": report.is_regular}
-    doc = ReportDocument(graph_meta=meta, measure=params, stats=stats,
-                         node_table=_node_table(graph, vector),
-                         tool_version=__version__, seed=seed)
+    doc = ReportDocument(stats=stats, node_table=_node_table(graph, vector),
+                         **fields)
     return emit_report(doc, args.format)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
-    graph, meta, seed = _load_graph(args)
-    params = _measure_params(args, graph)
-    _note_promotion(graph, params)
-    vector = compute(graph, params)
+    graph, vector, fields = _measured(args)
     deco = compare_averages(graph, vector)
     doc = ReportDocument(
-        graph_meta=meta, measure=params,
         decomposition={"a": [float(x) for x in deco.a],
                        "b": [float(x) for x in deco.b],
                        "lhs": deco.lhs, "rhs": deco.rhs},
-        tool_version=__version__, seed=seed)
+        **fields)
     return emit_report(doc, args.format)
-
-
-def _workers_from_env() -> int | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be an integer, "
-                         f"got {raw!r}") from None
-    if value < 0:
-        raise UsageError(f"{THREADS_ENV} must be nonnegative, got {value}")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
 
 
 def _cmd_bias(args: argparse.Namespace) -> str:
@@ -234,8 +216,7 @@ def _cmd_bias(args: argparse.Namespace) -> str:
         raise UsageError("bias requires --model (an ensemble recipe)")
     spec = _spec_from_args(args)
     params = _measure_params(args, None)
-    dist = bias_distribution(spec, params, args.graphs, args.seed,
-                             workers=_workers_from_env())
+    dist = bias_distribution(spec, params, args.graphs, args.seed)
     ensemble = {"model": spec.model, "n": spec.n}
     for key in ("p", "k", "degree_sequence", "m_attach"):
         value = getattr(spec, key)
@@ -269,20 +250,22 @@ def _cmd_identities(args: argparse.Namespace) -> str:
         h_lhs, h_rhs = harmonic_mean_check(graph, spectral)
         payload["harmonic_mean"] = {"lambda1": spectral.lambda1,
                                     "lhs": h_lhs, "rhs": h_rhs}
-        e_lhs, e_rhs = eaves_check(graph, args.ell)
-        payload["eaves"] = {"ell": args.ell, "lhs": e_lhs, "rhs": e_rhs}
+        if graph.node_count <= MAX_EAVES_NODES:
+            e_lhs, e_rhs = eaves_check(graph, args.ell)
+            payload["eaves"] = {"ell": args.ell, "lhs": e_lhs, "rhs": e_rhs}
+        else:
+            print(f"note: skipping the walk-matrix check; the graph has "
+                  f"more than {MAX_EAVES_NODES} nodes", file=sys.stderr)
     else:
         print("note: skipping the undirected-only identities on a "
               "directed graph", file=sys.stderr)
-    if not graph.directed:
-        print("note: treating the undirected graph as bidirected for "
-              "pagerank", file=sys.stderr)
+    _note_promotion(graph, "pagerank")
     vector = pagerank_centrality(graph, args.beta, tol=args.tol,
                                  max_iters=args.max_iters)
     p_lhs, p_rhs = pagerank_paradox_check(graph, vector)
     payload["pagerank_check"] = {"beta": args.beta, "lhs": p_lhs,
                                  "rhs": p_rhs}
-    if graph.node_count <= 16:
+    if graph.node_count <= MAX_FIEDLER_NODES:
         transition = graph.adjacency.toarray() / graph.degree_seq[:, None]
         instances = fiedler_check(transition, args.trials, args.seed)
         margins = [inst.bilinear - inst.lam for inst in instances]
@@ -290,10 +273,10 @@ def _cmd_identities(args: argparse.Namespace) -> str:
             "trials": args.trials,
             "lam": instances[0].lam,
             "min_margin": min(margins),
-            "violations": sum(1 for m in margins if m < -1e-9)}
+            "violations": sum(1 for m in margins if m < -BILINEAR_TOL)}
     else:
-        print("note: skipping the bilinear bound; the graph has more "
-              "than 16 nodes", file=sys.stderr)
+        print(f"note: skipping the bilinear bound; the graph has more "
+              f"than {MAX_FIEDLER_NODES} nodes", file=sys.stderr)
     payload["tool_version"] = __version__
     return emit_json(payload)
 

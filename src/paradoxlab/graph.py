@@ -72,15 +72,12 @@ class Graph:
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Stored edges with multiplicity repeats: each undirected edge once
         as ``(min, max)``, each directed edge as ``(source, target)``."""
-        out: list[tuple[int, int]] = []
-        for i in range(self.node_count):
-            lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
-            for j, mult in zip(self.column_targets[lo:hi],
-                               self.multiplicities[lo:hi]):
-                j = int(j)
-                if self.directed or i < j:
-                    out.extend([(i, j)] * int(mult))
-        return out
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.row_offsets))
+        # An undirected edge is stored in both rows; emit it from the lower.
+        stored = self.directed | (rows < self.column_targets)
+        pairs = np.repeat(np.column_stack([rows, self.column_targets])[stored],
+                          self.multiplicities[stored], axis=0)
+        return list(map(tuple, pairs.tolist()))
 
 
 def _validated_pairs(node_count: int,
@@ -106,10 +103,16 @@ def _assemble(node_count: int, rows: np.ndarray, cols: np.ndarray,
     ones = np.ones(len(rows), dtype=np.int64)
     mat = sparse.coo_matrix((ones, (rows, cols)),
                             shape=(node_count, node_count)).tocsr()
+    return _from_csr(mat, edge_count, directed)
+
+
+def _from_csr(mat: sparse.csr_matrix, edge_count: int,
+              directed: bool) -> Graph:
+    """Graph from an integer multiplicity matrix in CSR form."""
     mat.sum_duplicates()
     mat.sort_indices()
     degrees = np.asarray(mat.sum(axis=1), dtype=np.int64).ravel()
-    return Graph(node_count=node_count,
+    return Graph(node_count=mat.shape[0],
                  edge_count=edge_count,
                  directed=directed,
                  row_offsets=mat.indptr.astype(np.int64),
@@ -136,18 +139,25 @@ def build_directed(node_count: int,
                      directed=True)
 
 
-def _reached(offsets: np.ndarray, targets: np.ndarray, node_count: int,
-             start: int) -> np.ndarray:
-    seen = np.zeros(node_count, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in targets[offsets[v]:offsets[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return seen
+def hop_distances(offsets: np.ndarray, targets: np.ndarray,
+                  source: int) -> np.ndarray:
+    """Breadth-first hop distance from ``source`` along the arcs of a CSR
+    adjacency ``targets[offsets[i]:offsets[i+1]]``; ``-1`` marks nodes that
+    ``source`` does not reach."""
+    dist = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = [source]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for v in frontier:
+            for w in targets[offsets[v]:offsets[v + 1]].tolist():
+                if dist[w] < 0:
+                    dist[w] = hops
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def is_connected(graph: Graph) -> bool:
@@ -155,8 +165,8 @@ def is_connected(graph: Graph) -> bool:
     if graph.directed:
         raise UsageError("is_connected expects an undirected graph; "
                          "use is_strongly_connected")
-    return bool(_reached(graph.row_offsets, graph.column_targets,
-                         graph.node_count, 0).all())
+    return bool((hop_distances(graph.row_offsets, graph.column_targets,
+                               0) >= 0).all())
 
 
 def is_strongly_connected(graph: Graph) -> bool:
@@ -164,11 +174,10 @@ def is_strongly_connected(graph: Graph) -> bool:
     if not graph.directed:
         raise UsageError("is_strongly_connected expects a directed graph; "
                          "use is_connected")
-    n = graph.node_count
-    if not _reached(graph.row_offsets, graph.column_targets, n, 0).all():
+    if (hop_distances(graph.row_offsets, graph.column_targets, 0) < 0).any():
         return False
     rev = graph.adjacency_transpose
-    return bool(_reached(rev.indptr, rev.indices, n, 0).all())
+    return bool((hop_distances(rev.indptr, rev.indices, 0) >= 0).all())
 
 
 def connected_component_labels(graph: Graph) -> np.ndarray:
@@ -181,9 +190,8 @@ def connected_component_labels(graph: Graph) -> np.ndarray:
     for start in range(graph.node_count):
         if labels[start] >= 0:
             continue
-        seen = _reached(graph.row_offsets, graph.column_targets,
-                        graph.node_count, start)
-        labels[seen] = current
+        dist = hop_distances(graph.row_offsets, graph.column_targets, start)
+        labels[dist >= 0] = current
         current += 1
     return labels
 
@@ -196,14 +204,12 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     ``k`` of the map is the old id of new node ``k``.
     """
     labels = connected_component_labels(graph)
-    sizes = np.bincount(labels)
-    keep = np.flatnonzero(labels == int(np.argmax(sizes)))
-    new_id = np.full(graph.node_count, -1, dtype=np.int64)
-    new_id[keep] = np.arange(len(keep))
-    edges = [(int(new_id[i]), int(new_id[j]))
-             for i, j in graph.edge_pairs()
-             if new_id[i] >= 0 and new_id[j] >= 0]
-    return build_undirected(len(keep), edges), keep
+    keep = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+    sub = sparse.csr_matrix(
+        (graph.multiplicities, graph.column_targets, graph.row_offsets),
+        shape=(graph.node_count, graph.node_count))[keep][:, keep]
+    # Every edge is stored in both orientations.
+    return _from_csr(sub, int(sub.sum()) // 2, directed=False), keep
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

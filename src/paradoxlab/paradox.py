@@ -12,7 +12,6 @@ random-graph ensembles.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -26,7 +25,7 @@ from .centrality import CentralityParams, CentralityVector, SpectralResult, comp
 from .errors import (GenerationError, InputError, NumericalError,
                      ParameterError, RangeError)
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec, apply_transition,
-                    is_connected)
+                    build_directed, is_connected, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -34,6 +33,9 @@ EQUALITY_TOL = 1e-10
 
 MAX_EAVES_NODES = 512
 MAX_FIEDLER_NODES = 16
+
+# A sampled bilinear form this far below lambda counts as a violation.
+BILINEAR_TOL = 1e-9
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -265,24 +267,6 @@ def _perron_pair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return right, left
 
 
-def _dense_irreducible(matrix: np.ndarray) -> bool:
-    support = matrix > 0
-    n = matrix.shape[0]
-    for mat in (support, support.T):
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in np.flatnonzero(mat[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        if not seen.all():
-            return False
-    return True
-
-
 def fiedler_check(p: np.ndarray, trials: int, seed: int) -> list[FiedlerInstance]:
     """Sample the bilinear bound on an irreducible nonnegative matrix.
 
@@ -300,7 +284,8 @@ def fiedler_check(p: np.ndarray, trials: int, seed: int) -> list[FiedlerInstance
             f"bilinear-bound check limited to {MAX_FIEDLER_NODES} nodes")
     if (matrix < 0).any():
         raise InputError("matrix must be entrywise nonnegative")
-    if not _dense_irreducible(matrix):
+    support = (matrix > 0) & ~np.eye(n, dtype=bool)
+    if not is_strongly_connected(build_directed(n, np.argwhere(support))):
         raise InputError("matrix support is reducible; the bilinear bound "
                          "requires an irreducible matrix")
     if trials < 1:
@@ -350,29 +335,23 @@ def _connected_sample(spec: RandomGraphSpec, graph_index: int,
 
 
 def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
-                      n_graphs: int, seed: int,
-                      workers: int | None = None) -> BiasDistribution:
+                      n_graphs: int, seed: int) -> BiasDistribution:
     """Pooled distribution of per-node bias over a seeded ensemble.
 
     Each of the ``n_graphs`` ensemble members gets a sub-seed derived from
     ``(seed, index)``, with rejection resampling until connected, so the
-    result does not depend on evaluation order or ``workers``.  The bias of
-    node i is its neighbour average minus its own value; samples from all
-    graphs are pooled.
+    result does not depend on evaluation order.  The bias of node i is its
+    neighbour average minus its own value; samples from all graphs are
+    pooled.
     """
     if n_graphs < 1:
         raise ParameterError(f"n_graphs must be at least 1, got {n_graphs}")
 
-    def one_graph(index: int) -> np.ndarray:
+    deltas = []
+    for index in range(n_graphs):
         graph = _connected_sample(spec, index, seed)
-        vector = compute(graph, measure)
-        return neighbor_average(graph, vector.values) - vector.values
-
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            deltas = list(pool.map(one_graph, range(n_graphs)))
-    else:
-        deltas = [one_graph(index) for index in range(n_graphs)]
+        values = compute(graph, measure).values
+        deltas.append(neighbor_average(graph, values) - values)
     samples = np.concatenate(deltas)
     quantiles = {level: float(np.quantile(samples, level))
                  for level in QUANTILE_LEVELS}

@@ -1,0 +1,499 @@
+"""Byte-identity gate for the command line.
+
+Each case runs ``cli.main`` in-process and hashes its exit code, stdout and
+stderr.  The stored digests pin the exact bytes of generated graphs and
+reports, so a refactor that is meant to keep behaviour can prove it did.
+After a deliberate output change, print fresh digests with
+``PYTHONPATH=src python tests/test_golden.py`` and replace ``DIGESTS``.
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from paradoxlab.cli import main
+from paradoxlab.centrality import VALID_KINDS
+
+# Input files referenced from argv as "@name".
+FILES = {
+    "multi.txt": "0 1\n0 1\n1 2\n2 3\n3 0\n3 4\n4 5\n5 3\n",
+    "digraph.txt": "directed\n0 1\n1 2\n2 3\n3 0\n0 2\n2 0\n3 1\n",
+    "split.txt": "0 1\n1 2\n3 4\n",
+    "wheel.mtx": ("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                  "5 5 8\n2 1\n3 1\n4 1\n5 1\n3 2\n4 3\n5 4\n5 2\n"),
+}
+
+GEN_MODELS = {
+    "path": ("--n", "7"),
+    "cycle": ("--n", "9"),
+    "star": ("--n", "6"),
+    "complete": ("--n", "5"),
+    "k_regular": ("--n", "10", "--k", "3"),
+    "erdos_renyi": ("--n", "30", "--p", "0.1"),
+    "erdos_renyi+lcc": ("--n", "30", "--p", "0.1", "--lcc"),
+    "erdos_renyi+no-lcc": ("--n", "30", "--p", "0.1", "--no-lcc"),
+    "configuration": ("--degree-sequence", "3,3,2,2,2,1,1,2"),
+    "preferential_attachment": ("--n", "20", "--m-attach", "2"),
+}
+
+REPORT_INPUTS = {
+    "er": ("--model", "erdos_renyi", "--n", "24", "--p", "0.2",
+           "--seed", "3"),
+    "pa": ("--model", "preferential_attachment", "--n", "18",
+           "--m-attach", "2", "--seed", "5"),
+    "multi": ("@multi.txt",),
+}
+
+MEASURE_ARGS = {
+    "degree": (),
+    "walk_count": ("--ell", "3"),
+    "eigenvector": (),
+    "katz": (),
+    "pagerank": ("--beta", "0.7"),
+    "closeness": (),
+    "harmonic": (),
+}
+
+
+def _cases():
+    cases = {}
+    for label, args in GEN_MODELS.items():
+        model = label.split("+")[0]
+        for seed in ("0", "1", "2"):
+            for fmt in ("edge_list", "matrix_market"):
+                cases[f"gen-{label}-s{seed}-{fmt}"] = (
+                    "gen", "--model", model, *args, "--seed", seed,
+                    "--file-format", fmt)
+    for command in ("centrality", "paradox", "compare"):
+        for source, source_args in REPORT_INPUTS.items():
+            for kind in VALID_KINDS:
+                cases[f"{command}-{source}-{kind}"] = (
+                    command, *source_args, "--measure", kind,
+                    *MEASURE_ARGS[kind])
+        if command != "compare":
+            for kind in VALID_KINDS:
+                cases[f"{command}-wheel-{kind}-csv"] = (
+                    command, "@wheel.mtx", "--measure", kind,
+                    *MEASURE_ARGS[kind], "--format", "csv")
+        cases[f"{command}-er-katz-alpha"] = (
+            command, *REPORT_INPUTS["er"], "--measure", "katz",
+            "--alpha", "0.05")
+        cases[f"{command}-digraph-pagerank"] = (
+            command, "@digraph.txt", "--measure", "pagerank")
+        cases[f"{command}-digraph-degree"] = (
+            command, "@digraph.txt", "--measure", "degree")
+        cases[f"{command}-split-degree"] = (
+            command, "@split.txt", "--measure", "degree")
+    for kind in VALID_KINDS:
+        extra = ("--alpha", "0.05") if kind == "katz" else MEASURE_ARGS[kind]
+        cases[f"bias-er-{kind}"] = (
+            "bias", "--model", "erdos_renyi", "--n", "20", "--p", "0.2",
+            "--graphs", "6", "--seed", "7", "--measure", kind, *extra)
+    cases["bias-k_regular-degree"] = (
+        "bias", "--model", "k_regular", "--n", "12", "--k", "3",
+        "--graphs", "5", "--seed", "1", "--measure", "degree")
+    cases["bias-pa-eigenvector"] = (
+        "bias", "--model", "preferential_attachment", "--n", "15",
+        "--m-attach", "2", "--graphs", "5", "--seed", "2",
+        "--measure", "eigenvector")
+    cases["bias-er-katz-default-alpha"] = (
+        "bias", "--model", "erdos_renyi", "--n", "20", "--p", "0.2",
+        "--graphs", "3", "--measure", "katz")
+    for label, args in {
+            "path6": ("--model", "path", "--n", "6"),
+            "star9": ("--model", "star", "--n", "9", "--trials", "5",
+                      "--seed", "4"),
+            "cycle20": ("--model", "cycle", "--n", "20", "--ell", "3"),
+            "er30": ("--model", "erdos_renyi", "--n", "30", "--p", "0.15",
+                     "--seed", "2", "--beta", "0.6"),
+            "multi": ("@multi.txt",),
+            "wheel": ("@wheel.mtx", "--trials", "8"),
+            "digraph": ("@digraph.txt",),
+            "split": ("@split.txt",)}.items():
+        cases[f"identities-{label}"] = ("identities", *args)
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(argv, directory):
+    argv = [str(directory / tok[1:]) if tok.startswith("@") else tok
+            for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    record = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(record.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    for name, text in FILES.items():
+        (directory / name).write_text(text)
+    return directory
+
+
+DIGESTS = {
+    "bias-er-closeness":
+        "6e2d2585d7a603e77498f3352b267c249ecb3e32e3402e0e2115207e5c96c456",
+    "bias-er-degree":
+        "20f4a46fe82819b8ffbce0967da62dcaadb64d5b8a70631e870875cdc181e72a",
+    "bias-er-eigenvector":
+        "f9cb3c1c1a60ec6200dea1462a09d397b3ab0a1755faf0873ea703bbc963173b",
+    "bias-er-harmonic":
+        "7d515a3fdd01a457d99e0b52cd5788a7b14b074dc5cfe58fa4e3a859181a33a0",
+    "bias-er-katz":
+        "f703888d53d2b5e8a3a723ce3a2ab7d3bf6fd74cf35481fb8492359c5717fc38",
+    "bias-er-katz-default-alpha":
+        "99865327fb319be8977e63ccc23c116182395613dec136bd52f0edc54d465f60",
+    "bias-er-pagerank":
+        "0e8b835073dfb876823466c76f2fb6ca53750ad5a853df32f17903a10b5c375f",
+    "bias-er-walk_count":
+        "4146b83cf2db8c2d702d4934c6f5902e60d34eab5f6d3838a841819d2b184bac",
+    "bias-k_regular-degree":
+        "7ace7fbbf9ce0259ed773d065ee9d222240900972677b666b0d9939e1df0114b",
+    "bias-pa-eigenvector":
+        "c1b38f5f3c4703ad25b21e7560f35e952735dcca75dfdf7a9b26931ac09fd06d",
+    "centrality-digraph-degree":
+        "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
+    "centrality-digraph-pagerank":
+        "ab5c449c1ca5c4e573b93b87b1ad132de983994b262ec6b4e340ae6002da236d",
+    "centrality-er-closeness":
+        "c95a954241cbdc24ae6f9a36ae8554196eceeeec672cc3bd403259e5fb8a1422",
+    "centrality-er-degree":
+        "b7176366da5bafaa1e5670bbfdcda46b77f93b925a5e8f4b4a9320a4dd32968b",
+    "centrality-er-eigenvector":
+        "ad46a51ed14808c04f8e90c17630fc2f5eaf23d3f2b2162c86227d1d7d7c28d5",
+    "centrality-er-harmonic":
+        "cf814526719de9a3d1472f03b34e3c3d29b22aa3b6b6f39843efd0a92cd21a34",
+    "centrality-er-katz":
+        "9cfbbd74a26b62798f1150444666057d58abbbe917e8792bd392e5e9934ff01c",
+    "centrality-er-katz-alpha":
+        "195a80d133948806038d1b33e4487c118a21bbbd91238e255119c23f75c62061",
+    "centrality-er-pagerank":
+        "045648d219a88ce798da694859d86be492c624eecf54f2aac4de0f4b47178a5e",
+    "centrality-er-walk_count":
+        "b3d9afdebd0925ee854f312ec862a86f7587ff77958cce1c5cdfbc6eefd77670",
+    "centrality-multi-closeness":
+        "d48e7e2ada85aecc1708c5e45fe93a8285a33ed67dd47cca234521e887d74a24",
+    "centrality-multi-degree":
+        "0b1ee830252d8bea2273d8dc4f19f5f9877e811570227ee12ec158192542726c",
+    "centrality-multi-eigenvector":
+        "e2c345cd6d2164824a05155e500f5c7a23a5950ceb5f1a775ed8c08c479d2c2a",
+    "centrality-multi-harmonic":
+        "3935e9e526e00df34fbe50cead003a88271b631c5ab0213b8f7fe7c672c4f82e",
+    "centrality-multi-katz":
+        "70bd48998f472e359333418d0bd446be369e528f86528caf1b95af5b4eae9ebe",
+    "centrality-multi-pagerank":
+        "7892457076db9f9f6067035e6adb56c3bc9584f21010efdb4726d8a35a18101c",
+    "centrality-multi-walk_count":
+        "06611fa8e48b80424471cbbf4a81fc426867193586b02d2ed68a5b03a882ea66",
+    "centrality-pa-closeness":
+        "a7bbb623997c59081195632fa93ba55e3f7046f45f153bd4ca30229c54c55574",
+    "centrality-pa-degree":
+        "597e87b8800b9c1df851b7e2528ad48cf309dca24a6170d52032825f17ada44a",
+    "centrality-pa-eigenvector":
+        "f9b786eb39f57fe37b0b4ba4dc890fc6c7c6a0da38eff2e446dec360e59cb644",
+    "centrality-pa-harmonic":
+        "6ef206de28f9801836549caedbd9593432d9704d7d9476391d12e35d89825b2f",
+    "centrality-pa-katz":
+        "e989fdca45b2965b61ca85c3a8b9960ec3058850b3cd34be5e9222e3c5929c89",
+    "centrality-pa-pagerank":
+        "6a1fe3f2032c11f01f65af96f59496470ab7e2be2e53d484fcaeb595184fdb89",
+    "centrality-pa-walk_count":
+        "96a9d3469c37435563b747ef3e08e43fa2f405faef1d530cb9c52fd62f2213c0",
+    "centrality-split-degree":
+        "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
+    "centrality-wheel-closeness-csv":
+        "b408bb6a06a44b3791bfe7e96a5b8a2c5ae537618b0fc4f33206c3c66660e165",
+    "centrality-wheel-degree-csv":
+        "783c82b603ebef84cb882d15c97cc536f532769fc1f417eee2035672e9bf7b4c",
+    "centrality-wheel-eigenvector-csv":
+        "13cb0fd066781f588da7cc35b3e8de803c6be35ee0f63fde7252dd6ecef4d60a",
+    "centrality-wheel-harmonic-csv":
+        "c55b8953489d4ec2a4fed15ef0988eea51042c7f0fd9879fc229cbff0c53250b",
+    "centrality-wheel-katz-csv":
+        "aa9b5a432f079f01783ceb28f7fc178ea6728ba97ee63bf69e15dee932849c26",
+    "centrality-wheel-pagerank-csv":
+        "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
+    "centrality-wheel-walk_count-csv":
+        "b5b497f5e41391b488f2ae1f346aaaba1f8b90a22c079e5f9539d7573c872107",
+    "compare-digraph-degree":
+        "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
+    "compare-digraph-pagerank":
+        "47b86ec15b5c81bdc56c26ce822e63bd6f0cded452dc8a6f14d1f61ab1138aff",
+    "compare-er-closeness":
+        "8623bce58a54107e3f81a409241954da9b377d4c070d350e567416fd1abf150f",
+    "compare-er-degree":
+        "404bfaadc05617097a091e725e53618393ad955ffbfb84433052c936a61fbf15",
+    "compare-er-eigenvector":
+        "d924cd6ac7c42968198b1115d822f1c573ad4a98d389f5e5dc5db0083817e234",
+    "compare-er-harmonic":
+        "ab9a7588733480fddfbb82bb24c94e1b76a59b8b6f46466ee0dd381b0886e54b",
+    "compare-er-katz":
+        "c97721165b8f43181aa3e0a52c801f3355162d56c7e1d22531bdd6aee7ef4ba3",
+    "compare-er-katz-alpha":
+        "36a93173ee95778e542ad1efdaa5a40cb4b68e67c36e170f9bedfb3822a564de",
+    "compare-er-pagerank":
+        "60c5cfe6efa095932a5730277d7231d37336259e44c60a9c9b65f167516cdc90",
+    "compare-er-walk_count":
+        "36d902ab91b930d70657334703352af4816497eea0cb50dd8cf536d704a39cb7",
+    "compare-multi-closeness":
+        "9bf34bbb90f7d5c0bd737f84cda73cdd7bb5bd7248916e40a7a416f52e9b54b4",
+    "compare-multi-degree":
+        "38d892c137d6d2d0e84445e56f8ccc0fa41123bc34efcf54d24e4b72daec6bdd",
+    "compare-multi-eigenvector":
+        "eb96cfff35fdf395d334c3a277d528e9e6049019b232a62c2af405b94a266f2f",
+    "compare-multi-harmonic":
+        "63616853f9c9327e91ba6c261529b1991b8898aa26c3cc48399a2956d2e64f23",
+    "compare-multi-katz":
+        "1687e6f16b7607ea28b7eca8b88a7bbe278931be9c4937b851e1ed188477eb8c",
+    "compare-multi-pagerank":
+        "84a26b117c7faf30cadc93ca109b241db0820590d125de52790f2b41a34bb67b",
+    "compare-multi-walk_count":
+        "b4649decffab2724da5745ab91c88730ac14c92f4addf0d156c20b05b507956c",
+    "compare-pa-closeness":
+        "e2e33a6259b70c3769ceddf6047f70ac9f43a0b495c7003104152862e491cdd1",
+    "compare-pa-degree":
+        "d10ff36f4b1ee3066769af6ef3b5766ea0b79c5f685d0e8e4beef8ba577a8bde",
+    "compare-pa-eigenvector":
+        "f6980597aaa18cd2e1228c5c0095fcaf3db8fe747aca29378eb8f1c1de0a9c0a",
+    "compare-pa-harmonic":
+        "7ded330da1b36178ddff81192871bd1098c5e64d25127052af3898a10d3d3f78",
+    "compare-pa-katz":
+        "3b180b87a555ca964b674183f6c01136e2a1d74d6ff2a8fac22d444e28b212d5",
+    "compare-pa-pagerank":
+        "6654f3c7af8a44318f55e8ad6bfa2aab5b8b72635d6e91739442c30a95b134bd",
+    "compare-pa-walk_count":
+        "cbf605dcb45ed9daae1c32f0903ace8f15d07e38437cb2613b651821366f404b",
+    "compare-split-degree":
+        "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
+    "gen-complete-s0-edge_list":
+        "1ad9f8afcc10cc253a736e0c02f9d101ff95f3e656bdca29e051365d70d6f1c3",
+    "gen-complete-s0-matrix_market":
+        "8c064fbccba39a7980030bf9fa12641de11a85dbf305e3edadef2ea6216fbdcd",
+    "gen-complete-s1-edge_list":
+        "1ad9f8afcc10cc253a736e0c02f9d101ff95f3e656bdca29e051365d70d6f1c3",
+    "gen-complete-s1-matrix_market":
+        "8c064fbccba39a7980030bf9fa12641de11a85dbf305e3edadef2ea6216fbdcd",
+    "gen-complete-s2-edge_list":
+        "1ad9f8afcc10cc253a736e0c02f9d101ff95f3e656bdca29e051365d70d6f1c3",
+    "gen-complete-s2-matrix_market":
+        "8c064fbccba39a7980030bf9fa12641de11a85dbf305e3edadef2ea6216fbdcd",
+    "gen-configuration-s0-edge_list":
+        "c287436163a8990e1757181afc37b34dc4aeedf6b68ca38f76ff0095d45e2755",
+    "gen-configuration-s0-matrix_market":
+        "54c03a266f96cf2771978f66a707e01b66609aa92094a8f5b78d121c8f9ba0d6",
+    "gen-configuration-s1-edge_list":
+        "c83ce1f722f8e30118c1d7445cf667bb533a8b5fb278204c4093cb26732d3cbd",
+    "gen-configuration-s1-matrix_market":
+        "2b31c2d755921300b20bbe5f8ecd4902c73fff2277ba5cfdb0f7da69e01c9a2a",
+    "gen-configuration-s2-edge_list":
+        "d89daa7904670034cda2fba0072f9a874ceaf8e538b9c3f1c1848714f3199a54",
+    "gen-configuration-s2-matrix_market":
+        "c0ea89811c5fafa9a215f8198994b37c9c3d09f44db148aa8f7aeae8672bdfeb",
+    "gen-cycle-s0-edge_list":
+        "28c6e9a372b1b467bdfd09064071d3c28b10f9518f3a615e583caf214f2e0d4c",
+    "gen-cycle-s0-matrix_market":
+        "278ddd159c14ca70eda5865bd399b6d82803adb10fbff0f91f8b6ebe5761fde8",
+    "gen-cycle-s1-edge_list":
+        "28c6e9a372b1b467bdfd09064071d3c28b10f9518f3a615e583caf214f2e0d4c",
+    "gen-cycle-s1-matrix_market":
+        "278ddd159c14ca70eda5865bd399b6d82803adb10fbff0f91f8b6ebe5761fde8",
+    "gen-cycle-s2-edge_list":
+        "28c6e9a372b1b467bdfd09064071d3c28b10f9518f3a615e583caf214f2e0d4c",
+    "gen-cycle-s2-matrix_market":
+        "278ddd159c14ca70eda5865bd399b6d82803adb10fbff0f91f8b6ebe5761fde8",
+    "gen-erdos_renyi+lcc-s0-edge_list":
+        "6075ece84ea91b302ff528817b55270caec987be825b0ba88e99dec79cc3658d",
+    "gen-erdos_renyi+lcc-s0-matrix_market":
+        "563532135b1546f5d6a1d0c857adf44fe65971d74474e195bf0995db37b51e4b",
+    "gen-erdos_renyi+lcc-s1-edge_list":
+        "003cd929046ff5a7c1a93b27a2ce64bd7e025a12b97c596fb74a2228df58c9db",
+    "gen-erdos_renyi+lcc-s1-matrix_market":
+        "c70442c3411be1a33620f2178fa4d81c92e9ee3066b02eda7d8af5c876467c32",
+    "gen-erdos_renyi+lcc-s2-edge_list":
+        "2c080d71b5a5282144569bc98a3a8dc29c4828f8024204f2beb66e52384bf133",
+    "gen-erdos_renyi+lcc-s2-matrix_market":
+        "976e387d6f14b9eb71ae7d7f5606929bbb45fa21250912b816133b70bdd335a2",
+    "gen-erdos_renyi+no-lcc-s0-edge_list":
+        "f4e0ff2095ae9ac0247e6c5881df7d728dc2170a5160258f098c011f7c1341f2",
+    "gen-erdos_renyi+no-lcc-s0-matrix_market":
+        "ff87514f727ae6d75546cdd4eb3f4216ece9ce1dbeaa83db547dcf9662615c4e",
+    "gen-erdos_renyi+no-lcc-s1-edge_list":
+        "88518bf09773a0d74de5c1000b930da9a6fd62c7e3eb816cb7c3c46b3eed558f",
+    "gen-erdos_renyi+no-lcc-s1-matrix_market":
+        "a60d2a2fd316b8f46a81b23f87eb42226dd9cdae6685a136f8fe5d5e95923b3f",
+    "gen-erdos_renyi+no-lcc-s2-edge_list":
+        "2f9a08bdd92cb12bbf5f5b3f606433ad60132602e4ff228a738c858dcc7f8e0f",
+    "gen-erdos_renyi+no-lcc-s2-matrix_market":
+        "6272f265ff694c08bd4905fdf6eaf160705acf07ee148165c6362ef9defa628d",
+    "gen-erdos_renyi-s0-edge_list":
+        "6075ece84ea91b302ff528817b55270caec987be825b0ba88e99dec79cc3658d",
+    "gen-erdos_renyi-s0-matrix_market":
+        "563532135b1546f5d6a1d0c857adf44fe65971d74474e195bf0995db37b51e4b",
+    "gen-erdos_renyi-s1-edge_list":
+        "003cd929046ff5a7c1a93b27a2ce64bd7e025a12b97c596fb74a2228df58c9db",
+    "gen-erdos_renyi-s1-matrix_market":
+        "c70442c3411be1a33620f2178fa4d81c92e9ee3066b02eda7d8af5c876467c32",
+    "gen-erdos_renyi-s2-edge_list":
+        "2c080d71b5a5282144569bc98a3a8dc29c4828f8024204f2beb66e52384bf133",
+    "gen-erdos_renyi-s2-matrix_market":
+        "976e387d6f14b9eb71ae7d7f5606929bbb45fa21250912b816133b70bdd335a2",
+    "gen-k_regular-s0-edge_list":
+        "b2cd4cc514528cba2e50a45cf514d6d46ab1f38b9d81bc01b751ba594602bdce",
+    "gen-k_regular-s0-matrix_market":
+        "47be7ce162eb7fe5a80964626b216f4f70eec44fda7bd3d79559471b4df10b28",
+    "gen-k_regular-s1-edge_list":
+        "380078afd8cd9a210cf03e842fccb1529780fc78365b3c7461a849da0a8dfbda",
+    "gen-k_regular-s1-matrix_market":
+        "9f4ab6ab8186d0ec20789b9e209f5a84c7c4dbbdb82aa59ddf0ef07e8c9cfcaa",
+    "gen-k_regular-s2-edge_list":
+        "d053bff2b7874152018ecfad3a85601ca645d22d8f58100c194e24b4245240e6",
+    "gen-k_regular-s2-matrix_market":
+        "42080be78261e09e82da53a3e4311dedae9f41960086bcceaa187244e355b681",
+    "gen-path-s0-edge_list":
+        "4df827889e961f0237615e6b423aefbdf88fc183994ff416a06ce2d836bb40ea",
+    "gen-path-s0-matrix_market":
+        "a730dadc43ce52d5f68837538d02b8bf0389c10afc8d92aac76a80f0fba6d907",
+    "gen-path-s1-edge_list":
+        "4df827889e961f0237615e6b423aefbdf88fc183994ff416a06ce2d836bb40ea",
+    "gen-path-s1-matrix_market":
+        "a730dadc43ce52d5f68837538d02b8bf0389c10afc8d92aac76a80f0fba6d907",
+    "gen-path-s2-edge_list":
+        "4df827889e961f0237615e6b423aefbdf88fc183994ff416a06ce2d836bb40ea",
+    "gen-path-s2-matrix_market":
+        "a730dadc43ce52d5f68837538d02b8bf0389c10afc8d92aac76a80f0fba6d907",
+    "gen-preferential_attachment-s0-edge_list":
+        "d3cea29434c1608e526941046c57a706e063bcb2f64b6368135f54860504bbf6",
+    "gen-preferential_attachment-s0-matrix_market":
+        "c45c20f9d9b950e95ac01fffa1975b7ea0ff0ced00a37ac9cc2cd01cc577c500",
+    "gen-preferential_attachment-s1-edge_list":
+        "47e1c38c343c07e8965682e86f423a2596eff2d47225a0e34dcb4ea94665fa5c",
+    "gen-preferential_attachment-s1-matrix_market":
+        "1f5c6ac1eecc4a779da9fc9587d0b8179590e9f71fa1e3c5301f1ea7788e2810",
+    "gen-preferential_attachment-s2-edge_list":
+        "961fe4905acbd7e134ef9218ff050aa2c85873fbbd83849da292a86c622a6bf0",
+    "gen-preferential_attachment-s2-matrix_market":
+        "0beffb5114d6cf7204b3739933eef91e5df58f733efd2edce37cb479e192b674",
+    "gen-star-s0-edge_list":
+        "6fac5380080fe567beeed52a18f41ba537fcb6dca77312dd02c930d26770922d",
+    "gen-star-s0-matrix_market":
+        "bc35d6ca8382a89f566ab3d57854e701b2ac14aab99064b20b9b7d1964183f94",
+    "gen-star-s1-edge_list":
+        "6fac5380080fe567beeed52a18f41ba537fcb6dca77312dd02c930d26770922d",
+    "gen-star-s1-matrix_market":
+        "bc35d6ca8382a89f566ab3d57854e701b2ac14aab99064b20b9b7d1964183f94",
+    "gen-star-s2-edge_list":
+        "6fac5380080fe567beeed52a18f41ba537fcb6dca77312dd02c930d26770922d",
+    "gen-star-s2-matrix_market":
+        "bc35d6ca8382a89f566ab3d57854e701b2ac14aab99064b20b9b7d1964183f94",
+    "identities-cycle20":
+        "6d88b9245a245f4c5738f21d2ebb3d170afd9ee9308cfd4ed8ddbbe818c0378c",
+    "identities-digraph":
+        "189a01754f60e745399868891f472b0bf2837bf1d7a286574408cfc5830f35fd",
+    "identities-er30":
+        "2c5b1489c27cd130fc53cd134730c72759a436b5cf8fd53245c87ea14c24f7a8",
+    "identities-multi":
+        "4f637e84a9c1bd29380b665a9ddaa95ccdf614d4816c4ace5f4ad9d8e48e4de2",
+    "identities-path6":
+        "6be6e9781432c947bd2ff8ba62bc8b4d319a081104a5c0d5a3f108ee5e73430b",
+    "identities-split":
+        "21742fca7a8fb8afc71f3fe36ff88765713ab778d5e5610cae1fe6033928253e",
+    "identities-star9":
+        "9e06273cc6204a5830bab9851a421700dec091d54d817a39d0534fee98f95997",
+    "identities-wheel":
+        "f3553a15e90f57c877e8a9c0fd4982c18a6452c5b92ccf32fa126a8727f745ca",
+    "paradox-digraph-degree":
+        "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
+    "paradox-digraph-pagerank":
+        "c3f73ad4b379373017646ec82738de3ff2e21cbb7f8b2b4b7a3bfb7da6d71a0b",
+    "paradox-er-closeness":
+        "bdb2ea7091c3ba1e9fc437f9b8ee1ae88f506393a09f0858809df92353c4c957",
+    "paradox-er-degree":
+        "9e325155a9c9225d69908a149bff09285abb8868fae8cd436f798705bdbb95db",
+    "paradox-er-eigenvector":
+        "8687b85f58343cb78ac616eb43677babb02669cf20f604bda0eb0912d4ad4bd1",
+    "paradox-er-harmonic":
+        "c0ad995b96f7958f9c5348a8308f24753ff6b808512870b6d29f0427cc813927",
+    "paradox-er-katz":
+        "de2efa29a726fee0be8f43931208f6e7e6e8a90afee0f1a1adcaf8ab60bc4e4b",
+    "paradox-er-katz-alpha":
+        "d179c79e4859d7237bb9199c2af470029d259ab40724367e57bfce17796bd748",
+    "paradox-er-pagerank":
+        "c2fd5ea94ac3dc06cf83a03bf0639beac262249722e9c5c05073187de06360e1",
+    "paradox-er-walk_count":
+        "8a8fb7692104fab15bfcecfab458eee89885d572cc774365976ec9dd624b386b",
+    "paradox-multi-closeness":
+        "413dbbc0618579eed1e5687d4c53cd093a21a159248c9ad514cd9e339ab42ebb",
+    "paradox-multi-degree":
+        "08f08ca97059c7237f6e5e1cb16039b53f353e28aeb2dd9b93ae923a6680653c",
+    "paradox-multi-eigenvector":
+        "6bdaa596356b2685e46647c0cf9db9434f81b1d87e294b0edffc46fcd5773b30",
+    "paradox-multi-harmonic":
+        "085876e1bb23bb286bf4cd7a7f80ae465cccc7f337f87c075ae08d78e669e7a7",
+    "paradox-multi-katz":
+        "f60082e626e8b267968ad03f449aae5253b28fbb186a8a0a4f54a59b5cc01b08",
+    "paradox-multi-pagerank":
+        "35c5cad8c660192133709723faf21c58e780020d60858c11cc86a1cebb462fbb",
+    "paradox-multi-walk_count":
+        "9ad7794bf6ec5ae76c0de0be5bfd139fe4c6b1b1ab20f79396edafd664e1fde7",
+    "paradox-pa-closeness":
+        "a39bf6f45348cbe5aebd7e31b8f878e752386227f5ea9c4fb6cb6819916dccb2",
+    "paradox-pa-degree":
+        "d538e7da4e0a884f5181f79c2c67a0dcbbc68b058fa4374bb276f299fc0a6484",
+    "paradox-pa-eigenvector":
+        "db8c00edc567cdc1ef2fc83d0cd6f86f25f0bb5697bec909328f24451ebeb961",
+    "paradox-pa-harmonic":
+        "5d1cf979bcc0c4f88b529e18db74526427421ded1cb66101d25f03ee89977c0b",
+    "paradox-pa-katz":
+        "b640f310df3465a6adb553ff2a04aabf46399ddb7d87d686893cab56c66905c2",
+    "paradox-pa-pagerank":
+        "4e547171bb9b870d8e64d5b509db0ab17051ddf6a8ddec4d90ad7f9e4f16049d",
+    "paradox-pa-walk_count":
+        "4df36baceb054b44be4af7e2ccfe7e7734f82a543e053bb2f9ac423034ab344b",
+    "paradox-split-degree":
+        "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
+    "paradox-wheel-closeness-csv":
+        "b408bb6a06a44b3791bfe7e96a5b8a2c5ae537618b0fc4f33206c3c66660e165",
+    "paradox-wheel-degree-csv":
+        "783c82b603ebef84cb882d15c97cc536f532769fc1f417eee2035672e9bf7b4c",
+    "paradox-wheel-eigenvector-csv":
+        "13cb0fd066781f588da7cc35b3e8de803c6be35ee0f63fde7252dd6ecef4d60a",
+    "paradox-wheel-harmonic-csv":
+        "c55b8953489d4ec2a4fed15ef0988eea51042c7f0fd9879fc229cbff0c53250b",
+    "paradox-wheel-katz-csv":
+        "aa9b5a432f079f01783ceb28f7fc178ea6728ba97ee63bf69e15dee932849c26",
+    "paradox-wheel-pagerank-csv":
+        "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
+    "paradox-wheel-walk_count-csv":
+        "b5b497f5e41391b488f2ae1f346aaaba1f8b90a22c079e5f9539d7573c872107",
+}
+
+
+def test_corpus_matches_digests():
+    assert sorted(CASES) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_is_byte_identical(case, input_dir):
+    assert run_case(CASES[case], input_dir) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, text in FILES.items():
+            (directory / name).write_text(text)
+        print("DIGESTS = {")
+        for case in sorted(CASES):
+            print(f'    "{case}":\n        "{run_case(CASES[case], directory)}",')
+        print("}")

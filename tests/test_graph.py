@@ -25,6 +25,7 @@ def test_multigraph_multiplicity():
     assert g.edge_count == 3
     assert g.degree_seq.tolist() == [3, 3]
     assert g.multiplicities.tolist() == [3, 3]
+    assert g.edge_pairs() == [(0, 1)] * 3
     with_isolated = build_undirected(3, [(0, 1), (0, 1)])
     assert with_isolated.degree_seq.tolist() == [2, 2, 0]
 
@@ -33,6 +34,9 @@ def test_directed_out_degrees(hub_digraph):
     assert hub_digraph.directed
     assert hub_digraph.degree_seq.tolist() == [2, 1, 1]
     assert hub_digraph.edge_count == 4
+    multi = build_directed(3, [(2, 0), (0, 1), (2, 0), (1, 0), (0, 2)])
+    assert multi.degree_seq.tolist() == [2, 1, 2]
+    assert multi.edge_pairs() == [(0, 1), (0, 2), (1, 0), (2, 0), (2, 0)]
 
 
 def test_edge_validation():
@@ -66,6 +70,10 @@ def test_connectivity():
     two_parts = build_undirected(4, [(0, 1), (2, 3)])
     assert not is_connected(two_parts)
     assert connected_component_labels(two_parts).tolist() == [0, 0, 1, 1]
+    # Labels follow each component's smallest id, not its size.
+    small_first = build_undirected(7, [(0, 5), (1, 2), (2, 3), (3, 4)])
+    assert connected_component_labels(small_first).tolist() == \
+        [0, 1, 1, 1, 1, 0, 2]
     with pytest.raises(UsageError):
         is_connected(build_directed(2, [(0, 1)]))
 
@@ -80,12 +88,21 @@ def test_strong_connectivity():
 
 
 def test_extract_lcc():
-    g = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
-    sub, kept = extract_lcc(g)
-    assert kept.tolist() == [2, 3, 4]
-    assert sub.node_count == 3
-    assert sub.edge_count == 3
-    assert is_connected(sub)
+    cases = [
+        ([(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)], [2, 3, 4],
+         [(0, 1), (0, 2), (1, 2)]),
+        # Multiplicities survive and count towards edge_count.
+        ([(0, 6), (1, 3), (3, 1), (3, 5), (5, 1), (5, 3), (1, 3)], [1, 3, 5],
+         [(0, 1), (0, 1), (0, 1), (0, 2), (1, 2), (1, 2)]),
+    ]
+    for edges, kept_ids, lcc_edges in cases:
+        sub, kept = extract_lcc(build_undirected(7, edges))
+        assert kept.tolist() == kept_ids
+        assert sub.node_count == len(kept_ids)
+        assert sub.edge_count == len(lcc_edges)
+        assert sub.edge_pairs() == lcc_edges
+        assert sub == build_undirected(len(kept_ids), lcc_edges)
+        assert is_connected(sub)
 
 
 def test_extract_lcc_tie_goes_to_smallest_ids():
