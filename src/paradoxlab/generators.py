@@ -10,6 +10,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import GenerationError, ParameterError
 from .graph import Graph, build_undirected, extract_lcc
 from .rng import SplitMix64
@@ -24,6 +26,11 @@ MODELS = ("path", "cycle", "star", "complete", "k_regular", "erdos_renyi",
 LCC_DEFAULT_MODELS = ("erdos_renyi",)
 
 MAX_PAIRING_ATTEMPTS = 100
+
+# Erdos-Renyi pairs drawn per numpy block.  Each pair holds a few tens of
+# bytes of scratch while its block is drawn, so this bounds that memory
+# whatever n is.
+ER_BLOCK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -127,16 +134,25 @@ def complete_edges(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _erdos_renyi_edges(n: int, p: float,
-                       rng: SplitMix64) -> list[tuple[int, int]]:
+def _erdos_renyi_edges(n: int, p: float, rng: SplitMix64) -> np.ndarray:
     """One Bernoulli draw per pair, pairs visited in lexicographic order so
-    the stream position of every pair is fixed."""
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return edges
+    the stream position of every pair is fixed.
+
+    The draws come in blocks of at most ``ER_BLOCK_PAIRS`` consecutive
+    pairs, which may end inside a row.  Returns the edges as an ``(m, 2)``
+    int64 array in lexicographic order.
+    """
+    rows = np.arange(n, dtype=np.int64)
+    # Stream position of pair (i, i + 1), the first pair of row i.
+    row_start = rows * (2 * n - rows - 1) // 2
+    total = n * (n - 1) // 2
+    hits = [np.empty(0, dtype=np.int64)]
+    for first in range(0, total, ER_BLOCK_PAIRS):
+        draws = rng.random_block(min(ER_BLOCK_PAIRS, total - first))
+        hits.append(np.flatnonzero(draws < p) + first)
+    position = np.concatenate(hits)
+    i = np.searchsorted(row_start, position, side="right") - 1
+    return np.column_stack([i, position - row_start[i] + i + 1])
 
 
 def _pair_stubs(degrees: list[int],

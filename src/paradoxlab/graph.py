@@ -84,17 +84,26 @@ def _validated_pairs(node_count: int,
                      edges: Iterable[Sequence[int]]) -> np.ndarray:
     if node_count <= 0:
         raise InputError(f"node count must be positive, got {node_count}")
-    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-    if pairs.size:
-        bad = (pairs < 0) | (pairs >= node_count)
-        if bad.any():
-            i, j = pairs[bad.any(axis=1)][0]
-            raise InputError(
-                f"edge ({i}, {j}) out of range for {node_count} nodes")
-        loops = pairs[:, 0] == pairs[:, 1]
-        if loops.any():
-            i = pairs[loops][0][0]
-            raise InputError(f"self-loop ({i}, {i}) is not allowed")
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray)
+                       else list(edges))
+    if pairs.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InputError(
+            f"edges must be (i, j) pairs, got an array of shape {pairs.shape}")
+    if pairs.dtype.kind not in "iu":
+        raise InputError(
+            f"node ids must be integers, got {pairs.dtype} values")
+    pairs = pairs.astype(np.int64, copy=False)
+    bad = (pairs < 0) | (pairs >= node_count)
+    if bad.any():
+        i, j = pairs[bad.any(axis=1)][0]
+        raise InputError(
+            f"edge ({i}, {j}) out of range for {node_count} nodes")
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        i = pairs[loops][0][0]
+        raise InputError(f"self-loop ({i}, {i}) is not allowed")
     return pairs
 
 

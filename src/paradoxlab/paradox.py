@@ -39,6 +39,9 @@ BILINEAR_TOL = 1e-9
 
 QUANTILE_LEVELS = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
+# Regenerations of one ensemble member before it counts as unsampleable.
+MAX_CONNECTED_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class ParadoxReport:
@@ -323,14 +326,15 @@ def _connected_sample(spec: RandomGraphSpec, graph_index: int,
     from .generators import effective_lcc_extract, generate
 
     base = derive_seed(master_seed, graph_index)
-    for attempt in range(100):
+    for attempt in range(MAX_CONNECTED_ATTEMPTS):
         candidate = dataclasses.replace(
             spec, seed=derive_seed(base, attempt))
         graph = generate(candidate)
         if effective_lcc_extract(candidate) or is_connected(graph):
             return graph
     raise GenerationError(
-        f"no connected graph from {spec.model!r} after 100 attempts "
+        f"no connected graph from {spec.model!r} after "
+        f"{MAX_CONNECTED_ATTEMPTS} attempts "
         f"(graph {graph_index})")
 
 

@@ -11,17 +11,25 @@ to the advanced state, everything modulo 2**64.  The platform RNG is never
 used, so a seed reproduces the same stream on any machine and the scheme is
 easy to port: any implementation with 64-bit unsigned arithmetic gives
 bit-identical graphs.
+
+The generator is counter-based: word k of state s is ``mix(s + k*GAMMA)``,
+so a block of consecutive words is computed at once with numpy ``uint64``
+arithmetic, which wraps modulo 2**64 like the masked scalar code.
 """
 
 from __future__ import annotations
 
 from typing import MutableSequence
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """Finalizer of one state; takes a Python int or a numpy ``uint64``
+    array, whose arithmetic wraps modulo 2**64 by itself."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -40,6 +48,21 @@ class SplitMix64:
     def random(self) -> float:
         """Uniform float in [0, 1) using the 53 high bits of one word."""
         return (self.next_uint64() >> 11) * 2.0 ** -53
+
+    def uint64_block(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a ``uint64`` array; the state advances
+        exactly as ``count`` calls of :meth:`next_uint64` would."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return _mix(z)
+
+    def random_block(self, count: int) -> np.ndarray:
+        """The next ``count`` floats of :meth:`random` as a float64 array."""
+        return (self.uint64_block(count) >> np.uint64(11)) * 2.0 ** -53
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by unbiased rejection sampling."""

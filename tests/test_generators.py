@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from paradoxlab import (GenerationError, ParameterError, RandomGraphSpec,
-                        generate, is_connected)
+                        generate, generators, is_connected)
+from paradoxlab.rng import SplitMix64
 
 
 def test_deterministic_families():
@@ -64,6 +65,41 @@ def test_erdos_renyi_extremes():
     assert generate(empty).edge_count == 0
     full = RandomGraphSpec(model="erdos_renyi", n=6, p=1.0)
     assert generate(full).edge_count == 15
+
+
+def _scalar_erdos_renyi_edges(n, p, rng):
+    """Reference: one scalar draw per pair in lexicographic order."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j))
+    return edges
+
+
+def _assert_matches_scalar_reference(n, p, seed):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    edges = generators._erdos_renyi_edges(n, p, block)
+    assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+    assert edges.tolist() == [list(e) for e in
+                              _scalar_erdos_renyi_edges(n, p, scalar)]
+    assert block.next_uint64() == scalar.next_uint64()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [3, 2 ** 64 - 1])
+def test_erdos_renyi_block_draws_match_scalar_loop(n, p, seed):
+    _assert_matches_scalar_reference(n, p, seed)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 5, 29])
+def test_erdos_renyi_blocks_ending_inside_and_between_rows(monkeypatch,
+                                                           block_pairs):
+    # n=30: rows hold 29, 28, ... pairs, so blocks of 29 end on the first
+    # row boundary and blocks of 5 end inside rows.
+    monkeypatch.setattr(generators, "ER_BLOCK_PAIRS", block_pairs)
+    _assert_matches_scalar_reference(30, 0.3, 17)
 
 
 def test_erdos_renyi_edge_count_is_unbiased():

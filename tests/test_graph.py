@@ -50,6 +50,28 @@ def test_edge_validation():
         build_directed(3, [(2, 2)])
     with pytest.raises(InputError):
         build_undirected(0, [])
+    # Non-integer ids are rejected, not truncated or parsed.
+    with pytest.raises(InputError):
+        build_undirected(3, [(0, 1.7)])
+    with pytest.raises(InputError):
+        build_undirected(3, [("0", "2")])
+    with pytest.raises(InputError):
+        build_directed(3, np.array([[0.0, 1.0]]))
+    # Anything but (i, j) pairs is rejected, not regrouped into pairs.
+    with pytest.raises(InputError):
+        build_undirected(3, [(0, 1, 2), (0, 1, 2)])
+    with pytest.raises(InputError):
+        build_undirected(4, [0, 1, 2, 3])
+
+
+def test_edge_inputs_accepted():
+    assert build_undirected(3, []).edge_count == 0
+    assert build_directed(3, np.empty((0, 2), dtype=np.int64)).edge_count == 0
+    expected = build_undirected(3, [(0, 2), (1, 2)])
+    for dtype in (np.int32, np.int64, np.uint64):
+        pairs = np.array([[0, 2], [1, 2]], dtype=dtype)
+        assert build_undirected(3, pairs) == expected
+    assert build_undirected(3, iter([(0, 2), (1, 2)])) == expected
 
 
 def test_graph_is_immutable(p6):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from paradoxlab.rng import SplitMix64, derive_seed
+from paradoxlab.rng import _GAMMA, SplitMix64, derive_seed
 
 
 def test_streams_are_reproducible():
@@ -31,6 +32,31 @@ def test_random_is_unit_interval():
     assert all(0.0 <= v < 1.0 for v in values)
     mean = sum(values) / len(values)
     assert abs(mean - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("seed", [
+    0, 12345, 2 ** 64 - 1,
+    # Three steps short of 2**64: word 3 of the block is mix(0) == 0.
+    -3 * _GAMMA % 2 ** 64])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 1000])
+def test_block_draws_continue_the_scalar_stream(seed, count):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    words = block.uint64_block(count)
+    assert words.dtype == np.uint64 and words.shape == (count,)
+    assert words.tolist() == [scalar.next_uint64() for _ in range(count)]
+    assert block.next_uint64() == scalar.next_uint64()
+
+    floats = block.random_block(count)
+    assert floats.dtype == np.float64 and floats.shape == (count,)
+    assert floats.tolist() == [scalar.random() for _ in range(count)]
+    assert block.next_uint64() == scalar.next_uint64()
+
+
+def test_block_draws_wrap_the_counter():
+    rng = SplitMix64(-3 * _GAMMA % 2 ** 64)
+    assert rng.uint64_block(4)[2] == 0
+    with pytest.raises(ValueError):
+        rng.uint64_block(-1)
 
 
 def test_below_is_in_range_and_roughly_uniform():
