@@ -26,7 +26,8 @@ from .errors import (ConvergenceError, GenerationError, InputError,
 from .formats import (ReportDocument, emit_edge_list, emit_json,
                       emit_matrix_market, emit_report, parse_edge_list,
                       parse_matrix_market)
-from .generators import MODELS, RandomGraphSpec, generate
+from .generators import (MODELS, RandomGraphSpec, effective_lcc_extract,
+                         generate)
 from .graph import Graph
 from .paradox import (BILINEAR_TOL, MAX_EAVES_NODES, MAX_FIEDLER_NODES,
                       bias_distribution, compare_averages, eaves_check,
@@ -222,8 +223,7 @@ def _cmd_bias(args: argparse.Namespace) -> str:
         value = getattr(spec, key)
         if value is not None:
             ensemble[key] = list(value) if isinstance(value, tuple) else value
-    ensemble["lcc_extract"] = (spec.lcc_extract if spec.lcc_extract
-                               is not None else spec.model == "erdos_renyi")
+    ensemble["lcc_extract"] = effective_lcc_extract(spec)
     summary = {"n_graphs": dist.n_graphs,
                "total_samples": int(len(dist.samples)),
                "mean": dist.mean, "stddev": dist.stddev,

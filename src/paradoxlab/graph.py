@@ -84,8 +84,12 @@ def _validated_pairs(node_count: int,
                      edges: Iterable[Sequence[int]]) -> np.ndarray:
     if node_count <= 0:
         raise InputError(f"node count must be positive, got {node_count}")
-    pairs = np.asarray(edges if isinstance(edges, np.ndarray)
-                       else list(edges))
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:
+        raise InputError("edges must be (i, j) pairs") from None
     if pairs.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -94,12 +98,13 @@ def _validated_pairs(node_count: int,
     if pairs.dtype.kind not in "iu":
         raise InputError(
             f"node ids must be integers, got {pairs.dtype} values")
-    pairs = pairs.astype(np.int64, copy=False)
+    # Checked in the input dtype: uint64 ids above 2^63 would wrap in int64.
     bad = (pairs < 0) | (pairs >= node_count)
     if bad.any():
         i, j = pairs[bad.any(axis=1)][0]
         raise InputError(
             f"edge ({i}, {j}) out of range for {node_count} nodes")
+    pairs = pairs.astype(np.int64, copy=False)
     loops = pairs[:, 0] == pairs[:, 1]
     if loops.any():
         i = pairs[loops][0][0]
@@ -107,27 +112,18 @@ def _validated_pairs(node_count: int,
     return pairs
 
 
-def _assemble(node_count: int, rows: np.ndarray, cols: np.ndarray,
-              edge_count: int, directed: bool) -> Graph:
-    ones = np.ones(len(rows), dtype=np.int64)
-    mat = sparse.coo_matrix((ones, (rows, cols)),
-                            shape=(node_count, node_count)).tocsr()
-    return _from_csr(mat, edge_count, directed)
-
-
-def _from_csr(mat: sparse.csr_matrix, edge_count: int,
+def _assemble(node_count: int, arcs: np.ndarray, edge_count: int,
               directed: bool) -> Graph:
-    """Graph from an integer multiplicity matrix in CSR form."""
-    mat.sum_duplicates()
-    mat.sort_indices()
-    degrees = np.asarray(mat.sum(axis=1), dtype=np.int64).ravel()
-    return Graph(node_count=mat.shape[0],
-                 edge_count=edge_count,
-                 directed=directed,
-                 row_offsets=mat.indptr.astype(np.int64),
-                 column_targets=mat.indices.astype(np.int64),
-                 multiplicities=mat.data.astype(np.int64),
-                 degree_seq=degrees)
+    rows, cols = arcs[:, 0], arcs[:, 1]
+    # Row-major keys, below node_count**2, sort by row and then by column.
+    keys, counts = np.unique(rows * node_count + cols, return_counts=True)
+    row_lengths = np.bincount(keys // node_count, minlength=node_count)
+    degrees = np.bincount(rows, minlength=node_count)
+    return Graph(node_count, edge_count, directed,
+                 row_offsets=np.concatenate(([0], np.cumsum(row_lengths))),
+                 column_targets=keys % node_count,
+                 multiplicities=counts.astype(np.int64, copy=False),
+                 degree_seq=degrees.astype(np.int64, copy=False))
 
 
 def build_undirected(node_count: int,
@@ -135,17 +131,15 @@ def build_undirected(node_count: int,
     """Build an undirected multigraph; repeated pairs accumulate
     multiplicity and each pair contributes to both endpoint degrees."""
     pairs = _validated_pairs(node_count, edges)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    return _assemble(node_count, rows, cols, len(pairs), directed=False)
+    both = np.concatenate([pairs, pairs[:, ::-1]])
+    return _assemble(node_count, both, len(pairs), directed=False)
 
 
 def build_directed(node_count: int,
                    edges: Iterable[Sequence[int]]) -> Graph:
     """Build a directed multigraph of (source, target) arcs."""
     pairs = _validated_pairs(node_count, edges)
-    return _assemble(node_count, pairs[:, 0], pairs[:, 1], len(pairs),
-                     directed=True)
+    return _assemble(node_count, pairs, len(pairs), directed=True)
 
 
 def hop_distances(offsets: np.ndarray, targets: np.ndarray,
@@ -213,12 +207,18 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     ``k`` of the map is the old id of new node ``k``.
     """
     labels = connected_component_labels(graph)
-    keep = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
-    sub = sparse.csr_matrix(
-        (graph.multiplicities, graph.column_targets, graph.row_offsets),
-        shape=(graph.node_count, graph.node_count))[keep][:, keep]
-    # Every edge is stored in both orientations.
-    return _from_csr(sub, int(sub.sum()) // 2, directed=False), keep
+    inside = labels == int(np.argmax(np.bincount(labels)))
+    keep = np.flatnonzero(inside)
+    # A component is closed under neighbours: kept rows keep every entry.
+    lengths = np.diff(graph.row_offsets)
+    entries = np.repeat(inside, lengths)
+    degrees = graph.degree_seq[keep]
+    return Graph(len(keep), int(degrees.sum()) // 2, directed=False,
+                 row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
+                 column_targets=(np.cumsum(inside) - 1)[
+                     graph.column_targets[entries]],
+                 multiplicities=graph.multiplicities[entries],
+                 degree_seq=degrees), keep
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from paradoxlab import (InputError, PreconditionError, UsageError,
+from paradoxlab import (Graph, InputError, PreconditionError, UsageError,
                         adjacency_matvec, apply_transition,
                         apply_transition_transpose, build_directed,
                         build_undirected, connected_component_labels,
@@ -62,6 +66,11 @@ def test_edge_validation():
         build_undirected(3, [(0, 1, 2), (0, 1, 2)])
     with pytest.raises(InputError):
         build_undirected(4, [0, 1, 2, 3])
+    with pytest.raises(InputError, match="pairs"):
+        build_undirected(3, [(0, 1), (2,)])
+    # The range is checked before the int64 cast, so the id is not wrapped.
+    with pytest.raises(InputError, match=r"\(0, 9223372036854775808\)"):
+        build_undirected(3, np.array([[0, 2 ** 63]], dtype=np.uint64))
 
 
 def test_edge_inputs_accepted():
@@ -125,6 +134,113 @@ def test_extract_lcc():
         assert sub.edge_pairs() == lcc_edges
         assert sub == build_undirected(len(kept_ids), lcc_edges)
         assert is_connected(sub)
+
+
+def _reference_from_csr(mat, edge_count, directed):
+    """The COO -> CSR -> canonical-CSR assembly the graph module used to
+    run through scipy.sparse, kept as the reference for the numpy path."""
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return Graph(node_count=mat.shape[0], edge_count=edge_count,
+                 directed=directed,
+                 row_offsets=mat.indptr.astype(np.int64),
+                 column_targets=mat.indices.astype(np.int64),
+                 multiplicities=mat.data.astype(np.int64),
+                 degree_seq=np.asarray(mat.sum(axis=1),
+                                       dtype=np.int64).ravel())
+
+
+def _reference_build(n, edges, directed):
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    mat = sparse.coo_matrix((np.ones(len(rows), dtype=np.int64),
+                             (rows, cols)), shape=(n, n)).tocsr()
+    return _reference_from_csr(mat, len(pairs), directed)
+
+
+def _reference_lcc(graph):
+    labels = connected_component_labels(graph)
+    keep = np.flatnonzero(labels == int(np.argmax(np.bincount(labels))))
+    n = graph.node_count
+    sub = sparse.csr_matrix(
+        (graph.multiplicities, graph.column_targets, graph.row_offsets),
+        shape=(n, n))[keep][:, keep]
+    return _reference_from_csr(sub, int(sub.sum()) // 2, False), keep
+
+
+def assert_same_arrays(graph, expected):
+    assert graph == expected
+    for name in ("row_offsets", "column_targets", "multiplicities",
+                 "degree_seq"):
+        got, want = getattr(graph, name), getattr(expected, name)
+        assert got.dtype == np.int64, name
+        assert got.tolist() == want.tolist(), name
+
+
+@st.composite
+def multigraph_edge_lists(draw, max_nodes=12):
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=30))
+    # Few nodes and many pairs give repeats in both orientations.
+    return n, [(u, v) for u, v in pairs if u != v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraph_edge_lists())
+@example((1, []))
+@example((4, []))
+@example((5, [(0, 1), (1, 0), (0, 1), (3, 1)]))
+def test_assembly_matches_scipy_reference(case):
+    n, edges = case
+    assert_same_arrays(build_undirected(n, edges),
+                       _reference_build(n, edges, directed=False))
+    assert_same_arrays(build_directed(n, edges),
+                       _reference_build(n, edges, directed=True))
+
+
+@st.composite
+def component_multigraphs(draw):
+    """Disjoint components of drawn sizes, often equal so that sizes tie,
+    with parallel edges, shuffled over the node ids."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    edges, first = [], 0
+    for size in sizes:
+        for i in range(1, size):
+            edges.append((first + draw(st.integers(0, i - 1)), first + i))
+        extra = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                        st.integers(0, size - 1)),
+                              max_size=2 * size))
+        edges.extend((first + u, first + v) for u, v in extra if u != v)
+        first += size
+    relabel = draw(st.permutations(range(first)))
+    return first, [(relabel[u], relabel[v]) for u, v in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(component_multigraphs())
+@example((4, [(0, 1), (2, 3)]))
+@example((3, []))
+def test_extract_lcc_matches_scipy_reference(case):
+    n, edges = case
+    graph = build_undirected(n, edges)
+    sub, kept = extract_lcc(graph)
+    expected, expected_kept = _reference_lcc(graph)
+    assert kept.tolist() == expected_kept.tolist()
+    assert_same_arrays(sub, expected)
+
+
+def test_import_leaves_out_csgraph_and_linalg():
+    # Each of these costs import time that no code path needs.
+    code = ("import sys, paradoxlab; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse.csgraph', "
+            "'scipy.sparse.linalg'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_extract_lcc_tie_goes_to_smallest_ids():

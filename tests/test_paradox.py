@@ -8,7 +8,7 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, GenerationError,
                         RangeError, bias_distribution, build_directed,
                         build_undirected, compare_averages, compute,
                         eaves_check, eigenvector_centrality,
-                        exact_degree_stats, fiedler_check,
+                        exact_degree_stats, fiedler_check, generate,
                         harmonic_mean_check, neighbor_average,
                         pagerank_centrality, pagerank_paradox_check,
                         paradox_report, symmetrization_identity)
@@ -63,6 +63,42 @@ def test_exact_degree_stats(p6):
         assert mu_tilde == Fraction(n, 2)
         assert mu_bar == Fraction(1 + (n - 1) ** 2, n)
         assert mu_bar - mu > 0
+
+
+def reference_exact_degree_stats(graph):
+    """The per-entry Fraction loop exact_degree_stats replaced."""
+    degrees = [int(d) for d in graph.degree_seq]
+    offsets, targets = graph.row_offsets, graph.column_targets
+    mults = graph.multiplicities
+    total = Fraction(0)
+    for i in range(graph.node_count):
+        row_sum = sum(int(mults[k]) * degrees[int(targets[k])]
+                      for k in range(offsets[i], offsets[i + 1]))
+        total += Fraction(row_sum, degrees[i])
+    return (Fraction(sum(degrees), graph.node_count),
+            total / graph.node_count,
+            Fraction(sum(d * d for d in degrees), sum(degrees)))
+
+
+def test_exact_degree_stats_match_fraction_loop():
+    rng = SplitMix64(41)
+    graphs = [random_connected(rng, max_nodes=30) for _ in range(40)]
+    graphs += [star(n) for n in (2, 3, 17)] + [path(2), complete(7)]
+    graphs.append(build_undirected(3, [(0, 1)] * 5 + [(1, 2)] * 3))
+    for seed in (1, 2, 3):
+        graphs.append(generate(RandomGraphSpec(
+            model="preferential_attachment", n=600, m_attach=2, seed=seed)))
+        draws = SplitMix64(100 + seed)
+        targets = [1 + draws.below(40) for _ in range(200)]
+        targets[0] += sum(targets) % 2
+        graphs.append(generate(RandomGraphSpec(
+            model="configuration", n=200, degree_sequence=tuple(targets),
+            seed=seed, lcc_extract=True)))
+    for graph in graphs:
+        assert exact_degree_stats(graph) == \
+            reference_exact_degree_stats(graph)
+    # Enough distinct degrees that the grouping by degree is exercised.
+    assert min(len(np.unique(g.degree_seq)) for g in graphs[-6:]) > 15
 
 
 def test_regular_graphs_sit_at_equality():
