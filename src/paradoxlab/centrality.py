@@ -14,8 +14,7 @@ import numpy as np
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec,
-                    apply_transition_transpose, hop_distances, is_connected,
-                    is_strongly_connected)
+                    apply_transition_transpose, hop_distances)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
@@ -99,7 +98,7 @@ class SpectralResult:
 def _require_undirected_connected(graph: Graph, what: str) -> None:
     if graph.directed:
         raise UsageError(f"{what} is defined for undirected graphs")
-    if not is_connected(graph):
+    if not graph.connected:
         raise PreconditionError(f"{what} requires a connected graph")
 
 
@@ -171,7 +170,9 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "Katz centrality")
     spectral, _ = eigenvector_centrality(graph, tol=tol, max_iters=max_iters)
-    limit = (1.0 - ALPHA_MARGIN) / spectral.lambda1
+    # Without edges lambda1 is 0 and every alpha is admissible.
+    limit = ((1.0 - ALPHA_MARGIN) / spectral.lambda1 if spectral.lambda1 > 0
+             else np.inf)
     if alpha > limit:
         raise ParameterError(
             f"alpha={alpha} too large: alpha * lambda1 must stay below 1 "
@@ -207,12 +208,9 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)
-    if graph.directed:
-        if not is_strongly_connected(graph):
-            raise PreconditionError(
-                "pagerank requires a strongly connected directed graph")
-    elif not is_connected(graph):
-        raise PreconditionError("pagerank requires a connected graph")
+    if not graph.connected:
+        kind = "strongly connected directed" if graph.directed else "connected"
+        raise PreconditionError(f"pagerank requires a {kind} graph")
     n = graph.node_count
     teleport = beta / n
     vec = np.full(n, 1.0 / n)

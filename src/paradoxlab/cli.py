@@ -134,8 +134,13 @@ def _measure_params(args: argparse.Namespace,
                 raise UsageError("--alpha is required for katz over an "
                                  "ensemble; the default 0.85/lambda1 only "
                                  "applies to a single graph")
-            alpha = 0.85 / solve_lambda1(graph, tol=args.tol,
-                                         max_iters=args.max_iters).lambda1
+            lambda1 = solve_lambda1(graph, tol=args.tol,
+                                    max_iters=args.max_iters).lambda1
+            if lambda1 == 0:
+                raise PreconditionError(
+                    "the default katz alpha 0.85/lambda1 is undefined on a "
+                    "graph without edges (lambda1 = 0); pass --alpha")
+            alpha = 0.85 / lambda1
         kwargs["alpha"] = alpha
     elif kind == "pagerank":
         kwargs["beta"] = args.beta

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .centrality import CentralityParams
 from .errors import InputError, UsageError
 from .graph import Graph, build_directed, build_undirected
@@ -56,11 +58,15 @@ def parse_edge_list_with_map(text: str,
         pairs.append((u, v))
     if not pairs:
         raise InputError("edge list contains no edges")
-    ids = sorted({node for pair in pairs for node in pair})
-    index = {old: new for new, old in enumerate(ids)}
-    mapped = [(index[u], index[v]) for u, v in pairs]
+    try:
+        flat = np.array(pairs, dtype=np.int64).ravel()
+    except OverflowError:
+        # Ids beyond int64 stay exact as Python ints.
+        flat = np.array(pairs, dtype=object).ravel()
+    ids, mapped = np.unique(flat, return_inverse=True)
+    mapped = mapped.reshape(-1, 2).astype(np.int64, copy=False)
     build = build_directed if directed else build_undirected
-    return build(len(ids), mapped), ids
+    return build(len(ids), mapped), ids.tolist()
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -146,12 +152,9 @@ def parse_matrix_market(text: str) -> Graph:
 def emit_matrix_market(graph: Graph) -> str:
     """Canonical Matrix Market text: symmetric files store the lower
     triangle (row > column), general files every arc, both sorted."""
-    if graph.directed:
-        symmetry = "general"
-        entries = sorted((i + 1, j + 1) for i, j in graph.edge_pairs())
-    else:
-        symmetry = "symmetric"
-        entries = sorted((j + 1, i + 1) for i, j in graph.edge_pairs())
+    symmetry = "general" if graph.directed else "symmetric"
+    # CSR order is row-major, so the lower triangle and the arcs are sorted.
+    entries = (graph.stored_entries(lower=True) + 1).tolist()
     lines = [f"%%MatrixMarket matrix coordinate pattern {symmetry}",
              f"{graph.node_count} {graph.node_count} {len(entries)}"]
     lines.extend(f"{i} {j}" for i, j in entries)

@@ -61,23 +61,48 @@ class Graph:
             shape=(self.node_count, self.node_count))
 
     @cached_property
-    def adjacency_transpose(self) -> sparse.csr_matrix:
-        return self.adjacency.T.tocsr()
+    def connected(self) -> bool:
+        """Whether every node reaches every other (strongly, if directed):
+        node 0 reaches all nodes and, when directed, all reach node 0."""
+        if (hop_distances(self.row_offsets, self.column_targets, 0) < 0).any():
+            return False
+        if not self.directed:
+            return True
+        rev = self.adjacency.T.tocsr()
+        return bool((hop_distances(rev.indptr, rev.indices, 0) >= 0).all())
 
     def neighbors(self, node: int) -> np.ndarray:
         """Column targets of ``node`` (one entry per distinct neighbour)."""
         lo, hi = self.row_offsets[node], self.row_offsets[node + 1]
         return self.column_targets[lo:hi]
 
+    def stored_entries(self, lower: bool = False) -> np.ndarray:
+        """Stored ``(row, column)`` entries in CSR order with multiplicity
+        repeats, as an ``(m, 2)`` array: every arc when directed, and each
+        undirected edge once, from the upper triangle or, with ``lower``,
+        from the lower one."""
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.row_offsets))
+        cols = self.column_targets
+        # An undirected edge is stored in both rows; keep one of them.
+        stored = self.directed | ((rows > cols) if lower else (rows < cols))
+        return np.repeat(np.column_stack([rows, cols])[stored],
+                         self.multiplicities[stored], axis=0)
+
     def edge_pairs(self) -> list[tuple[int, int]]:
         """Stored edges with multiplicity repeats: each undirected edge once
         as ``(min, max)``, each directed edge as ``(source, target)``."""
-        rows = np.repeat(np.arange(self.node_count), np.diff(self.row_offsets))
-        # An undirected edge is stored in both rows; emit it from the lower.
-        stored = self.directed | (rows < self.column_targets)
-        pairs = np.repeat(np.column_stack([rows, self.column_targets])[stored],
-                          self.multiplicities[stored], axis=0)
-        return list(map(tuple, pairs.tolist()))
+        return list(map(tuple, self.stored_entries().tolist()))
+
+
+def _exact_int_ids(edges, dtype: np.dtype) -> np.ndarray:
+    """Ids as an object array of Python ints.  Integers beyond int64 make
+    numpy infer float64 or object values; kept exact, they reach the
+    range check.  Every other non-integer id is rejected."""
+    ids = edges.tolist() if isinstance(edges, np.ndarray) else edges
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for pair in ids for v in pair):
+        raise InputError(f"node ids must be integers, got {dtype} values")
+    return np.array(ids, dtype=object)
 
 
 def _validated_pairs(node_count: int,
@@ -96,8 +121,7 @@ def _validated_pairs(node_count: int,
         raise InputError(
             f"edges must be (i, j) pairs, got an array of shape {pairs.shape}")
     if pairs.dtype.kind not in "iu":
-        raise InputError(
-            f"node ids must be integers, got {pairs.dtype} values")
+        pairs = _exact_int_ids(edges, pairs.dtype)
     # Checked in the input dtype: uint64 ids above 2^63 would wrap in int64.
     bad = (pairs < 0) | (pairs >= node_count)
     if bad.any():
@@ -168,8 +192,7 @@ def is_connected(graph: Graph) -> bool:
     if graph.directed:
         raise UsageError("is_connected expects an undirected graph; "
                          "use is_strongly_connected")
-    return bool((hop_distances(graph.row_offsets, graph.column_targets,
-                               0) >= 0).all())
+    return graph.connected
 
 
 def is_strongly_connected(graph: Graph) -> bool:
@@ -177,10 +200,7 @@ def is_strongly_connected(graph: Graph) -> bool:
     if not graph.directed:
         raise UsageError("is_strongly_connected expects a directed graph; "
                          "use is_connected")
-    if (hop_distances(graph.row_offsets, graph.column_targets, 0) < 0).any():
-        return False
-    rev = graph.adjacency_transpose
-    return bool((hop_distances(rev.indptr, rev.indices, 0) >= 0).all())
+    return graph.connected
 
 
 def connected_component_labels(graph: Graph) -> np.ndarray:
@@ -256,4 +276,5 @@ def apply_transition_transpose(graph: Graph, x) -> np.ndarray:
     """``C^T @ x``, the mass-redistribution step of a degree-normalised
     random walk."""
     degrees = _require_positive_degrees(graph)
-    return graph.adjacency_transpose @ (_as_vector(graph, x) / degrees)
+    # The CSC view A.T sums each entry in the same order as A.T.tocsr().
+    return graph.adjacency.T @ (_as_vector(graph, x) / degrees)

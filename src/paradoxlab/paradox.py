@@ -14,16 +14,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .generators import RandomGraphSpec
 
 from .centrality import CentralityParams, CentralityVector, SpectralResult, compute
 from .errors import (GenerationError, InputError, NumericalError,
                      ParameterError, RangeError)
+from .generators import RandomGraphSpec, effective_lcc_extract, generate
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec, apply_transition,
                     build_directed, is_connected, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
@@ -323,8 +320,6 @@ def pagerank_paradox_check(graph: Graph, r: CentralityVector) -> tuple[float, fl
 
 def _connected_sample(spec: RandomGraphSpec, graph_index: int,
                       master_seed: int) -> Graph:
-    from .generators import effective_lcc_extract, generate
-
     base = derive_seed(master_seed, graph_index)
     for attempt in range(MAX_CONNECTED_ATTEMPTS):
         candidate = dataclasses.replace(

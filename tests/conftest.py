@@ -1,6 +1,7 @@
 import pytest
 
 from paradoxlab import build_directed, build_undirected
+from paradoxlab import graph as graph_module
 from paradoxlab.generators import (complete_edges, cycle_edges, path_edges,
                                    star_edges)
 
@@ -30,3 +31,17 @@ def p6():
 def hub_digraph():
     """Arcs 0->1, 0->2, 1->0, 2->0: node 0 is the hub."""
     return build_directed(3, [(0, 1), (0, 2), (1, 0), (2, 0)])
+
+
+@pytest.fixture
+def hop_distance_calls(monkeypatch):
+    """Source node of every ``graph.hop_distances`` search, in call order."""
+    calls = []
+    search = graph_module.hop_distances
+
+    def counted(offsets, targets, source):
+        calls.append(source)
+        return search(offsets, targets, source)
+
+    monkeypatch.setattr(graph_module, "hop_distances", counted)
+    return calls

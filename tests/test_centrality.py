@@ -143,6 +143,16 @@ def test_katz_known_values(p6):
                                rtol=0, atol=0)
 
 
+def test_katz_on_one_node_admits_every_alpha():
+    # A lone node has lambda1 = 0, so alpha * lambda1 < 1 for every alpha.
+    one = build_undirected(1, [])
+    assert solve_lambda1(one).lambda1 == 0.0
+    for alpha in (0.0, 0.1, 1e9):
+        vector = katz_centrality(one, alpha)
+        assert vector.values.tolist() == [1.0]
+        assert vector.residual == 0.0
+
+
 def test_katz_rejects_alpha_at_spectral_radius():
     k2 = build_undirected(2, [(0, 1)])  # lambda1 = 1
     with pytest.raises(ParameterError):
@@ -224,10 +234,30 @@ def test_pagerank_sums_to_one_with_small_residual(hub_digraph):
 
 def test_pagerank_requires_strong_connectivity():
     dag = build_directed(3, [(0, 1), (1, 2)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError,
+                       match="requires a strongly connected directed graph"):
         pagerank_centrality(dag, 0.85)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="requires a connected graph"):
         pagerank_centrality(build_undirected(3, [(0, 1)]), 0.85)
+
+
+def test_measures_share_one_connectivity_search(hop_distance_calls):
+    calls = hop_distance_calls
+    g = random_connected(SplitMix64(11), max_nodes=12)
+    solve_lambda1(g)
+    for params in (CentralityParams(kind="degree"),
+                   CentralityParams(kind="walk_count", ell=3),
+                   CentralityParams(kind="eigenvector"),
+                   CentralityParams(kind="katz", alpha=0.05),
+                   CentralityParams(kind="pagerank", beta=0.85)):
+        compute(g, params)
+    assert len(calls) == 1
+    calls.clear()
+    ring = build_directed(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    for beta in (0.15, 0.5, 0.85):
+        pagerank_centrality(ring, beta)
+    # One forward and one backward search.
+    assert len(calls) == 2
 
 
 def test_closeness_and_harmonic():

@@ -207,6 +207,23 @@ def test_katz_alpha_defaults_to_safe_fraction(capsys):
     assert payload["measure"]["alpha"] == pytest.approx(0.425)
 
 
+def test_katz_on_one_node_file_exits_two(capsys, tmp_path):
+    one = tmp_path / "one.mtx"
+    one.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                   "1 1 0\n")
+    # The default 0.85 / lambda1 cannot be formed when lambda1 is 0.
+    code, out, err = run_cli(capsys, "paradox", str(one), "--measure", "katz")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--alpha" in err
+    # With an alpha, Katz is defined and the zero degree stops the report,
+    # as it does for every other measure.
+    for measure in (("katz", "--alpha", "0.1"), ("degree",)):
+        code, out, err = run_cli(capsys, "paradox", str(one), "--measure",
+                                 *measure)
+        assert code == 2 and out == ""
+        assert err.startswith("error: node 0 has zero degree")
+
+
 def test_pagerank_promotion_notice(capsys):
     code, _, err = run_cli(capsys, "centrality", "--model", "cycle", "--n",
                            "5", "--measure", "pagerank")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradoxlab import (CentralityParams, InputError, ReportDocument,
                         UsageError, build_directed, build_undirected,
@@ -38,8 +40,16 @@ def test_parse_edge_list_directed_header_and_flag():
 def test_parse_edge_list_gap_reindexing():
     g, ids = parse_edge_list_with_map("0 5\n5 9\n")
     assert ids == [0, 5, 9]
+    assert all(type(i) is int for i in ids)
     assert g.node_count == 3
     assert g.degree_seq.tolist() == [1, 2, 1]
+    # Ids beyond int64 keep their exact value.
+    big = 2 ** 64 + 1
+    g, ids = parse_edge_list_with_map(f"7 {big}\n{big} 3\n7 3\n",
+                                      directed=True)
+    assert ids == [3, 7, big]
+    assert all(type(i) is int for i in ids)
+    assert g.edge_pairs() == [(1, 0), (1, 2), (2, 0)]
 
 
 def test_parse_edge_list_errors_carry_line_numbers():
@@ -92,6 +102,34 @@ def test_matrix_market_general_round_trip(hub_digraph):
     text = emit_matrix_market(hub_digraph)
     assert "general" in text.splitlines()[0]
     assert parse_matrix_market(text) == hub_digraph
+
+
+def _reference_matrix_market(graph):
+    """The sorted-tuple emitter the formats module used to run."""
+    if graph.directed:
+        symmetry = "general"
+        entries = sorted((i + 1, j + 1) for i, j in graph.edge_pairs())
+    else:
+        symmetry = "symmetric"
+        entries = sorted((j + 1, i + 1) for i, j in graph.edge_pairs())
+    lines = [f"%%MatrixMarket matrix coordinate pattern {symmetry}",
+             f"{graph.node_count} {graph.node_count} {len(entries)}"]
+    lines.extend(f"{i} {j}" for i, j in entries)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=30))))
+def test_matrix_market_emission_matches_sorted_reference(case):
+    n, pairs = case
+    # Few nodes and many pairs give parallel edges in both orientations.
+    edges = [(u, v) for u, v in pairs if u != v]
+    for build in (build_undirected, build_directed):
+        g = build(n, edges)
+        assert emit_matrix_market(g) == _reference_matrix_market(g)
 
 
 def test_matrix_market_preserves_isolated_nodes():

@@ -71,6 +71,20 @@ def test_edge_validation():
     # The range is checked before the int64 cast, so the id is not wrapped.
     with pytest.raises(InputError, match=r"\(0, 9223372036854775808\)"):
         build_undirected(3, np.array([[0, 2 ** 63]], dtype=np.uint64))
+    # Python ints beyond int64, which numpy holds as float64 or object
+    # values, get the same exact range error.
+    for big in (2 ** 63, 2 ** 64, -2 ** 63 - 1):
+        with pytest.raises(InputError,
+                           match=rf"^edge \(0, {big}\) out of range for 3"):
+            build_undirected(3, [(0, big)])
+    with pytest.raises(InputError, match=r"\(1, 36893488147419103232\)"):
+        build_directed(3, [(0, 1), (1, 2 ** 65)])
+    with pytest.raises(InputError, match="integers, got float64"):
+        build_undirected(3, [(0, 1.7)])
+    with pytest.raises(InputError, match="integers, got object"):
+        build_undirected(3, [(0, 2 ** 64), (1, 1.5)])
+    with pytest.raises(InputError, match="integers, got bool"):
+        build_undirected(3, [(True, False)])
 
 
 def test_edge_inputs_accepted():
@@ -116,6 +130,24 @@ def test_strong_connectivity():
     assert not is_strongly_connected(one_way)
     with pytest.raises(UsageError):
         is_strongly_connected(path(3))
+    # Node 0 reaches every node, but no node reaches node 0.
+    from_source = build_directed(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
+    assert not is_strongly_connected(from_source)
+    # Every node reaches node 0, but node 0 reaches no other node.
+    assert not is_strongly_connected(build_directed(3, [(1, 0), (2, 0)]))
+
+
+def test_connectivity_is_searched_once_per_graph(hop_distance_calls):
+    calls = hop_distance_calls
+    g = path(5)
+    assert is_connected(g) and is_connected(g) and g.connected
+    assert len(calls) == 1
+    ring = build_directed(3, [(0, 1), (1, 2), (2, 0)])
+    assert is_strongly_connected(ring) and is_strongly_connected(ring)
+    assert len(calls) == 3
+    # A failed forward search needs no backward one.
+    assert not build_directed(3, [(1, 0), (2, 0)]).connected
+    assert len(calls) == 4
 
 
 def test_extract_lcc():
@@ -315,3 +347,27 @@ def test_undirected_matvec_is_symmetric(case, vec_seed):
     # <y, Ax> == <x, Ay> because A is symmetric.
     assert adjacency_matvec(g, x) @ y == pytest.approx(
         adjacency_matvec(g, y) @ x, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def transition_graphs(draw):
+    """Directed multigraphs whose every node has an out-arc (a ring plus
+    drawn arcs, often repeated), or connected undirected multigraphs."""
+    if draw(st.booleans()):
+        n, edges = draw(connected_edge_lists())
+        return build_undirected(n, edges)
+    n = draw(st.integers(min_value=2, max_value=12))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=30))
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges.extend((u, v) for u, v in extra if u != v)
+    return build_directed(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transition_graphs(), st.integers(0, 2 ** 32))
+def test_transition_transpose_matches_stored_transpose(g, vec_seed):
+    x = np.random.default_rng(vec_seed).random(g.node_count)
+    # The stored CSR transpose the graph used to cache.
+    reference = g.adjacency.T.tocsr() @ (x / g.degree_seq.astype(np.float64))
+    assert np.array_equal(apply_transition_transpose(g, x), reference)
