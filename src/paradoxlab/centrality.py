@@ -54,16 +54,21 @@ class CentralityParams:
         if (self.alpha is not None) != (self.kind == "katz"):
             raise ParameterError("alpha is required for katz and invalid "
                                  "for every other kind")
-        if self.alpha is not None and self.alpha < 0:
-            raise ParameterError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.alpha is not None and not 0 <= self.alpha < np.inf:
+            raise ParameterError(
+                f"alpha must be nonnegative and finite, got {self.alpha}")
         if (self.beta is not None) != (self.kind == "pagerank"):
             raise ParameterError("beta is required for pagerank and invalid "
                                  "for every other kind")
         if self.beta is not None and not 0.0 < self.beta < 1.0:
             raise ParameterError(
                 f"beta must lie strictly between 0 and 1, got {self.beta}")
-        if not self.tol > 0:
-            raise ParameterError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ParameterError(
+                f"tol must be positive and finite, got {self.tol}")
+        if self.kind == "katz" and not self.tol < 1:
+            # Below 1 a converged Katz residual also certifies alpha.
+            raise ParameterError(f"katz needs tol < 1, got {self.tol}")
         if self.max_iters < 1:
             raise ParameterError(
                 f"max_iters must be at least 1, got {self.max_iters}")
@@ -165,23 +170,23 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                     max_iters: int = DEFAULT_MAX_ITERS) -> CentralityVector:
     """Katz vector ``r = 1 + alpha A r`` by Jacobi iteration from the
     all-ones vector; the partial sums of the Neumann series increase
-    monotonically toward the solution."""
+    monotonically toward the solution and certify ``alpha`` on the way."""
     params = CentralityParams(kind="katz", alpha=alpha, tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "Katz centrality")
-    spectral, _ = eigenvector_centrality(graph, tol=tol, max_iters=max_iters)
-    # Without edges lambda1 is 0 and every alpha is admissible.
-    limit = ((1.0 - ALPHA_MARGIN) / spectral.lambda1 if spectral.lambda1 > 0
-             else np.inf)
-    if alpha > limit:
-        raise ParameterError(
-            f"alpha={alpha} too large: alpha * lambda1 must stay below 1 "
-            f"(lambda1 ~= {spectral.lambda1:.12g}, so alpha <= {limit:.12g})")
     ones = np.ones(graph.node_count)
     vec = ones.copy()
     residual = np.inf
     for iteration in range(max_iters):
-        image = ones + alpha * adjacency_matvec(graph, vec)
+        step = alpha * adjacency_matvec(graph, vec)
+        # Rayleigh: x.Ax / x.x <= lambda1 for symmetric A.  Conversely if
+        # alpha * lambda1 >= 1, max|image - vec| >= 1 at every step, so a
+        # residual <= tol < 1 proves alpha * lambda1 < 1.
+        bound = (vec @ step) / (vec @ vec)
+        if bound >= 1.0 - ALPHA_MARGIN:
+            raise ParameterError(f"alpha={alpha} too large: alpha * lambda1 "
+                                 f"must stay below 1 but is >= {bound:.12g}")
+        image = ones + step
         # max|image - vec| is the self-consistency defect of vec itself,
         # so return the iterate the certificate was computed for.
         residual = np.abs(image - vec).max()

@@ -233,12 +233,15 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     lengths = np.diff(graph.row_offsets)
     entries = np.repeat(inside, lengths)
     degrees = graph.degree_seq[keep]
-    return Graph(len(keep), int(degrees.sum()) // 2, directed=False,
-                 row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
-                 column_targets=(np.cumsum(inside) - 1)[
-                     graph.column_targets[entries]],
-                 multiplicities=graph.multiplicities[entries],
-                 degree_seq=degrees), keep
+    lcc = Graph(len(keep), int(degrees.sum()) // 2, directed=False,
+                row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
+                column_targets=(np.cumsum(inside) - 1)[
+                    graph.column_targets[entries]],
+                multiplicities=graph.multiplicities[entries],
+                degree_seq=degrees)
+    # A component is connected by construction: seed the cached search.
+    vars(lcc)["connected"] = True
+    return lcc, keep
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

@@ -8,6 +8,8 @@ from paradoxlab import (CentralityParams, ConvergenceError, ParameterError,
                         dense_solve, eigenvector_centrality, enumerate_walks,
                         katz_centrality, pagerank_centrality, solve_lambda1,
                         walk_count)
+from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
+                        generate)
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
 
@@ -205,6 +207,102 @@ def test_katz_neumann_series_is_monotone(p6):
         term = alpha * (dense_from_graph(p6) @ term)
         partial = partial + term
     np.testing.assert_allclose(partial, solution, atol=1e-8)
+
+
+def test_katz_runs_no_eigen_solve(monkeypatch):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return eigenvector_centrality(*args, **kwargs)
+
+    monkeypatch.setattr(centrality, "eigenvector_centrality", counted)
+    g = random_connected(SplitMix64(909))
+    # The default-alpha path: one eigen-solve for lambda1, none in Katz.
+    alpha = 0.85 / solve_lambda1(g).lambda1
+    compute(g, CentralityParams(kind="katz", alpha=alpha))
+    assert len(solves) == 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("katz_centrality ran an eigen-solve")
+
+    monkeypatch.setattr(centrality, "eigenvector_centrality", refuse)
+    for graph, alpha in ((path(6), 0.3), (star(10), 0.3), (cycle(9), 0.4)):
+        assert katz_centrality(graph, alpha).residual <= 1e-12
+    with pytest.raises(ParameterError):
+        katz_centrality(path(6), 0.6)
+
+
+def test_katz_converges_on_long_path():
+    # The spectral gap of P_1000 is ~1.5e-5; Jacobi does not care.
+    g = path(1000)
+    alpha = 0.85 / (2 * np.cos(np.pi / 1001))
+    vector = katz_centrality(g, alpha)
+    assert vector.iterations <= 200
+    defect = np.abs(vector.values - 1.0
+                    - alpha * adjacency_matvec(g, vector.values)).max()
+    assert defect <= 1e-12
+    assert vector.residual == pytest.approx(defect, abs=1e-15)
+
+
+def _barbell(clique, bridge):
+    """Two K_clique joined by a path with ``bridge`` inner nodes."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    far = clique + bridge
+    edges += [(far + i, far + j) for i, j in edges]
+    edges += [(clique - 1 + s, clique + s) for s in range(bridge + 1)]
+    return build_undirected(2 * clique + bridge, edges)
+
+
+def test_katz_rejects_divergent_alpha_from_its_iterates():
+    pa = generate(RandomGraphSpec(model="preferential_attachment", n=300,
+                                  m_attach=2, seed=31))
+    cases = [(star(50), 7.0),                                 # bipartite
+             (path(300), 2 * np.cos(np.pi / 301)),            # bipartite
+             (cycle(9), 2.0),                                 # odd cycle
+             (pa, solve_lambda1(pa).lambda1)]
+    for g, lam in cases:
+        for factor in (1.01, 1.5, 10.0):
+            with pytest.raises(ParameterError) as info:
+                katz_centrality(g, factor / lam)
+            # The reported bound is certified: at most alpha * lambda1.
+            bound = float(str(info.value).rsplit(">= ", 1)[1])
+            assert 1 - 1e-9 <= bound <= factor * (1 + 1e-9)
+    # The Perron vector of a barbell spans far more than float64's range
+    # (the bridge decays like 1/99 per hop), yet the Rayleigh bound
+    # certifies within a few steps: lambda1 >= 99, the clique's own.
+    with pytest.raises(ParameterError):
+        katz_centrality(_barbell(100, 600), 1.01 / 99, max_iters=100)
+
+
+def test_katz_rejects_tol_of_one_or_more():
+    k2 = build_undirected(2, [(0, 1)])
+    for tol in (1.0, 2.0):
+        with pytest.raises(ParameterError):
+            katz_centrality(k2, 0.5, tol=tol)
+        with pytest.raises(ParameterError):
+            CentralityParams(kind="katz", alpha=0.5, tol=tol)
+    # Other measures keep any positive tolerance.
+    assert eigenvector_centrality(k2, tol=2.0)[1].iterations == 0
+
+
+def test_non_finite_alpha_and_tol_are_rejected():
+    k2 = build_undirected(2, [(0, 1)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            CentralityParams(kind="katz", alpha=bad)
+        with pytest.raises(ParameterError):
+            katz_centrality(k2, bad)
+        for kind in ("degree", "eigenvector", "pagerank"):
+            knobs = {"beta": 0.85} if kind == "pagerank" else {}
+            with pytest.raises(ParameterError):
+                CentralityParams(kind=kind, tol=bad, **knobs)
+        with pytest.raises(ParameterError):
+            eigenvector_centrality(k2, tol=bad)
+        with pytest.raises(ParameterError):
+            solve_lambda1(k2, tol=bad)
+    with pytest.raises(ParameterError):
+        CentralityParams(kind="katz", alpha=-np.inf)
 
 
 def test_pagerank_uniform_on_regular():

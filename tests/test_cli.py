@@ -207,6 +207,20 @@ def test_katz_alpha_defaults_to_safe_fraction(capsys):
     assert payload["measure"]["alpha"] == pytest.approx(0.425)
 
 
+def test_non_finite_knobs_exit_one_at_once(capsys):
+    path6 = ("centrality", "--model", "path", "--n", "6")
+    for knobs in (("--measure", "katz", "--alpha", "nan"),
+                  ("--measure", "katz", "--alpha", "inf"),
+                  ("--measure", "katz", "--tol", "nan"),
+                  ("--measure", "katz", "--alpha", "0.2", "--tol", "inf"),
+                  ("--measure", "katz", "--alpha", "0.2", "--tol", "1"),
+                  ("--measure", "eigenvector", "--tol", "nan"),
+                  ("--measure", "pagerank", "--tol", "inf")):
+        code, out, err = run_cli(capsys, *path6, *knobs)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 def test_katz_on_one_node_file_exits_two(capsys, tmp_path):
     one = tmp_path / "one.mtx"
     one.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"

@@ -7,11 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from paradoxlab import (Graph, InputError, PreconditionError, UsageError,
-                        adjacency_matvec, apply_transition,
-                        apply_transition_transpose, build_directed,
-                        build_undirected, connected_component_labels,
-                        extract_lcc, is_connected, is_strongly_connected)
+from paradoxlab import (Graph, InputError, PreconditionError,
+                        RandomGraphSpec, UsageError, adjacency_matvec,
+                        apply_transition, apply_transition_transpose,
+                        build_directed, build_undirected,
+                        connected_component_labels, extract_lcc, generate,
+                        is_connected, is_strongly_connected)
 from conftest import complete, cycle, path, star
 
 
@@ -166,6 +167,22 @@ def test_extract_lcc():
         assert sub.edge_pairs() == lcc_edges
         assert sub == build_undirected(len(kept_ids), lcc_edges)
         assert is_connected(sub)
+
+
+def test_extract_lcc_needs_no_second_search(hop_distance_calls):
+    calls = hop_distance_calls
+    graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
+    sub, _ = extract_lcc(graph)
+    assert calls == [0, 2, 5]           # one search per component
+    assert sub.connected and is_connected(sub)
+    assert calls == [0, 2, 5]
+    # Erdos-Renyi members are cut to their LCC, so they inherit the flag.
+    calls.clear()
+    member = generate(RandomGraphSpec(model="erdos_renyi", n=100, p=0.05,
+                                      seed=3))
+    searches = len(calls)
+    assert member.connected
+    assert len(calls) == searches
 
 
 def _reference_from_csr(mat, edge_count, directed):
