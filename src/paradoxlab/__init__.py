@@ -12,7 +12,8 @@ that explain why.  All randomness flows through a seeded, portable
 from .centrality import (CentralityParams, CentralityVector, SpectralResult,
                          closeness_harmonic, compute, degree_centrality,
                          eigenvector_centrality, katz_centrality,
-                         pagerank_centrality, solve_lambda1, walk_count)
+                         pagerank_centrality, perron_bounds, solve_lambda1,
+                         walk_count)
 from .errors import (ConvergenceError, GenerationError, InputError,
                      NumericalError, ParadoxLabError, ParameterError,
                      PreconditionError, RangeError, UsageError)
@@ -53,6 +54,7 @@ __all__ = [
     "harmonic_mean_check", "is_connected", "is_strongly_connected",
     "katz_centrality", "neighbor_average", "pagerank_centrality",
     "pagerank_paradox_check", "paradox_report", "parse_edge_list",
+    "perron_bounds",
     "parse_edge_list_with_map", "parse_matrix_market", "parse_report",
     "solve_lambda1", "symmetrization_identity", "walk_count",
 ]

@@ -106,12 +106,11 @@ def parse_matrix_market(text: str) -> Graph:
     if symmetry not in ("symmetric", "general"):
         raise InputError(f"unsupported Matrix Market symmetry {symmetry!r}; "
                          f"expected 'symmetric' or 'general'")
-    body = [(no, ln.strip()) for no, ln in enumerate(lines[1:], start=2)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
+    size_at = next((k for k in range(1, len(lines)) if _is_body(lines[k])),
+                   None)
+    if size_at is None:
         raise InputError("missing Matrix Market size line")
-    size_no, size_line = body[0]
-    size = size_line.split()
+    size_no, size = size_at + 1, lines[size_at].split()
     if len(size) != 3:
         raise InputError(f"line {size_no}: size line must hold rows, "
                          f"columns and entry count")
@@ -122,11 +121,63 @@ def parse_matrix_market(text: str) -> Graph:
     if rows != cols:
         raise InputError(
             f"adjacency matrix must be square, got {rows} x {cols}")
-    if len(body) - 1 != nnz:
-        raise InputError(
-            f"expected {nnz} entries, found {len(body) - 1}")
+    entries = lines[size_at + 1:]
+    pairs = _entry_array(entries, rows)
+    if pairs is None or len(pairs) != nnz:
+        pairs = _scan_entries(entries, size_no + 1, rows, nnz)
+    build = build_undirected if symmetry == "symmetric" else build_directed
+    return build(rows, pairs)
+
+
+def _is_body(line: str) -> bool:
+    """Not blank and not a ``%`` comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("%")
+
+
+def _entry_array(entries: list[str], rows: int) -> np.ndarray | None:
+    """Entry lines as an ``(m, 2)`` int64 array of 0-based ids, or ``None``
+    unless every line is two decimal indices in range and off the diagonal
+    (blank lines aside).  ``None`` sends the file to :func:`_scan_entries`,
+    which finds the faulty line."""
+    body = "\n".join(entries)
+    if not body.isascii():
+        return None
+    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    digit = (codes >= ord("0")) & (codes <= ord("9"))
+    newline = codes == ord("\n")
+    if not (digit | newline | (codes == ord(" "))).all():
+        return None
+    # Indices are the runs of digits; each shares its line with its
+    # partner and no other index, and has at most 18 digits, so it fits
+    # int64.
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    line_of = np.searchsorted(np.flatnonzero(newline), starts)
+    if len(starts) % 2 or (stops - starts).max(initial=0) > 18 or not (
+            np.array_equal(line_of[0::2], line_of[1::2])
+            and (np.diff(line_of[0::2]) > 0).all()):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    # Text of whitespace alone parses as [0].
+    if len(values) != len(starts):
+        return None
+    pairs = values.reshape(-1, 2)
+    if ((pairs < 1) | (pairs > rows)).any() or \
+            (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs - 1
+
+
+def _scan_entries(entries: list[str], first_no: int, rows: int,
+                  nnz: int) -> list[tuple[int, int]]:
+    """Check the entry lines one by one, so that an error names its line,
+    and return the 0-based pairs."""
+    body = [(no, ln.strip()) for no, ln in enumerate(entries, start=first_no)
+            if _is_body(ln)]
+    if len(body) != nnz:
+        raise InputError(f"expected {nnz} entries, found {len(body)}")
     pairs = []
-    for lineno, line in body[1:]:
+    for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 2:
             raise InputError(
@@ -145,8 +196,7 @@ def parse_matrix_market(text: str) -> Graph:
                 f"line {lineno}: diagonal entry ({i}, {j}) would be a "
                 f"self-loop")
         pairs.append((i - 1, j - 1))
-    build = build_undirected if symmetry == "symmetric" else build_directed
-    return build(rows, pairs)
+    return pairs
 
 
 def emit_matrix_market(graph: Graph) -> str:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from scipy.sparse import linalg as splinalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from paradoxlab import (CentralityParams, ConvergenceError, ParameterError,
                         PreconditionError, RangeError, UsageError,
                         build_directed, build_undirected, closeness_harmonic,
                         compute, degree_centrality, dense_from_graph,
-                        dense_solve, eigenvector_centrality, enumerate_walks,
-                        katz_centrality, pagerank_centrality, solve_lambda1,
-                        walk_count)
+                        dense_perron, dense_solve, eigenvector_centrality,
+                        enumerate_walks, katz_centrality, pagerank_centrality,
+                        perron_bounds, solve_lambda1, walk_count)
 from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
                         generate)
 from paradoxlab.rng import SplitMix64
@@ -398,3 +400,177 @@ def test_scale_covariance_of_means(p6):
     assert triple.mu == pytest.approx(3.0 * report.mu, rel=1e-13)
     assert triple.mu_bar == pytest.approx(3.0 * report.mu_bar, rel=1e-13)
     assert triple.mu_tilde == pytest.approx(3.0 * report.mu_tilde, rel=1e-13)
+
+
+# --- Lanczos above LANCZOS_MIN_NODES, power iteration below --------------
+
+def _power_only(monkeypatch, graph, **kwargs):
+    """The power-iteration result, with the Lanczos path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(centrality, "LANCZOS_MIN_NODES", graph.node_count + 1)
+        return eigenvector_centrality(graph, **kwargs)
+
+
+def _assert_same_result(got, want):
+    (spectral, vector), (spectral_want, vector_want) = got, want
+    assert np.array_equal(vector.values, vector_want.values)
+    assert (vector.iterations, vector.residual) == \
+        (vector_want.iterations, vector_want.residual)
+    fields = ("lambda1", "residual", "iterations", "enclosure", "method")
+    assert [getattr(spectral, f) for f in fields] == \
+        [getattr(spectral_want, f) for f in fields]
+
+
+def _preferential(n, seed):
+    return generate(RandomGraphSpec(model="preferential_attachment", n=n,
+                                    m_attach=2, seed=seed))
+
+
+def test_threshold_keeps_small_graphs_on_the_power_path():
+    assert 100 < centrality.LANCZOS_MIN_NODES <= 300
+    small = path(centrality.LANCZOS_MIN_NODES - 1)
+    assert eigenvector_centrality(small, tol=1e-9)[0].method == "power"
+    assert eigenvector_centrality(path(centrality.LANCZOS_MIN_NODES)
+                                  )[0].method == "lanczos"
+
+
+@pytest.mark.parametrize("n", [300, 1000, 2000])
+def test_long_paths_and_cycles_converge_with_certificates(n):
+    exact = 2 * np.cos(np.pi / (n + 1))
+    spectral, vector = eigenvector_centrality(path(n))
+    assert spectral.method == "lanczos"
+    assert spectral.residual <= 1e-12 and vector.residual == spectral.residual
+    assert vector.iterations == spectral.iterations < 10_000
+    lo, hi = spectral.enclosure
+    assert lo <= exact <= hi
+    assert lo <= spectral.lambda1 <= hi
+    assert (vector.values > 0).all()
+    assert vector.values.sum() == pytest.approx(1.0, abs=1e-12)
+    gap = np.abs(adjacency_matvec(path(n), vector.values)
+                 - spectral.lambda1 * vector.values).max()
+    assert gap <= 1e-12
+    ring, _ = eigenvector_centrality(cycle(n))
+    assert ring.enclosure[0] <= 2.0 <= ring.enclosure[1]
+
+
+def test_lanczos_agrees_with_the_dense_oracle():
+    er = generate(RandomGraphSpec(model="erdos_renyi", n=320, p=0.02,
+                                  seed=17))
+    assert er.node_count >= centrality.LANCZOS_MIN_NODES
+    for g in (er, _preferential(400, 5)):
+        spectral, vector = eigenvector_centrality(g)
+        assert spectral.method == "lanczos"
+        value, right, _ = dense_perron(dense_from_graph(g))
+        assert spectral.lambda1 == pytest.approx(value, abs=1e-10)
+        np.testing.assert_allclose(vector.values, right, rtol=0, atol=1e-10)
+        lo, hi = spectral.enclosure
+        assert lo <= value <= hi
+
+
+def test_regular_graph_above_threshold_keeps_the_uniform_vector(monkeypatch):
+    for n in (400, 512):
+        g = generate(RandomGraphSpec(model="k_regular", n=n, k=3, seed=2))
+        spectral, vector = eigenvector_centrality(g)
+        _assert_same_result((spectral, vector), _power_only(monkeypatch, g))
+        assert spectral.method == "power" and spectral.iterations == 0
+        assert (vector.values == 1 / n).all()
+        assert spectral.lambda1 == pytest.approx(3.0, abs=1e-15)
+        assert spectral.enclosure[0] <= 3.0 <= spectral.enclosure[1]
+    # 1/512 is exact, so the sums are too.
+    assert (spectral.lambda1, spectral.residual) == (3.0, 0.0)
+
+
+def test_lanczos_result_is_reproducible():
+    for g in (path(1000), _preferential(500, 9)):
+        first, second = eigenvector_centrality(g), eigenvector_centrality(g)
+        _assert_same_result(first, second)
+
+
+def _fake_eigsh(kind):
+    def fake(operator, k, which, v0):
+        n = operator.shape[0]
+        if kind == "raise":
+            raise ArpackNoConvergence("no convergence", np.empty(0),
+                                      np.empty((n, 0)))
+        if kind == "budget":
+            while True:
+                operator.matvec(v0)
+        if kind == "mixed sign":
+            # A true eigenvector, but not the Perron one.
+            vec = np.linalg.eigh(dense_from_graph(fake.graph))[1][:, -2]
+        else:  # positive, but not an eigenvector
+            vec = np.arange(1.0, n + 1)
+        return np.array([1.0]), vec[:, None] / np.linalg.norm(vec)
+    return fake
+
+
+@pytest.mark.parametrize("kind", ["raise", "budget", "mixed sign",
+                                  "certificate"])
+def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
+    g = _preferential(300, 3)
+    want = _power_only(monkeypatch, g)
+    fake = _fake_eigsh(kind)
+    fake.graph = g
+    monkeypatch.setattr(splinalg, "eigsh", fake)
+    _assert_same_result(eigenvector_centrality(g), want)
+    assert want[0].method == "power"
+
+
+def test_lanczos_budget_counts_matvecs():
+    needed = eigenvector_centrality(path(300))[0].iterations
+    spectral, _ = eigenvector_centrality(path(300), max_iters=needed)
+    assert (spectral.method, spectral.iterations) == ("lanczos", needed)
+    # One matvec short, Lanczos gives up, and so does the power fallback.
+    with pytest.raises(ConvergenceError) as info:
+        eigenvector_centrality(path(300), max_iters=needed - 1)
+    assert info.value.iterations == needed - 1
+
+
+def test_enclosure_reuses_the_final_image(monkeypatch):
+    calls = []
+
+    def counted(graph, x):
+        calls.append(len(x))
+        return adjacency_matvec(graph, x)
+
+    monkeypatch.setattr(centrality, "adjacency_matvec", counted)
+    spectral, _ = eigenvector_centrality(star(10))
+    assert spectral.method == "power"
+    assert len(calls) == spectral.iterations + 1
+    calls.clear()
+    spectral, _ = eigenvector_centrality(path(300))
+    assert spectral.method == "lanczos"
+    # The uniform start, the Lanczos matvecs and the certificate.
+    assert len(calls) == spectral.iterations + 2
+
+
+def test_perron_bounds(p6):
+    exact = 2 * np.cos(np.pi / 7)
+    spectral, vector = eigenvector_centrality(p6)
+    lo, hi = perron_bounds(p6, vector.values)
+    assert lo <= exact <= hi and hi - lo <= 1e-10
+    assert (lo, hi) == spectral.enclosure
+    # With x = 1 the ratios are the degrees.
+    lo, hi = perron_bounds(path(50), np.ones(50))
+    assert lo < 1.0 < 1.0 + 1e-12 and 2.0 < hi < 2.0 + 1e-12
+    for bad in (np.zeros(6), np.array([1.0, 1, 1, -1, 1, 1])):
+        with pytest.raises(ParameterError):
+            perron_bounds(p6, bad)
+
+
+def test_enclosure_covers_the_rounding_of_dense_rows():
+    # Summing 1/n over n - 1 neighbours misses n - 1 by several ulps.
+    for n in (29, 300):
+        g = complete(n)
+        lo, hi = perron_bounds(g, np.full(n, 1 / n))
+        assert lo <= n - 1 <= hi
+        assert hi - lo <= 1e-12 * n * n
+        spectral, _ = eigenvector_centrality(g)
+        assert spectral.enclosure[0] <= n - 1 <= spectral.enclosure[1]
+
+
+def test_enclosure_with_underflowed_entries():
+    g = path(3)
+    x = np.array([1.0, 0.0, 1.0])
+    lo, hi = centrality._enclosure(g, x, adjacency_matvec(g, x))
+    assert lo <= 0.0 and hi == np.inf

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paradoxlab.cli import main
@@ -261,3 +262,21 @@ def test_identical_invocations_are_byte_identical(capsys):
     code_b, out_b, _ = run_cli(capsys, *args)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+def test_katz_alpha_near_float_limit_prints_only_the_error(capsys):
+    code, out, err = run_cli(capsys, "centrality", "--model", "complete",
+                             "--n", "3", "--measure", "katz",
+                             "--alpha", "1e308")
+    assert code == 1 and out == ""
+    assert err == ("error: alpha=1e+308 too large: alpha * lambda1 must "
+                   "stay below 1 but is >= inf\n")
+
+
+def test_eigenvector_on_long_path_converges(capsys):
+    code, out, err = run_cli(capsys, "centrality", "--model", "path", "--n",
+                             "1000", "--measure", "eigenvector")
+    assert code == 0 and err == ""
+    r = np.array([row["r"] for row in json.loads(out)["node_table"]])
+    sine = np.sin(np.arange(1, 1001) * np.pi / 1001)
+    np.testing.assert_allclose(r, sine / sine.sum(), rtol=0, atol=1e-9)
