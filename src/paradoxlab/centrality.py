@@ -199,10 +199,11 @@ class _BudgetSpent(Exception):
 
 
 def _lanczos(graph: Graph, params: CentralityParams,
-             ) -> tuple[SpectralResult, CentralityVector] | None:
-    """Perron pair by ARPACK's implicitly restarted Lanczos, or ``None``
-    when ARPACK fails, the matvec budget runs out, the vector is not
-    positive or it fails the residual certificate."""
+             ) -> tuple[tuple[SpectralResult, CentralityVector] | None, int]:
+    """Perron pair by ARPACK's implicitly restarted Lanczos, and the
+    matvecs it spent.  The pair is ``None`` when ARPACK fails, the matvec
+    budget runs out, the vector is not positive or it fails the residual
+    certificate."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     calls = 0
@@ -219,17 +220,17 @@ def _lanczos(graph: Graph, params: CentralityParams,
         # A fixed start vector keeps the result byte-reproducible.
         vec = eigsh(operator, k=1, which="LA", v0=np.ones(n))[1][:, 0]
     except (ArpackError, _BudgetSpent):
-        return None
+        return None, calls
     vec = vec * np.sign(vec.sum())
     if not (vec > 0).all():
-        return None
+        return None, calls
     vec = vec / vec.sum()
     image = adjacency_matvec(graph, vec)
     estimate, residual = _certificate(vec, image)
     if not residual <= params.tol:
-        return None
+        return None, calls
     return _eigenpair(graph, params, vec, image, estimate, residual, calls,
-                      "lanczos")
+                      "lanczos"), calls
 
 
 def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
@@ -246,28 +247,34 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     strictly dominant eigenvalue.  Either way the result must pass
     ``max|A r - lambda r| <= tol`` with the Rayleigh-quotient eigenvalue
     estimate.  The vector is positive and L1-normalised.
+
+    Both solvers draw on one budget: ``iterations`` counts the Lanczos
+    matvecs plus the power steps, and power iteration gets only what
+    Lanczos left of ``max_iters``.
     """
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
     vec = np.full(graph.node_count, 1.0 / graph.node_count)
     image = adjacency_matvec(graph, vec)
-    residual = np.inf
-    for iteration in range(max_iters):
-        estimate, residual = _certificate(vec, image)
-        if residual <= tol:
-            return _eigenpair(graph, params, vec, image, estimate, residual,
-                              iteration, "power")
-        if iteration == 0 and graph.node_count >= LANCZOS_MIN_NODES:
-            found = _lanczos(graph, params)
-            if found is not None:
-                return found
+    estimate, residual = _certificate(vec, image)
+    iteration = 0
+    if not residual <= tol and graph.node_count >= LANCZOS_MIN_NODES:
+        found, iteration = _lanczos(graph, params)
+        if found is not None:
+            return found
+    while not residual <= tol:
+        iteration += 1
+        if iteration >= max_iters:
+            raise ConvergenceError(
+                f"eigenvector iteration did not reach {tol} in {max_iters} "
+                f"steps", residual=float(residual), iterations=max_iters)
         shifted = image + vec
         vec = shifted / shifted.sum()
         image = adjacency_matvec(graph, vec)
-    raise ConvergenceError(
-        f"eigenvector iteration did not reach {tol} in {max_iters} steps",
-        residual=float(residual), iterations=max_iters)
+        estimate, residual = _certificate(vec, image)
+    return _eigenpair(graph, params, vec, image, estimate, residual,
+                      iteration, "power")
 
 
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,

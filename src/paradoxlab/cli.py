@@ -304,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output")
     gen.set_defaults(handler=_cmd_gen)
 
-    for name, handler, needs_measure in (
-            ("centrality", _cmd_centrality, True),
-            ("paradox", _cmd_paradox, True),
-            ("compare", _cmd_compare, True)):
+    for name, handler in (("centrality", _cmd_centrality),
+                          ("paradox", _cmd_paradox),
+                          ("compare", _cmd_compare)):
         cmd = sub.add_parser(name)
         cmd.add_argument("graph", nargs="?",
                          help="edge list or Matrix Market file")
@@ -315,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="read a headerless edge list as directed")
         _add_model_options(cmd)
         cmd.add_argument("--seed", type=int, default=0)
-        if needs_measure:
-            _add_measure_options(cmd)
+        _add_measure_options(cmd)
         _add_output_options(cmd)
         cmd.set_defaults(handler=handler)
 

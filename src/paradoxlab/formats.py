@@ -11,7 +11,8 @@ back to the same double, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -136,33 +137,21 @@ def _is_body(line: str) -> bool:
 
 def _entry_array(entries: list[str], rows: int) -> np.ndarray | None:
     """Entry lines as an ``(m, 2)`` int64 array of 0-based ids, or ``None``
-    unless every line is two decimal indices in range and off the diagonal
-    (blank lines aside).  ``None`` sends the file to :func:`_scan_entries`,
-    which finds the faulty line."""
-    body = "\n".join(entries)
-    if not body.isascii():
+    unless numpy reads every line as two integer indices in range and off
+    the diagonal (blank lines aside).  ``None`` sends the file to
+    :func:`_scan_entries`, which finds the faulty line."""
+    if not entries:
+        return np.empty((0, 2), dtype=np.int64)
+    # A warning rejects too: numpy warns on a body of blank lines, and
+    # before 2.0 reads "1.0" through float with a DeprecationWarning.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(entries, dtype=np.int64, comments=None,
+                               ndmin=2)
+    except (ValueError, OverflowError, Warning):
         return None
-    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    digit = (codes >= ord("0")) & (codes <= ord("9"))
-    newline = codes == ord("\n")
-    if not (digit | newline | (codes == ord(" "))).all():
-        return None
-    # Indices are the runs of digits; each shares its line with its
-    # partner and no other index, and has at most 18 digits, so it fits
-    # int64.
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    starts, stops = edges[0::2], edges[1::2]
-    line_of = np.searchsorted(np.flatnonzero(newline), starts)
-    if len(starts) % 2 or (stops - starts).max(initial=0) > 18 or not (
-            np.array_equal(line_of[0::2], line_of[1::2])
-            and (np.diff(line_of[0::2]) > 0).all()):
-        return None
-    values = np.fromstring(body, dtype=np.int64, sep=" ")
-    # Text of whitespace alone parses as [0].
-    if len(values) != len(starts):
-        return None
-    pairs = values.reshape(-1, 2)
-    if ((pairs < 1) | (pairs > rows)).any() or \
+    if pairs.shape[1] != 2 or ((pairs < 1) | (pairs > rows)).any() or \
             (pairs[:, 0] == pairs[:, 1]).any():
         return None
     return pairs - 1
@@ -229,15 +218,12 @@ class ReportDocument:
     seed: int | None = None
 
 
-_MEASURE_KEYS = ("kind", "ell", "alpha", "beta", "tol", "max_iters")
-
-
 def _measure_payload(params: CentralityParams) -> dict:
     payload = {}
-    for key in _MEASURE_KEYS:
-        value = getattr(params, key)
+    for field in fields(params):
+        value = getattr(params, field.name)
         if value is not None:
-            payload[key] = value
+            payload[field.name] = value
     return payload
 
 

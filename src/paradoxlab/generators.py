@@ -156,31 +156,21 @@ def _erdos_renyi_edges(n: int, p: float, rng: SplitMix64) -> np.ndarray:
 
 
 def _pair_stubs(degrees: list[int],
-                rng: SplitMix64) -> tuple[list[tuple[int, int]], int, int]:
-    """Uniform stub pairing; returns (simple edges, dropped loops,
-    collapsed parallels)."""
-    stubs = [node for node, degree in enumerate(degrees)
-             for _ in range(degree)]
+                rng: SplitMix64) -> tuple[np.ndarray, int, int]:
+    """Uniform stub pairing; returns (simple edges as an ``(m, 2)`` int64
+    array, dropped loops, collapsed parallels)."""
+    n = len(degrees)
+    stubs = np.repeat(np.arange(n), degrees).tolist()
     rng.shuffle(stubs)
-    seen = set()
-    edges = []
-    loops = 0
-    parallels = 0
-    for k in range(0, len(stubs), 2):
-        a, b = stubs[k], stubs[k + 1]
-        if a == b:
-            loops += 1
-            continue
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            parallels += 1
-            continue
-        seen.add(key)
-        edges.append(key)
-    return edges, loops, parallels
+    a, b = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
+    kept = a != b
+    keys = np.minimum(a, b)[kept] * n + np.maximum(a, b)[kept]
+    simple = np.unique(keys)
+    return (np.column_stack([simple // n, simple % n]),
+            len(a) - len(keys), len(keys) - len(simple))
 
 
-def _k_regular_edges(n: int, k: int, rng: SplitMix64) -> list[tuple[int, int]]:
+def _k_regular_edges(n: int, k: int, rng: SplitMix64) -> np.ndarray:
     """Retry stub pairings until one is simple, so the result is exactly
     k-regular."""
     for _ in range(MAX_PAIRING_ATTEMPTS):
@@ -193,7 +183,7 @@ def _k_regular_edges(n: int, k: int, rng: SplitMix64) -> list[tuple[int, int]]:
 
 
 def _configuration_edges(degrees: tuple[int, ...],
-                         rng: SplitMix64) -> list[tuple[int, int]]:
+                         rng: SplitMix64) -> np.ndarray:
     """Erased configuration model: one pairing, loops and parallel edges
     dropped, so realised degrees may fall below their targets."""
     edges, loops, parallels = _pair_stubs(list(degrees), rng)

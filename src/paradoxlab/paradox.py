@@ -20,7 +20,7 @@ import numpy as np
 from .centrality import CentralityParams, CentralityVector, SpectralResult, compute
 from .errors import (GenerationError, InputError, NumericalError,
                      ParameterError, RangeError)
-from .generators import RandomGraphSpec, effective_lcc_extract, generate
+from .generators import RandomGraphSpec, generate
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec, apply_transition,
                     build_directed, is_connected, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
@@ -324,8 +324,9 @@ def _connected_sample(spec: RandomGraphSpec, graph_index: int,
     for attempt in range(MAX_CONNECTED_ATTEMPTS):
         candidate = dataclasses.replace(
             spec, seed=derive_seed(base, attempt))
+        # An extracted LCC comes with its connectivity already known.
         graph = generate(candidate)
-        if effective_lcc_extract(candidate) or is_connected(graph):
+        if is_connected(graph):
             return graph
     raise GenerationError(
         f"no connected graph from {spec.model!r} after "

@@ -512,8 +512,15 @@ def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
     fake = _fake_eigsh(kind)
     fake.graph = g
     monkeypatch.setattr(splinalg, "eigsh", fake)
-    _assert_same_result(eigenvector_centrality(g), want)
     assert want[0].method == "power"
+    if kind == "budget":
+        # Enough for power iteration alone, but Lanczos spends all of it.
+        max_iters = want[0].iterations + 1
+        with pytest.raises(ConvergenceError) as info:
+            eigenvector_centrality(g, max_iters=max_iters)
+        assert info.value.iterations == max_iters
+        return
+    _assert_same_result(eigenvector_centrality(g), want)
 
 
 def test_lanczos_budget_counts_matvecs():
@@ -524,6 +531,36 @@ def test_lanczos_budget_counts_matvecs():
     with pytest.raises(ConvergenceError) as info:
         eigenvector_centrality(path(300), max_iters=needed - 1)
     assert info.value.iterations == needed - 1
+
+
+def test_lanczos_and_power_share_one_budget(monkeypatch):
+    # K_50 with a 256-node tail: Lanczos returns tail entries that round
+    # below zero, so power iteration finishes the solve.
+    g = build_undirected(306, complete(50).edge_pairs()
+                         + [(49 + i, 50 + i) for i in range(256)])
+    calls = []
+
+    def counted(graph, x):
+        calls.append(len(x))
+        return adjacency_matvec(graph, x)
+
+    monkeypatch.setattr(centrality, "adjacency_matvec", counted)
+    spectral, vector = eigenvector_centrality(g)
+    assert spectral.method == "power"
+    assert spectral.iterations == vector.iterations == len(calls) - 1
+    # The power steps alone fit in one matvec less; with the Lanczos
+    # matvecs counted, they do not.
+    _power_only(monkeypatch, g, max_iters=spectral.iterations - 1)
+    with pytest.raises(ConvergenceError) as info:
+        eigenvector_centrality(g, max_iters=spectral.iterations - 1)
+    assert info.value.iterations == spectral.iterations - 1
+    # Power iteration checks an iterate only while its count is below
+    # max_iters, so a power result needs one more than its count.
+    with pytest.raises(ConvergenceError):
+        eigenvector_centrality(g, max_iters=spectral.iterations)
+    _assert_same_result(
+        eigenvector_centrality(g, max_iters=spectral.iterations + 1),
+        (spectral, vector))
 
 
 def test_enclosure_reuses_the_final_image(monkeypatch):

@@ -187,6 +187,61 @@ def test_k_regular_retry_budget_raises():
         _k_regular_edges(4, 2, _IdentityShuffle())
 
 
+def _loop_pair_stubs(degrees, rng):
+    """Stub pairing as a scalar loop over the shuffled pairs."""
+    stubs = [node for node, degree in enumerate(degrees)
+             for _ in range(degree)]
+    rng.shuffle(stubs)
+    seen, edges, loops, parallels = set(), [], 0, 0
+    for k in range(0, len(stubs), 2):
+        a, b = stubs[k], stubs[k + 1]
+        if a == b:
+            loops += 1
+            continue
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            parallels += 1
+            continue
+        seen.add(key)
+        edges.append(key)
+    return edges, loops, parallels
+
+
+def _degree_sequences():
+    draw = SplitMix64(77)
+    for k in range(4):
+        for n in range(k + 1, 13):
+            if n * k % 2 == 0:
+                yield [k] * n
+    for _ in range(200):
+        n = 1 + draw.below(12)
+        degrees = [draw.below(n) for _ in range(n)]
+        if sum(degrees) % 2:
+            degrees[draw.below(n)] ^= 1
+        yield degrees
+
+
+def test_pair_stubs_matches_the_scalar_loop():
+    totals = np.zeros(2, dtype=np.int64)
+    for index, degrees in enumerate(_degree_sequences()):
+        for seed in (index, index + 1000):
+            rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+            edges, loops, parallels = generators._pair_stubs(degrees, rng)
+            want, want_loops, want_parallels = _loop_pair_stubs(degrees,
+                                                                ref_rng)
+            assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
+            assert sorted(map(tuple, edges.tolist())) == sorted(want)
+            assert (loops, parallels) == (want_loops, want_parallels)
+            assert rng._state == ref_rng._state
+            totals += (loops, parallels)
+        identity = generators._pair_stubs(degrees, _IdentityShuffle())
+        want = _loop_pair_stubs(degrees, _IdentityShuffle())
+        assert sorted(map(tuple, identity[0].tolist())) == sorted(want[0])
+        assert identity[1:] == want[1:]
+    # Loops and parallels both occurred, so both counts were compared.
+    assert (totals > 0).all()
+
+
 def test_models_are_reproducible_across_processes():
     # Frozen edge sets for fixed seeds guard against accidental RNG drift.
     raw = generate(RandomGraphSpec(model="erdos_renyi", n=8, p=0.4, seed=1,

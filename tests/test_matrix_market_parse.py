@@ -6,6 +6,7 @@ two must agree on every file: same graph, or same error.
 """
 
 import random
+import warnings
 
 import pytest
 
@@ -94,6 +95,14 @@ def test_files_for_the_line_scan_parse(body, edges):
     assert parse_matrix_market(text).edge_pairs() == edges
 
 
+def test_blank_entry_lines_read_without_a_warning():
+    text = "%%MatrixMarket matrix coordinate pattern general\n3 3 0\n  \n\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_matrix_market(text).edge_count == 0
+    assert caught == []
+
+
 @pytest.mark.parametrize("body, message", [
     ("3 3 2\n1 2\n3 3\n", "line 4: diagonal entry (3, 3)"),
     ("3 3 2\n1 2\n0 3\n", "line 4: entry (0, 3) out of range"),
@@ -105,6 +114,8 @@ def test_files_for_the_line_scan_parse(body, edges):
     ("3 3 2\n1 2 2 3\n", "expected 2 entries, found 1"),
     ("3 3 1\n1 2 2 3\n", "line 3: pattern entries need exactly two"),
     ("3 3 2\n1\n2 3 1\n", "line 3: pattern entries need exactly two"),
+    ("3 3 1\n1.0 2\n", "line 3: entry indices must be integers"),
+    ("3 3 1\n1e3 2\n", "line 3: entry indices must be integers"),
 ])
 def test_rejected_entries_name_their_line(body, message):
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n" + body
