@@ -25,8 +25,8 @@ from .graph import (Graph, adjacency_matvec, apply_transition,
                     apply_transition_transpose, build_directed,
                     build_undirected, connected_component_labels,
                     extract_lcc, is_connected, is_strongly_connected)
-from .oracle import (dense_from_graph, dense_perron, dense_solve,
-                     enumerate_walks)
+from .oracle import (dense_from_graph, dense_hop_distances, dense_perron,
+                     dense_solve, enumerate_walks)
 from .paradox import (EQUALITY_TOL, BiasDistribution, ComparisonDecomposition,
                       FiedlerInstance, ParadoxReport, bias_distribution,
                       compare_averages, eaves_check, exact_degree_stats,
@@ -47,8 +47,9 @@ __all__ = [
     "apply_transition", "apply_transition_transpose", "bias_distribution",
     "build_directed", "build_undirected", "closeness_harmonic",
     "compare_averages", "compute", "connected_component_labels",
-    "degree_centrality", "dense_from_graph", "dense_perron", "dense_solve",
-    "derive_seed", "eaves_check", "eigenvector_centrality",
+    "degree_centrality", "dense_from_graph", "dense_hop_distances",
+    "dense_perron", "dense_solve", "derive_seed", "eaves_check",
+    "eigenvector_centrality",
     "emit_edge_list", "emit_matrix_market", "emit_report", "enumerate_walks",
     "exact_degree_stats", "extract_lcc", "fiedler_check", "generate",
     "harmonic_mean_check", "is_connected", "is_strongly_connected",

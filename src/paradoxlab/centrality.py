@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec,
-                    apply_transition_transpose, hop_distances)
+                    apply_transition_transpose)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
@@ -29,6 +29,14 @@ ALPHA_MARGIN = 1e-9
 # iteration.  Below it the power loop is cheaper (measured crossover on
 # Erdős–Rényi, preferential-attachment and path graphs; see CHANGES.md).
 LANCZOS_MIN_NODES = 256
+
+# Caps k * len(column_targets) for a block of k closeness/harmonic sources:
+# the (source, arc) expansions of its whole search, so no per-level array
+# holds more keys, unless one source alone has more arcs.  It caps the
+# k x n distance block too, since a connected graph on n >= 2 nodes
+# stores at least n arcs.  Picked by measurement on paths and
+# heavy-tailed graphs; see CHANGES.md.
+BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
 
@@ -195,7 +203,7 @@ def _eigenpair(graph: Graph, params: CentralityParams, vec: np.ndarray,
 
 
 class _BudgetSpent(Exception):
-    """The Lanczos solve asked for more than ``max_iters`` matvecs."""
+    """The Lanczos solve asked for its ``max_iters``-th matvec."""
 
 
 def _lanczos(graph: Graph, params: CentralityParams,
@@ -203,14 +211,15 @@ def _lanczos(graph: Graph, params: CentralityParams,
     """Perron pair by ARPACK's implicitly restarted Lanczos, and the
     matvecs it spent.  The pair is ``None`` when ARPACK fails, the matvec
     budget runs out, the vector is not positive or it fails the residual
-    certificate."""
+    certificate.  Like every solver here, it succeeds only in fewer than
+    ``max_iters`` steps."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     calls = 0
 
     def matvec(x):
         nonlocal calls
-        if calls == params.max_iters:
+        if calls + 1 == params.max_iters:
             raise _BudgetSpent
         calls += 1
         return adjacency_matvec(graph, x)
@@ -249,8 +258,8 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     estimate.  The vector is positive and L1-normalised.
 
     Both solvers draw on one budget: ``iterations`` counts the Lanczos
-    matvecs plus the power steps, and power iteration gets only what
-    Lanczos left of ``max_iters``.
+    matvecs plus the power steps and stays below ``max_iters``, and power
+    iteration gets only what Lanczos left of it.
     """
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
@@ -348,25 +357,70 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
         residual=residual, iterations=max_iters)
 
 
+def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
+    """Hop distances from sources ``start..stop-1`` as a flat C-order
+    ``k x n`` int32 block, ``-1`` where a source does not reach a node.
+
+    One breadth-first search serves the whole block: its frontier holds
+    keys ``row * n + node``, one per (source, node) pair, expanded through
+    the CSR arrays at each level.  A key is kept once per level without
+    sorting, by the copy whose position ``mark`` remembers.
+    """
+    n = graph.node_count
+    offsets, targets = graph.row_offsets, graph.column_targets
+    k = stop - start
+    dist = np.full(k * n, -1, dtype=np.int32)
+    mark = np.empty(k * n, dtype=np.int32)
+    frontier = np.arange(k) * (n + 1) + start
+    dist[frontier] = 0
+    hops = 0
+    while len(frontier):
+        hops += 1
+        nodes = frontier % n
+        first = offsets[nodes]
+        lengths = offsets[nodes + 1] - first
+        ends = np.cumsum(lengths)
+        # Arc positions first, then their keys, in place to save memory.
+        keys = np.repeat(first - ends + lengths, lengths)
+        keys += np.arange(len(keys))
+        keys = targets[keys]
+        keys += np.repeat(frontier - nodes, lengths)
+        keys = keys[dist[keys] < 0]
+        order = np.arange(len(keys), dtype=np.int32)
+        mark[keys] = order
+        frontier = keys[mark[keys] == order]
+        dist[frontier] = hops
+    return dist
+
+
 def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     """Closeness ``(n-1)/sum_j dist(i,j)`` or harmonic ``sum_j 1/dist(i,j)``
-    centrality from per-node breadth-first distances."""
+    centrality from breadth-first hop distances.
+
+    Sources go in blocks of ``k``, one multi-source search per block, with
+    ``k * len(column_targets)`` at most ``BFS_BLOCK_ARCS`` (or ``k = 1``).
+    Closeness divides by exact integer distance sums; harmonic sums each
+    source's row of ``1/dist`` with its own entry removed.
+    """
     if kind not in ("closeness", "harmonic"):
         raise ParameterError(
             f"kind must be 'closeness' or 'harmonic', got {kind!r}")
     params = CentralityParams(kind=kind)
     _require_undirected_connected(graph, f"{kind} centrality")
     n = graph.node_count
-    values = np.empty(n)
-    for source in range(n):
-        dist = hop_distances(graph.row_offsets, graph.column_targets, source)
-        others = np.delete(dist, source).astype(np.float64)
-        if n == 1:
-            values[source] = 0.0
-        elif kind == "closeness":
-            values[source] = (n - 1) / others.sum()
+    values = np.zeros(n)
+    # A lone node reaches no other node and keeps 0.
+    block = max(1, BFS_BLOCK_ARCS // max(len(graph.column_targets), 1))
+    for start in range(0, n if n > 1 else 0, block):
+        stop = min(start + block, n)
+        dist = _distance_block(graph, start, stop)
+        if kind == "closeness":
+            values[start:stop] = (n - 1) / dist.reshape(-1, n).sum(axis=1)
         else:
-            values[source] = (1.0 / others).sum()
+            # Rows of a C-order block reduce like the 1-D array of each.
+            diagonal = np.arange(stop - start) * (n + 1) + start
+            others = np.delete(dist, diagonal).reshape(-1, n - 1)
+            values[start:stop] = (1.0 / others).sum(axis=1)
     return CentralityVector(values=values, params=params,
                             iterations=0, residual=0.0)
 

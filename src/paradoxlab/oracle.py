@@ -1,9 +1,10 @@
 """Slow, obvious dense reference routines.
 
 These exist to cross-check the sparse solvers by a genuinely independent
-route: walk counting by exhaustive enumeration, linear solves by hand-rolled
-Gaussian elimination, Perron pairs by unaccelerated power iteration on a
-dense array.  Sizes are guarded so nothing here is tempted into cleverness.
+route: walk counting by exhaustive enumeration, hop distances by
+Floyd–Warshall, linear solves by hand-rolled Gaussian elimination, Perron
+pairs by unaccelerated power iteration on a dense array.  Sizes are
+guarded so nothing here is tempted into cleverness.
 """
 
 from __future__ import annotations
@@ -25,6 +26,26 @@ def dense_from_graph(graph: Graph) -> np.ndarray:
             f"dense adjacency limited to {MAX_DENSE_NODES} nodes, "
             f"got {graph.node_count}")
     return graph.adjacency.toarray()
+
+
+def dense_hop_distances(graph: Graph) -> np.ndarray:
+    """All-pairs hop distances as an ``n x n`` int64 array, ``-1`` where no
+    path leads, by Floyd–Warshall on a dense array filled straight from the
+    CSR arrays, so no sparse-matrix or breadth-first code is involved."""
+    n = graph.node_count
+    if n > MAX_DENSE_NODES:
+        raise RangeError(
+            f"dense hop distances limited to {MAX_DENSE_NODES} nodes, "
+            f"got {n}")
+    # Every shortest path has fewer than n hops, so n stands for none.
+    dist = np.full((n, n), n, dtype=np.int64)
+    rows = np.repeat(np.arange(n), np.diff(graph.row_offsets))
+    dist[rows, graph.column_targets] = 1
+    np.fill_diagonal(dist, 0)
+    for via in range(n):
+        dist = np.minimum(dist, dist[:, via, None] + dist[via])
+    dist[dist == n] = -1
+    return dist
 
 
 def enumerate_walks(graph: Graph, ell: int) -> np.ndarray:

@@ -11,7 +11,8 @@ from paradoxlab import (CentralityParams, ConvergenceError, ParameterError,
                         enumerate_walks, katz_centrality, pagerank_centrality,
                         perron_bounds, solve_lambda1, walk_count)
 from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
-                        generate)
+                        dense_hop_distances, generate)
+from paradoxlab.graph import hop_distances
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
 
@@ -372,6 +373,86 @@ def test_closeness_and_harmonic():
         closeness_harmonic(path(3), "betweenness")
 
 
+def _per_source_loop(graph, kind):
+    """Closeness or harmonic by one scalar search per source: the loop the
+    blocked search replaced, kept as its byte-for-byte reference."""
+    n = graph.node_count
+    values = np.empty(n)
+    for source in range(n):
+        dist = hop_distances(graph.row_offsets, graph.column_targets, source)
+        others = np.delete(dist, source).astype(np.float64)
+        if n == 1:
+            values[source] = 0.0
+        elif kind == "closeness":
+            values[source] = (n - 1) / others.sum()
+        else:
+            values[source] = (1.0 / others).sum()
+    return values
+
+
+def _wheel(n):
+    """Hub 0 joined to every node of a cycle on 1..n-1."""
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return build_undirected(n, rim + [(0, i) for i in range(1, n)])
+
+
+def _distance_corpus():
+    graphs = {f"path{n}": path(n) for n in (1, 2, 3, 16, 65)}
+    graphs.update({f"cycle{n}": cycle(n) for n in (3, 4, 31)})
+    graphs.update({f"star{n}": star(n) for n in (3, 24)})
+    graphs.update({f"complete{n}": complete(n) for n in (2, 5, 17)})
+    graphs.update({f"wheel{n}": _wheel(n) for n in (4, 20)})
+    for seed in (1, 2, 3):
+        graphs[f"er_lcc{seed}"] = generate(RandomGraphSpec(
+            model="erdos_renyi", n=90, p=0.03, seed=seed))
+        graphs[f"pa{seed}"] = generate(RandomGraphSpec(
+            model="preferential_attachment", n=120, m_attach=seed, seed=seed))
+    # Parallel edges on a path with a chord: multiplicities do not count.
+    graphs["multigraph"] = build_undirected(
+        6, path(6).edge_pairs() * 2 + [(0, 3), (0, 3), (0, 3)])
+    return graphs
+
+
+DISTANCE_CORPUS = _distance_corpus()
+
+
+@pytest.mark.parametrize("name", DISTANCE_CORPUS)
+def test_blocked_search_matches_the_per_source_loop(monkeypatch, name):
+    g = DISTANCE_CORPUS[name]
+    n = g.node_count
+    want = {kind: _per_source_loop(g, kind)
+            for kind in ("closeness", "harmonic")}
+    # Blocks of k sources with n = k-1, k, k+1 and 2k+1 (or 2k+2), plus
+    # single sources and the default cap.
+    blocks = sorted({k for k in (1, 2, (n - 1) // 2, n - 1, n, n + 1)
+                     if k >= 1})
+    for block in [None] + blocks:
+        if block is not None:
+            monkeypatch.setattr(centrality, "BFS_BLOCK_ARCS",
+                                block * max(len(g.column_targets), 1))
+        for kind, expected in want.items():
+            got = closeness_harmonic(g, kind).values
+            assert np.array_equal(got, expected), (kind, block)
+
+
+@pytest.mark.parametrize("name", DISTANCE_CORPUS)
+def test_closeness_and_harmonic_match_the_dense_oracle(name):
+    g = DISTANCE_CORPUS[name]
+    n = g.node_count
+    dist = dense_hop_distances(g)
+    closeness = closeness_harmonic(g, "closeness").values
+    harmonic = closeness_harmonic(g, "harmonic").values
+    if n == 1:
+        assert closeness.tolist() == harmonic.tolist() == [0.0]
+        return
+    # Integer distance sums are exact, so closeness is too.
+    assert np.array_equal(closeness, (n - 1) / dist.sum(axis=1))
+    inverse = 1.0 / np.where(dist > 0, dist, np.inf)
+    expected = inverse.sum(axis=1)
+    assert np.abs(harmonic - expected).max() <= (
+        n * np.finfo(np.float64).eps * expected.max())
+
+
 def test_compute_dispatch(p6):
     assert compute(p6, CentralityParams(kind="degree")).values.tolist() == \
         [1, 2, 2, 2, 2, 1]
@@ -525,12 +606,14 @@ def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
 
 def test_lanczos_budget_counts_matvecs():
     needed = eigenvector_centrality(path(300))[0].iterations
-    spectral, _ = eigenvector_centrality(path(300), max_iters=needed)
+    spectral, _ = eigenvector_centrality(path(300), max_iters=needed + 1)
     assert (spectral.method, spectral.iterations) == ("lanczos", needed)
-    # One matvec short, Lanczos gives up, and so does the power fallback.
+    # A result must stay below max_iters, as Katz, PageRank and power
+    # iteration do: at max_iters == needed Lanczos gives up, and so does
+    # the power fallback.
     with pytest.raises(ConvergenceError) as info:
-        eigenvector_centrality(path(300), max_iters=needed - 1)
-    assert info.value.iterations == needed - 1
+        eigenvector_centrality(path(300), max_iters=needed)
+    assert info.value.iterations == needed
 
 
 def test_lanczos_and_power_share_one_budget(monkeypatch):

@@ -3,7 +3,8 @@ import pytest
 
 from paradoxlab import (InputError, NumericalError, RangeError,
                         build_directed, build_undirected, dense_from_graph,
-                        dense_perron, dense_solve, enumerate_walks)
+                        dense_hop_distances, dense_perron, dense_solve,
+                        enumerate_walks)
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
 
@@ -28,6 +29,28 @@ def test_dense_from_graph_directed(hub_digraph):
     np.testing.assert_array_equal(
         dense_from_graph(hub_digraph),
         np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=float))
+
+
+def test_dense_hop_distances_closed_forms():
+    i, j = np.indices((7, 7))
+    np.testing.assert_array_equal(dense_hop_distances(path(7)), abs(i - j))
+    np.testing.assert_array_equal(dense_hop_distances(cycle(7)),
+                                  np.minimum(abs(i - j), 7 - abs(i - j)))
+    np.testing.assert_array_equal(dense_hop_distances(complete(4)),
+                                  1 - np.eye(4, dtype=np.int64))
+    # Parallel edges are one hop; a lone node is at distance 0.
+    doubled = build_undirected(3, [(0, 1), (0, 1), (1, 2)])
+    np.testing.assert_array_equal(dense_hop_distances(doubled),
+                                  dense_hop_distances(path(3)))
+    np.testing.assert_array_equal(dense_hop_distances(path(1)), [[0]])
+
+
+def test_dense_hop_distances_marks_unreached_nodes():
+    # Arcs 0->1->2 and an isolated node 3.
+    chain = build_directed(4, [(0, 1), (1, 2)])
+    np.testing.assert_array_equal(dense_hop_distances(chain),
+                                  [[0, 1, 2, -1], [-1, 0, 1, -1],
+                                   [-1, -1, 0, -1], [-1, -1, -1, 0]])
 
 
 def test_enumerate_walks_small_cases():
@@ -153,6 +176,8 @@ def test_dense_guards():
     big = build_undirected(513, [(i, i + 1) for i in range(512)])
     with pytest.raises(RangeError):
         dense_from_graph(big)
+    with pytest.raises(RangeError):
+        dense_hop_distances(big)
     with pytest.raises(RangeError):
         dense_solve(np.eye(513), np.ones(513))
     with pytest.raises(RangeError):
