@@ -155,12 +155,10 @@ def _note_promotion(graph: Graph, kind: str) -> None:
 
 def _node_table(graph: Graph, vector: CentralityVector) -> list[dict]:
     averages = neighbor_average(graph, vector.values)
-    return [{"id": i,
-             "degree": int(graph.degree_seq[i]),
-             "r": float(vector.values[i]),
-             "neighbor_avg": float(averages[i]),
-             "delta": float(averages[i] - vector.values[i])}
-            for i in range(graph.node_count)]
+    columns = zip(graph.degree_seq.tolist(), vector.values.tolist(),
+                  averages.tolist(), (averages - vector.values).tolist())
+    return [{"id": i, "degree": d, "r": r, "neighbor_avg": a, "delta": x}
+            for i, (d, r, a, x) in enumerate(columns)]
 
 
 def _cmd_gen(args: argparse.Namespace) -> str:

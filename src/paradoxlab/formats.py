@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, fields
+from itertools import chain
 
 import numpy as np
 
@@ -29,17 +30,46 @@ def parse_edge_list_with_map(text: str,
     gives the original id of each new node.  A leading ``directed`` line or
     ``directed=True`` switches to arc semantics.
     """
+    lines = text.splitlines()
+    first = next((k for k, raw in enumerate(lines) if _uncommented(raw)),
+                 None)
+    if first is not None and _uncommented(lines[first]) == "directed":
+        directed = True
+        # Blanked rather than removed, so that line numbers still count it.
+        lines[first] = ""
+    pairs = _edge_array(lines)
+    if pairs is None:
+        pairs = _scan_edges(lines)
+    ids, mapped = np.unique(pairs.ravel(), return_inverse=True)
+    mapped = mapped.reshape(-1, 2).astype(np.int64, copy=False)
+    build = build_directed if directed else build_undirected
+    return build(len(ids), mapped), ids.tolist()
+
+
+def _uncommented(line: str) -> str:
+    return line.split("#", 1)[0].strip()
+
+
+def _edge_array(lines: list[str]) -> np.ndarray | None:
+    """Edge lines as an ``(m, 2)`` int64 array, or ``None`` unless numpy
+    reads them as two nonnegative integer ids per line with no self-loop
+    and at least one edge.  ``None`` sends the file to :func:`_scan_edges`,
+    which finds the faulty line."""
+    pairs = _int_pairs(lines, comments="#")
+    if pairs is None or (pairs < 0).any() or \
+            (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs
+
+
+def _scan_edges(lines: list[str]) -> np.ndarray:
+    """Check the edge lines one by one, so that an error names its line,
+    and return the pairs as int64, or as Python ints beyond int64."""
     pairs: list[tuple[int, int]] = []
-    header_allowed = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = _uncommented(raw)
         if not line:
             continue
-        if header_allowed and line == "directed":
-            directed = True
-            header_allowed = False
-            continue
-        header_allowed = False
         tokens = line.split()
         if len(tokens) != 2:
             raise InputError(
@@ -60,14 +90,27 @@ def parse_edge_list_with_map(text: str,
     if not pairs:
         raise InputError("edge list contains no edges")
     try:
-        flat = np.array(pairs, dtype=np.int64).ravel()
+        return np.array(pairs, dtype=np.int64)
     except OverflowError:
         # Ids beyond int64 stay exact as Python ints.
-        flat = np.array(pairs, dtype=object).ravel()
-    ids, mapped = np.unique(flat, return_inverse=True)
-    mapped = mapped.reshape(-1, 2).astype(np.int64, copy=False)
-    build = build_directed if directed else build_undirected
-    return build(len(ids), mapped), ids.tolist()
+        return np.array(pairs, dtype=object)
+
+
+def _int_pairs(lines: list[str], comments: str | None) -> np.ndarray | None:
+    """The lines read by numpy as an ``(m, 2)`` int64 array with ``m > 0``,
+    or ``None`` if it rejects them or finds another column count.  Blank
+    and comment lines are skipped; a rejected file goes to its parser's
+    line scan."""
+    # A warning rejects too: numpy warns on input without data, and
+    # before 2.0 reads "1.0" through float with a DeprecationWarning.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(lines, dtype=np.int64, comments=comments,
+                               ndmin=2)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return pairs if pairs.shape[1] == 2 else None
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -78,9 +121,16 @@ def emit_edge_list(graph: Graph) -> str:
     """Canonical edge list: ``directed`` header when applicable, then one
     ``i j`` line per edge (min-id first when undirected), repeated per
     multiplicity, in ascending order."""
-    lines = ["directed"] if graph.directed else []
-    lines.extend(f"{i} {j}" for i, j in graph.edge_pairs())
-    return "\n".join(lines) + "\n"
+    text = ("directed\n" if graph.directed else "") + \
+        _pair_lines(graph.stored_entries())
+    # An undirected graph without edges is written as one empty line.
+    return text or "\n"
+
+
+def _pair_lines(pairs: np.ndarray) -> str:
+    """One ``i j`` line per row of an ``(m, 2)`` integer array, rendered
+    by a single ``%``-format."""
+    return ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
 
 
 def parse_matrix_market(text: str) -> Graph:
@@ -142,16 +192,8 @@ def _entry_array(entries: list[str], rows: int) -> np.ndarray | None:
     :func:`_scan_entries`, which finds the faulty line."""
     if not entries:
         return np.empty((0, 2), dtype=np.int64)
-    # A warning rejects too: numpy warns on a body of blank lines, and
-    # before 2.0 reads "1.0" through float with a DeprecationWarning.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            pairs = np.loadtxt(entries, dtype=np.int64, comments=None,
-                               ndmin=2)
-    except (ValueError, OverflowError, Warning):
-        return None
-    if pairs.shape[1] != 2 or ((pairs < 1) | (pairs > rows)).any() or \
+    pairs = _int_pairs(entries, comments=None)
+    if pairs is None or ((pairs < 1) | (pairs > rows)).any() or \
             (pairs[:, 0] == pairs[:, 1]).any():
         return None
     return pairs - 1
@@ -193,11 +235,10 @@ def emit_matrix_market(graph: Graph) -> str:
     triangle (row > column), general files every arc, both sorted."""
     symmetry = "general" if graph.directed else "symmetric"
     # CSR order is row-major, so the lower triangle and the arcs are sorted.
-    entries = (graph.stored_entries(lower=True) + 1).tolist()
-    lines = [f"%%MatrixMarket matrix coordinate pattern {symmetry}",
-             f"{graph.node_count} {graph.node_count} {len(entries)}"]
-    lines.extend(f"{i} {j}" for i, j in entries)
-    return "\n".join(lines) + "\n"
+    entries = graph.stored_entries(lower=True) + 1
+    return (f"%%MatrixMarket matrix coordinate pattern {symmetry}\n"
+            f"{graph.node_count} {graph.node_count} {len(entries)}\n"
+            + _pair_lines(entries))
 
 
 @dataclass(frozen=True)
@@ -244,8 +285,37 @@ def report_payload(doc: ReportDocument) -> dict:
 
 def emit_json(payload: dict) -> str:
     """JSON with two-space indentation and insertion key order; floats use
-    repr, so serialisation is byte-stable and lossless."""
-    return json.dumps(payload, indent=2) + "\n"
+    repr, so serialisation is byte-stable and lossless.
+
+    The text is ``json.dumps(payload, indent=2)`` plus a newline.  With
+    ``indent`` set, CPython's ``json`` runs its pure-Python encoder, so a
+    ``node_table`` of flat rows, the one section whose size grows with the
+    graph, is rendered by the C encoder and indented afterwards.
+    """
+    table = payload.get("node_table") if isinstance(payload, dict) else None
+    if not _flat_rows(table):
+        return json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(dict(payload, node_table=None), indent=2)
+    # Strings escape their NULs, so every raw NUL is an item separator,
+    # and flat rows meet exactly at "},\0{".
+    rows = json.dumps(table, separators=(",\x00", ": "))[2:-2]
+    rows = rows.replace("},\x00{", "\n    },\n    {\n      ").replace(
+        ",\x00", ",\n      ")
+    # Top-level keys are the only lines indented by exactly two spaces.
+    return text.replace('\n  "node_table": null',
+                        '\n  "node_table": [\n    {\n      ' + rows
+                        + "\n    }\n  ]", 1) + "\n"
+
+
+def _flat_rows(table) -> bool:
+    """Whether ``table`` is a non-empty list of non-empty dicts holding no
+    list, tuple or dict, checked without a Python-level loop."""
+    if type(table) is not list or not table or \
+            set(map(type, table)) != {dict} or not all(table):
+        return False
+    values = chain.from_iterable(map(dict.values, table))
+    return not any(issubclass(kind, (list, tuple, dict))
+                   for kind in set(map(type, values)))
 
 
 _NODE_COLUMNS = ("id", "degree", "r", "neighbor_avg", "delta")
@@ -260,9 +330,10 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
             raise UsageError("csv output needs a node table; this report "
                              "has none")
         lines = [",".join(_NODE_COLUMNS)]
+        # float.__repr__ writes numpy floats as the JSON encoder does.
         for row in doc.node_table:
             lines.append(",".join(
-                repr(row[col]) if isinstance(row[col], float)
+                float.__repr__(row[col]) if isinstance(row[col], float)
                 else str(row[col]) for col in _NODE_COLUMNS))
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown report format {fmt!r}; expected json or csv")

@@ -208,15 +208,12 @@ def connected_component_labels(graph: Graph) -> np.ndarray:
     smallest node id in each component."""
     if graph.directed:
         raise UsageError("component labels are defined for undirected graphs")
-    labels = np.full(graph.node_count, -1, dtype=np.int64)
-    current = 0
-    for start in range(graph.node_count):
-        if labels[start] >= 0:
-            continue
-        dist = hop_distances(graph.row_offsets, graph.column_targets, start)
-        labels[dist >= 0] = current
-        current += 1
-    return labels
+    # Imported here so that ``import paradoxlab`` leaves csgraph out.
+    from scipy.sparse.csgraph import connected_components
+
+    # scipy labels components as its scan from node 0 first meets them.
+    _, labels = connected_components(graph.adjacency, directed=False)
+    return labels.astype(np.int64)
 
 
 def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:

@@ -1,4 +1,5 @@
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from paradoxlab import (CentralityParams, InputError, ReportDocument,
                         emit_edge_list, emit_matrix_market, emit_report,
                         parse_edge_list, parse_edge_list_with_map,
                         parse_matrix_market, parse_report)
+from paradoxlab import formats
 from paradoxlab.formats import emit_json
 from conftest import path, star
 
@@ -261,3 +263,106 @@ def test_emit_json_uses_repr_floats():
     text = emit_json({"x": 0.1, "y": 2.0 ** 0.5})
     assert "0.1" in text
     assert "1.4142135623730951" in text
+
+
+def test_report_csv_writes_numpy_floats_as_json_does():
+    rows = [{"id": 0, "degree": 1, "r": np.float64(0.5),
+             "neighbor_avg": np.float64(0.1) + np.float64(0.2),
+             "delta": np.float64(-0.0)}]
+    doc = ReportDocument(graph_meta={"n": 1}, node_table=rows)
+    plain = ReportDocument(graph_meta={"n": 1}, node_table=[
+        {key: float(value) if isinstance(value, float) else value
+         for key, value in row.items()} for row in rows])
+    text = emit_report(doc, "csv")
+    assert text.splitlines()[1] == "0,1,0.5,0.30000000000000004,-0.0"
+    assert text == emit_report(plain, "csv")
+    assert json.loads(emit_report(doc, "json"))["node_table"] == \
+        [{"id": 0, "degree": 1, "r": 0.5,
+          "neighbor_avg": 0.30000000000000004, "delta": -0.0}]
+
+
+FLAT_ROWS = [
+    {"id": 0, "degree": 3, "r": 0.5, "neighbor_avg": float("nan"),
+     "delta": float("inf")},
+    {"id": 1, "degree": 0, "r": -0.0, "neighbor_avg": 5e-324,
+     "delta": float("-inf")},
+    {"r": np.float64(0.1), "flag": True, "off": False, "none": None,
+     "big": 2 ** 64 + 1, "low": -2 ** 63, "max": 1.7976931348623157e308},
+    {'q"uote': 'a "b" {c} [d]', "nul\x00key": "x\x00y", "ünï": "ç☃ \U0001f600",
+     "},\x00{": "},\x00{", "back\\slash": "\\u0000", "tab\t": "\n\r"},
+    {1: 2, 2.5: 3, False: 4, None: 5, "": ""},
+    {"single": 1},
+]
+
+FLAT_TABLES = [FLAT_ROWS[:1], FLAT_ROWS, FLAT_ROWS[3:5], [FLAT_ROWS[5]] * 3]
+
+GENERIC_TABLES = [
+    [], None, "table", [1, 2], [[1, 2]], [{}], [FLAT_ROWS[0], {}],
+    [FLAT_ROWS[0], "row"], [{"a": [1, 2]}], [{"a": []}], [{"a": (1,)}],
+    [{"a": {"b": 1}}], [{"a": {}}], [FLAT_ROWS[1], {"a": [FLAT_ROWS[1]]}],
+    tuple(FLAT_ROWS), [OrderedDict(FLAT_ROWS[0])],
+]
+
+
+def _payloads(table):
+    yield {"node_table": table}
+    yield {"graph_meta": {"n": 2, "node_table": None}, "node_table": table,
+           "tool_version": '\n  "node_table": null', "seed": 3}
+    yield {"node_table": table, "stats": {"mu": 0.1, "rows": [[], {}]},
+           "x": FLAT_ROWS}
+    yield {"a": [], "b": {}, "node_table": table, "c": [1.5, None]}
+    yield [{"node_table": table}]
+
+
+def test_emit_json_is_json_dumps_with_indent():
+    for tables, flat in ((FLAT_TABLES, True), (GENERIC_TABLES, False)):
+        for table in tables:
+            assert formats._flat_rows(table) is flat
+            for payload in _payloads(table):
+                assert emit_json(payload) == \
+                    json.dumps(payload, indent=2) + "\n"
+    assert emit_json({}) == "{}\n"
+    assert emit_json({"meta": 1}) == '{\n  "meta": 1\n}\n'
+
+
+@pytest.mark.parametrize("table", [
+    [{"id": np.int64(1)}], [{"id": 0}, {"id": np.int64(1)}],
+    [{"id": 0, "nested": [np.int64(1)]}],
+])
+def test_emit_json_still_rejects_numpy_ints(table):
+    with pytest.raises(TypeError):
+        emit_json({"meta": 1, "node_table": table})
+
+
+def _per_line_edge_list(graph):
+    """The f-string loop that ``emit_edge_list`` used to run."""
+    lines = ["directed"] if graph.directed else []
+    lines.extend(f"{i} {j}" for i, j in graph.edge_pairs())
+    return "\n".join(lines) + "\n"
+
+
+def _per_line_matrix_market(graph):
+    """The f-string loop that ``emit_matrix_market`` used to run."""
+    symmetry = "general" if graph.directed else "symmetric"
+    entries = (graph.stored_entries(lower=True) + 1).tolist()
+    lines = [f"%%MatrixMarket matrix coordinate pattern {symmetry}",
+             f"{graph.node_count} {graph.node_count} {len(entries)}"]
+    lines.extend(f"{i} {j}" for i, j in entries)
+    return "\n".join(lines) + "\n"
+
+
+def test_pair_emitters_match_the_per_line_loop(hub_digraph):
+    graphs = [
+        path(5), star(6), hub_digraph,
+        build_directed(3, [(0, 1), (1, 2), (2, 0)]),
+        build_undirected(3, [(0, 1), (1, 0), (0, 1), (1, 2)]),
+        build_directed(3, [(0, 1), (0, 1), (1, 0), (2, 1), (2, 1)]),
+        build_undirected(1, []), build_undirected(4, []),
+        build_directed(1, []), build_directed(3, []),
+        build_undirected(8, [(2, 5), (5, 7)]),
+        build_directed(8, [(7, 2), (2, 5)]),
+        path(20_000),
+    ]
+    for graph in graphs:
+        assert emit_edge_list(graph) == _per_line_edge_list(graph)
+        assert emit_matrix_market(graph) == _per_line_matrix_market(graph)

@@ -13,6 +13,7 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         build_directed, build_undirected,
                         connected_component_labels, extract_lcc, generate,
                         is_connected, is_strongly_connected)
+from paradoxlab.graph import hop_distances
 from conftest import complete, cycle, path, star
 
 
@@ -124,6 +125,38 @@ def test_connectivity():
         is_connected(build_directed(2, [(0, 1)]))
 
 
+def _reference_component_labels(graph):
+    """The one-search-per-component labelling the graph module used to
+    run, kept as the reference for the csgraph call."""
+    labels = np.full(graph.node_count, -1, dtype=np.int64)
+    current = 0
+    for start in range(graph.node_count):
+        if labels[start] >= 0:
+            continue
+        dist = hop_distances(graph.row_offsets, graph.column_targets, start)
+        labels[dist >= 0] = current
+        current += 1
+    return labels
+
+
+def test_component_labels_match_the_per_component_search():
+    graphs = [build_undirected(1, []), build_undirected(5, []),
+              build_undirected(7, [(0, 5), (1, 2), (2, 3), (3, 4)]),
+              build_undirected(6, [(4, 5), (5, 4), (2, 0)])]
+    for seed in range(40):
+        graphs.append(generate(RandomGraphSpec(
+            model="erdos_renyi", n=60, p=0.03, seed=seed, lcc_extract=False)))
+    rng = np.random.default_rng(5)
+    for n in (50, 400, 3000):
+        # Scattered sparse edges leave many components of mixed sizes.
+        u, v = rng.integers(0, n, (2, n // 2 + 1))
+        graphs.append(build_undirected(n, np.column_stack([u, v])[u != v]))
+    for graph in graphs:
+        labels = connected_component_labels(graph)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == _reference_component_labels(graph).tolist()
+
+
 def test_strong_connectivity():
     ring = build_directed(3, [(0, 1), (1, 2), (2, 0)])
     assert is_strongly_connected(ring)
@@ -173,9 +206,9 @@ def test_extract_lcc_needs_no_second_search(hop_distance_calls):
     calls = hop_distance_calls
     graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
     sub, _ = extract_lcc(graph)
-    assert calls == [0, 2, 5]           # one search per component
+    assert calls == []                  # components come from csgraph
     assert sub.connected and is_connected(sub)
-    assert calls == [0, 2, 5]
+    assert calls == []
     # Erdos-Renyi members are cut to their LCC, so they inherit the flag.
     calls.clear()
     member = generate(RandomGraphSpec(model="erdos_renyi", n=100, p=0.05,
