@@ -64,12 +64,16 @@ class Graph:
     def connected(self) -> bool:
         """Whether every node reaches every other (strongly, if directed):
         node 0 reaches all nodes and, when directed, all reach node 0."""
-        if (hop_distances(self.row_offsets, self.column_targets, 0) < 0).any():
-            return False
-        if not self.directed:
-            return True
-        rev = self.adjacency.T.tocsr()
-        return bool((hop_distances(rev.indptr, rev.indices, 0) >= 0).all())
+        # Imported here so that ``import paradoxlab`` leaves csgraph out.
+        from scipy.sparse.csgraph import breadth_first_order
+
+        def reaches_all(adjacency) -> bool:
+            order = breadth_first_order(adjacency, 0, directed=True,
+                                        return_predecessors=False)
+            return len(order) == self.node_count
+
+        return reaches_all(self.adjacency) and (
+            not self.directed or reaches_all(self.adjacency.T))
 
     def neighbors(self, node: int) -> np.ndarray:
         """Column targets of ``node`` (one entry per distinct neighbour)."""
@@ -87,11 +91,6 @@ class Graph:
         stored = self.directed | ((rows > cols) if lower else (rows < cols))
         return np.repeat(np.column_stack([rows, cols])[stored],
                          self.multiplicities[stored], axis=0)
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        """Stored edges with multiplicity repeats: each undirected edge once
-        as ``(min, max)``, each directed edge as ``(source, target)``."""
-        return list(map(tuple, self.stored_entries().tolist()))
 
 
 def _exact_int_ids(edges, dtype: np.dtype) -> np.ndarray:
@@ -164,27 +163,6 @@ def build_directed(node_count: int,
     """Build a directed multigraph of (source, target) arcs."""
     pairs = _validated_pairs(node_count, edges)
     return _assemble(node_count, pairs, len(pairs), directed=True)
-
-
-def hop_distances(offsets: np.ndarray, targets: np.ndarray,
-                  source: int) -> np.ndarray:
-    """Breadth-first hop distance from ``source`` along the arcs of a CSR
-    adjacency ``targets[offsets[i]:offsets[i+1]]``; ``-1`` marks nodes that
-    ``source`` does not reach."""
-    dist = np.full(len(offsets) - 1, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt = []
-        for v in frontier:
-            for w in targets[offsets[v]:offsets[v + 1]].tolist():
-                if dist[w] < 0:
-                    dist[w] = hops
-                    nxt.append(w)
-        frontier = nxt
-    return dist
 
 
 def is_connected(graph: Graph) -> bool:

@@ -1,7 +1,7 @@
+import numpy as np
 import pytest
 
 from paradoxlab import build_directed, build_undirected
-from paradoxlab import graph as graph_module
 from paradoxlab.generators import (complete_edges, cycle_edges, path_edges,
                                    star_edges)
 
@@ -34,14 +34,47 @@ def hub_digraph():
 
 
 @pytest.fixture
-def hop_distance_calls(monkeypatch):
-    """Source node of every ``graph.hop_distances`` search, in call order."""
+def search_calls(monkeypatch):
+    """Start node of every ``csgraph.breadth_first_order`` search, in call
+    order.  The graph module imports the function when it searches, so the
+    patched module attribute is the one it calls."""
+    from scipy.sparse import csgraph
+
     calls = []
-    search = graph_module.hop_distances
+    search = csgraph.breadth_first_order
 
-    def counted(offsets, targets, source):
-        calls.append(source)
-        return search(offsets, targets, source)
+    def counted(adjacency, i_start, *args, **kwargs):
+        calls.append(i_start)
+        return search(adjacency, i_start, *args, **kwargs)
 
-    monkeypatch.setattr(graph_module, "hop_distances", counted)
+    monkeypatch.setattr(csgraph, "breadth_first_order", counted)
     return calls
+
+
+def edge_pairs(graph):
+    """Stored edges with multiplicity repeats: each undirected edge once
+    as ``(min, max)``, each directed edge as ``(source, target)``."""
+    return list(map(tuple, graph.stored_entries().tolist()))
+
+
+# The scalar search the graph module used to run, kept as the reference
+# that its csgraph and blocked searches are checked against.
+def hop_distances(offsets: np.ndarray, targets: np.ndarray,
+                  source: int) -> np.ndarray:
+    """Breadth-first hop distance from ``source`` along the arcs of a CSR
+    adjacency ``targets[offsets[i]:offsets[i+1]]``; ``-1`` marks nodes that
+    ``source`` does not reach."""
+    dist = np.full(len(offsets) - 1, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = [source]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt = []
+        for v in frontier:
+            for w in targets[offsets[v]:offsets[v + 1]].tolist():
+                if dist[w] < 0:
+                    dist[w] = hops
+                    nxt.append(w)
+        frontier = nxt
+    return dist

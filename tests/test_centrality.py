@@ -12,9 +12,9 @@ from paradoxlab import (CentralityParams, ConvergenceError, ParameterError,
                         perron_bounds, solve_lambda1, walk_count)
 from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
                         dense_hop_distances, generate)
-from paradoxlab.graph import hop_distances
 from paradoxlab.rng import SplitMix64
-from conftest import complete, cycle, path, star
+from conftest import (complete, cycle, edge_pairs, hop_distances, path,
+                      star)
 
 
 def random_connected(rng, max_nodes=10):
@@ -342,8 +342,8 @@ def test_pagerank_requires_strong_connectivity():
         pagerank_centrality(build_undirected(3, [(0, 1)]), 0.85)
 
 
-def test_measures_share_one_connectivity_search(hop_distance_calls):
-    calls = hop_distance_calls
+def test_measures_share_one_connectivity_search(search_calls):
+    calls = search_calls
     g = random_connected(SplitMix64(11), max_nodes=12)
     solve_lambda1(g)
     for params in (CentralityParams(kind="degree"),
@@ -409,7 +409,7 @@ def _distance_corpus():
             model="preferential_attachment", n=120, m_attach=seed, seed=seed))
     # Parallel edges on a path with a chord: multiplicities do not count.
     graphs["multigraph"] = build_undirected(
-        6, path(6).edge_pairs() * 2 + [(0, 3), (0, 3), (0, 3)])
+        6, edge_pairs(path(6)) * 2 + [(0, 3), (0, 3), (0, 3)])
     return graphs
 
 
@@ -619,7 +619,7 @@ def test_lanczos_budget_counts_matvecs():
 def test_lanczos_and_power_share_one_budget(monkeypatch):
     # K_50 with a 256-node tail: Lanczos returns tail entries that round
     # below zero, so power iteration finishes the solve.
-    g = build_undirected(306, complete(50).edge_pairs()
+    g = build_undirected(306, edge_pairs(complete(50))
                          + [(49 + i, 50 + i) for i in range(256)])
     calls = []
 

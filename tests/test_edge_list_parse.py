@@ -11,6 +11,7 @@ import pytest
 
 from paradoxlab import (InputError, RandomGraphSpec, emit_edge_list, formats,
                         generate, parse_edge_list, parse_edge_list_with_map)
+from conftest import edge_pairs
 
 TOKENS = ["0", "1", "2", "3", "7", "+1", "-2", "-0", "01", "x", "#", "# c",
           "directed", "٣", "1.0", "1_0", "1e1", "0x1", "9223372036854775807",
@@ -29,7 +30,7 @@ def _outcome(text):
         g, ids = parse_edge_list_with_map(text)
     except InputError as exc:
         return "error", str(exc)
-    return "graph", g.node_count, g.directed, g.edge_pairs(), ids
+    return "graph", g.node_count, g.directed, edge_pairs(g), ids
 
 
 def _random_file(rng):

@@ -13,7 +13,7 @@ from paradoxlab import (CentralityParams, InputError, ReportDocument,
                         parse_matrix_market, parse_report)
 from paradoxlab import formats
 from paradoxlab.formats import emit_json
-from conftest import path, star
+from conftest import edge_pairs, path, star
 
 
 def test_parse_edge_list_basic():
@@ -51,7 +51,7 @@ def test_parse_edge_list_gap_reindexing():
                                       directed=True)
     assert ids == [3, 7, big]
     assert all(type(i) is int for i in ids)
-    assert g.edge_pairs() == [(1, 0), (1, 2), (2, 0)]
+    assert edge_pairs(g) == [(1, 0), (1, 2), (2, 0)]
 
 
 def test_parse_edge_list_errors_carry_line_numbers():
@@ -110,10 +110,10 @@ def _reference_matrix_market(graph):
     """The sorted-tuple emitter the formats module used to run."""
     if graph.directed:
         symmetry = "general"
-        entries = sorted((i + 1, j + 1) for i, j in graph.edge_pairs())
+        entries = sorted((i + 1, j + 1) for i, j in edge_pairs(graph))
     else:
         symmetry = "symmetric"
-        entries = sorted((j + 1, i + 1) for i, j in graph.edge_pairs())
+        entries = sorted((j + 1, i + 1) for i, j in edge_pairs(graph))
     lines = [f"%%MatrixMarket matrix coordinate pattern {symmetry}",
              f"{graph.node_count} {graph.node_count} {len(entries)}"]
     lines.extend(f"{i} {j}" for i, j in entries)
@@ -337,7 +337,7 @@ def test_emit_json_still_rejects_numpy_ints(table):
 def _per_line_edge_list(graph):
     """The f-string loop that ``emit_edge_list`` used to run."""
     lines = ["directed"] if graph.directed else []
-    lines.extend(f"{i} {j}" for i, j in graph.edge_pairs())
+    lines.extend(f"{i} {j}" for i, j in edge_pairs(graph))
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import pytest
 from paradoxlab import (GenerationError, ParameterError, RandomGraphSpec,
                         generate, generators, is_connected)
 from paradoxlab.rng import SplitMix64
+from conftest import edge_pairs
 
 
 def test_deterministic_families():
@@ -246,10 +247,10 @@ def test_models_are_reproducible_across_processes():
     # Frozen edge sets for fixed seeds guard against accidental RNG drift.
     raw = generate(RandomGraphSpec(model="erdos_renyi", n=8, p=0.4, seed=1,
                                    lcc_extract=False))
-    assert raw.edge_pairs() == [(1, 3), (2, 5), (3, 6), (3, 7), (4, 6),
+    assert edge_pairs(raw) == [(1, 3), (2, 5), (3, 6), (3, 7), (4, 6),
                                 (4, 7), (5, 6)]
     # With the default LCC extraction the surviving component is re-indexed.
     lcc = generate(RandomGraphSpec(model="erdos_renyi", n=8, p=0.4, seed=1))
     assert lcc.node_count == 7
-    assert lcc.edge_pairs() == [(0, 2), (1, 4), (2, 5), (2, 6), (3, 5),
+    assert edge_pairs(lcc) == [(0, 2), (1, 4), (2, 5), (2, 6), (3, 5),
                                 (3, 6), (4, 5)]

@@ -11,10 +11,10 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         RandomGraphSpec, UsageError, adjacency_matvec,
                         apply_transition, apply_transition_transpose,
                         build_directed, build_undirected,
-                        connected_component_labels, extract_lcc, generate,
-                        is_connected, is_strongly_connected)
-from paradoxlab.graph import hop_distances
-from conftest import complete, cycle, path, star
+                        connected_component_labels, dense_from_graph,
+                        dense_hop_distances, extract_lcc, fiedler_check,
+                        generate, is_connected, is_strongly_connected)
+from conftest import complete, cycle, edge_pairs, hop_distances, path, star
 
 
 def test_p6_structure(p6):
@@ -31,7 +31,7 @@ def test_multigraph_multiplicity():
     assert g.edge_count == 3
     assert g.degree_seq.tolist() == [3, 3]
     assert g.multiplicities.tolist() == [3, 3]
-    assert g.edge_pairs() == [(0, 1)] * 3
+    assert edge_pairs(g) == [(0, 1)] * 3
     with_isolated = build_undirected(3, [(0, 1), (0, 1)])
     assert with_isolated.degree_seq.tolist() == [2, 2, 0]
 
@@ -42,7 +42,7 @@ def test_directed_out_degrees(hub_digraph):
     assert hub_digraph.edge_count == 4
     multi = build_directed(3, [(2, 0), (0, 1), (2, 0), (1, 0), (0, 2)])
     assert multi.degree_seq.tolist() == [2, 1, 2]
-    assert multi.edge_pairs() == [(0, 1), (0, 2), (1, 0), (2, 0), (2, 0)]
+    assert edge_pairs(multi) == [(0, 1), (0, 2), (1, 0), (2, 0), (2, 0)]
 
 
 def test_edge_validation():
@@ -171,17 +171,53 @@ def test_strong_connectivity():
     assert not is_strongly_connected(build_directed(3, [(1, 0), (2, 0)]))
 
 
-def test_connectivity_is_searched_once_per_graph(hop_distance_calls):
-    calls = hop_distance_calls
+def test_connectivity_matches_the_dense_oracle():
+    rng = np.random.default_rng(17)
+    graphs = [build_undirected(1, []), build_directed(1, []),
+              build_undirected(3, [(0, 1), (0, 1)]),
+              build_directed(2, [(0, 1), (0, 1)]),
+              build_directed(2, [(0, 1), (0, 1), (1, 0)])]
+    for _ in range(150):
+        n = int(rng.integers(1, 41))
+        # Sparse draws leave isolated nodes; as arcs most pairs run one
+        # way only; the repeated quarter adds parallel edges.
+        u, v = rng.integers(0, n, (2, int(rng.integers(0, 4 * n + 1))))
+        pairs = np.column_stack([u, v])[u != v]
+        pairs = np.concatenate([pairs, pairs[:len(pairs) // 4]])
+        graphs += [build_undirected(n, pairs), build_directed(n, pairs)]
+        # A ring through every node, one arc of it sometimes cut.
+        ring = rng.permutation(n)
+        arcs = np.column_stack([ring, np.roll(ring, -1)])[:n - rng.integers(2)]
+        graphs.append(build_directed(n, np.concatenate(
+            [arcs[arcs[:, 0] != arcs[:, 1]], pairs[:n // 4]])))
+    verdicts = {(True, True): 0, (True, False): 0,
+                (False, True): 0, (False, False): 0}
+    for g in graphs:
+        reached = bool((dense_hop_distances(g) >= 0).all())
+        assert g.connected == reached
+        verdicts[g.directed, reached] += 1
+        # The bilinear bound takes exactly the irreducible supports.
+        if g.directed and g.node_count <= 16 and reached:
+            assert len(fiedler_check(dense_from_graph(g), trials=1, seed=0))
+        elif g.directed and g.node_count <= 16:
+            with pytest.raises(InputError, match="reducible"):
+                fiedler_check(dense_from_graph(g), trials=1, seed=0)
+    # Both verdicts occur often for both kinds of graph.
+    assert min(verdicts.values()) >= 50
+
+
+def test_connectivity_is_searched_once_per_graph(search_calls):
+    calls = search_calls
     g = path(5)
     assert is_connected(g) and is_connected(g) and g.connected
-    assert len(calls) == 1
+    assert calls == [0]
     ring = build_directed(3, [(0, 1), (1, 2), (2, 0)])
     assert is_strongly_connected(ring) and is_strongly_connected(ring)
-    assert len(calls) == 3
+    # One forward and one backward search, both from node 0.
+    assert calls == [0, 0, 0]
     # A failed forward search needs no backward one.
     assert not build_directed(3, [(1, 0), (2, 0)]).connected
-    assert len(calls) == 4
+    assert calls == [0, 0, 0, 0]
 
 
 def test_extract_lcc():
@@ -197,13 +233,13 @@ def test_extract_lcc():
         assert kept.tolist() == kept_ids
         assert sub.node_count == len(kept_ids)
         assert sub.edge_count == len(lcc_edges)
-        assert sub.edge_pairs() == lcc_edges
+        assert edge_pairs(sub) == lcc_edges
         assert sub == build_undirected(len(kept_ids), lcc_edges)
         assert is_connected(sub)
 
 
-def test_extract_lcc_needs_no_second_search(hop_distance_calls):
-    calls = hop_distance_calls
+def test_extract_lcc_needs_no_second_search(search_calls):
+    calls = search_calls
     graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
     sub, _ = extract_lcc(graph)
     assert calls == []                  # components come from csgraph

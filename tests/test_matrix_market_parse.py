@@ -12,6 +12,7 @@ import pytest
 
 from paradoxlab import (InputError, RandomGraphSpec, emit_matrix_market,
                         formats, generate, parse_matrix_market)
+from conftest import edge_pairs
 
 TOKENS = ["1", "2", "3", "4", "0", "5", "+1", "-2", "01", "x", "%", "% c",
           "٣", "1.0", "9223372036854775808", "00000000000000000003",
@@ -25,7 +26,7 @@ def _outcome(text):
         g = parse_matrix_market(text)
     except InputError as exc:
         return "error", str(exc)
-    return "graph", g.node_count, g.directed, g.edge_pairs()
+    return "graph", g.node_count, g.directed, edge_pairs(g)
 
 
 def _random_file(rng):
@@ -92,7 +93,7 @@ def test_generated_graph_round_trips_on_the_fast_path(monkeypatch):
 ])
 def test_files_for_the_line_scan_parse(body, edges):
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n" + body
-    assert parse_matrix_market(text).edge_pairs() == edges
+    assert edge_pairs(parse_matrix_market(text)) == edges
 
 
 def test_blank_entry_lines_read_without_a_warning():
