@@ -37,6 +37,14 @@ eig = bias_distribution(spec, CentralityParams(kind="eigenvector"),
 print(f"\neigenvector bias: mean {eig.mean:.6f}, "
       f"negative fraction {eig.fraction_negative:.3f}")
 
+# Random 3-regular graphs sit at the equality case: every neighbour
+# average equals the node's own value, up to rounding.
+regular = bias_distribution(RandomGraphSpec(model="k_regular", n=40, k=3),
+                            CentralityParams(kind="eigenvector"),
+                            n_graphs=25, seed=7)
+print(f"3-regular eigenvector bias: largest |delta| "
+      f"{max(-regular.min, regular.max):.1e}")
+
 # Directed PageRank: <1, C r> >= 1 on any strongly connected graph.
 ring = generate(RandomGraphSpec(model="cycle", n=40, seed=3))
 vector = pagerank_centrality(ring, 0.85)

@@ -8,11 +8,12 @@ plateaus, and report the residual and iteration count they achieved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, ParameterError, PreconditionError,
-                     RangeError, UsageError)
+from .errors import (ConvergenceError, InputError, ParameterError,
+                     PreconditionError, RangeError, UsageError)
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec,
                     apply_transition_transpose)
 
@@ -35,7 +36,8 @@ LANCZOS_MIN_NODES = 256
 # holds more keys, unless one source alone has more arcs.  It caps the
 # k x n distance block too, since a connected graph on n >= 2 nodes
 # stores at least n arcs.  Picked by measurement on paths and
-# heavy-tailed graphs; see CHANGES.md.
+# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the arcs
+# of one eigenvector_blocks solve by it too.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -242,6 +244,71 @@ def _lanczos(graph: Graph, params: CentralityParams,
                       "lanczos"), calls
 
 
+def _power_blocks(union: Graph, sizes: Sequence[int],
+                  params: CentralityParams, spent: int = 0,
+                  image: np.ndarray | None = None):
+    """Power iteration on ``A + I`` from the uniform vector for each graph
+    of a disjoint union, block ``b`` holding the next ``sizes[b]`` nodes,
+    run as one loop.
+
+    The matvec, the shift, the division, the residual and its per-block
+    maxima run on the whole stacked vector.  Each block's sum and Rayleigh
+    dot products run on its own slice, the same calls as on the graph
+    alone, so each block takes the steps it would alone, byte for byte.
+    A block freezes at the step its own certificate passes; frozen entries
+    keep their values, so their images and residuals recur unchanged.
+    Steps count on from ``spent``; at ``max_iters`` the first block still
+    running raises.  ``image``, when given, is the image of the uniform
+    vector, already computed.  Returns the stacked vector and image, and
+    per block the estimate, residual and iterations.
+    """
+    sizes = np.asarray(sizes)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(),
+                                              bounds[1:].tolist())]
+    # Updated in place, so the block views stay valid.
+    vec = np.repeat(1.0 / sizes, sizes)
+    vec_blocks = [vec[block] for block in blocks]
+    if image is None:
+        image = adjacency_matvec(union, vec)
+    estimates = np.empty(len(sizes))
+    sums = np.ones(len(sizes))
+    iterations = [spent] * len(sizes)
+    running = np.ones(len(sizes), dtype=bool)
+    moving = True
+    active = list(range(len(sizes)))
+    iteration = spent
+    while True:
+        for b in active:
+            block_vec, block_image = vec_blocks[b], image[blocks[b]]
+            estimates[b] = (block_vec @ block_image) / (block_vec @ block_vec)
+        residuals = np.maximum.reduceat(
+            np.abs(image - estimates.repeat(sizes) * vec), bounds[:-1])
+        checked = residuals.tolist()
+        passed = [b for b in active if checked[b] <= params.tol]
+        if passed:
+            for b in passed:
+                iterations[b] = iteration
+            running[passed] = False
+            active = [b for b in active if not checked[b] <= params.tol]
+            if not active:
+                break
+            moving = running.repeat(sizes)
+        iteration += 1
+        if iteration >= params.max_iters:
+            raise ConvergenceError(
+                f"eigenvector iteration did not reach {params.tol} in "
+                f"{params.max_iters} steps",
+                residual=checked[active[0]],
+                iterations=params.max_iters)
+        shifted = image + vec
+        for b in active:
+            sums[b] = shifted[blocks[b]].sum()
+        np.divide(shifted, sums.repeat(sizes), out=vec, where=moving)
+        image = adjacency_matvec(union, vec)
+    return vec, image, estimates, residuals, iterations
+
+
 def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
                            max_iters: int = DEFAULT_MAX_ITERS,
                            ) -> tuple[SpectralResult, CentralityVector]:
@@ -264,26 +331,42 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
-    vec = np.full(graph.node_count, 1.0 / graph.node_count)
-    image = adjacency_matvec(graph, vec)
-    estimate, residual = _certificate(vec, image)
-    iteration = 0
-    if not residual <= tol and graph.node_count >= LANCZOS_MIN_NODES:
-        found, iteration = _lanczos(graph, params)
+    uniform = np.full(graph.node_count, 1.0 / graph.node_count)
+    image = adjacency_matvec(graph, uniform)
+    spent = 0
+    if (graph.node_count >= LANCZOS_MIN_NODES
+            and not _certificate(uniform, image)[1] <= tol):
+        found, spent = _lanczos(graph, params)
         if found is not None:
             return found
-    while not residual <= tol:
-        iteration += 1
-        if iteration >= max_iters:
-            raise ConvergenceError(
-                f"eigenvector iteration did not reach {tol} in {max_iters} "
-                f"steps", residual=float(residual), iterations=max_iters)
-        shifted = image + vec
-        vec = shifted / shifted.sum()
-        image = adjacency_matvec(graph, vec)
-        estimate, residual = _certificate(vec, image)
-    return _eigenpair(graph, params, vec, image, estimate, residual,
-                      iteration, "power")
+    vec, image, estimates, residuals, iterations = _power_blocks(
+        graph, [graph.node_count], params, spent, image)
+    return _eigenpair(graph, params, vec, image, estimates[0], residuals[0],
+                      iterations[0], "power")
+
+
+def eigenvector_blocks(union: Graph, sizes: Sequence[int],
+                       tol: float = DEFAULT_TOL,
+                       max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
+    """Eigenvector centralities of the connected graphs joined by
+    :func:`disjoint_union` into ``union``, block ``b`` holding the next
+    ``sizes[b]`` nodes, by one power loop.
+
+    Each block's values equal, byte for byte, those of
+    :func:`eigenvector_centrality` on its graph alone when that graph has
+    fewer than ``LANCZOS_MIN_NODES`` nodes (larger ones try Lanczos there).
+    The first block to run out of ``max_iters`` raises the
+    ``ConvergenceError`` its graph alone would.
+    """
+    params = CentralityParams(kind="eigenvector", tol=tol,
+                              max_iters=max_iters)
+    if union.directed:
+        raise UsageError("eigenvector centrality is defined for undirected "
+                         "graphs")
+    if sum(sizes) != union.node_count or min(sizes, default=0) < 1:
+        raise InputError(f"block sizes must be positive and add up to "
+                         f"{union.node_count} nodes")
+    return _power_blocks(union, sizes, params)[0]
 
 
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,

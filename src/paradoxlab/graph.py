@@ -75,11 +75,6 @@ class Graph:
         return reaches_all(self.adjacency) and (
             not self.directed or reaches_all(self.adjacency.T))
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Column targets of ``node`` (one entry per distinct neighbour)."""
-        lo, hi = self.row_offsets[node], self.row_offsets[node + 1]
-        return self.column_targets[lo:hi]
-
     def stored_entries(self, lower: bool = False) -> np.ndarray:
         """Stored ``(row, column)`` entries in CSR order with multiplicity
         repeats, as an ``(m, 2)`` array: every arc when directed, and each
@@ -217,6 +212,34 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     # A component is connected by construction: seed the cached search.
     vars(lcc)["connected"] = True
     return lcc, keep
+
+
+def disjoint_union(graphs: Sequence[Graph]) -> Graph:
+    """The graphs side by side as one graph, whose adjacency is
+    block-diagonal: node ``k`` of ``graphs[b]`` becomes node ``k`` plus the
+    node counts of the graphs before it, and its CSR row follows theirs
+    with the same entries in the same order.  One graph is its own union."""
+    if len(graphs) == 1:
+        return graphs[0]
+    directed = {graph.directed for graph in graphs}
+    if len(directed) != 1:
+        raise UsageError("a disjoint union needs graphs of one kind")
+    nodes = np.array([graph.node_count for graph in graphs])
+    arcs = np.array([len(graph.column_targets) for graph in graphs])
+    node_starts = np.cumsum(nodes) - nodes
+    arc_starts = np.cumsum(arcs) - arcs
+    offsets = np.concatenate([[0]] + [graph.row_offsets[1:]
+                                      for graph in graphs])
+    offsets[1:] += np.repeat(arc_starts, nodes)
+    # Shifted in place: the union may hold many arcs.
+    targets = np.concatenate([graph.column_targets for graph in graphs])
+    targets += np.repeat(node_starts, arcs)
+    return Graph(int(nodes.sum()), sum(graph.edge_count for graph in graphs),
+                 directed.pop(), row_offsets=offsets, column_targets=targets,
+                 multiplicities=np.concatenate(
+                     [graph.multiplicities for graph in graphs]),
+                 degree_seq=np.concatenate(
+                     [graph.degree_seq for graph in graphs]))
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

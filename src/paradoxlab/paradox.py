@@ -17,12 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .centrality import CentralityParams, CentralityVector, SpectralResult, compute
+from .centrality import (BFS_BLOCK_ARCS, LANCZOS_MIN_NODES, CentralityParams,
+                         CentralityVector, SpectralResult, compute,
+                         eigenvector_blocks)
 from .errors import (GenerationError, InputError, NumericalError,
                      ParameterError, RangeError)
 from .generators import RandomGraphSpec, generate
 from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec, apply_transition,
-                    build_directed, is_connected, is_strongly_connected)
+                    build_directed, disjoint_union, is_connected,
+                    is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -334,6 +337,26 @@ def _connected_sample(spec: RandomGraphSpec, graph_index: int,
         f"(graph {graph_index})")
 
 
+def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:
+    return neighbor_average(graph, values) - values
+
+
+def _union_bias(graphs: list[Graph], measure: CentralityParams,
+                ) -> list[np.ndarray]:
+    """Eigenvector bias of each graph, in order, from one
+    :func:`eigenvector_blocks` solve and one neighbour average over their
+    disjoint union; rows of the union sum as each graph's own rows do.
+    Empties ``graphs``, so that only the union holds their arrays while
+    it is solved."""
+    if not graphs:
+        return []
+    union = disjoint_union(graphs)
+    sizes = [graph.node_count for graph in graphs]
+    graphs.clear()
+    return [_bias(union, eigenvector_blocks(union, sizes, measure.tol,
+                                            measure.max_iters))]
+
+
 def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
                       n_graphs: int, seed: int) -> BiasDistribution:
     """Pooled distribution of per-node bias over a seeded ensemble.
@@ -343,15 +366,40 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     result does not depend on evaluation order.  The bias of node i is its
     neighbour average minus its own value; samples from all graphs are
     pooled.
+
+    Eigenvector members below ``LANCZOS_MIN_NODES`` nodes are solved in
+    batches of consecutive members by :func:`eigenvector_blocks`, a batch
+    closing before its stored arcs would pass ``BFS_BLOCK_ARCS``.  Larger
+    members, which try Lanczos first, a lone node, whose neighbour average
+    is undefined, and every other measure take one solve per member.
+    Samples and errors are those of one solve per member, in member order.
     """
     if n_graphs < 1:
         raise ParameterError(f"n_graphs must be at least 1, got {n_graphs}")
 
-    deltas = []
+    deltas: list[np.ndarray] = []
+    batch: list[Graph] = []
+    arcs = 0
     for index in range(n_graphs):
-        graph = _connected_sample(spec, index, seed)
-        values = compute(graph, measure).values
-        deltas.append(neighbor_average(graph, values) - values)
+        try:
+            graph = _connected_sample(spec, index, seed)
+        except GenerationError:
+            # The members before it are solved first: one that does not
+            # converge raises before this member's generation error.
+            _union_bias(batch, measure)
+            raise
+        alone = (measure.kind != "eigenvector"
+                 or graph.node_count >= LANCZOS_MIN_NODES
+                 or graph.node_count == 1)
+        if alone or arcs + len(graph.column_targets) > BFS_BLOCK_ARCS:
+            deltas += _union_bias(batch, measure)
+            arcs = 0
+        if alone:
+            deltas.append(_bias(graph, compute(graph, measure).values))
+        else:
+            batch.append(graph)
+            arcs += len(graph.column_targets)
+    deltas += _union_bias(batch, measure)
     samples = np.concatenate(deltas)
     quantiles = {level: float(np.quantile(samples, level))
                  for level in QUANTILE_LEVELS}

@@ -76,10 +76,31 @@ class SplitMix64:
                 return word % bound
 
     def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle (Knuth's Algorithm P).
+
+        Swap ``i`` takes a word below bound ``i + 1`` as :meth:`below`
+        does, and the words for bounds ``top + 1`` down to 2 come in one
+        block.  A rejected word ends the block: the swaps before it run,
+        the state moves to just past it, and the next block starts again
+        at its bound.  Items, final state and words drawn equal those of
+        one :meth:`below` call per swap.
+        """
+        top = len(items) - 1
+        while top > 0:
+            start = self._state
+            bounds = np.arange(top + 1, 1, -1).astype(np.uint64)
+            words = self.uint64_block(top)
+            # 2**64 mod b, in wrapping array arithmetic: scalar uint64
+            # wrap would warn.
+            sliver = (np.zeros_like(bounds) - bounds) % bounds
+            accepted = words <= np.uint64(_MASK64) - sliver
+            count = top if accepted.all() else int(np.argmin(accepted))
+            for i, j in zip(range(top, top - count, -1),
+                            (words[:count] % bounds[:count]).tolist()):
+                items[i], items[j] = items[j], items[i]
+            if count < top:
+                self._state = (start + (count + 1) * _GAMMA) & _MASK64
+            top -= count
 
 
 def derive_seed(seed: int, index: int) -> int:

@@ -51,6 +51,12 @@ def search_calls(monkeypatch):
     return calls
 
 
+def neighbors(graph, node):
+    """Column targets of ``node``: one entry per distinct neighbour."""
+    lo, hi = graph.row_offsets[node], graph.row_offsets[node + 1]
+    return graph.column_targets[lo:hi]
+
+
 def edge_pairs(graph):
     """Stored edges with multiplicity repeats: each undirected edge once
     as ``(min, max)``, each directed edge as ``(source, target)``."""

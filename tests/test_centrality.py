@@ -3,15 +3,17 @@ import pytest
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from paradoxlab import (CentralityParams, ConvergenceError, ParameterError,
-                        PreconditionError, RangeError, UsageError,
-                        build_directed, build_undirected, closeness_harmonic,
-                        compute, degree_centrality, dense_from_graph,
-                        dense_perron, dense_solve, eigenvector_centrality,
-                        enumerate_walks, katz_centrality, pagerank_centrality,
-                        perron_bounds, solve_lambda1, walk_count)
+from paradoxlab import (CentralityParams, ConvergenceError, InputError,
+                        ParameterError, PreconditionError, RangeError,
+                        UsageError, build_directed, build_undirected,
+                        closeness_harmonic, compute, degree_centrality,
+                        dense_from_graph, dense_perron, dense_solve,
+                        eigenvector_centrality, enumerate_walks,
+                        katz_centrality, pagerank_centrality, perron_bounds,
+                        solve_lambda1, walk_count)
 from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
                         dense_hop_distances, generate)
+from paradoxlab.graph import disjoint_union
 from paradoxlab.rng import SplitMix64
 from conftest import (complete, cycle, edge_pairs, hop_distances, path,
                       star)
@@ -662,6 +664,76 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
     assert spectral.method == "lanczos"
     # The uniform start, the Lanczos matvecs and the certificate.
     assert len(calls) == spectral.iterations + 2
+
+
+def _scalar_power(graph, tol=1e-12, max_iters=100_000):
+    """Power iteration on ``A + I`` for one graph, one array per step: the
+    reference the shared power loop must reproduce byte for byte."""
+    vec = np.full(graph.node_count, 1.0 / graph.node_count)
+    image = adjacency_matvec(graph, vec)
+    estimate = (vec @ image) / (vec @ vec)
+    residual = np.abs(image - estimate * vec).max()
+    iteration = 0
+    while not residual <= tol:
+        iteration += 1
+        if iteration >= max_iters:
+            return None, residual, max_iters
+        shifted = image + vec
+        vec = shifted / shifted.sum()
+        image = adjacency_matvec(graph, vec)
+        estimate = (vec @ image) / (vec @ vec)
+        residual = np.abs(image - estimate * vec).max()
+    return vec, residual, iteration
+
+
+def test_power_loop_matches_the_scalar_reference():
+    rng = SplitMix64(31)
+    graphs = [random_connected(rng, 40) for _ in range(40)]
+    graphs += [path(60), star(30), _preferential(200, 4)]
+    for graph in graphs:
+        vec, residual, iterations = _scalar_power(graph)
+        got = eigenvector_centrality(graph)[1]
+        assert got.values.tobytes() == vec.tobytes()
+        assert (got.residual, got.iterations) == (residual, iterations)
+    union = disjoint_union(graphs)
+    got = centrality.eigenvector_blocks(
+        union, [graph.node_count for graph in graphs])
+    assert got.tobytes() == np.concatenate(
+        [_scalar_power(graph)[0] for graph in graphs]).tobytes()
+    _, residual, _ = _scalar_power(path(60), max_iters=40)
+    with pytest.raises(ConvergenceError) as info:
+        eigenvector_centrality(path(60), max_iters=40)
+    assert (info.value.residual, info.value.iterations) == (residual, 40)
+
+
+def test_eigenvector_blocks_match_one_solve_per_graph():
+    # A lone node, paths and a star that need different step counts, and
+    # a complete graph that stops on the uniform vector.
+    graphs = [star(6), path(7), build_undirected(1, []), cycle(8),
+              complete(5), _preferential(60, 1), path(2)]
+    sizes = [graph.node_count for graph in graphs]
+    got = centrality.eigenvector_blocks(disjoint_union(graphs), sizes)
+    assert got.tobytes() == np.concatenate(
+        [eigenvector_centrality(graph)[1].values for graph in graphs]
+    ).tobytes()
+    # The first block to run out of steps raises, as it would alone.
+    slow = path(40)
+    assert eigenvector_centrality(slow)[0].iterations > 50
+    with pytest.raises(ConvergenceError) as want:
+        eigenvector_centrality(slow, max_iters=50)
+    with pytest.raises(ConvergenceError) as info:
+        centrality.eigenvector_blocks(
+            disjoint_union([star(5), slow, path(60)]), [5, 40, 60],
+            max_iters=50)
+    assert (str(info.value), info.value.residual, info.value.iterations) == \
+        (str(want.value), want.value.residual, want.value.iterations)
+    union = disjoint_union([star(5), slow])
+    for bad in ([5, 39], [5, 40, 0], [45, 0]):
+        with pytest.raises(InputError):
+            centrality.eigenvector_blocks(union, bad)
+    with pytest.raises(UsageError):
+        centrality.eigenvector_blocks(build_directed(2, [(0, 1), (1, 0)]),
+                                      [2])
 
 
 def test_perron_bounds(p6):

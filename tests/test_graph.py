@@ -14,7 +14,9 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         connected_component_labels, dense_from_graph,
                         dense_hop_distances, extract_lcc, fiedler_check,
                         generate, is_connected, is_strongly_connected)
-from conftest import complete, cycle, edge_pairs, hop_distances, path, star
+from paradoxlab.graph import disjoint_union
+from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
+                      path, star)
 
 
 def test_p6_structure(p6):
@@ -22,8 +24,8 @@ def test_p6_structure(p6):
     assert p6.edge_count == 5
     assert not p6.directed
     assert p6.degree_seq.tolist() == [1, 2, 2, 2, 2, 1]
-    assert p6.neighbors(0).tolist() == [1]
-    assert p6.neighbors(2).tolist() == [1, 3]
+    assert neighbors(p6, 0).tolist() == [1]
+    assert neighbors(p6, 2).tolist() == [1, 3]
 
 
 def test_multigraph_multiplicity():
@@ -218,6 +220,22 @@ def test_connectivity_is_searched_once_per_graph(search_calls):
     # A failed forward search needs no backward one.
     assert not build_directed(3, [(1, 0), (2, 0)]).connected
     assert calls == [0, 0, 0, 0]
+
+
+def test_disjoint_union_places_graphs_side_by_side(p6):
+    parts = [p6, star(4), build_undirected(3, [(0, 1), (0, 1), (1, 2)])]
+    union = disjoint_union(parts)
+    shifted = []
+    offset = 0
+    for part in parts:
+        shifted += [(i + offset, j + offset) for i, j in edge_pairs(part)]
+        offset += part.node_count
+    assert union == build_undirected(offset, shifted)
+    assert union.degree_seq.tolist() == sum(
+        (part.degree_seq.tolist() for part in parts), [])
+    assert disjoint_union([p6]) is p6
+    with pytest.raises(UsageError):
+        disjoint_union([p6, build_directed(2, [(0, 1)])])
 
 
 def test_extract_lcc():

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paradoxlab import (EQUALITY_TOL, CentralityParams, GenerationError,
-                        InputError, ParameterError, RandomGraphSpec,
+from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
+                        GenerationError, InputError, ParadoxLabError,
+                        ParameterError, PreconditionError, RandomGraphSpec,
                         RangeError, bias_distribution, build_directed,
                         build_undirected, compare_averages, compute,
                         eaves_check, eigenvector_centrality,
@@ -12,6 +13,7 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, GenerationError,
                         harmonic_mean_check, neighbor_average,
                         pagerank_centrality, pagerank_paradox_check,
                         paradox_report, symmetrization_identity)
+from paradoxlab import centrality, paradox
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
 
@@ -348,6 +350,137 @@ def test_bias_distribution_rejects_impossible_ensembles():
     with pytest.raises(GenerationError):
         bias_distribution(spec, CentralityParams(kind="degree"),
                           n_graphs=1, seed=0)
+
+
+# --- batched eigenvector solves in bias_distribution ----------------------
+
+EIGENVECTOR = CentralityParams(kind="eigenvector")
+
+# name -> (ensemble, members)
+ENSEMBLES = {
+    "erdos_renyi": (RandomGraphSpec(model="erdos_renyi", n=40, p=0.1), 12),
+    "configuration": (RandomGraphSpec(
+        model="configuration", n=30,
+        degree_sequence=(6, 5, 5, 4, 4, 4) + (3,) * 12 + (2,) * 12), 12),
+    "preferential_attachment": (RandomGraphSpec(
+        model="preferential_attachment", n=40, m_attach=2), 12),
+    # Regular members pass on the uniform vector, before any step.
+    "k_regular": (RandomGraphSpec(model="k_regular", n=30, k=3), 6),
+    # Largest components of 250 to 269 nodes: both sides of
+    # LANCZOS_MIN_NODES.
+    "straddling": (RandomGraphSpec(model="erdos_renyi", n=280, p=0.01), 12),
+}
+SEED = 5
+
+
+def _per_member_samples(spec, measure, n_graphs, seed):
+    """One ``compute`` call per member, in member order: the reference the
+    batched solves must reproduce byte for byte."""
+    deltas = []
+    for index in range(n_graphs):
+        graph = paradox._connected_sample(spec, index, seed)
+        values = compute(graph, measure).values
+        deltas.append(neighbor_average(graph, values) - values)
+    return np.concatenate(deltas)
+
+
+@pytest.fixture
+def power_batches(monkeypatch):
+    """Node counts of the graphs in each shared power loop, in call
+    order."""
+    batches = []
+    loop = centrality._power_blocks
+
+    def recorded(union, sizes, *args):
+        batches.append(list(sizes))
+        return loop(union, sizes, *args)
+
+    monkeypatch.setattr(centrality, "_power_blocks", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("batch", ["one", "two", "all"])
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_batched_eigenvector_bias_matches_per_member_solves(
+        monkeypatch, power_batches, name, batch):
+    spec, n_graphs = ENSEMBLES[name]
+    want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
+    members = [paradox._connected_sample(spec, i, SEED)
+               for i in range(n_graphs)]
+    arcs = [len(member.column_targets) for member in members]
+    if batch == "one":
+        monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 0)
+    elif batch == "two":
+        # Any two neighbours fit, no three do.
+        pairs = max(a + b for a, b in zip(arcs, arcs[1:]))
+        assert pairs < min(a + b + c for a, b, c
+                           in zip(arcs, arcs[1:], arcs[2:]))
+        monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", pairs)
+    power_batches.clear()
+    got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
+    assert got.tobytes() == want.tobytes()
+
+    small = [member.node_count for member in members
+             if member.node_count < centrality.LANCZOS_MIN_NODES]
+    assert [n for sizes in power_batches for n in sizes] == small
+    if name == "straddling":
+        assert 0 < len(small) < n_graphs
+        return
+    expected = {"one": [1] * n_graphs, "two": [2] * (n_graphs // 2),
+                "all": [n_graphs]}[batch]
+    assert list(map(len, power_batches)) == expected
+
+
+def _raised(call):
+    with pytest.raises(ParadoxLabError) as info:
+        call()
+    error = info.value
+    return (type(error), str(error), getattr(error, "residual", None),
+            getattr(error, "iterations", None))
+
+
+def test_batched_solve_fails_as_the_per_member_loop():
+    spec, n_graphs = ENSEMBLES["erdos_renyi"]
+    steps = [compute(paradox._connected_sample(spec, i, SEED),
+                     EIGENVECTOR).iterations for i in range(n_graphs)]
+    # Members at or above the budget fail; the first of them raises, after
+    # some converge.
+    budget = sorted(steps)[n_graphs // 2]
+    assert steps[0] < budget
+    measure = CentralityParams(kind="eigenvector", max_iters=budget)
+    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
+    assert want[0] is ConvergenceError and want[3] == budget
+    assert _raised(lambda: bias_distribution(
+        spec, measure, n_graphs, SEED)) == want
+
+
+@pytest.mark.parametrize("budget", [None, "short"])
+@pytest.mark.parametrize("member", ["unsampleable", "lone node"])
+def test_a_failing_member_waits_for_the_members_before_it(monkeypatch,
+                                                           member, budget):
+    spec, n_graphs = ENSEMBLES["erdos_renyi"]
+    steps = [compute(paradox._connected_sample(spec, i, SEED),
+                     EIGENVECTOR).iterations for i in range(n_graphs)]
+    failing = n_graphs - 2
+    sample = paradox._connected_sample
+
+    def sample_or_fail(spec, index, seed):
+        if index != failing:
+            return sample(spec, index, seed)
+        if member == "unsampleable":
+            raise GenerationError(f"no graph {index}")
+        # Solvable, but a node without neighbours has no average.
+        return build_undirected(1, [])
+
+    monkeypatch.setattr(paradox, "_connected_sample", sample_or_fail)
+    measure = (EIGENVECTOR if budget is None else CentralityParams(
+        kind="eigenvector", max_iters=max(steps[:failing])))
+    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
+    assert want[0] is {None: {"unsampleable": GenerationError,
+                              "lone node": PreconditionError}[member],
+                       "short": ConvergenceError}[budget]
+    assert _raised(lambda: bias_distribution(
+        spec, measure, n_graphs, SEED)) == want
 
 
 def test_directed_reports_use_out_degrees(hub_digraph):

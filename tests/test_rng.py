@@ -79,6 +79,65 @@ def test_shuffle_is_a_permutation():
     assert items != list(range(30))
 
 
+def _scalar_shuffle(rng, items):
+    """Fisher-Yates with one ``below`` draw per swap: the reference the
+    block shuffle must reproduce word for word."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _assert_shuffles_agree(seed, m):
+    scalar, block = SplitMix64(seed), SplitMix64(seed)
+    want, got = list(range(m)), list(range(m))
+    _scalar_shuffle(scalar, want)
+    block.shuffle(got)
+    assert got == want
+    assert block._state == scalar._state
+
+
+def test_shuffle_matches_one_draw_per_swap():
+    for index in range(200):
+        seed = derive_seed(2024, index)
+        for m in (0, 1, 2, 3, 7, 160, 1000):
+            _assert_shuffles_agree(seed, m)
+    for seed in (0, 1, 2 ** 64 - 1):
+        for m in (2 ** 16, 2 ** 16 + 1):
+            _assert_shuffles_agree(seed, m)
+
+
+def _unshift(z, shift):
+    """Inverse of ``z ^= z >> shift`` on 64-bit words."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix(word):
+    """The state whose splitmix64 finalizer output is ``word``."""
+    z = _unshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2 ** 64) % 2 ** 64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) % 2 ** 64
+    return _unshift(z, 30)
+
+
+@pytest.mark.parametrize("m, position", [(3, 0), (1000, 0), (160, 5)])
+def test_shuffle_keeps_the_stream_through_a_rejected_word(m, position):
+    top = 2 ** 64 - 1
+    # Word ``position`` of the stream is 2**64 - 1, the draw for bound
+    # ``m - position``, which rejects it: 2**64 is not a multiple of it.
+    seed = (_unmix(top) - (position + 1) * _GAMMA) % 2 ** 64
+    assert SplitMix64(seed).uint64_block(position + 1)[position] == top
+    assert 2 ** 64 % (m - position) != 0
+    _assert_shuffles_agree(seed, m)
+    rng = SplitMix64(seed)
+    rng.shuffle(list(range(m)))
+    # m - 1 accepted words and the rejected one.
+    assert rng._state == (seed + m * _GAMMA) % 2 ** 64
+
+
 def test_derive_seed_matches_stream_and_is_order_free():
     seed = 424242
     rng = SplitMix64(seed)
