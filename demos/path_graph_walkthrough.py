@@ -52,3 +52,12 @@ for ell in (1, 2, 3):
     walks = compute(p6, CentralityParams(kind="walk_count", ell=ell))
     rep = paradox_report(p6, walks)
     print(f"walk_count({ell}): mu_bar - mu = {rep.slack:.6f}")
+
+# Katz near the spectral radius: Jacobi from the all-ones vector takes
+# 27,710 steps at 0.999 / lambda1; conjugate gradients and a
+# certifying Jacobi tail need a handful.
+alpha = 0.999 / spectral.lambda1
+katz = compute(p6, CentralityParams(kind="katz", alpha=alpha))
+print(f"katz at 0.999/lambda1: {katz.iterations} iterations, "
+      f"residual {katz.residual:.2e}, "
+      f"mu_bar - mu = {paradox_report(p6, katz).slack:.6f}")

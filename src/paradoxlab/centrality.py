@@ -369,29 +369,111 @@ def eigenvector_blocks(union: Graph, sizes: Sequence[int],
     return _power_blocks(union, sizes, params)[0]
 
 
+# Conjugate gradients hand Katz to the Jacobi tail once their recursive
+# residual is at most this share of max(1, max x), or tol if larger.
+_CG_HANDOFF = 1e-13
+
+
+def _katz_step(graph: Graph, alpha: float, vec: np.ndarray) -> np.ndarray:
+    """``alpha A vec``, after its Rayleigh bound
+    ``alpha vec.A vec / vec.vec <= alpha * lambda1`` (A is symmetric) has
+    been checked against ``1 - ALPHA_MARGIN``."""
+    # An alpha near the float limit overflows to inf here, and the bound
+    # then rejects it.
+    with np.errstate(over="ignore"):
+        step = alpha * adjacency_matvec(graph, vec)
+    bound = (vec @ step) / (vec @ vec)
+    if bound >= 1.0 - ALPHA_MARGIN:
+        raise ParameterError(f"alpha={alpha} too large: alpha * lambda1 "
+                             f"must stay below 1 but is >= {bound:.12g}")
+    return step
+
+
+def _katz_cg(graph: Graph, alpha: float, tol: float, r: np.ndarray,
+             cap: int) -> tuple[np.ndarray, int]:
+    """Conjugate gradients on ``(I - alpha A) x = 1`` from the all-ones
+    vector, whose residual is ``r``, until the recursive residual is at
+    most ``max(tol, _CG_HANDOFF max(1, max x))`` or ``cap`` matvecs are
+    spent.  Returns the iterate and the matvecs spent.
+
+    Every direction is checked by :func:`_katz_step`.  One that passes has
+    the curvature ``p.(I - alpha A)p > ALPHA_MARGIN p.p``, so no step
+    divides by zero.
+    """
+    x = np.ones_like(r)
+    p = r
+    rr = r @ r
+    spent = 0
+    while (spent < cap and np.abs(r).max()
+           > max(tol, _CG_HANDOFF * max(1.0, x.max()))):
+        ap = _katz_step(graph, alpha, p)
+        spent += 1
+        step = rr / (p @ p - p @ ap)
+        x = x + step * p
+        r = r - step * (p - ap)
+        rr, previous = r @ r, rr
+        p = r + (rr / previous) * p
+    return x, spent
+
+
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                     max_iters: int = DEFAULT_MAX_ITERS) -> CentralityVector:
-    """Katz vector ``r = 1 + alpha A r`` by Jacobi iteration from the
-    all-ones vector; the partial sums of the Neumann series increase
-    monotonically toward the solution and certify ``alpha`` on the way."""
+    """Katz vector ``r = 1 + alpha A r``: conjugate gradients on
+    ``(I - alpha A) r = 1``, then a Jacobi tail that certifies the result.
+
+    The all-ones vector is tried first and returned with
+    ``iterations == 0`` when it passes.  Otherwise conjugate gradients
+    (Hestenes & Stiefel, 1952) run from it until their recursive residual
+    is at most ``max(tol, 1e-13 max(1, max r))``, for at most ``n``
+    matvecs.  The Jacobi iteration ``r <- 1 + alpha A r`` then starts from
+    that iterate, raised entrywise to at least 1, and returns the first
+    iterate whose defect ``max|1 + alpha A r - r|`` is at most ``tol``,
+    with that defect as its residual.  Every entry of the result is at
+    least 1.
+
+    Rounding can trap the tail in a cycle of iterates short of ``tol``
+    (seen on bipartite graphs with ``alpha * lambda1`` near 1).  A cycle
+    is found by Brent's method, and the tail goes on from the entrywise
+    maximum of its iterates.  The rounded Jacobi map is monotone, so that
+    maximum is below its own image, and the iterates from it increase
+    until they pass, as those from the all-ones vector do.
+
+    ``alpha`` is certified on the way.  Every iterate and every conjugate
+    direction ``x`` gives the Rayleigh bound
+    ``alpha x.Ax / x.x <= alpha * lambda1``, which rejects an ``alpha``
+    whose bound reaches ``1 - ALPHA_MARGIN``.  Conversely, from a start
+    ``>= 0``, ``alpha * lambda1 >= 1`` keeps the defect at or above 1, so
+    a residual ``<= tol < 1`` proves ``alpha * lambda1 < 1``.
+
+    ``iterations`` counts the matvecs spent before the one that certified
+    the returned vector: the one on the all-ones vector, those of
+    conjugate gradients and the Jacobi steps.  All draw on one budget; a
+    result takes fewer than ``max_iters``.
+    """
     params = CentralityParams(kind="katz", alpha=alpha, tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "Katz centrality")
     ones = np.ones(graph.node_count)
-    vec = ones.copy()
-    residual = np.inf
-    for iteration in range(max_iters):
-        # An alpha near the float limit overflows to inf here, and the
-        # bound below then rejects it.
-        with np.errstate(over="ignore"):
-            step = alpha * adjacency_matvec(graph, vec)
-        # Rayleigh: x.Ax / x.x <= lambda1 for symmetric A.  Conversely if
-        # alpha * lambda1 >= 1, max|image - vec| >= 1 at every step, so a
-        # residual <= tol < 1 proves alpha * lambda1 < 1.
-        bound = (vec @ step) / (vec @ vec)
-        if bound >= 1.0 - ALPHA_MARGIN:
-            raise ParameterError(f"alpha={alpha} too large: alpha * lambda1 "
-                                 f"must stay below 1 but is >= {bound:.12g}")
+    step = _katz_step(graph, alpha, ones)
+    image = ones + step
+    residual = np.abs(image - ones).max()
+    if residual <= tol:
+        return CentralityVector(values=ones, params=params, iterations=0,
+                                residual=float(residual))
+    # step is the conjugate-gradient residual of the all-ones start.  The
+    # tail keeps at least one matvec of the budget.
+    start, spent = _katz_cg(graph, alpha, tol, step,
+                            min(graph.node_count, max_iters - 2))
+    # The solution is at least 1 everywhere, so raising the iterate to 1
+    # only moves it closer, and the admissibility proof needs a start
+    # >= 0.
+    vec = np.maximum(start, 1.0) if spent else image
+    # Brent's cycle search: later iterates are compared with anchor, set
+    # every horizon steps; peak is the maximum of the iterates since.
+    anchor = peak = vec
+    since, horizon = 0, 1
+    for iteration in range(1 + spent, max_iters):
+        step = _katz_step(graph, alpha, vec)
         image = ones + step
         # max|image - vec| is the self-consistency defect of vec itself,
         # so return the iterate the certificate was computed for.
@@ -400,6 +482,14 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
             return CentralityVector(values=vec, params=params,
                                     iterations=iteration,
                                     residual=float(residual))
+        peak = np.maximum(peak, vec)
+        since += 1
+        if np.array_equal(image, anchor):
+            image = anchor = peak
+            since, horizon = 0, 1
+        elif since == horizon:
+            anchor = peak = image
+            since, horizon = 0, 2 * horizon
         vec = image
     raise ConvergenceError(
         f"Katz iteration did not reach {tol} in {max_iters} steps",

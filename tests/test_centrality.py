@@ -146,8 +146,10 @@ def test_katz_known_values(p6):
     k2 = build_undirected(2, [(0, 1)])
     np.testing.assert_allclose(katz_centrality(k2, 0.5).values, [2.0, 2.0],
                                rtol=1e-12)
-    np.testing.assert_allclose(katz_centrality(p6, 0.0).values, 1.0,
-                               rtol=0, atol=0)
+    at_zero = katz_centrality(p6, 0.0)
+    np.testing.assert_allclose(at_zero.values, 1.0, rtol=0, atol=0)
+    # The all-ones start passes, so no conjugate gradient runs.
+    assert at_zero.iterations == 0
 
 
 def test_katz_on_one_node_admits_every_alpha():
@@ -158,6 +160,7 @@ def test_katz_on_one_node_admits_every_alpha():
         vector = katz_centrality(one, alpha)
         assert vector.values.tolist() == [1.0]
         assert vector.residual == 0.0
+        assert vector.iterations == 0
 
 
 def test_katz_rejects_alpha_at_spectral_radius():
@@ -239,15 +242,112 @@ def test_katz_runs_no_eigen_solve(monkeypatch):
 
 
 def test_katz_converges_on_long_path():
-    # The spectral gap of P_1000 is ~1.5e-5; Jacobi does not care.
+    # The spectral gap of P_1000 is ~1.5e-5.  Jacobi from the all-ones
+    # vector takes 170 steps here; conjugate gradients and the tail, 50.
     g = path(1000)
     alpha = 0.85 / (2 * np.cos(np.pi / 1001))
     vector = katz_centrality(g, alpha)
-    assert vector.iterations <= 200
+    assert vector.iterations <= 100
     defect = np.abs(vector.values - 1.0
                     - alpha * adjacency_matvec(g, vector.values)).max()
     assert defect <= 1e-12
     assert vector.residual == pytest.approx(defect, abs=1e-15)
+
+
+def _permuted_path(n, seed):
+    order = list(range(n))
+    SplitMix64(seed).shuffle(order)
+    return build_undirected(n, list(zip(order, order[1:])))
+
+
+KATZ_GRID = {
+    "path300": lambda: path(300),
+    "permuted_path300": lambda: _permuted_path(300, 13),
+    "path1000": lambda: path(1000),
+    "pa300": lambda: generate(RandomGraphSpec(
+        model="preferential_attachment", n=300, m_attach=2, seed=31)),
+    "star50": lambda: star(50),
+    "cycle9": lambda: cycle(9),
+    "er200": lambda: generate(RandomGraphSpec(model="erdos_renyi", n=200,
+                                              p=0.03, seed=4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KATZ_GRID))
+def test_katz_converges_up_to_the_spectral_radius(name):
+    # Jacobi from the all-ones vector converges at every share below (it
+    # takes about 28k steps at 0.999), so Katz must too.  At 0.999
+    # rounding traps the plain tail in a 2-cycle on star50 (residual
+    # 2.5e-11) and on path1000 (1.02e-12); the cycle rescue ends both.
+    # At 1 - 1e-6 on P_1000 Jacobi from the all-ones vector runs out of
+    # its budget.
+    g = KATZ_GRID[name]()
+    n = g.node_count
+    lam = solve_lambda1(g).lambda1
+    shares = [0.5, 0.85, 0.99, 0.999] + ([1 - 1e-6] if n == 1000 else [])
+    for share in shares:
+        alpha = share / lam
+        vector = katz_centrality(g, alpha)
+        assert (vector.values >= 1.0).all()
+        defect = np.abs(vector.values - 1.0
+                        - alpha * adjacency_matvec(g, vector.values)).max()
+        assert vector.residual <= 1e-12
+        assert vector.residual == pytest.approx(defect, abs=1e-15)
+        expected = np.linalg.solve(np.eye(n) - alpha * g.adjacency.toarray(),
+                                   np.ones(n))
+        assert (np.abs(vector.values - expected).max()
+                <= 1e-9 * expected.max()), (name, share)
+
+
+def test_katz_budget_is_shared_by_both_stages(monkeypatch):
+    g = path(300)
+    alpha = 0.85 / (2 * np.cos(np.pi / 301))
+    needed = katz_centrality(g, alpha).iterations
+    calls = []
+
+    def counted(graph, x):
+        calls.append(len(x))
+        return adjacency_matvec(graph, x)
+
+    monkeypatch.setattr(centrality, "adjacency_matvec", counted)
+    # Conjugate gradients alone need more than 20 matvecs here; they stop
+    # at 18, and the tail's one certificate fails.
+    with pytest.raises(ConvergenceError) as info:
+        katz_centrality(g, alpha, max_iters=20)
+    assert info.value.iterations == len(calls) == 20
+    assert info.value.residual > 1e-12
+    # A result takes fewer than max_iters matvecs before its certificate.
+    assert katz_centrality(g, alpha, max_iters=needed + 1).iterations == needed
+    with pytest.raises(ConvergenceError) as info:
+        katz_centrality(g, alpha, max_iters=needed)
+    assert info.value.iterations == needed
+
+
+def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
+    rejected = []
+    run_cg = centrality._katz_cg
+
+    def watched(*args):
+        try:
+            return run_cg(*args)
+        except ParameterError:
+            rejected.append(args[0].node_count)
+            raise
+
+    monkeypatch.setattr(centrality, "_katz_cg", watched)
+    pa = generate(RandomGraphSpec(model="preferential_attachment", n=300,
+                                  m_attach=2, seed=31))
+    # The all-ones Rayleigh bound of each passes; a conjugate direction's
+    # does not.
+    cases = [(star(50), 7.0, 1.01), (pa, solve_lambda1(pa).lambda1, 1.01),
+             (path(300), 2 * np.cos(np.pi / 301), 1.0)]
+    for g, lam, factor in cases:
+        rejected.clear()
+        with pytest.raises(ParameterError) as info:
+            katz_centrality(g, factor / lam)
+        assert rejected == [g.node_count]
+        bound = float(str(info.value).rsplit(">= ", 1)[1])
+        assert 1 - 1e-9 <= bound <= factor * (1 + 1e-9)
 
 
 def _barbell(clique, bridge):
