@@ -148,7 +148,7 @@ DIGESTS = {
     "bias-er-harmonic":
         "7d515a3fdd01a457d99e0b52cd5788a7b14b074dc5cfe58fa4e3a859181a33a0",
     "bias-er-katz":
-        "f703888d53d2b5e8a3a723ce3a2ab7d3bf6fd74cf35481fb8492359c5717fc38",
+        "9be4717139b32df4083b963ae6b04515917ee8d7075fdd75e57b9d1bb99cb692",
     "bias-er-katz-default-alpha":
         "99865327fb319be8977e63ccc23c116182395613dec136bd52f0edc54d465f60",
     "bias-er-pagerank":
@@ -172,9 +172,9 @@ DIGESTS = {
     "centrality-er-harmonic":
         "cf814526719de9a3d1472f03b34e3c3d29b22aa3b6b6f39843efd0a92cd21a34",
     "centrality-er-katz":
-        "9cfbbd74a26b62798f1150444666057d58abbbe917e8792bd392e5e9934ff01c",
+        "e568e010f3b93580c30b064babe7d2c8d9711f0751eb8483ebe0fd2c953ce1c3",
     "centrality-er-katz-alpha":
-        "195a80d133948806038d1b33e4487c118a21bbbd91238e255119c23f75c62061",
+        "125176f6329d941dd7512af0a38c9c5dcf87ed79fc2e8ad8c2a60260e5069dfb",
     "centrality-er-pagerank":
         "045648d219a88ce798da694859d86be492c624eecf54f2aac4de0f4b47178a5e",
     "centrality-er-walk_count":
@@ -188,7 +188,7 @@ DIGESTS = {
     "centrality-multi-harmonic":
         "3935e9e526e00df34fbe50cead003a88271b631c5ab0213b8f7fe7c672c4f82e",
     "centrality-multi-katz":
-        "70bd48998f472e359333418d0bd446be369e528f86528caf1b95af5b4eae9ebe",
+        "15f3fcfa5aaffaf26451cf65e8744de68183eed4b756a552911ce53f5b66030c",
     "centrality-multi-pagerank":
         "7892457076db9f9f6067035e6adb56c3bc9584f21010efdb4726d8a35a18101c",
     "centrality-multi-walk_count":
@@ -202,7 +202,7 @@ DIGESTS = {
     "centrality-pa-harmonic":
         "6ef206de28f9801836549caedbd9593432d9704d7d9476391d12e35d89825b2f",
     "centrality-pa-katz":
-        "e989fdca45b2965b61ca85c3a8b9960ec3058850b3cd34be5e9222e3c5929c89",
+        "d7801303092df94d479a4f20d4ccdbdf1ce6ebfe62158c9d6a21e369c4bf6f1e",
     "centrality-pa-pagerank":
         "6a1fe3f2032c11f01f65af96f59496470ab7e2be2e53d484fcaeb595184fdb89",
     "centrality-pa-walk_count":
@@ -218,7 +218,7 @@ DIGESTS = {
     "centrality-wheel-harmonic-csv":
         "c55b8953489d4ec2a4fed15ef0988eea51042c7f0fd9879fc229cbff0c53250b",
     "centrality-wheel-katz-csv":
-        "aa9b5a432f079f01783ceb28f7fc178ea6728ba97ee63bf69e15dee932849c26",
+        "415d53896dbfe2773641def1b96d99cb3c35c9e9b064a696ee3d079bc05a9abf",
     "centrality-wheel-pagerank-csv":
         "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
     "centrality-wheel-walk_count-csv":
@@ -236,9 +236,9 @@ DIGESTS = {
     "compare-er-harmonic":
         "ab9a7588733480fddfbb82bb24c94e1b76a59b8b6f46466ee0dd381b0886e54b",
     "compare-er-katz":
-        "c97721165b8f43181aa3e0a52c801f3355162d56c7e1d22531bdd6aee7ef4ba3",
+        "78dff5db5f77d4ae9ec15e2982d94aa37fc1c52a50b6e459843bffcc84826047",
     "compare-er-katz-alpha":
-        "36a93173ee95778e542ad1efdaa5a40cb4b68e67c36e170f9bedfb3822a564de",
+        "a3014f4951e59d7286473352b3fb232dbe0264a862af1ece1d884cdb61ab0aa4",
     "compare-er-pagerank":
         "60c5cfe6efa095932a5730277d7231d37336259e44c60a9c9b65f167516cdc90",
     "compare-er-walk_count":
@@ -252,7 +252,7 @@ DIGESTS = {
     "compare-multi-harmonic":
         "63616853f9c9327e91ba6c261529b1991b8898aa26c3cc48399a2956d2e64f23",
     "compare-multi-katz":
-        "1687e6f16b7607ea28b7eca8b88a7bbe278931be9c4937b851e1ed188477eb8c",
+        "64b0c6005bf9e82f4831f55269bdeb5346ddffc18ac81ea7c20387d03ea0ca7e",
     "compare-multi-pagerank":
         "84a26b117c7faf30cadc93ca109b241db0820590d125de52790f2b41a34bb67b",
     "compare-multi-walk_count":
@@ -266,7 +266,7 @@ DIGESTS = {
     "compare-pa-harmonic":
         "7ded330da1b36178ddff81192871bd1098c5e64d25127052af3898a10d3d3f78",
     "compare-pa-katz":
-        "3b180b87a555ca964b674183f6c01136e2a1d74d6ff2a8fac22d444e28b212d5",
+        "7e707562a7159f63565e4aa2dd2659787e723e3f43d451da253414b12afef385",
     "compare-pa-pagerank":
         "6654f3c7af8a44318f55e8ad6bfa2aab5b8b72635d6e91739442c30a95b134bd",
     "compare-pa-walk_count":
@@ -422,9 +422,9 @@ DIGESTS = {
     "paradox-er-harmonic":
         "c0ad995b96f7958f9c5348a8308f24753ff6b808512870b6d29f0427cc813927",
     "paradox-er-katz":
-        "de2efa29a726fee0be8f43931208f6e7e6e8a90afee0f1a1adcaf8ab60bc4e4b",
+        "68729f849f011c969bc2d871cfc28fe7acd9c0930762d2d59068bad85bae574e",
     "paradox-er-katz-alpha":
-        "d179c79e4859d7237bb9199c2af470029d259ab40724367e57bfce17796bd748",
+        "8627f8ca170af06cea54a88cbb6694349c9ec0a7d287c3ac115a915602359140",
     "paradox-er-pagerank":
         "c2fd5ea94ac3dc06cf83a03bf0639beac262249722e9c5c05073187de06360e1",
     "paradox-er-walk_count":
@@ -438,7 +438,7 @@ DIGESTS = {
     "paradox-multi-harmonic":
         "085876e1bb23bb286bf4cd7a7f80ae465cccc7f337f87c075ae08d78e669e7a7",
     "paradox-multi-katz":
-        "f60082e626e8b267968ad03f449aae5253b28fbb186a8a0a4f54a59b5cc01b08",
+        "b8b8a11230c0d8fbf326522f6cdda18c5966af17c5e503e078612933e1269219",
     "paradox-multi-pagerank":
         "35c5cad8c660192133709723faf21c58e780020d60858c11cc86a1cebb462fbb",
     "paradox-multi-walk_count":
@@ -452,7 +452,7 @@ DIGESTS = {
     "paradox-pa-harmonic":
         "5d1cf979bcc0c4f88b529e18db74526427421ded1cb66101d25f03ee89977c0b",
     "paradox-pa-katz":
-        "b640f310df3465a6adb553ff2a04aabf46399ddb7d87d686893cab56c66905c2",
+        "d5fcb4218d369be305477ea9e3bda15ad060f676691c3f2dd3d0ed2ec7dbdafa",
     "paradox-pa-pagerank":
         "4e547171bb9b870d8e64d5b509db0ab17051ddf6a8ddec4d90ad7f9e4f16049d",
     "paradox-pa-walk_count":
@@ -468,7 +468,7 @@ DIGESTS = {
     "paradox-wheel-harmonic-csv":
         "c55b8953489d4ec2a4fed15ef0988eea51042c7f0fd9879fc229cbff0c53250b",
     "paradox-wheel-katz-csv":
-        "aa9b5a432f079f01783ceb28f7fc178ea6728ba97ee63bf69e15dee932849c26",
+        "415d53896dbfe2773641def1b96d99cb3c35c9e9b064a696ee3d079bc05a9abf",
     "paradox-wheel-pagerank-csv":
         "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
     "paradox-wheel-walk_count-csv":
