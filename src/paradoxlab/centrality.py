@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, InputError, ParameterError,
                      PreconditionError, RangeError, UsageError)
-from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec,
+from .graph import (MAX_EXACT_COUNT, Graph, _is_int, adjacency_matvec,
                     apply_transition_transpose)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
@@ -66,8 +66,10 @@ class CentralityParams:
         if (self.ell is not None) != (self.kind == "walk_count"):
             raise ParameterError("ell is required for walk_count and "
                                  "invalid for every other kind")
-        if self.ell is not None and self.ell < 0:
-            raise ParameterError(f"ell must be nonnegative, got {self.ell}")
+        if self.ell is not None and not (_is_int(self.ell)
+                                         and self.ell >= 0):
+            raise ParameterError(
+                f"ell must be a nonnegative integer, got {self.ell!r}")
         if (self.alpha is not None) != (self.kind == "katz"):
             raise ParameterError("alpha is required for katz and invalid "
                                  "for every other kind")
@@ -86,9 +88,9 @@ class CentralityParams:
         if self.kind == "katz" and not self.tol < 1:
             # Below 1 a converged Katz residual also certifies alpha.
             raise ParameterError(f"katz needs tol < 1, got {self.tol}")
-        if self.max_iters < 1:
-            raise ParameterError(
-                f"max_iters must be at least 1, got {self.max_iters}")
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
+            raise ParameterError(f"max_iters must be an integer of at "
+                                 f"least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .centrality import CentralityParams
-from .errors import InputError, UsageError
+from .errors import InputError, ParameterError, UsageError
 from .graph import Graph, build_directed, build_undirected
 
 
@@ -349,7 +349,10 @@ def parse_report(text: str) -> ReportDocument:
         raise InputError("report JSON must be an object with graph_meta")
     measure = None
     if "measure" in payload:
-        measure = CentralityParams(**payload["measure"])
+        try:
+            measure = CentralityParams(**payload["measure"])
+        except (TypeError, ParameterError) as exc:
+            raise InputError(f"report measure is malformed: {exc}") from None
     node_table = payload.get("node_table")
     return ReportDocument(
         graph_meta=payload["graph_meta"],

@@ -61,19 +61,27 @@ class Graph:
             shape=(self.node_count, self.node_count))
 
     @cached_property
+    def _component_labels(self) -> np.ndarray:
+        """Strong-component label per node as read-only int64.  Labels
+        count up from 0 in the order scipy's search, started at the
+        lowest unlabelled node, completes the components: for an
+        undirected graph, the order of each component's smallest id."""
+        # Imported here so that ``import paradoxlab`` leaves csgraph out.
+        from scipy.sparse.csgraph import connected_components
+
+        # Both arcs of every undirected edge are stored, so its strong
+        # components are its connected components.
+        _, labels = connected_components(self.adjacency, directed=True,
+                                         connection="strong")
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        return labels
+
+    @cached_property
     def connected(self) -> bool:
         """Whether every node reaches every other (strongly, if directed):
-        node 0 reaches all nodes and, when directed, all reach node 0."""
-        # Imported here so that ``import paradoxlab`` leaves csgraph out.
-        from scipy.sparse.csgraph import breadth_first_order
-
-        def reaches_all(adjacency) -> bool:
-            order = breadth_first_order(adjacency, 0, directed=True,
-                                        return_predecessors=False)
-            return len(order) == self.node_count
-
-        return reaches_all(self.adjacency) and (
-            not self.directed or reaches_all(self.adjacency.T))
+        every node has component label 0."""
+        return not self._component_labels.any()
 
     def stored_entries(self, lower: bool = False) -> np.ndarray:
         """Stored ``(row, column)`` entries in CSR order with multiplicity
@@ -88,13 +96,17 @@ class Graph:
                          self.multiplicities[stored], axis=0)
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer other than a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _exact_int_ids(edges, dtype: np.dtype) -> np.ndarray:
     """Ids as an object array of Python ints.  Integers beyond int64 make
     numpy infer float64 or object values; kept exact, they reach the
     range check.  Every other non-integer id is rejected."""
     ids = edges.tolist() if isinstance(edges, np.ndarray) else edges
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for pair in ids for v in pair):
+    if not all(_is_int(v) for pair in ids for v in pair):
         raise InputError(f"node ids must be integers, got {dtype} values")
     return np.array(ids, dtype=object)
 
@@ -177,16 +189,12 @@ def is_strongly_connected(graph: Graph) -> bool:
 
 
 def connected_component_labels(graph: Graph) -> np.ndarray:
-    """Component label per node; labels count up from 0 in order of the
-    smallest node id in each component."""
+    """Component label per node, read-only like every ``Graph`` array;
+    labels count up from 0 in order of the smallest node id in each
+    component."""
     if graph.directed:
         raise UsageError("component labels are defined for undirected graphs")
-    # Imported here so that ``import paradoxlab`` leaves csgraph out.
-    from scipy.sparse.csgraph import connected_components
-
-    # scipy labels components as its scan from node 0 first meets them.
-    _, labels = connected_components(graph.adjacency, directed=False)
-    return labels.astype(np.int64)
+    return graph._component_labels
 
 
 def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
@@ -209,8 +217,9 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
                     graph.column_targets[entries]],
                 multiplicities=graph.multiplicities[entries],
                 degree_seq=degrees)
-    # A component is connected by construction: seed the cached search.
-    vars(lcc)["connected"] = True
+    # A component is connected by construction: seed the cached labels
+    # with a read-only view of one zero.
+    vars(lcc)["_component_labels"] = np.broadcast_to(np.int64(0), len(keep))
     return lcc, keep
 
 

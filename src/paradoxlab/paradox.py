@@ -23,9 +23,9 @@ from .centrality import (BFS_BLOCK_ARCS, LANCZOS_MIN_NODES, CentralityParams,
 from .errors import (GenerationError, InputError, NumericalError,
                      ParameterError, RangeError)
 from .generators import RandomGraphSpec, generate
-from .graph import (MAX_EXACT_COUNT, Graph, adjacency_matvec, apply_transition,
-                    build_directed, disjoint_union, is_connected,
-                    is_strongly_connected)
+from .graph import (MAX_EXACT_COUNT, Graph, _require_positive_degrees,
+                    adjacency_matvec, apply_transition, build_directed,
+                    disjoint_union, is_connected, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -164,9 +164,8 @@ def exact_degree_stats(graph: Graph) -> tuple[Fraction, Fraction, Fraction]:
     arithmetic; only defined when every degree is positive."""
     if graph.directed:
         raise InputError("exact degree statistics expect an undirected graph")
+    _require_positive_degrees(graph)
     degrees = graph.degree_seq
-    if (degrees == 0).any():
-        raise InputError("exact degree statistics need positive degrees")
     # Exact in int64: each sum below is at most (sum d)^2, under 2^63 for
     # fewer than about 1.5e9 edges.  No row is empty, so reduceat gives the
     # row sums, then their sum over the nodes of each distinct degree.
@@ -223,9 +222,7 @@ def harmonic_mean_check(graph: Graph, spectral: SpectralResult) -> tuple[float, 
     dominant eigenvector r: the harmonic bound says lhs >= rhs, with
     equality exactly on regular graphs."""
     vector = _measure_values(graph, spectral.vector)
-    degrees = graph.degree_seq.astype(np.float64)
-    if (degrees == 0).any():
-        raise InputError("harmonic-mean check needs positive degrees")
+    degrees = _require_positive_degrees(graph)
     return float((vector / degrees).sum()), 1.0 / spectral.lambda1
 
 
@@ -240,9 +237,7 @@ def eaves_check(graph: Graph, ell: int) -> tuple[float, float]:
     if graph.node_count > MAX_EAVES_NODES:
         raise RangeError(
             f"walk-matrix check limited to {MAX_EAVES_NODES} nodes")
-    degrees = graph.degree_seq.astype(np.float64)
-    if (degrees == 0).any():
-        raise InputError("walk-matrix check needs positive degrees")
+    degrees = _require_positive_degrees(graph)
     weighted = degrees.copy()
     ones = np.ones(graph.node_count)
     for _ in range(ell):

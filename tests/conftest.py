@@ -35,19 +35,19 @@ def hub_digraph():
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """Start node of every ``csgraph.breadth_first_order`` search, in call
-    order.  The graph module imports the function when it searches, so the
-    patched module attribute is the one it calls."""
+    """The ``connection`` of every ``csgraph.connected_components`` search,
+    in call order.  The graph module imports the function when it
+    searches, so the patched module attribute is the one it calls."""
     from scipy.sparse import csgraph
 
     calls = []
-    search = csgraph.breadth_first_order
+    search = csgraph.connected_components
 
-    def counted(adjacency, i_start, *args, **kwargs):
-        calls.append(i_start)
-        return search(adjacency, i_start, *args, **kwargs)
+    def counted(adjacency, *args, **kwargs):
+        calls.append(kwargs.get("connection", "weak"))
+        return search(adjacency, *args, **kwargs)
 
-    monkeypatch.setattr(csgraph, "breadth_first_order", counted)
+    monkeypatch.setattr(csgraph, "connected_components", counted)
     return calls
 
 

@@ -50,6 +50,18 @@ def test_params_validation():
         CentralityParams(kind="degree", max_iters=0)
     with pytest.raises(ParameterError):
         CentralityParams(kind="walk_count", ell=-1)
+    # Integer knobs take Python and numpy integers, never floats or bools.
+    for knobs in ({"ell": 2.5}, {"ell": 2.0}, {"ell": True}, {"ell": "3"},
+                  {"ell": 2, "max_iters": 2.5}, {"ell": 2, "max_iters": True},
+                  {"ell": 2, "max_iters": 10.0}):
+        with pytest.raises(ParameterError):
+            CentralityParams(kind="walk_count", **knobs)
+    assert CentralityParams(kind="walk_count", ell=np.int64(2),
+                            max_iters=np.int32(10)).ell == 2
+    with pytest.raises(ParameterError):
+        walk_count(path(3), 2.0)
+    with pytest.raises(ParameterError, match="max_iters"):
+        eigenvector_centrality(path(3), max_iters=2.5)
 
 
 def test_degree_centrality(p6):
@@ -454,13 +466,13 @@ def test_measures_share_one_connectivity_search(search_calls):
                    CentralityParams(kind="katz", alpha=0.05),
                    CentralityParams(kind="pagerank", beta=0.85)):
         compute(g, params)
-    assert len(calls) == 1
+    assert calls == ["strong"]
     calls.clear()
     ring = build_directed(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     for beta in (0.15, 0.5, 0.85):
         pagerank_centrality(ring, beta)
-    # One forward and one backward search.
-    assert len(calls) == 2
+    # One search for a directed graph too: none runs on the transpose.
+    assert calls == ["strong"]
 
 
 def test_closeness_and_harmonic():

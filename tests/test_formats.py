@@ -257,6 +257,11 @@ def test_parse_report_rejects_junk():
         parse_report("not json")
     with pytest.raises(InputError):
         parse_report("[1, 2]")
+    for measure in (["degree"], {"kind": "degree", "colour": 1},
+                    {"kind": "walk_count", "ell": "3"}):
+        text = json.dumps({"graph_meta": {"n": 2}, "measure": measure})
+        with pytest.raises(InputError, match="report measure"):
+            parse_report(text)
 
 
 def test_emit_json_uses_repr_floats():

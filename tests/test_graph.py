@@ -212,14 +212,15 @@ def test_connectivity_is_searched_once_per_graph(search_calls):
     calls = search_calls
     g = path(5)
     assert is_connected(g) and is_connected(g) and g.connected
-    assert calls == [0]
+    labels = connected_component_labels(g)
+    assert labels.tolist() == [0] * 5 and not labels.flags.writeable
+    assert calls == ["strong"]
     ring = build_directed(3, [(0, 1), (1, 2), (2, 0)])
     assert is_strongly_connected(ring) and is_strongly_connected(ring)
-    # One forward and one backward search, both from node 0.
-    assert calls == [0, 0, 0]
-    # A failed forward search needs no backward one.
+    # One search answers a directed graph too: none runs on the transpose.
+    assert calls == ["strong"] * 2
     assert not build_directed(3, [(1, 0), (2, 0)]).connected
-    assert calls == [0, 0, 0, 0]
+    assert calls == ["strong"] * 3
 
 
 def test_disjoint_union_places_graphs_side_by_side(p6):
@@ -260,10 +261,12 @@ def test_extract_lcc_needs_no_second_search(search_calls):
     calls = search_calls
     graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
     sub, _ = extract_lcc(graph)
-    assert calls == []                  # components come from csgraph
+    assert calls == ["strong"]          # the labels of the whole graph
     assert sub.connected and is_connected(sub)
-    assert calls == []
-    # Erdos-Renyi members are cut to their LCC, so they inherit the flag.
+    labels = connected_component_labels(sub)
+    assert labels.tolist() == [0, 0, 0] and not labels.flags.writeable
+    assert calls == ["strong"]
+    # Erdos-Renyi members are cut to their LCC, so they inherit the labels.
     calls.clear()
     member = generate(RandomGraphSpec(model="erdos_renyi", n=100, p=0.05,
                                       seed=3))

@@ -237,6 +237,16 @@ def test_eaves_inequality_random():
             assert lhs >= rhs * (1 - 1e-9)
 
 
+def test_degree_checks_reject_zero_degree_as_a_precondition():
+    isolated = build_undirected(3, [(0, 1)])
+    spectral, _ = eigenvector_centrality(path(3))
+    for check in (lambda: exact_degree_stats(isolated),
+                  lambda: harmonic_mean_check(isolated, spectral),
+                  lambda: eaves_check(isolated, 1)):
+        with pytest.raises(PreconditionError, match="node 2 has zero degree"):
+            check()
+
+
 def test_fiedler_two_by_two_closed_form():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     instances = fiedler_check(swap, trials=50, seed=3)
