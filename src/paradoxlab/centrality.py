@@ -12,13 +12,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceError, InputError, ParameterError,
-                     PreconditionError, RangeError, UsageError)
-from .graph import (MAX_EXACT_COUNT, Graph, _is_int, adjacency_matvec,
-                    apply_transition_transpose)
+from .errors import (ConvergenceError, ParameterError, PreconditionError,
+                     RangeError, UsageError)
+from .graph import (MAX_EXACT_COUNT, Graph, _is_real, _require_int,
+                    adjacency_matvec, apply_transition_transpose)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
+
+# The knob each tunable measure requires; no other measure accepts it.
+KNOBS = {"walk_count": "ell", "katz": "alpha", "pagerank": "beta"}
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITERS = 100_000
@@ -37,7 +40,7 @@ LANCZOS_MIN_NODES = 256
 # k x n distance block too, since a connected graph on n >= 2 nodes
 # stores at least n arcs.  Picked by measurement on paths and
 # heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the arcs
-# of one eigenvector_blocks solve by it too.
+# of one batched eigenvector power solve by it too.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -47,8 +50,9 @@ EPS = np.finfo(np.float64).eps
 class CentralityParams:
     """Which measure to compute and with what knobs.
 
-    ``ell`` applies to walk counts, ``alpha`` to Katz, ``beta`` to PageRank;
-    supplying a knob the measure does not use is rejected.
+    ``KNOBS`` names the knob of each tunable measure: ``ell`` for walk
+    counts, ``alpha`` for Katz, ``beta`` for PageRank; supplying a knob the
+    measure does not use is rejected.
     """
 
     kind: str
@@ -63,34 +67,27 @@ class CentralityParams:
             raise ParameterError(
                 f"unknown centrality kind {self.kind!r}; "
                 f"expected one of {', '.join(VALID_KINDS)}")
-        if (self.ell is not None) != (self.kind == "walk_count"):
-            raise ParameterError("ell is required for walk_count and "
-                                 "invalid for every other kind")
-        if self.ell is not None and not (_is_int(self.ell)
-                                         and self.ell >= 0):
-            raise ParameterError(
-                f"ell must be a nonnegative integer, got {self.ell!r}")
-        if (self.alpha is not None) != (self.kind == "katz"):
-            raise ParameterError("alpha is required for katz and invalid "
-                                 "for every other kind")
-        if self.alpha is not None and not 0 <= self.alpha < np.inf:
-            raise ParameterError(
-                f"alpha must be nonnegative and finite, got {self.alpha}")
-        if (self.beta is not None) != (self.kind == "pagerank"):
-            raise ParameterError("beta is required for pagerank and invalid "
-                                 "for every other kind")
-        if self.beta is not None and not 0.0 < self.beta < 1.0:
-            raise ParameterError(
-                f"beta must lie strictly between 0 and 1, got {self.beta}")
-        if not 0 < self.tol < np.inf:
-            raise ParameterError(
-                f"tol must be positive and finite, got {self.tol}")
+        for kind, knob in KNOBS.items():
+            if (getattr(self, knob) is not None) != (self.kind == kind):
+                raise ParameterError(f"{knob} is required for {kind} and "
+                                     f"invalid for every other kind")
+        if self.ell is not None:
+            _require_int("ell", self.ell, 0)
+        if self.alpha is not None and not (_is_real(self.alpha)
+                                           and 0 <= self.alpha < np.inf):
+            raise ParameterError(f"alpha must be a nonnegative finite "
+                                 f"number, got {self.alpha!r}")
+        if self.beta is not None and not (_is_real(self.beta)
+                                          and 0.0 < self.beta < 1.0):
+            raise ParameterError(f"beta must be a number strictly between "
+                                 f"0 and 1, got {self.beta!r}")
+        if not (_is_real(self.tol) and 0 < self.tol < np.inf):
+            raise ParameterError(f"tol must be a positive finite number, "
+                                 f"got {self.tol!r}")
         if self.kind == "katz" and not self.tol < 1:
             # Below 1 a converged Katz residual also certifies alpha.
             raise ParameterError(f"katz needs tol < 1, got {self.tol}")
-        if not (_is_int(self.max_iters) and self.max_iters >= 1):
-            raise ParameterError(f"max_iters must be an integer of at "
-                                 f"least 1, got {self.max_iters!r}")
+        _require_int("max_iters", self.max_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -347,30 +344,6 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
                       iterations[0], "power")
 
 
-def eigenvector_blocks(union: Graph, sizes: Sequence[int],
-                       tol: float = DEFAULT_TOL,
-                       max_iters: int = DEFAULT_MAX_ITERS) -> np.ndarray:
-    """Eigenvector centralities of the connected graphs joined by
-    :func:`disjoint_union` into ``union``, block ``b`` holding the next
-    ``sizes[b]`` nodes, by one power loop.
-
-    Each block's values equal, byte for byte, those of
-    :func:`eigenvector_centrality` on its graph alone when that graph has
-    fewer than ``LANCZOS_MIN_NODES`` nodes (larger ones try Lanczos there).
-    The first block to run out of ``max_iters`` raises the
-    ``ConvergenceError`` its graph alone would.
-    """
-    params = CentralityParams(kind="eigenvector", tol=tol,
-                              max_iters=max_iters)
-    if union.directed:
-        raise UsageError("eigenvector centrality is defined for undirected "
-                         "graphs")
-    if sum(sizes) != union.node_count or min(sizes, default=0) < 1:
-        raise InputError(f"block sizes must be positive and add up to "
-                         f"{union.node_count} nodes")
-    return _power_blocks(union, sizes, params)[0]
-
-
 # Conjugate gradients hand Katz to the Jacobi tail once their recursive
 # residual is at most this share of max(1, max x), or tol if larger.
 _CG_HANDOFF = 1e-13
@@ -505,9 +478,11 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     transition matrix.
 
     Undirected graphs are treated as bidirected.  The graph must be
-    (strongly) connected, so every out-degree is positive and no dangling
-    correction is needed.  Stops when the L1 fixed-point residual of the
-    returned vector is at most ``tol``; the result sums to 1.
+    (strongly) connected and every node must have an out-neighbour, so no
+    dangling correction is needed; connectivity gives the second
+    condition on two or more nodes, and a lone node fails it.  Stops when
+    the L1 fixed-point residual of the returned vector is at most ``tol``;
+    the result sums to 1.
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)

@@ -6,8 +6,8 @@ decomposition, ``bias`` pooled ensemble bias distributions, ``identities``
 the identity/inequality bundle.  Data goes to stdout or ``--output``;
 diagnostics go to stderr.  Identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 usage or parameter problems, 2 inadmissible input,
-3 failed convergence.
+Exit codes: 0 success, otherwise the ``exit_code`` of the error raised
+(see :mod:`paradoxlab.errors`); an argparse usage error exits 1.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .centrality import (DEFAULT_MAX_ITERS, DEFAULT_TOL, VALID_KINDS,
+from .centrality import (DEFAULT_MAX_ITERS, DEFAULT_TOL, KNOBS, VALID_KINDS,
                          CentralityParams, CentralityVector, compute,
                          pagerank_centrality, solve_lambda1)
-from .errors import (ConvergenceError, GenerationError, InputError,
-                     NumericalError, ParameterError, PreconditionError,
-                     RangeError, UsageError)
+from .errors import (ConvergenceError, InputError, ParadoxLabError,
+                     PreconditionError, UsageError)
 from .formats import (ReportDocument, emit_edge_list, emit_json,
                       emit_matrix_market, emit_report, parse_edge_list,
                       parse_matrix_market)
@@ -50,6 +49,7 @@ def _add_model_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lcc", action=argparse.BooleanOptionalAction,
                         default=None,
                         help="keep only the largest connected component")
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_measure_options(parser: argparse.ArgumentParser) -> None:
@@ -125,25 +125,20 @@ def _measure_params(args: argparse.Namespace,
                     graph: Graph | None) -> CentralityParams:
     kind = args.measure
     kwargs: dict = {"tol": args.tol, "max_iters": args.max_iters}
-    if kind == "walk_count":
-        kwargs["ell"] = args.ell
-    elif kind == "katz":
-        alpha = args.alpha
-        if alpha is None:
-            if graph is None:
-                raise UsageError("--alpha is required for katz over an "
-                                 "ensemble; the default 0.85/lambda1 only "
-                                 "applies to a single graph")
-            lambda1 = solve_lambda1(graph, tol=args.tol,
-                                    max_iters=args.max_iters).lambda1
-            if lambda1 == 0:
-                raise PreconditionError(
-                    "the default katz alpha 0.85/lambda1 is undefined on a "
-                    "graph without edges (lambda1 = 0); pass --alpha")
-            alpha = 0.85 / lambda1
-        kwargs["alpha"] = alpha
-    elif kind == "pagerank":
-        kwargs["beta"] = args.beta
+    if kind in KNOBS:
+        kwargs[KNOBS[kind]] = getattr(args, KNOBS[kind])
+    if kind == "katz" and args.alpha is None:
+        if graph is None:
+            raise UsageError("--alpha is required for katz over an "
+                             "ensemble; the default 0.85/lambda1 only "
+                             "applies to a single graph")
+        lambda1 = solve_lambda1(graph, tol=args.tol,
+                                max_iters=args.max_iters).lambda1
+        if lambda1 == 0:
+            raise PreconditionError(
+                "the default katz alpha 0.85/lambda1 is undefined on a "
+                "graph without edges (lambda1 = 0); pass --alpha")
+        kwargs["alpha"] = 0.85 / lambda1
     return CentralityParams(kind=kind, **kwargs)
 
 
@@ -208,8 +203,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     graph, vector, fields = _measured(args)
     deco = compare_averages(graph, vector)
     doc = ReportDocument(
-        decomposition={"a": [float(x) for x in deco.a],
-                       "b": [float(x) for x in deco.b],
+        decomposition={"a": deco.a.tolist(), "b": deco.b.tolist(),
                        "lhs": deco.lhs, "rhs": deco.rhs},
         **fields)
     return emit_report(doc, args.format)
@@ -295,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a graph file")
     _add_model_options(gen)
-    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--file-format",
                      choices=("edge_list", "matrix_market"),
                      default="edge_list")
@@ -311,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--directed", action="store_true",
                          help="read a headerless edge list as directed")
         _add_model_options(cmd)
-        cmd.add_argument("--seed", type=int, default=0)
         _add_measure_options(cmd)
         _add_output_options(cmd)
         cmd.set_defaults(handler=handler)
@@ -320,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_options(bias)
     bias.add_argument("--graphs", type=int, default=100,
                       help="ensemble size (default 100)")
-    bias.add_argument("--seed", type=int, default=0)
     _add_measure_options(bias)
     _add_output_options(bias)
     bias.set_defaults(handler=_cmd_bias)
@@ -330,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     idents.add_argument("graph", nargs="?")
     idents.add_argument("--directed", action="store_true")
     _add_model_options(idents)
-    idents.add_argument("--seed", type=int, default=0)
     idents.add_argument("--ell", type=int, default=2)
     idents.add_argument("--beta", type=float, default=0.85)
     idents.add_argument("--trials", type=int, default=20)
@@ -348,20 +338,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text = args.handler(args)
-    except (UsageError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, PreconditionError, RangeError, GenerationError,
-            NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
+    except ParadoxLabError as exc:
         detail = ""
-        if exc.residual is not None:
+        if isinstance(exc, ConvergenceError) and exc.residual is not None:
             detail = (f" (residual {exc.residual:.3e} after "
                       f"{exc.iterations} iterations)")
         print(f"error: {exc}{detail}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     output = getattr(args, "output", None)
     if output:
         Path(output).write_text(text)

@@ -1,22 +1,29 @@
 """Exception taxonomy shared by the whole package.
 
-The command line maps these onto exit codes: usage and parameter problems
-exit 1, inadmissible input or failed structural preconditions exit 2, and
-iteration-budget exhaustion exits 3.
+Each class carries the command line's exit code for it as ``exit_code``:
+usage and parameter problems exit 1, iteration-budget exhaustion exits 3,
+and every other error (inadmissible input, failed preconditions, range
+guards, generation and numerical failures) exits 2.
 """
 
 
 class ParadoxLabError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2
+
 
 class UsageError(ParadoxLabError):
     """An operation was invoked on the wrong kind of object or with an
     invalid combination of options."""
 
+    exit_code = 1
+
 
 class ParameterError(ParadoxLabError):
     """A numeric or model parameter lies outside its admissible range."""
+
+    exit_code = 1
 
 
 class InputError(ParadoxLabError):
@@ -45,6 +52,8 @@ class NumericalError(ParadoxLabError):
 class ConvergenceError(ParadoxLabError):
     """An iterative solver exhausted ``max_iters`` before reaching its
     tolerance.  Carries the last residual and the iteration count."""
+
+    exit_code = 3
 
     def __init__(self, message: str, residual: float | None = None,
                  iterations: int | None = None):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .graph import Graph, build_undirected, extract_lcc
+from .graph import (Graph, _is_int, _is_real, _require_int, build_undirected,
+                    extract_lcc)
 from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
@@ -57,8 +58,8 @@ class RandomGraphSpec:
             raise ParameterError(
                 f"unknown model {self.model!r}; expected one of "
                 f"{', '.join(MODELS)}")
-        if self.n < 1:
-            raise ParameterError(f"n must be positive, got {self.n}")
+        _require_int("n", self.n, 1)
+        _require_int("seed", self.seed)
         needs = {"erdos_renyi": ("p",), "k_regular": ("k",),
                  "configuration": ("degree_sequence",),
                  "preferential_attachment": ("m_attach",)}
@@ -78,12 +79,14 @@ class RandomGraphSpec:
             raise ParameterError("star needs at least 2 nodes")
         if self.model == "complete" and self.n < 2:
             raise ParameterError("complete graph needs at least 2 nodes")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ParameterError(f"p must lie in [0, 1], got {self.p}")
+        if self.p is not None and not (_is_real(self.p)
+                                       and 0.0 <= self.p <= 1.0):
+            raise ParameterError(
+                f"p must be a number in [0, 1], got {self.p!r}")
         if self.k is not None:
-            if not 0 <= self.k < self.n:
-                raise ParameterError(
-                    f"k must lie in [0, n), got k={self.k} with n={self.n}")
+            if not (_is_int(self.k) and 0 <= self.k < self.n):
+                raise ParameterError(f"k must be an integer in [0, n), got "
+                                     f"k={self.k!r} with n={self.n}")
             if (self.n * self.k) % 2 != 0:
                 raise ParameterError(
                     f"n*k must be even for a k-regular graph, "
@@ -94,6 +97,9 @@ class RandomGraphSpec:
                 raise ParameterError(
                     f"degree sequence of length {len(seq)} does not "
                     f"match n={self.n}")
+            if not all(_is_int(d) for d in seq):
+                raise ParameterError(
+                    f"degrees must be integers, got {seq!r}")
             if any(d < 0 for d in seq):
                 raise ParameterError("degrees must be nonnegative")
             if any(d >= self.n for d in seq):
@@ -102,9 +108,7 @@ class RandomGraphSpec:
             if sum(seq) % 2 != 0:
                 raise ParameterError("degree sequence must have even sum")
         if self.m_attach is not None:
-            if self.m_attach < 1:
-                raise ParameterError(
-                    f"m_attach must be at least 1, got {self.m_attach}")
+            _require_int("m_attach", self.m_attach, 1)
             if self.n < self.m_attach + 1:
                 raise ParameterError(
                     f"preferential attachment needs n >= m_attach + 1, "
@@ -117,21 +121,25 @@ def effective_lcc_extract(spec: RandomGraphSpec) -> bool:
     return spec.model in LCC_DEFAULT_MODELS
 
 
-def path_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n - 1)]
+# The deterministic families return their edges as (m, 2) int64 arrays.
+def path_edges(n: int) -> np.ndarray:
+    nodes = np.arange(n - 1, dtype=np.int64)
+    return np.column_stack([nodes, nodes + 1])
 
 
-def cycle_edges(n: int) -> list[tuple[int, int]]:
-    return path_edges(n) + [(n - 1, 0)]
+def cycle_edges(n: int) -> np.ndarray:
+    return np.concatenate([path_edges(n), [[n - 1, 0]]])
 
 
-def star_edges(n: int) -> list[tuple[int, int]]:
+def star_edges(n: int) -> np.ndarray:
     """Node 0 is the hub."""
-    return [(0, i) for i in range(1, n)]
+    leaves = np.arange(1, n, dtype=np.int64)
+    return np.column_stack([np.zeros_like(leaves), leaves])
 
 
-def complete_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def complete_edges(n: int) -> np.ndarray:
+    """Pairs ``i < j`` in lexicographic order."""
+    return np.column_stack(np.triu_indices(n, 1)).astype(np.int64, copy=False)
 
 
 def _erdos_renyi_edges(n: int, p: float, rng: SplitMix64) -> np.ndarray:
@@ -193,15 +201,14 @@ def _configuration_edges(degrees: tuple[int, ...],
     return edges
 
 
-def _preferential_edges(n: int, m: int,
-                        rng: SplitMix64) -> list[tuple[int, int]]:
+def _preferential_edges(n: int, m: int, rng: SplitMix64) -> list[list[int]]:
     """Growth with degree-proportional attachment.
 
     Starts from the complete graph on m+1 nodes; every later node joins m
     distinct existing nodes drawn from a degree-repeated list (redrawing on
     duplicates within one round).  Total edges: n*m - m*(m+1)/2.
     """
-    edges = complete_edges(m + 1)
+    edges = complete_edges(m + 1).tolist()
     repeated = [node for node in range(m + 1) for _ in range(m)]
     for new in range(m + 1, n):
         chosen: list[int] = []
@@ -210,7 +217,7 @@ def _preferential_edges(n: int, m: int,
             if target not in chosen:
                 chosen.append(target)
         for target in chosen:
-            edges.append((target, new))
+            edges.append([target, new])
         repeated.extend(chosen)
         repeated.extend([new] * m)
     return edges

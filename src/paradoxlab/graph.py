@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import InputError, PreconditionError, UsageError
+from .errors import InputError, ParameterError, PreconditionError, UsageError
 
 # Largest integer count that float64 arithmetic keeps exact.
 MAX_EXACT_COUNT = 2 ** 53
@@ -99,6 +99,22 @@ class Graph:
 def _is_int(value) -> bool:
     """Whether ``value`` is a Python or numpy integer other than a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is an integer as :func:`_is_int` takes it, or a
+    Python or numpy float."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Reject ``value`` with a ``ParameterError`` unless it is an integer
+    as :func:`_is_int` takes it and, when ``least`` is given, at least
+    ``least``."""
+    if not (_is_int(value) and (least is None or value >= least)):
+        bound = "" if least is None else f" of at least {least}"
+        raise ParameterError(f"{name} must be an integer{bound}, "
+                             f"got {value!r}")
 
 
 def _exact_int_ids(edges, dtype: np.dtype) -> np.ndarray:
@@ -268,10 +284,10 @@ def adjacency_matvec(graph: Graph, x) -> np.ndarray:
 def _require_positive_degrees(graph: Graph) -> np.ndarray:
     if (graph.degree_seq == 0).any():
         node = int(np.flatnonzero(graph.degree_seq == 0)[0])
-        kind = "strongly connected" if graph.directed else "connected"
+        kind = "an out-neighbour" if graph.directed else "a neighbour"
         raise PreconditionError(
-            f"node {node} has zero degree: graph must be {kind} "
-            f"for degree-normalised operations")
+            f"node {node} has zero degree: degree-normalised operations "
+            f"need every node to have {kind}")
     return graph.degree_seq.astype(np.float64)
 
 

@@ -18,14 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from .centrality import (BFS_BLOCK_ARCS, LANCZOS_MIN_NODES, CentralityParams,
-                         CentralityVector, SpectralResult, compute,
-                         eigenvector_blocks)
-from .errors import (GenerationError, InputError, NumericalError,
-                     ParameterError, RangeError)
+                         CentralityVector, SpectralResult, _power_blocks,
+                         compute)
+from .errors import GenerationError, InputError, NumericalError, RangeError
 from .generators import RandomGraphSpec, generate
-from .graph import (MAX_EXACT_COUNT, Graph, _require_positive_degrees,
-                    adjacency_matvec, apply_transition, build_directed,
-                    disjoint_union, is_connected, is_strongly_connected)
+from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _require_int,
+                    _require_positive_degrees, adjacency_matvec,
+                    apply_transition, build_directed, disjoint_union,
+                    is_connected, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -125,13 +125,8 @@ class BiasDistribution:
 
 
 def _measure_values(graph: Graph, r) -> np.ndarray:
-    values = r.values if isinstance(r, CentralityVector) else np.asarray(
-        r, dtype=np.float64)
-    if values.shape != (graph.node_count,):
-        raise InputError(
-            f"measure of length {values.shape} does not match "
-            f"{graph.node_count} nodes")
-    return np.asarray(values, dtype=np.float64)
+    return _as_vector(graph, r.values if isinstance(r, CentralityVector)
+                      else r)
 
 
 def neighbor_average(graph: Graph, r) -> np.ndarray:
@@ -229,8 +224,7 @@ def harmonic_mean_check(graph: Graph, spectral: SpectralResult) -> tuple[float, 
 def eaves_check(graph: Graph, ell: int) -> tuple[float, float]:
     """Both sides of sum_ij (1/d_i) W_ij d_j >= sum_ij W_ij for W = A^ell,
     computed by repeated matvec."""
-    if ell < 1:
-        raise ParameterError(f"ell must be at least 1, got {ell}")
+    _require_int("ell", ell, 1)
     if graph.directed:
         raise InputError("the walk-matrix inequality expects an "
                          "undirected graph")
@@ -286,8 +280,8 @@ def fiedler_check(p: np.ndarray, trials: int, seed: int) -> list[FiedlerInstance
     if not is_strongly_connected(build_directed(n, np.argwhere(support))):
         raise InputError("matrix support is reducible; the bilinear bound "
                          "requires an irreducible matrix")
-    if trials < 1:
-        raise ParameterError(f"trials must be at least 1, got {trials}")
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed)
     right, left = _perron_pair(matrix)
     right = right / right.sum()
     left = left / (left @ right)
@@ -338,18 +332,16 @@ def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:
 
 def _union_bias(graphs: list[Graph], measure: CentralityParams,
                 ) -> list[np.ndarray]:
-    """Eigenvector bias of each graph, in order, from one
-    :func:`eigenvector_blocks` solve and one neighbour average over their
-    disjoint union; rows of the union sum as each graph's own rows do.
-    Empties ``graphs``, so that only the union holds their arrays while
-    it is solved."""
+    """Eigenvector bias of each graph, in order, from one power loop and
+    one neighbour average over their disjoint union; rows of the union sum
+    as each graph's own rows do.  Empties ``graphs``, so that only the
+    union holds their arrays while it is solved."""
     if not graphs:
         return []
     union = disjoint_union(graphs)
     sizes = [graph.node_count for graph in graphs]
     graphs.clear()
-    return [_bias(union, eigenvector_blocks(union, sizes, measure.tol,
-                                            measure.max_iters))]
+    return [_bias(union, _power_blocks(union, sizes, measure)[0])]
 
 
 def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
@@ -363,14 +355,15 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     pooled.
 
     Eigenvector members below ``LANCZOS_MIN_NODES`` nodes are solved in
-    batches of consecutive members by :func:`eigenvector_blocks`, a batch
-    closing before its stored arcs would pass ``BFS_BLOCK_ARCS``.  Larger
+    batches of consecutive members, one power loop over the disjoint union
+    of each batch, a batch closing before its stored arcs would pass
+    ``BFS_BLOCK_ARCS``.  Larger
     members, which try Lanczos first, a lone node, whose neighbour average
     is undefined, and every other measure take one solve per member.
     Samples and errors are those of one solve per member, in member order.
     """
-    if n_graphs < 1:
-        raise ParameterError(f"n_graphs must be at least 1, got {n_graphs}")
+    _require_int("n_graphs", n_graphs, 1)
+    _require_int("seed", seed)
 
     deltas: list[np.ndarray] = []
     batch: list[Graph] = []

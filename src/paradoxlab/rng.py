@@ -19,6 +19,7 @@ arithmetic, which wraps modulo 2**64 like the masked scalar code.
 
 from __future__ import annotations
 
+import operator
 from typing import MutableSequence
 
 import numpy as np
@@ -39,7 +40,9 @@ class SplitMix64:
     """Stream of 64-bit words from a single integer seed."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        # A numpy integer becomes a Python int, whose arithmetic does not
+        # overflow.
+        self._state = operator.index(seed) & _MASK64
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -57,7 +60,8 @@ class SplitMix64:
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
         z += np.uint64(self._state)
-        self._state = (self._state + count * _GAMMA) & _MASK64
+        self._state = ((self._state + operator.index(count) * _GAMMA)
+                       & _MASK64)
         return _mix(z)
 
     def random_block(self, count: int) -> np.ndarray:
@@ -112,4 +116,4 @@ def derive_seed(seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError("index must be nonnegative")
-    return _mix((seed + (index + 1) * _GAMMA) & _MASK64)
+    return _mix((operator.index(seed) + (index + 1) * _GAMMA) & _MASK64)

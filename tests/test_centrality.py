@@ -808,8 +808,9 @@ def test_power_loop_matches_the_scalar_reference():
         assert got.values.tobytes() == vec.tobytes()
         assert (got.residual, got.iterations) == (residual, iterations)
     union = disjoint_union(graphs)
-    got = centrality.eigenvector_blocks(
-        union, [graph.node_count for graph in graphs])
+    got = centrality._power_blocks(
+        union, [graph.node_count for graph in graphs],
+        CentralityParams(kind="eigenvector"))[0]
     assert got.tobytes() == np.concatenate(
         [_scalar_power(graph)[0] for graph in graphs]).tobytes()
     _, residual, _ = _scalar_power(path(60), max_iters=40)
@@ -824,7 +825,8 @@ def test_eigenvector_blocks_match_one_solve_per_graph():
     graphs = [star(6), path(7), build_undirected(1, []), cycle(8),
               complete(5), _preferential(60, 1), path(2)]
     sizes = [graph.node_count for graph in graphs]
-    got = centrality.eigenvector_blocks(disjoint_union(graphs), sizes)
+    got = centrality._power_blocks(disjoint_union(graphs), sizes,
+                                   CentralityParams(kind="eigenvector"))[0]
     assert got.tobytes() == np.concatenate(
         [eigenvector_centrality(graph)[1].values for graph in graphs]
     ).tobytes()
@@ -834,18 +836,11 @@ def test_eigenvector_blocks_match_one_solve_per_graph():
     with pytest.raises(ConvergenceError) as want:
         eigenvector_centrality(slow, max_iters=50)
     with pytest.raises(ConvergenceError) as info:
-        centrality.eigenvector_blocks(
+        centrality._power_blocks(
             disjoint_union([star(5), slow, path(60)]), [5, 40, 60],
-            max_iters=50)
+            CentralityParams(kind="eigenvector", max_iters=50))
     assert (str(info.value), info.value.residual, info.value.iterations) == \
         (str(want.value), want.value.residual, want.value.iterations)
-    union = disjoint_union([star(5), slow])
-    for bad in ([5, 39], [5, 40, 0], [45, 0]):
-        with pytest.raises(InputError):
-            centrality.eigenvector_blocks(union, bad)
-    with pytest.raises(UsageError):
-        centrality.eigenvector_blocks(build_directed(2, [(0, 1), (1, 0)]),
-                                      [2])
 
 
 def test_perron_bounds(p6):

@@ -3,7 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from paradoxlab import cli
 from paradoxlab.cli import main
+from paradoxlab.errors import (ConvergenceError, GenerationError, InputError,
+                               NumericalError, ParadoxLabError,
+                               ParameterError, PreconditionError, RangeError,
+                               UsageError)
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +191,42 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "paradox", str(star_file), "--measure",
                            "pagerank", "--tol", "1e-30", "--max-iters", "3")
     assert code == 3 and "residual" in err
+
+
+# The exit code documented for each error class.
+EXIT_CODES = {UsageError: 1, ParameterError: 1, InputError: 2,
+              PreconditionError: 2, RangeError: 2, GenerationError: 2,
+              NumericalError: 2, ConvergenceError: 3}
+
+
+def test_every_error_class_maps_to_its_exit_code(capsys, monkeypatch):
+    assert set(ParadoxLabError.__subclasses__()) == set(EXIT_CODES)
+    raised = []
+
+    def handler(args):
+        raise raised[-1]
+
+    monkeypatch.setattr(cli, "_cmd_gen", handler)
+    cases = [(cls("boom"), code) for cls, code in EXIT_CODES.items()]
+    cases.append((ParadoxLabError("boom"), 2))
+    for error, code in cases:
+        raised.append(error)
+        assert run_cli(capsys, "gen") == (code, "", "error: boom\n")
+    raised.append(ConvergenceError("boom", residual=1.23456e-7,
+                                   iterations=40))
+    assert run_cli(capsys, "gen") == (
+        3, "", "error: boom (residual 1.235e-07 after 40 iterations)\n")
+
+
+def test_one_node_file_names_the_zero_degree_condition(capsys, tmp_path):
+    one = tmp_path / "one.mtx"
+    one.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                   "1 1 0\n")
+    code, out, err = run_cli(capsys, "paradox", str(one), "--measure",
+                             "degree")
+    assert (code, out) == (2, "")
+    assert err == ("error: node 0 has zero degree: degree-normalised "
+                   "operations need every node to have a neighbour\n")
 
 
 def test_argparse_usage_maps_to_exit_one(capsys):

@@ -20,6 +20,22 @@ def test_deterministic_families():
     assert full.degree_seq.tolist() == [5] * 6
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 40])
+def test_deterministic_edges_match_the_list_builders(n):
+    # The list comprehensions the numpy builders replaced.
+    path = [(i, i + 1) for i in range(n - 1)]
+    want = {
+        generators.path_edges: path,
+        generators.cycle_edges: path + [(n - 1, 0)],
+        generators.star_edges: [(0, i) for i in range(1, n)],
+        generators.complete_edges: [(i, j) for i in range(n)
+                                    for j in range(i + 1, n)]}
+    for build, edges in want.items():
+        got = build(n)
+        assert got.dtype == np.int64 and got.shape == (len(edges), 2)
+        assert got.tolist() == [list(edge) for edge in edges]
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         RandomGraphSpec(model="petersen", n=10)

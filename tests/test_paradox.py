@@ -1,3 +1,4 @@
+from dataclasses import replace as dataclass_replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,10 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
                         build_undirected, compare_averages, compute,
                         eaves_check, eigenvector_centrality,
                         exact_degree_stats, fiedler_check, generate,
-                        harmonic_mean_check, neighbor_average,
-                        pagerank_centrality, pagerank_paradox_check,
-                        paradox_report, symmetrization_identity)
+                        harmonic_mean_check, katz_centrality,
+                        neighbor_average, pagerank_centrality,
+                        pagerank_paradox_check, paradox_report,
+                        symmetrization_identity)
 from paradoxlab import centrality, paradox
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
@@ -247,6 +249,85 @@ def test_degree_checks_reject_zero_degree_as_a_precondition():
             check()
 
 
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda: pagerank_centrality(build_undirected(1, []), 0.85),
+                 id="pagerank"),
+    pytest.param(lambda: bias_distribution(
+        RandomGraphSpec(model="erdos_renyi", n=5, p=0.0),
+        CentralityParams(kind="degree"), 2, 0), id="lone_lcc")])
+def test_zero_degree_message_holds_on_a_connected_lone_node(check):
+    # One node is connected, so the message must not blame connectivity.
+    with pytest.raises(PreconditionError) as info:
+        check()
+    assert str(info.value) == ("node 0 has zero degree: degree-normalised "
+                               "operations need every node to have a "
+                               "neighbour")
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+_ER = RandomGraphSpec(model="erdos_renyi", n=6, p=0.5)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: CentralityParams(kind="katz", alpha="0.5"),
+                 id="alpha_str"),
+    pytest.param(lambda: CentralityParams(kind="katz", alpha=True),
+                 id="alpha_bool"),
+    pytest.param(lambda: CentralityParams(kind="pagerank", beta="0.5"),
+                 id="beta_str"),
+    pytest.param(lambda: CentralityParams(kind="degree", tol=True),
+                 id="tol_bool"),
+    pytest.param(lambda: CentralityParams(kind="degree", tol="1e-9"),
+                 id="tol_str"),
+    pytest.param(lambda: RandomGraphSpec(model="k_regular", n=10, k=2.0),
+                 id="k_float"),
+    pytest.param(lambda: RandomGraphSpec(model="path", n=2.5), id="n_float"),
+    pytest.param(lambda: RandomGraphSpec(model="erdos_renyi", n=5, p="0.5"),
+                 id="p_str"),
+    pytest.param(lambda: RandomGraphSpec(model="erdos_renyi", n=5, p=True),
+                 id="p_bool"),
+    pytest.param(lambda: RandomGraphSpec(model="configuration", n=3,
+                                         degree_sequence=(1.5, 1.5, 1)),
+                 id="degrees_float"),
+    pytest.param(lambda: RandomGraphSpec(model="preferential_attachment",
+                                         n=5, m_attach=2.0),
+                 id="m_attach_float"),
+    pytest.param(lambda: RandomGraphSpec(model="path", n=4, seed=1.5),
+                 id="seed_float"),
+    pytest.param(lambda: bias_distribution(
+        _ER, CentralityParams(kind="degree"), 2.5, 0), id="n_graphs_float"),
+    pytest.param(lambda: bias_distribution(
+        _ER, CentralityParams(kind="degree"), 2, 0.5), id="bias_seed_float"),
+    pytest.param(lambda: eaves_check(path(4), 2.0), id="eaves_ell_float"),
+    pytest.param(lambda: fiedler_check(_SWAP, trials=2.0, seed=0),
+                 id="trials_float"),
+    pytest.param(lambda: fiedler_check(_SWAP, trials=2, seed=0.5),
+                 id="fiedler_seed_float")])
+def test_numeric_parameters_reject_the_wrong_type(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def test_numeric_parameters_take_numpy_numbers():
+    params = CentralityParams(kind="katz", alpha=np.float64(0.1),
+                              tol=np.float32(1e-6), max_iters=np.int32(50))
+    assert katz_centrality(path(4), params.alpha, params.tol,
+                           params.max_iters).residual <= 1e-6
+    assert CentralityParams(kind="pagerank",
+                            beta=np.float64(0.15)).beta == 0.15
+    spec = RandomGraphSpec(model="erdos_renyi", n=np.int64(6),
+                           p=np.float64(0.5), seed=np.uint64(3))
+    assert generate(spec) == generate(dataclass_replace(spec, n=6, p=0.5,
+                                                        seed=3))
+    assert generate(RandomGraphSpec(
+        model="configuration", n=4,
+        degree_sequence=tuple(np.array([1, 2, 2, 1])))).node_count == 4
+    assert len(bias_distribution(_ER, CentralityParams(kind="degree"),
+                                 np.int64(2), np.int64(0)).samples) > 0
+    assert eaves_check(path(4), np.int64(2)) == eaves_check(path(4), 2)
+    assert len(fiedler_check(_SWAP, np.int64(2), np.int64(0))) == 2
+
+
 def test_fiedler_two_by_two_closed_form():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     instances = fiedler_check(swap, trials=50, seed=3)
@@ -406,6 +487,7 @@ def power_batches(monkeypatch):
         return loop(union, sizes, *args)
 
     monkeypatch.setattr(centrality, "_power_blocks", recorded)
+    monkeypatch.setattr(paradox, "_power_blocks", recorded)
     return batches
 
 
