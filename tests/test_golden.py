@@ -102,6 +102,17 @@ def _cases():
     cases["bias-er-katz-default-alpha"] = (
         "bias", "--model", "erdos_renyi", "--n", "20", "--p", "0.2",
         "--graphs", "3", "--measure", "katz")
+    # Ensembles whose members are resampled for connectivity: 253, 141
+    # and 203 attempts for their 100 members.
+    cases["bias-ring-pagerank"] = (
+        "bias", "--model", "k_regular", "--n", "30", "--k", "2",
+        "--measure", "pagerank")
+    cases["bias-er-nolcc-walk_count"] = (
+        "bias", "--model", "erdos_renyi", "--n", "20", "--p", "0.2",
+        "--no-lcc", "--measure", "walk_count")
+    cases["bias-configuration-degree"] = (
+        "bias", "--model", "configuration",
+        "--degree-sequence", "3,3,2,2,2,1,1,2", "--measure", "degree")
     for label, args in {
             "path6": ("--model", "path", "--n", "6"),
             "star9": ("--model", "star", "--n", "9", "--trials", "5",
@@ -139,6 +150,8 @@ def input_dir(tmp_path_factory):
 
 
 DIGESTS = {
+    "bias-configuration-degree":
+        "9213a83c1ba06a912cef49988c2e75221a9b919de255820e57aa0114d1b48b8d",
     "bias-er-closeness":
         "6e2d2585d7a603e77498f3352b267c249ecb3e32e3402e0e2115207e5c96c456",
     "bias-er-degree":
@@ -151,6 +164,8 @@ DIGESTS = {
         "9be4717139b32df4083b963ae6b04515917ee8d7075fdd75e57b9d1bb99cb692",
     "bias-er-katz-default-alpha":
         "99865327fb319be8977e63ccc23c116182395613dec136bd52f0edc54d465f60",
+    "bias-er-nolcc-walk_count":
+        "6f5a544736c07083149a44d7f8d099d24087c4f4cd73a4ce381bda55ba9d7bd7",
     "bias-er-pagerank":
         "0e8b835073dfb876823466c76f2fb6ca53750ad5a853df32f17903a10b5c375f",
     "bias-er-walk_count":
@@ -159,6 +174,8 @@ DIGESTS = {
         "7ace7fbbf9ce0259ed773d065ee9d222240900972677b666b0d9939e1df0114b",
     "bias-pa-eigenvector":
         "c1b38f5f3c4703ad25b21e7560f35e952735dcca75dfdf7a9b26931ac09fd06d",
+    "bias-ring-pagerank":
+        "d90e0367a71aa9eee9f5f6869875c5005e61f1e0adf6b1fc66315c2abf92f17e",
     "centrality-digraph-degree":
         "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
     "centrality-digraph-pagerank":
