@@ -45,6 +45,14 @@ regular = bias_distribution(RandomGraphSpec(model="k_regular", n=40, k=3),
 print(f"3-regular eigenvector bias: largest |delta| "
       f"{max(-regular.min, regular.max):.1e}")
 
+# Random 2-regular graphs are unions of cycles; members are resampled in
+# rounds until they form one ring, then PageRank is solved per batch.
+rings = bias_distribution(RandomGraphSpec(model="k_regular", n=40, k=2),
+                          CentralityParams(kind="pagerank", beta=0.15),
+                          n_graphs=25, seed=7)
+print(f"2-regular ring pagerank bias: largest |delta| "
+      f"{max(abs(rings.min), abs(rings.max)):.1e}")
+
 # Directed PageRank: <1, C r> >= 1 on any strongly connected graph.
 ring = generate(RandomGraphSpec(model="cycle", n=40, seed=3))
 vector = pagerank_centrality(ring, 0.85)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
 from .graph import (MAX_EXACT_COUNT, Graph, _is_real, _require_int,
-                    adjacency_matvec, apply_transition_transpose)
+                    _require_positive_degrees, adjacency_matvec)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
@@ -39,8 +39,8 @@ LANCZOS_MIN_NODES = 256
 # holds more keys, unless one source alone has more arcs.  It caps the
 # k x n distance block too, since a connected graph on n >= 2 nodes
 # stores at least n arcs.  Picked by measurement on paths and
-# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the arcs
-# of one batched eigenvector power solve by it too.
+# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the
+# unions it samples and solves by it too.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -141,6 +141,12 @@ def walk_count(graph: Graph, ell: int) -> CentralityVector:
     sparse matvec, kept exact in float64 and guarded against overflow."""
     params = CentralityParams(kind="walk_count", ell=ell)
     _require_undirected_connected(graph, "walk-count centrality")
+    return CentralityVector(values=_walks(graph, ell), params=params,
+                            iterations=ell, residual=0.0)
+
+
+def _walks(graph: Graph, ell: int) -> np.ndarray:
+    """``A^ell @ 1``; on a disjoint union, each graph's walk counts."""
     values = np.ones(graph.node_count)
     for _ in range(ell):
         values = adjacency_matvec(graph, values)
@@ -148,8 +154,7 @@ def walk_count(graph: Graph, ell: int) -> CentralityVector:
         if values.max() > MAX_EXACT_COUNT:
             raise RangeError(f"walk counts for ell={ell} exceed 2**53 "
                              f"and would lose exactness")
-    return CentralityVector(values=values, params=params,
-                            iterations=ell, residual=0.0)
+    return values
 
 
 def perron_bounds(graph: Graph, x) -> tuple[float, float]:
@@ -489,22 +494,69 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     if not graph.connected:
         kind = "strongly connected directed" if graph.directed else "connected"
         raise PreconditionError(f"pagerank requires a {kind} graph")
-    n = graph.node_count
-    teleport = beta / n
-    vec = np.full(n, 1.0 / n)
-    residual = np.inf
-    for iteration in range(max_iters):
-        image = ((1.0 - beta) * apply_transition_transpose(graph, vec)
-                 + teleport * vec.sum())
-        residual = float(np.abs(image - vec).sum())
-        if residual <= tol:
-            return CentralityVector(values=vec, params=params,
-                                    iterations=iteration,
-                                    residual=residual)
-        vec = image / image.sum()
+    _require_positive_degrees(graph)
+    vec, residuals, iterations = _pagerank_blocks(graph, [graph.node_count],
+                                                  params)
+    return CentralityVector(values=vec, params=params,
+                            iterations=iterations[0], residual=residuals[0])
+
+
+def _pagerank_blocks(union: Graph, sizes: Sequence[int],
+                     params: CentralityParams):
+    """PageRank iteration from the uniform vector for each graph of a
+    disjoint union, block ``b`` holding the next ``sizes[b]`` nodes, run
+    as one loop, as :func:`_power_blocks` runs eigenvector blocks.
+
+    The transition step, the teleport shift and the division run on the
+    whole stacked vector.  Each block's sums and L1 residual run on its
+    own slice, so each block takes the steps it would alone, byte for
+    byte, and freezes at the step whose residual is at most ``tol``.
+    After ``max_iters`` steps the first block still running raises.
+    Every degree must be positive.  Returns the stacked vector, and per
+    block the residual and iterations.
+    """
+    beta, tol = params.beta, params.tol
+    transpose, degrees = union._transpose, union._float_degrees
+    sizes = np.asarray(sizes)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(),
+                                              bounds[1:].tolist())]
+    # The scalars one graph alone computes, from its Python int size.
+    teleports = [beta / n for n in sizes.tolist()]
+    # Updated in place, so that a frozen block keeps its vector.
+    vec = np.repeat([1.0 / n for n in sizes.tolist()], sizes)
+    shifts = np.empty(len(sizes))
+    sums = np.ones(len(sizes))
+    residuals = [np.inf] * len(sizes)
+    iterations = [0] * len(sizes)
+    moving = True
+    active = list(range(len(sizes)))
+    for iteration in range(params.max_iters):
+        for b in active:
+            shifts[b] = teleports[b] * vec[blocks[b]].sum()
+        image = (1.0 - beta) * (transpose @ (vec / degrees))
+        image += shifts.repeat(sizes)
+        error = np.abs(image - vec)
+        running = []
+        for b in active:
+            residuals[b] = float(error[blocks[b]].sum())
+            if residuals[b] <= tol:
+                iterations[b] = iteration
+            else:
+                running.append(b)
+        if not running:
+            return vec, residuals, iterations
+        if len(running) < len(active):
+            moving = np.zeros(len(sizes), dtype=bool)
+            moving[running] = True
+            moving = moving.repeat(sizes)
+        active = running
+        for b in active:
+            sums[b] = image[blocks[b]].sum()
+        np.divide(image, sums.repeat(sizes), out=vec, where=moving)
     raise ConvergenceError(
-        f"pagerank iteration did not reach {tol} in {max_iters} steps",
-        residual=residual, iterations=max_iters)
+        f"pagerank iteration did not reach {tol} in {params.max_iters} steps",
+        residual=residuals[active[0]], iterations=params.max_iters)
 
 
 def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
@@ -580,6 +632,31 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
     """Dominant adjacency eigenvalue (convenience wrapper)."""
     spectral, _ = eigenvector_centrality(graph, tol=tol, max_iters=max_iters)
     return spectral
+
+
+def _in_blocks(params: CentralityParams, node_count: int) -> bool:
+    """Whether :func:`_block_values` solves a connected graph of
+    ``node_count`` nodes as :func:`compute` does: degree, walk counts,
+    PageRank, and eigenvector below ``LANCZOS_MIN_NODES`` nodes, where
+    power iteration is its only solver."""
+    if params.kind == "eigenvector":
+        return node_count < LANCZOS_MIN_NODES
+    return params.kind in ("degree", "walk_count", "pagerank")
+
+
+def _block_values(union: Graph, sizes: Sequence[int],
+                  params: CentralityParams) -> np.ndarray:
+    """The measure of each graph of a disjoint union, block ``b`` holding
+    the next ``sizes[b]`` nodes, stacked: for graphs that
+    :func:`_in_blocks` admits, the bytes :func:`compute` gives on each
+    alone, and the error of the first that fails."""
+    if params.kind == "degree":
+        return union.degree_seq.astype(np.float64)
+    if params.kind == "walk_count":
+        return _walks(union, params.ell)
+    if params.kind == "eigenvector":
+        return _power_blocks(union, sizes, params)[0]
+    return _pagerank_blocks(union, sizes, params)[0]
 
 
 def compute(graph: Graph, params: CentralityParams) -> CentralityVector:

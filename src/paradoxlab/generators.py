@@ -8,6 +8,7 @@ yields the same graph on any platform.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,15 @@ class RandomGraphSpec:
                 raise ParameterError(
                     f"n*k must be even for a k-regular graph, "
                     f"got n={self.n}, k={self.k}")
+        if self.lcc_extract is not None and not isinstance(
+                self.lcc_extract, (bool, np.bool_)):
+            raise ParameterError(f"lcc_extract must be None or a bool, got "
+                                 f"{self.lcc_extract!r}")
         if self.degree_sequence is not None:
             seq = self.degree_sequence
+            if not isinstance(seq, (Sequence, np.ndarray)):
+                raise ParameterError(f"degree_sequence must be a sequence of "
+                                     f"integers, got {seq!r}")
             if len(seq) != self.n:
                 raise ParameterError(
                     f"degree sequence of length {len(seq)} does not "
@@ -223,26 +231,32 @@ def _preferential_edges(n: int, m: int, rng: SplitMix64) -> list[list[int]]:
     return edges
 
 
+def _draw_edges(spec: RandomGraphSpec, seed: int) -> np.ndarray:
+    """The edges of ``spec``'s model drawn from ``SplitMix64(seed)``, as an
+    ``(m, 2)`` int64 array: what :func:`generate` builds for ``spec``
+    with that seed, before any LCC extraction."""
+    rng = SplitMix64(seed)
+    if spec.model == "path":
+        return path_edges(spec.n)
+    if spec.model == "cycle":
+        return cycle_edges(spec.n)
+    if spec.model == "star":
+        return star_edges(spec.n)
+    if spec.model == "complete":
+        return complete_edges(spec.n)
+    if spec.model == "erdos_renyi":
+        return _erdos_renyi_edges(spec.n, spec.p, rng)
+    if spec.model == "k_regular":
+        return _k_regular_edges(spec.n, spec.k, rng)
+    if spec.model == "configuration":
+        return _configuration_edges(spec.degree_sequence, rng)
+    return np.array(_preferential_edges(spec.n, spec.m_attach, rng),
+                    dtype=np.int64)
+
+
 def generate(spec: RandomGraphSpec) -> Graph:
     """Realise a :class:`RandomGraphSpec` as an undirected graph."""
-    rng = SplitMix64(spec.seed)
-    if spec.model == "path":
-        edges = path_edges(spec.n)
-    elif spec.model == "cycle":
-        edges = cycle_edges(spec.n)
-    elif spec.model == "star":
-        edges = star_edges(spec.n)
-    elif spec.model == "complete":
-        edges = complete_edges(spec.n)
-    elif spec.model == "erdos_renyi":
-        edges = _erdos_renyi_edges(spec.n, spec.p, rng)
-    elif spec.model == "k_regular":
-        edges = _k_regular_edges(spec.n, spec.k, rng)
-    elif spec.model == "configuration":
-        edges = _configuration_edges(spec.degree_sequence, rng)
-    else:
-        edges = _preferential_edges(spec.n, spec.m_attach, rng)
-    graph = build_undirected(spec.n, edges)
+    graph = build_undirected(spec.n, _draw_edges(spec, spec.seed))
     if effective_lcc_extract(spec):
         graph, _ = extract_lcc(graph)
     return graph

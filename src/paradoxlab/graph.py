@@ -61,6 +61,20 @@ class Graph:
             shape=(self.node_count, self.node_count))
 
     @cached_property
+    def _transpose(self) -> sparse.csc_matrix:
+        """``adjacency.T``: a CSC view that shares the CSR arrays, made
+        once.  Its matvec adds each column's entries in row order, as
+        ``adjacency.T.tocsr()`` would."""
+        return self.adjacency.T
+
+    @cached_property
+    def _float_degrees(self) -> np.ndarray:
+        """``degree_seq`` as read-only float64."""
+        degrees = self.degree_seq.astype(np.float64)
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
     def _component_labels(self) -> np.ndarray:
         """Strong-component label per node as read-only int64.  Labels
         count up from 0 in the order scipy's search, started at the
@@ -213,6 +227,31 @@ def connected_component_labels(graph: Graph) -> np.ndarray:
     return graph._component_labels
 
 
+def _known_connected(graph: Graph) -> Graph:
+    """Seed the cached labels of a graph known to be connected with a
+    read-only view of one zero, so that it is never searched."""
+    vars(graph)["_component_labels"] = np.broadcast_to(np.int64(0),
+                                                       graph.node_count)
+    return graph
+
+
+def _restrict(graph: Graph, inside: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """The undirected subgraph on the nodes where ``inside`` holds, which
+    must be a union of components, re-indexed in ascending order; and the
+    original ids of its nodes."""
+    keep = np.flatnonzero(inside)
+    # A component is closed under neighbours: kept rows keep every entry.
+    lengths = np.diff(graph.row_offsets)
+    entries = np.repeat(inside, lengths)
+    degrees = graph.degree_seq[keep]
+    return Graph(len(keep), int(degrees.sum()) // 2, directed=False,
+                 row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
+                 column_targets=(np.cumsum(inside) - 1)[
+                     graph.column_targets[entries]],
+                 multiplicities=graph.multiplicities[entries],
+                 degree_seq=degrees), keep
+
+
 def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     """Largest connected component as a re-indexed graph.
 
@@ -221,22 +260,53 @@ def extract_lcc(graph: Graph) -> tuple[Graph, np.ndarray]:
     ``k`` of the map is the old id of new node ``k``.
     """
     labels = connected_component_labels(graph)
-    inside = labels == int(np.argmax(np.bincount(labels)))
-    keep = np.flatnonzero(inside)
-    # A component is closed under neighbours: kept rows keep every entry.
-    lengths = np.diff(graph.row_offsets)
-    entries = np.repeat(inside, lengths)
-    degrees = graph.degree_seq[keep]
-    lcc = Graph(len(keep), int(degrees.sum()) // 2, directed=False,
-                row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
-                column_targets=(np.cumsum(inside) - 1)[
-                    graph.column_targets[entries]],
-                multiplicities=graph.multiplicities[entries],
-                degree_seq=degrees)
-    # A component is connected by construction: seed the cached labels
-    # with a read-only view of one zero.
-    vars(lcc)["_component_labels"] = np.broadcast_to(np.int64(0), len(keep))
-    return lcc, keep
+    lcc, keep = _restrict(graph,
+                          labels == int(np.argmax(np.bincount(labels))))
+    return _known_connected(lcc), keep
+
+
+def _connected_blocks(union: Graph, sizes: Sequence[int],
+                      largest: bool) -> list[Graph | None]:
+    """Each block of an undirected disjoint union, block ``b`` holding the
+    next ``sizes[b]`` nodes, as a graph of its own, from one labelling of
+    the union: the block itself when it is connected and ``None`` when it
+    is not, or with ``largest`` its largest component, cut as
+    :func:`extract_lcc` cuts it from the block alone.  Every graph
+    returned is known to be connected, so none is searched again.
+    """
+    labels = connected_component_labels(union)
+    sizes = np.asarray(sizes)
+    starts = np.cumsum(sizes) - sizes
+    # Components never cross blocks, and labels count up in order of each
+    # component's smallest id, so each block owns a run of labels that
+    # starts at its first node's label, in the order it labels them alone.
+    component_sizes = np.bincount(labels)
+    first = labels[starts]
+    counts = np.diff(first, append=len(component_sizes))
+    # The largest component of each run, ties going to its lowest label.
+    peaks = np.maximum.reduceat(component_sizes, first)
+    hits = np.flatnonzero(component_sizes == np.repeat(peaks, counts))
+    chosen = hits[np.searchsorted(hits, first)]
+    accepted = (np.ones(len(sizes), dtype=bool) if largest
+                else counts == 1)
+    kept = np.zeros(len(component_sizes), dtype=bool)
+    kept[chosen[accepted]] = True
+    cut, _ = _restrict(union, kept[labels])
+    graphs: list[Graph | None] = [None] * len(sizes)
+    lo = 0
+    for b, nodes in zip(np.flatnonzero(accepted).tolist(),
+                        component_sizes[chosen[accepted]].tolist()):
+        hi = lo + nodes
+        first_arc, stop_arc = cut.row_offsets[lo], cut.row_offsets[hi]
+        degrees = cut.degree_seq[lo:hi]
+        graphs[b] = _known_connected(Graph(
+            nodes, int(degrees.sum()) // 2, directed=False,
+            row_offsets=cut.row_offsets[lo:hi + 1] - first_arc,
+            column_targets=cut.column_targets[first_arc:stop_arc] - lo,
+            multiplicities=cut.multiplicities[first_arc:stop_arc],
+            degree_seq=degrees))
+        lo = hi
+    return graphs
 
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
@@ -282,13 +352,15 @@ def adjacency_matvec(graph: Graph, x) -> np.ndarray:
 
 
 def _require_positive_degrees(graph: Graph) -> np.ndarray:
+    """The graph's read-only float64 degrees, once every one is
+    positive."""
     if (graph.degree_seq == 0).any():
         node = int(np.flatnonzero(graph.degree_seq == 0)[0])
         kind = "an out-neighbour" if graph.directed else "a neighbour"
         raise PreconditionError(
             f"node {node} has zero degree: degree-normalised operations "
             f"need every node to have {kind}")
-    return graph.degree_seq.astype(np.float64)
+    return graph._float_degrees
 
 
 def apply_transition(graph: Graph, x) -> np.ndarray:
@@ -302,5 +374,4 @@ def apply_transition_transpose(graph: Graph, x) -> np.ndarray:
     """``C^T @ x``, the mass-redistribution step of a degree-normalised
     random walk."""
     degrees = _require_positive_degrees(graph)
-    # The CSC view A.T sums each entry in the same order as A.T.tocsr().
-    return graph.adjacency.T @ (_as_vector(graph, x) / degrees)
+    return graph._transpose @ (_as_vector(graph, x) / degrees)

@@ -11,21 +11,19 @@ random-graph ensembles.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .centrality import (BFS_BLOCK_ARCS, LANCZOS_MIN_NODES, CentralityParams,
-                         CentralityVector, SpectralResult, _power_blocks,
-                         compute)
+from .centrality import (BFS_BLOCK_ARCS, CentralityParams, CentralityVector,
+                         SpectralResult, _block_values, _in_blocks, compute)
 from .errors import GenerationError, InputError, NumericalError, RangeError
-from .generators import RandomGraphSpec, generate
-from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _require_int,
-                    _require_positive_degrees, adjacency_matvec,
-                    apply_transition, build_directed, disjoint_union,
-                    is_connected, is_strongly_connected)
+from .generators import RandomGraphSpec, _draw_edges, effective_lcc_extract
+from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _connected_blocks,
+                    _require_int, _require_positive_degrees,
+                    adjacency_matvec, apply_transition, build_directed,
+                    build_undirected, disjoint_union, is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -310,20 +308,105 @@ def pagerank_paradox_check(graph: Graph, r: CentralityVector) -> tuple[float, fl
     return float(apply_transition(graph, values).sum()), float(values.sum())
 
 
-def _connected_sample(spec: RandomGraphSpec, graph_index: int,
-                      master_seed: int) -> Graph:
-    base = derive_seed(master_seed, graph_index)
-    for attempt in range(MAX_CONNECTED_ATTEMPTS):
-        candidate = dataclasses.replace(
-            spec, seed=derive_seed(base, attempt))
-        # An extracted LCC comes with its connectivity already known.
-        graph = generate(candidate)
-        if is_connected(graph):
-            return graph
-    raise GenerationError(
-        f"no connected graph from {spec.model!r} after "
-        f"{MAX_CONNECTED_ATTEMPTS} attempts "
-        f"(graph {graph_index})")
+def _candidate(spec: RandomGraphSpec, master_seed: int, index: int,
+               attempt: int):
+    """The edges of one member's attempt, or the error its draw raised."""
+    seed = derive_seed(derive_seed(master_seed, index), attempt)
+    try:
+        return _draw_edges(spec, seed)
+    except GenerationError as error:
+        return error
+
+
+def _extent(spec: RandomGraphSpec, candidate) -> int:
+    """Nodes and stored arcs that a candidate adds to a sampled union."""
+    return (0 if isinstance(candidate, GenerationError)
+            else spec.n + 2 * len(candidate))
+
+
+def _sampling_round(spec: RandomGraphSpec, candidates: list) -> list:
+    """The outcome of one round's candidates, in order: the member's
+    graph, ``None`` when the candidate is not connected, or the error its
+    draw raised.
+
+    The drawn candidates are assembled as disjoint unions of consecutive
+    candidates, one union closing before its nodes and stored arcs would
+    pass ``BFS_BLOCK_ARCS``, and each union is labelled once.
+    """
+    largest = effective_lcc_extract(spec)
+    outcomes = list(candidates)
+    drawn = [slot for slot, candidate in enumerate(candidates)
+             if not isinstance(candidate, GenerationError)]
+    while drawn:
+        chunk, size = [], 0
+        for slot in drawn:
+            size += _extent(spec, candidates[slot])
+            if chunk and size > BFS_BLOCK_ARCS:
+                break
+            chunk.append(slot)
+        drawn = drawn[len(chunk):]
+        edges = [candidates[slot] for slot in chunk]
+        pairs = np.concatenate(edges)
+        pairs += np.repeat(spec.n * np.arange(len(chunk)),
+                           [len(e) for e in edges])[:, None]
+        union = build_undirected(spec.n * len(chunk), pairs)
+        graphs = _connected_blocks(union, [spec.n] * len(chunk), largest)
+        for slot, graph in zip(chunk, graphs):
+            outcomes[slot] = graph
+    return outcomes
+
+
+def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
+                       master_seed: int):
+    """Yield the connected sample of each ensemble member in member order,
+    and raise ``GenerationError`` at the first member that has none.
+
+    Member ``i`` draws its attempt ``a`` from ``derive_seed(base, a)`` with
+    ``base = derive_seed(master_seed, i)`` and takes the first attempt
+    that is connected, or its largest component when the spec extracts
+    it, within ``MAX_CONNECTED_ATTEMPTS`` attempts.  Members are sampled
+    in windows of consecutive members, in rounds: round ``a`` draws
+    attempt ``a`` of every member of the window still pending and
+    labels them together (see :func:`_sampling_round`).  Round 0 fixes
+    the window, which closes before its candidates' nodes and stored arcs
+    would pass ``BFS_BLOCK_ARCS``; the candidate that did not fit opens
+    the next window.  The samples equal those of one ``generate`` and one
+    connectivity check per attempt.
+    """
+    first, carried = 0, None
+    while first < n_graphs:
+        window, size = [], 0
+        for index in range(first, n_graphs):
+            candidate = (carried if carried is not None
+                         else _candidate(spec, master_seed, index, 0))
+            carried = None
+            size += _extent(spec, candidate)
+            if window and size > BFS_BLOCK_ARCS:
+                carried = candidate
+                break
+            window.append(candidate)
+        samples = _sampling_round(spec, window)
+        pending = [slot for slot, sample in enumerate(samples)
+                   if sample is None]
+        for attempt in range(1, MAX_CONNECTED_ATTEMPTS):
+            if not pending:
+                break
+            outcomes = _sampling_round(spec, [
+                _candidate(spec, master_seed, first + slot, attempt)
+                for slot in pending])
+            for slot, sample in zip(pending, outcomes):
+                samples[slot] = sample
+            pending = [slot for slot in pending if samples[slot] is None]
+        for slot, sample in enumerate(samples):
+            if sample is None:
+                raise GenerationError(
+                    f"no connected graph from {spec.model!r} after "
+                    f"{MAX_CONNECTED_ATTEMPTS} attempts "
+                    f"(graph {first + slot})")
+            if isinstance(sample, GenerationError):
+                raise sample
+            yield sample
+        first += len(window)
 
 
 def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -332,16 +415,16 @@ def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:
 
 def _union_bias(graphs: list[Graph], measure: CentralityParams,
                 ) -> list[np.ndarray]:
-    """Eigenvector bias of each graph, in order, from one power loop and
-    one neighbour average over their disjoint union; rows of the union sum
-    as each graph's own rows do.  Empties ``graphs``, so that only the
-    union holds their arrays while it is solved."""
+    """Bias of each graph, in order, from one solve and one neighbour
+    average over their disjoint union; rows of the union sum as each
+    graph's own rows do.  Empties ``graphs``, so that only the union
+    holds their arrays while it is solved."""
     if not graphs:
         return []
     union = disjoint_union(graphs)
     sizes = [graph.node_count for graph in graphs]
     graphs.clear()
-    return [_bias(union, _power_blocks(union, sizes, measure)[0])]
+    return [_bias(union, _block_values(union, sizes, measure))]
 
 
 def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
@@ -354,13 +437,20 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     neighbour average minus its own value; samples from all graphs are
     pooled.
 
-    Eigenvector members below ``LANCZOS_MIN_NODES`` nodes are solved in
-    batches of consecutive members, one power loop over the disjoint union
-    of each batch, a batch closing before its stored arcs would pass
-    ``BFS_BLOCK_ARCS``.  Larger
-    members, which try Lanczos first, a lone node, whose neighbour average
-    is undefined, and every other measure take one solve per member.
-    Samples and errors are those of one solve per member, in member order.
+    Members are sampled in rounds over windows of consecutive members:
+    each round draws the next attempt of every member still pending,
+    assembles them as one disjoint union and labels it once, so no
+    attempt is assembled or labelled alone.  Degree, walk counts,
+    PageRank, and eigenvector members below ``LANCZOS_MIN_NODES`` nodes
+    are then solved in batches of consecutive members, one solve and one
+    neighbour average over the disjoint union of each batch, a batch
+    closing before its stored arcs would pass ``BFS_BLOCK_ARCS``.  Katz,
+    closeness, harmonic, larger eigenvector members, which try Lanczos
+    first, and a lone node, whose neighbour average is undefined, take
+    one solve per member.  Samples and errors are those of one
+    ``generate`` per attempt and one solve per member, in member order: a
+    member that cannot be sampled raises after the members before it are
+    solved.
     """
     _require_int("n_graphs", n_graphs, 1)
     _require_int("seed", seed)
@@ -368,17 +458,17 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     deltas: list[np.ndarray] = []
     batch: list[Graph] = []
     arcs = 0
-    for index in range(n_graphs):
+    samples = _connected_samples(spec, n_graphs, seed)
+    for _ in range(n_graphs):
         try:
-            graph = _connected_sample(spec, index, seed)
+            graph = next(samples)
         except GenerationError:
             # The members before it are solved first: one that does not
             # converge raises before this member's generation error.
             _union_bias(batch, measure)
             raise
-        alone = (measure.kind != "eigenvector"
-                 or graph.node_count >= LANCZOS_MIN_NODES
-                 or graph.node_count == 1)
+        alone = (graph.node_count == 1
+                 or not _in_blocks(measure, graph.node_count))
         if alone or arcs + len(graph.column_targets) > BFS_BLOCK_ARCS:
             deltas += _union_bias(batch, measure)
             arcs = 0

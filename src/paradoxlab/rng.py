@@ -70,6 +70,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by unbiased rejection sampling."""
+        # A numpy integer becomes a Python int, as in __init__.
+        bound = operator.index(bound)
         if bound <= 0:
             raise ValueError("bound must be positive")
         # Reject the top sliver that would bias the modulo.

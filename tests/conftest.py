@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from paradoxlab import build_directed, build_undirected
+from paradoxlab import (GenerationError, RandomGraphSpec, build_directed,
+                        build_undirected, derive_seed, generate,
+                        is_connected)
 from paradoxlab.generators import (complete_edges, cycle_edges, path_edges,
                                    star_edges)
+from paradoxlab.graph import Graph
+from paradoxlab.paradox import MAX_CONNECTED_ATTEMPTS
 
 
 def path(n):
@@ -84,3 +90,22 @@ def hop_distances(offsets: np.ndarray, targets: np.ndarray,
                     nxt.append(w)
         frontier = nxt
     return dist
+
+
+# The per-member sampler bias_distribution used before it sampled members
+# in rounds, kept as the reference that its round sampler is checked
+# against: one generate and one connectivity check per attempt.
+def connected_sample(spec: RandomGraphSpec, graph_index: int,
+                     master_seed: int) -> Graph:
+    base = derive_seed(master_seed, graph_index)
+    for attempt in range(MAX_CONNECTED_ATTEMPTS):
+        candidate = dataclasses.replace(
+            spec, seed=derive_seed(base, attempt))
+        # An extracted LCC comes with its connectivity already known.
+        graph = generate(candidate)
+        if is_connected(graph):
+            return graph
+    raise GenerationError(
+        f"no connected graph from {spec.model!r} after "
+        f"{MAX_CONNECTED_ATTEMPTS} attempts "
+        f"(graph {graph_index})")

@@ -843,6 +843,76 @@ def test_eigenvector_blocks_match_one_solve_per_graph():
         (str(want.value), want.value.residual, want.value.iterations)
 
 
+# The PageRank loop pagerank_centrality ran before it shared the blocked
+# loop, kept as the reference that the blocked loop is checked against.
+def _scalar_pagerank(graph, beta, tol=1e-12, max_iters=100_000):
+    """``(values, iterations, residual)``, or ``(None, max_iters,
+    residual)`` when the budget runs out."""
+    n = graph.node_count
+    teleport = beta / n
+    vec = np.full(n, 1.0 / n)
+    residual = np.inf
+    for iteration in range(max_iters):
+        image = ((1.0 - beta) * (graph.adjacency.T.tocsr() @ (
+            vec / graph.degree_seq.astype(np.float64)))
+                 + teleport * vec.sum())
+        residual = float(np.abs(image - vec).sum())
+        if residual <= tol:
+            return vec, iteration, residual
+        vec = image / image.sum()
+    return None, max_iters, residual
+
+
+def _pagerank_graphs():
+    rng = SplitMix64(41)
+    graphs = [random_connected(rng, 40) for _ in range(30)]
+    graphs += [path(60), star(30), cycle(9), complete(6),
+               _preferential(200, 4)]
+    graphs += [build_directed(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+               build_directed(3, [(0, 1), (0, 2), (1, 0), (2, 0)])]
+    return graphs
+
+
+@pytest.mark.parametrize("beta", [0.15, 0.85])
+def test_pagerank_matches_the_scalar_reference(beta):
+    for graph in _pagerank_graphs():
+        vec, iterations, residual = _scalar_pagerank(graph, beta)
+        got = pagerank_centrality(graph, beta)
+        assert got.values.tobytes() == vec.tobytes()
+        assert (got.iterations, got.residual) == (iterations, residual)
+    _, iterations, residual = _scalar_pagerank(path(60), 0.05, max_iters=20)
+    with pytest.raises(ConvergenceError) as info:
+        pagerank_centrality(path(60), 0.05, max_iters=20)
+    assert (info.value.residual, info.value.iterations) == (residual, 20)
+
+
+def test_pagerank_blocks_match_one_solve_per_graph():
+    graphs = [graph for graph in _pagerank_graphs() if not graph.directed]
+    sizes = [graph.node_count for graph in graphs]
+    params = CentralityParams(kind="pagerank", beta=0.15)
+    vec, residuals, iterations = centrality._pagerank_blocks(
+        disjoint_union(graphs), sizes, params)
+    alone = [pagerank_centrality(graph, 0.15) for graph in graphs]
+    assert len(set(iterations)) > 5
+    assert vec.tobytes() == np.concatenate(
+        [result.values for result in alone]).tobytes()
+    assert (residuals, iterations) == (
+        [result.residual for result in alone],
+        [result.iterations for result in alone])
+    # The first block to run out of steps raises, as it would alone.
+    slow = path(40)
+    budget = pagerank_centrality(slow, 0.05).iterations
+    assert pagerank_centrality(complete(5), 0.05).iterations < budget
+    with pytest.raises(ConvergenceError) as want:
+        pagerank_centrality(slow, 0.05, max_iters=budget)
+    with pytest.raises(ConvergenceError) as info:
+        centrality._pagerank_blocks(
+            disjoint_union([complete(5), slow, path(60)]), [5, 40, 60],
+            CentralityParams(kind="pagerank", beta=0.05, max_iters=budget))
+    assert (str(info.value), info.value.residual, info.value.iterations) == \
+        (str(want.value), want.value.residual, want.value.iterations)
+
+
 def test_perron_bounds(p6):
     exact = 2 * np.cos(np.pi / 7)
     spectral, vector = eigenvector_centrality(p6)

@@ -65,6 +65,30 @@ def test_spec_validation():
         RandomGraphSpec(model="preferential_attachment", n=3, m_attach=0)
 
 
+@pytest.mark.parametrize("fields", [
+    pytest.param({"model": "erdos_renyi", "n": 10, "p": 0.1,
+                  "lcc_extract": "no"}, id="lcc_extract_str"),
+    pytest.param({"model": "erdos_renyi", "n": 10, "p": 0.1,
+                  "lcc_extract": 1}, id="lcc_extract_int"),
+    pytest.param({"model": "configuration", "n": 3, "degree_sequence": 5},
+                 id="degree_sequence_int"),
+    pytest.param({"model": "configuration", "n": 4,
+                  "degree_sequence": {0, 1, 2, 3}}, id="degree_sequence_set")])
+def test_spec_rejects_fields_of_the_wrong_type(fields):
+    with pytest.raises(ParameterError):
+        RandomGraphSpec(**fields)
+
+
+def test_spec_takes_bools_and_sequences():
+    spec = RandomGraphSpec(model="erdos_renyi", n=10, p=0.1,
+                           lcc_extract=np.bool_(False))
+    assert generate(spec).node_count == 10
+    for degrees in ([1, 1], (1, 1), np.array([1, 1])):
+        spec = RandomGraphSpec(model="configuration", n=2,
+                               degree_sequence=degrees)
+        assert generate(spec).edge_count == 1
+
+
 def test_erdos_renyi_reproducible_and_seed_sensitive():
     spec = RandomGraphSpec(model="erdos_renyi", n=50, p=0.1, seed=42)
     a, b = generate(spec), generate(spec)

@@ -14,7 +14,7 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         connected_component_labels, dense_from_graph,
                         dense_hop_distances, extract_lcc, fiedler_check,
                         generate, is_connected, is_strongly_connected)
-from paradoxlab.graph import disjoint_union
+from paradoxlab.graph import _connected_blocks, disjoint_union
 from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
                       path, star)
 
@@ -273,6 +273,41 @@ def test_extract_lcc_needs_no_second_search(search_calls):
     searches = len(calls)
     assert member.connected
     assert len(calls) == searches
+
+
+def test_connected_blocks_cut_each_block_as_it_is_alone(search_calls):
+    blocks = [path(4),
+              # Two components of two nodes and a lone node.
+              build_undirected(5, [(3, 4), (0, 1)]),
+              build_undirected(3, []),
+              cycle(5),
+              # A tie again: node 0's component is a path centred on
+              # its first node, the other one on its second.
+              build_undirected(6, [(0, 2), (0, 3), (1, 4), (4, 5)]),
+              build_undirected(1, []),
+              build_undirected(4, [(0, 1), (0, 1), (2, 3), (1, 2)])]
+    union = disjoint_union(blocks)
+    sizes = [block.node_count for block in blocks]
+    for largest in (False, True):
+        search_calls.clear()
+        got = _connected_blocks(union, sizes, largest)
+        assert search_calls == (["strong"] if not largest else [])
+        for block, graph in zip(blocks, got):
+            if largest:
+                want = extract_lcc(block)[0]
+            else:
+                want = block if is_connected(block) else None
+            if want is None:
+                assert graph is None
+                continue
+            assert graph == want and graph.edge_count == want.edge_count
+            assert np.array_equal(graph.degree_seq, want.degree_seq)
+        searches = len(search_calls)
+        assert all(graph.connected for graph in got if graph is not None)
+        assert len(search_calls) == searches
+    assert [graph is not None for graph in _connected_blocks(
+        union, sizes, False)] == [True, False, False, True, False, True,
+                                  True]
 
 
 def _reference_from_csr(mat, edge_count, directed):

@@ -9,15 +9,15 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
                         ParameterError, PreconditionError, RandomGraphSpec,
                         RangeError, bias_distribution, build_directed,
                         build_undirected, compare_averages, compute,
-                        eaves_check, eigenvector_centrality,
+                        derive_seed, eaves_check, eigenvector_centrality,
                         exact_degree_stats, fiedler_check, generate,
-                        harmonic_mean_check, katz_centrality,
-                        neighbor_average, pagerank_centrality,
-                        pagerank_paradox_check, paradox_report,
-                        symmetrization_identity)
-from paradoxlab import centrality, paradox
+                        harmonic_mean_check, is_connected,
+                        katz_centrality, neighbor_average,
+                        pagerank_centrality, pagerank_paradox_check,
+                        paradox_report, symmetrization_identity)
+from paradoxlab import centrality, generators, paradox
 from paradoxlab.rng import SplitMix64
-from conftest import complete, cycle, path, star
+from conftest import complete, connected_sample, cycle, path, star
 
 
 def random_connected(rng, max_nodes=12):
@@ -443,9 +443,16 @@ def test_bias_distribution_rejects_impossible_ensembles():
                           n_graphs=1, seed=0)
 
 
-# --- batched eigenvector solves in bias_distribution ----------------------
+# --- round sampling and batched solves in bias_distribution ---------------
 
 EIGENVECTOR = CentralityParams(kind="eigenvector")
+
+# The spectral and count measures of the paradox.
+MEASURES = (CentralityParams(kind="degree"),
+            CentralityParams(kind="walk_count", ell=3),
+            EIGENVECTOR,
+            CentralityParams(kind="katz", alpha=0.05),
+            CentralityParams(kind="pagerank", beta=0.15))
 
 # name -> (ensemble, members)
 ENSEMBLES = {
@@ -460,45 +467,59 @@ ENSEMBLES = {
     # Largest components of 250 to 269 nodes: both sides of
     # LANCZOS_MIN_NODES.
     "straddling": (RandomGraphSpec(model="erdos_renyi", n=280, p=0.01), 12),
+    # Resampled for connectivity: 35 attempts in 7 rounds.
+    "ring": (RandomGraphSpec(model="k_regular", n=30, k=2), 12),
+    # Resampled for connectivity: 37 attempts in 9 rounds.
+    "erdos_renyi_resampled": (RandomGraphSpec(
+        model="erdos_renyi", n=20, p=0.15, lcc_extract=False), 12),
 }
 SEED = 5
 
 
-def _per_member_samples(spec, measure, n_graphs, seed):
-    """One ``compute`` call per member, in member order: the reference the
-    batched solves must reproduce byte for byte."""
+def _per_member_samples(spec, measure, n_graphs, seed,
+                        sample=connected_sample):
+    """One ``sample`` and one ``compute`` call per member, in member
+    order: the reference the round sampler and the batched solves must
+    reproduce byte for byte."""
     deltas = []
     for index in range(n_graphs):
-        graph = paradox._connected_sample(spec, index, seed)
+        graph = sample(spec, index, seed)
         values = compute(graph, measure).values
         deltas.append(neighbor_average(graph, values) - values)
     return np.concatenate(deltas)
 
 
+def _attempts(spec, index, seed):
+    """Attempts the reference sampler makes for one member."""
+    base = derive_seed(seed, index)
+    return next(attempt + 1 for attempt in range(100)
+                if is_connected(generate(dataclass_replace(
+                    spec, seed=derive_seed(base, attempt)))))
+
+
 @pytest.fixture
-def power_batches(monkeypatch):
-    """Node counts of the graphs in each shared power loop, in call
-    order."""
+def solve_batches(monkeypatch):
+    """Node counts of the graphs in each solve over a disjoint union, in
+    call order."""
     batches = []
-    loop = centrality._power_blocks
+    solve = paradox._block_values
 
-    def recorded(union, sizes, *args):
+    def recorded(union, sizes, measure):
         batches.append(list(sizes))
-        return loop(union, sizes, *args)
+        return solve(union, sizes, measure)
 
-    monkeypatch.setattr(centrality, "_power_blocks", recorded)
-    monkeypatch.setattr(paradox, "_power_blocks", recorded)
+    monkeypatch.setattr(paradox, "_block_values", recorded)
     return batches
 
 
 @pytest.mark.parametrize("batch", ["one", "two", "all"])
 @pytest.mark.parametrize("name", sorted(ENSEMBLES))
 def test_batched_eigenvector_bias_matches_per_member_solves(
-        monkeypatch, power_batches, name, batch):
+        monkeypatch, solve_batches, name, batch):
     spec, n_graphs = ENSEMBLES[name]
-    want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
-    members = [paradox._connected_sample(spec, i, SEED)
-               for i in range(n_graphs)]
+    members = [connected_sample(spec, i, SEED) for i in range(n_graphs)]
+    wants = [_per_member_samples(spec, measure, n_graphs, SEED)
+             for measure in MEASURES]
     arcs = [len(member.column_targets) for member in members]
     if batch == "one":
         monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 0)
@@ -508,19 +529,56 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         assert pairs < min(a + b + c for a, b, c
                            in zip(arcs, arcs[1:], arcs[2:]))
         monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", pairs)
-    power_batches.clear()
-    got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
-    assert got.tobytes() == want.tobytes()
+    for measure, want in zip(MEASURES, wants):
+        solve_batches.clear()
+        got = bias_distribution(spec, measure, n_graphs, SEED).samples
+        assert got.tobytes() == want.tobytes(), measure.kind
 
-    small = [member.node_count for member in members
-             if member.node_count < centrality.LANCZOS_MIN_NODES]
-    assert [n for sizes in power_batches for n in sizes] == small
-    if name == "straddling":
-        assert 0 < len(small) < n_graphs
-        return
-    expected = {"one": [1] * n_graphs, "two": [2] * (n_graphs // 2),
-                "all": [n_graphs]}[batch]
-    assert list(map(len, power_batches)) == expected
+        batched = [member.node_count for member in members
+                   if centrality._in_blocks(measure, member.node_count)]
+        assert [n for sizes in solve_batches for n in sizes] == batched
+        if measure.kind == "katz":
+            assert not batched
+            continue
+        if name == "straddling" and measure.kind == "eigenvector":
+            assert 0 < len(batched) < n_graphs
+            continue
+        expected = {"one": [1] * n_graphs, "two": [2] * (n_graphs // 2),
+                    "all": [n_graphs]}[batch]
+        assert list(map(len, solve_batches)) == expected, measure.kind
+
+
+@pytest.mark.parametrize("name", ["ring", "erdos_renyi_resampled",
+                                  "erdos_renyi"])
+def test_one_labelling_per_sampling_round(search_calls, name):
+    spec, n_graphs = ENSEMBLES[name]
+    attempts = [_attempts(spec, i, SEED) for i in range(n_graphs)]
+    search_calls.clear()
+    bias_distribution(spec, CentralityParams(kind="degree"), n_graphs, SEED)
+    # Round a labels every member still pending after a attempts.
+    assert len(search_calls) == max(attempts)
+    if name == "erdos_renyi":
+        assert len(search_calls) == 1
+    else:
+        assert max(attempts) < sum(attempts)
+
+
+def test_sampling_windows_stay_under_the_arc_cap(monkeypatch):
+    spec, n_graphs = ENSEMBLES["ring"]
+    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 5 * (spec.n + 2 * spec.n))
+    unions = []
+    build = paradox.build_undirected
+
+    def recorded(node_count, pairs):
+        unions.append(node_count // spec.n)
+        return build(node_count, pairs)
+
+    monkeypatch.setattr(paradox, "build_undirected", recorded)
+    got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
+    want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
+    assert got.tobytes() == want.tobytes()
+    # Windows of 5, 5 and 2 members, each labelled once per round.
+    assert max(unions) == 5 and unions[0] == 5
 
 
 def _raised(call):
@@ -533,7 +591,7 @@ def _raised(call):
 
 def test_batched_solve_fails_as_the_per_member_loop():
     spec, n_graphs = ENSEMBLES["erdos_renyi"]
-    steps = [compute(paradox._connected_sample(spec, i, SEED),
+    steps = [compute(connected_sample(spec, i, SEED),
                      EIGENVECTOR).iterations for i in range(n_graphs)]
     # Members at or above the budget fail; the first of them raises, after
     # some converge.
@@ -546,31 +604,93 @@ def test_batched_solve_fails_as_the_per_member_loop():
         spec, measure, n_graphs, SEED)) == want
 
 
+def test_batched_pagerank_fails_as_the_per_member_loop():
+    spec, n_graphs = ENSEMBLES["erdos_renyi"]
+    steps = [compute(connected_sample(spec, i, SEED), CentralityParams(
+        kind="pagerank", beta=0.15)).iterations for i in range(n_graphs)]
+    # The first member to reach the budget raises, after some converge,
+    # with its own last residual.
+    budget = sorted(steps)[3 * n_graphs // 4]
+    assert steps[0] < budget
+    measure = CentralityParams(kind="pagerank", beta=0.15, max_iters=budget)
+    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
+    assert want[0] is ConvergenceError and want[3] == budget
+    assert _raised(lambda: bias_distribution(
+        spec, measure, n_graphs, SEED)) == want
+
+
 @pytest.mark.parametrize("budget", [None, "short"])
 @pytest.mark.parametrize("member", ["unsampleable", "lone node"])
 def test_a_failing_member_waits_for_the_members_before_it(monkeypatch,
                                                            member, budget):
     spec, n_graphs = ENSEMBLES["erdos_renyi"]
-    steps = [compute(paradox._connected_sample(spec, i, SEED),
+    steps = [compute(connected_sample(spec, i, SEED),
                      EIGENVECTOR).iterations for i in range(n_graphs)]
     failing = n_graphs - 2
-    sample = paradox._connected_sample
 
-    def sample_or_fail(spec, index, seed):
-        if index != failing:
-            return sample(spec, index, seed)
+    def fault(index):
         if member == "unsampleable":
             raise GenerationError(f"no graph {index}")
         # Solvable, but a node without neighbours has no average.
         return build_undirected(1, [])
 
-    monkeypatch.setattr(paradox, "_connected_sample", sample_or_fail)
+    def sample_or_fail(spec, index, seed):
+        if index != failing:
+            return connected_sample(spec, index, seed)
+        return fault(index)
+
+    samples = paradox._connected_samples
+
+    def samples_or_fail(spec, n_graphs, seed):
+        for index, graph in enumerate(samples(spec, n_graphs, seed)):
+            yield graph if index != failing else fault(index)
+
+    monkeypatch.setattr(paradox, "_connected_samples", samples_or_fail)
     measure = (EIGENVECTOR if budget is None else CentralityParams(
         kind="eigenvector", max_iters=max(steps[:failing])))
-    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
+    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED,
+                                               sample_or_fail))
     assert want[0] is {None: {"unsampleable": GenerationError,
                               "lone node": PreconditionError}[member],
                        "short": ConvergenceError}[budget]
+    assert _raised(lambda: bias_distribution(
+        spec, measure, n_graphs, SEED)) == want
+
+
+class _Unshuffled(SplitMix64):
+    """Leaves stubs in order, so that every pairing has self-loops."""
+
+    def shuffle(self, items):
+        pass
+
+
+@pytest.mark.parametrize("budget", [None, "short"])
+def test_pairing_exhaustion_waits_for_the_members_before_it(monkeypatch,
+                                                            budget):
+    spec, n_graphs = ENSEMBLES["erdos_renyi_resampled"]
+    steps = [compute(connected_sample(spec, i, SEED),
+                     EIGENVECTOR).iterations for i in range(n_graphs)]
+    failing = n_graphs - 2
+    # A draw of a round after the first, while other members are pending.
+    assert _attempts(spec, failing, SEED) > 2
+    exhausted = derive_seed(derive_seed(SEED, failing), 2)
+    draw = generators._draw_edges
+
+    def draw_or_exhaust(spec, seed):
+        if seed != exhausted:
+            return draw(spec, seed)
+        return generators._k_regular_edges(spec.n, 2, _Unshuffled(seed))
+
+    # generate, and so the reference, calls the generators module's name.
+    monkeypatch.setattr(generators, "_draw_edges", draw_or_exhaust)
+    monkeypatch.setattr(paradox, "_draw_edges", draw_or_exhaust)
+    measure = (EIGENVECTOR if budget is None else CentralityParams(
+        kind="eigenvector", max_iters=max(steps[:failing])))
+    want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
+    assert want[0] is {None: GenerationError,
+                       "short": ConvergenceError}[budget]
+    if budget is None:
+        assert "pairing" in want[1]
     assert _raised(lambda: bias_distribution(
         spec, measure, n_graphs, SEED)) == want
 

@@ -71,6 +71,14 @@ def test_below_is_in_range_and_roughly_uniform():
         rng.below(0)
 
 
+@pytest.mark.parametrize("bound", [np.int64(5), np.uint64(5), np.int8(5)])
+def test_below_takes_numpy_integers(bound):
+    plain, numpy_bound = SplitMix64(1), SplitMix64(1)
+    assert [numpy_bound.below(bound) for _ in range(20)] == [
+        plain.below(5) for _ in range(20)]
+    assert numpy_bound.next_uint64() == plain.next_uint64()
+
+
 def test_shuffle_is_a_permutation():
     rng = SplitMix64(5)
     items = list(range(30))
