@@ -385,16 +385,16 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
                 carried = candidate
                 break
             window.append(candidate)
-        samples = _sampling_round(spec, window)
-        pending = [slot for slot, sample in enumerate(samples)
-                   if sample is None]
-        for attempt in range(1, MAX_CONNECTED_ATTEMPTS):
+        samples = [None] * len(window)
+        pending = list(range(len(window)))
+        for attempt in range(MAX_CONNECTED_ATTEMPTS):
             if not pending:
                 break
-            outcomes = _sampling_round(spec, [
+            candidates = window if attempt == 0 else [
                 _candidate(spec, master_seed, first + slot, attempt)
-                for slot in pending])
-            for slot, sample in zip(pending, outcomes):
+                for slot in pending]
+            for slot, sample in zip(pending,
+                                    _sampling_round(spec, candidates)):
                 samples[slot] = sample
             pending = [slot for slot in pending if samples[slot] is None]
         for slot, sample in enumerate(samples):
