@@ -844,7 +844,8 @@ def test_eigenvector_blocks_match_one_solve_per_graph():
 
 
 # The PageRank loop pagerank_centrality ran before it shared the blocked
-# loop, kept as the reference that the blocked loop is checked against.
+# loop, with the transpose stored as CSR, kept as the reference that the
+# blocked loop is checked against.
 def _scalar_pagerank(graph, beta, tol=1e-12, max_iters=100_000):
     """``(values, iterations, residual)``, or ``(None, max_iters,
     residual)`` when the budget runs out."""
