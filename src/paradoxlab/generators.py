@@ -16,7 +16,7 @@ import numpy as np
 from .errors import GenerationError, ParameterError
 from .graph import (Graph, _is_int, _is_real, _require_int, build_undirected,
                     extract_lcc)
-from .rng import SplitMix64
+from .rng import SplitMix64, _swap_limits, _uint64_rows
 
 logger = logging.getLogger(__name__)
 
@@ -171,42 +171,93 @@ def _erdos_renyi_edges(n: int, p: float, rng: SplitMix64) -> np.ndarray:
     return np.column_stack([i, position - row_start[i] + i + 1])
 
 
-def _pair_stubs(degrees: list[int],
-                rng: SplitMix64) -> tuple[np.ndarray, int, int]:
-    """Uniform stub pairing; returns (simple edges as an ``(m, 2)`` int64
-    array, dropped loops, collapsed parallels)."""
+def _pair_stubs(degrees: list[int], streams: list[SplitMix64],
+                ) -> list[tuple[np.ndarray, int, int]]:
+    """One uniform stub pairing from each stream; returns, per stream,
+    (simple edges as an ``(m, 2)`` int64 array, dropped loops, collapsed
+    parallels).
+
+    Each stream shuffles the stubs as :meth:`SplitMix64.shuffle` would,
+    from one block of words drawn for all streams at once.  A stream whose
+    block holds a rejected word goes back to its start and runs
+    :meth:`SplitMix64.shuffle` itself, so items, final states and words
+    drawn equal those of one shuffle per stream.
+    """
     n = len(degrees)
     stubs = np.repeat(np.arange(n), degrees).tolist()
-    rng.shuffle(stubs)
-    a, b = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
-    kept = a != b
-    keys = np.minimum(a, b)[kept] * n + np.maximum(a, b)[kept]
-    simple = np.unique(keys)
-    return (np.column_stack([simple // n, simple % n]),
-            len(a) - len(keys), len(keys) - len(simple))
+    top = max(len(stubs) - 1, 0)
+    starts = [stream._state for stream in streams]
+    words = _uint64_rows(streams, top)
+    bounds, limits = _swap_limits(top)
+    exact = (words <= limits).all(axis=1).tolist()
+    shuffled = []
+    for stream, start, swaps, ok in zip(streams, starts,
+                                        (words % bounds).tolist(), exact):
+        items = list(stubs)
+        if ok:
+            for i, j in zip(range(top, 0, -1), swaps):
+                items[i], items[j] = items[j], items[i]
+        else:
+            stream._state = start
+            stream.shuffle(items)
+        shuffled.append(items)
+    pairs = np.array(shuffled, dtype=np.int64).reshape(
+        len(streams), len(stubs) // 2, 2)
+    pairs.sort(axis=2)
+    lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+    loops = lo == hi
+    # Each row's pair keys in order, loops first as -1; a simple edge is
+    # the first of its run of equal keys.
+    keys = np.where(loops, -1, lo * n + hi)
+    keys.sort(axis=1)
+    simple = keys >= 0
+    simple[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+    kept = keys[simple]
+    edges = np.column_stack([kept // n, kept % n])
+    counts = simple.sum(axis=1)
+    dropped = loops.sum(axis=1)
+    collapsed = len(stubs) // 2 - dropped - counts
+    return [(edges[end - count:end], loop_count, parallel_count)
+            for end, count, loop_count, parallel_count in zip(
+                np.cumsum(counts).tolist(), counts.tolist(),
+                dropped.tolist(), collapsed.tolist())]
 
 
-def _k_regular_edges(n: int, k: int, rng: SplitMix64) -> np.ndarray:
-    """Retry stub pairings until one is simple, so the result is exactly
-    k-regular."""
+def _k_regular_edges(n: int, k: int, streams: list[SplitMix64]) -> list:
+    """Retry each stream's stub pairing until one is simple, so the result
+    is exactly k-regular; returns the edges of each stream, or the
+    ``GenerationError`` of one with no simple pairing in
+    ``MAX_PAIRING_ATTEMPTS`` attempts.  A round pairs every stream still
+    pending from where its last pairing left it."""
+    results: list = [None] * len(streams)
+    pending = list(range(len(streams)))
     for _ in range(MAX_PAIRING_ATTEMPTS):
-        edges, loops, parallels = _pair_stubs([k] * n, rng)
-        if loops == 0 and parallels == 0:
-            return edges
-    raise GenerationError(
-        f"no simple {k}-regular pairing on {n} nodes after "
-        f"{MAX_PAIRING_ATTEMPTS} attempts")
+        if not pending:
+            break
+        pairings = _pair_stubs([k] * n, [streams[row] for row in pending])
+        for row, (edges, loops, parallels) in zip(pending, pairings):
+            if loops == 0 and parallels == 0:
+                results[row] = edges
+        pending = [row for row in pending if results[row] is None]
+    for row in pending:
+        results[row] = GenerationError(
+            f"no simple {k}-regular pairing on {n} nodes after "
+            f"{MAX_PAIRING_ATTEMPTS} attempts")
+    return results
 
 
 def _configuration_edges(degrees: tuple[int, ...],
-                         rng: SplitMix64) -> np.ndarray:
-    """Erased configuration model: one pairing, loops and parallel edges
-    dropped, so realised degrees may fall below their targets."""
-    edges, loops, parallels = _pair_stubs(list(degrees), rng)
-    if loops or parallels:
-        logger.info("configuration model erased %d loops and %d parallel "
-                    "edges", loops, parallels)
-    return edges
+                         streams: list[SplitMix64]) -> list[np.ndarray]:
+    """Erased configuration model: one pairing per stream, loops and
+    parallel edges dropped, so realised degrees may fall below their
+    targets."""
+    results = []
+    for edges, loops, parallels in _pair_stubs(list(degrees), streams):
+        if loops or parallels:
+            logger.info("configuration model erased %d loops and %d "
+                        "parallel edges", loops, parallels)
+        results.append(edges)
+    return results
 
 
 def _preferential_edges(n: int, m: int, rng: SplitMix64) -> list[list[int]]:
@@ -231,32 +282,33 @@ def _preferential_edges(n: int, m: int, rng: SplitMix64) -> list[list[int]]:
     return edges
 
 
-def _draw_edges(spec: RandomGraphSpec, seed: int) -> np.ndarray:
-    """The edges of ``spec``'s model drawn from ``SplitMix64(seed)``, as an
-    ``(m, 2)`` int64 array: what :func:`generate` builds for ``spec``
-    with that seed, before any LCC extraction."""
-    rng = SplitMix64(seed)
-    if spec.model == "path":
-        return path_edges(spec.n)
-    if spec.model == "cycle":
-        return cycle_edges(spec.n)
-    if spec.model == "star":
-        return star_edges(spec.n)
-    if spec.model == "complete":
-        return complete_edges(spec.n)
-    if spec.model == "erdos_renyi":
-        return _erdos_renyi_edges(spec.n, spec.p, rng)
+def _draw_edges(spec: RandomGraphSpec, seeds: list[int]) -> list:
+    """The edges of ``spec``'s model drawn from ``SplitMix64(seed)`` for
+    each seed, in order: an ``(m, 2)`` int64 array, what :func:`generate`
+    builds for ``spec`` with that seed before any LCC extraction, or the
+    ``GenerationError`` that the draw gives.  Stub pairings are drawn for
+    all seeds at once; the other models draw one seed at a time."""
+    streams = [SplitMix64(seed) for seed in seeds]
     if spec.model == "k_regular":
-        return _k_regular_edges(spec.n, spec.k, rng)
+        return _k_regular_edges(spec.n, spec.k, streams)
     if spec.model == "configuration":
-        return _configuration_edges(spec.degree_sequence, rng)
-    return np.array(_preferential_edges(spec.n, spec.m_attach, rng),
-                    dtype=np.int64)
+        return _configuration_edges(spec.degree_sequence, streams)
+    if spec.model == "erdos_renyi":
+        return [_erdos_renyi_edges(spec.n, spec.p, rng) for rng in streams]
+    if spec.model == "preferential_attachment":
+        return [np.array(_preferential_edges(spec.n, spec.m_attach, rng),
+                         dtype=np.int64) for rng in streams]
+    family = {"path": path_edges, "cycle": cycle_edges, "star": star_edges,
+              "complete": complete_edges}[spec.model]
+    return [family(spec.n) for _ in seeds]
 
 
 def generate(spec: RandomGraphSpec) -> Graph:
     """Realise a :class:`RandomGraphSpec` as an undirected graph."""
-    graph = build_undirected(spec.n, _draw_edges(spec, spec.seed))
+    edges = _draw_edges(spec, [spec.seed])[0]
+    if isinstance(edges, GenerationError):
+        raise edges
+    graph = build_undirected(spec.n, edges)
     if effective_lcc_extract(spec):
         graph, _ = extract_lcc(graph)
     return graph

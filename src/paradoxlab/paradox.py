@@ -308,20 +308,28 @@ def pagerank_paradox_check(graph: Graph, r: CentralityVector) -> tuple[float, fl
     return float(apply_transition(graph, values).sum()), float(values.sum())
 
 
-def _candidate(spec: RandomGraphSpec, master_seed: int, index: int,
-               attempt: int):
-    """The edges of one member's attempt, or the error its draw raised."""
-    seed = derive_seed(derive_seed(master_seed, index), attempt)
-    try:
-        return _draw_edges(spec, seed)
-    except GenerationError as error:
-        return error
+def _candidates(spec: RandomGraphSpec, master_seed: int, indices,
+                attempt: int) -> list:
+    """The edges of attempt ``attempt`` of each member in ``indices``, or
+    the error its draw gave, in order, drawn in one batch."""
+    return _draw_edges(spec, [derive_seed(derive_seed(master_seed, index),
+                                          attempt) for index in indices])
 
 
 def _extent(spec: RandomGraphSpec, candidate) -> int:
     """Nodes and stored arcs that a candidate adds to a sampled union."""
     return (0 if isinstance(candidate, GenerationError)
             else spec.n + 2 * len(candidate))
+
+
+def _largest_extent(spec: RandomGraphSpec) -> int:
+    """The most nodes and stored arcs that one candidate, a simple graph,
+    can add to a sampled union."""
+    if spec.model == "k_regular":
+        return spec.n * (spec.k + 1)
+    if spec.model == "configuration":
+        return spec.n + sum(spec.degree_sequence)
+    return spec.n * spec.n
 
 
 def _sampling_round(spec: RandomGraphSpec, candidates: list) -> list:
@@ -366,23 +374,32 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
     that is connected, or its largest component when the spec extracts
     it, within ``MAX_CONNECTED_ATTEMPTS`` attempts.  Members are sampled
     in windows of consecutive members, in rounds: round ``a`` draws
-    attempt ``a`` of every member of the window still pending and
-    labels them together (see :func:`_sampling_round`).  Round 0 fixes
-    the window, which closes before its candidates' nodes and stored arcs
-    would pass ``BFS_BLOCK_ARCS``; the candidate that did not fit opens
-    the next window.  The samples equal those of one ``generate`` and one
-    connectivity check per attempt.
+    attempt ``a`` of every member of the window still pending in one
+    batch and labels them together (see :func:`_sampling_round`).  Round
+    0 fixes the window, which closes before its candidates' nodes and
+    stored arcs would pass ``BFS_BLOCK_ARCS``; the candidate that did not
+    fit opens the next window.  Round 0 draws in batches of the members
+    that would fit at the largest extent a candidate can have, plus the
+    one after them, so a batch ends at or before the candidate that does
+    not fit.  The samples, and the order of the draws, equal those of one
+    ``generate`` and one connectivity check per attempt.
     """
-    first, carried = 0, None
+    first, ahead = 0, []
     while first < n_graphs:
         window, size = [], 0
         for index in range(first, n_graphs):
-            candidate = (carried if carried is not None
-                         else _candidate(spec, master_seed, index, 0))
-            carried = None
+            if not ahead:
+                # The members that fit even at the largest extent, and
+                # the one after them: no candidate is drawn before one
+                # drawn singly would be.
+                count = 1 + (max(BFS_BLOCK_ARCS - size, 0)
+                             // _largest_extent(spec))
+                ahead = _candidates(spec, master_seed, range(
+                    index, min(index + count, n_graphs)), 0)[::-1]
+            candidate = ahead.pop()
             size += _extent(spec, candidate)
             if window and size > BFS_BLOCK_ARCS:
-                carried = candidate
+                ahead.append(candidate)
                 break
             window.append(candidate)
         samples = [None] * len(window)
@@ -390,9 +407,9 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
         for attempt in range(MAX_CONNECTED_ATTEMPTS):
             if not pending:
                 break
-            candidates = window if attempt == 0 else [
-                _candidate(spec, master_seed, first + slot, attempt)
-                for slot in pending]
+            candidates = window if attempt == 0 else _candidates(
+                spec, master_seed, [first + slot for slot in pending],
+                attempt)
             for slot, sample in zip(pending,
                                     _sampling_round(spec, candidates)):
                 samples[slot] = sample
@@ -438,19 +455,20 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     pooled.
 
     Members are sampled in rounds over windows of consecutive members:
-    each round draws the next attempt of every member still pending,
-    assembles them as one disjoint union and labels it once, so no
-    attempt is assembled or labelled alone.  Degree, walk counts,
-    PageRank, and eigenvector members below ``LANCZOS_MIN_NODES`` nodes
-    are then solved in batches of consecutive members, one solve and one
-    neighbour average over the disjoint union of each batch, a batch
-    closing before its stored arcs would pass ``BFS_BLOCK_ARCS``.  Katz,
-    closeness, harmonic, larger eigenvector members, which try Lanczos
-    first, and a lone node, whose neighbour average is undefined, take
-    one solve per member.  Samples and errors are those of one
-    ``generate`` per attempt and one solve per member, in member order: a
-    member that cannot be sampled raises after the members before it are
-    solved.
+    each round draws the next attempt of every member still pending in
+    one batch, which pairs the stubs of ``k_regular`` and
+    ``configuration`` members together, assembles them as one disjoint
+    union and labels it once, so no attempt is assembled or labelled
+    alone.  Degree, walk counts, PageRank, and eigenvector members below
+    ``LANCZOS_MIN_NODES`` nodes are then solved in batches of
+    consecutive members, one solve and one neighbour average over the
+    disjoint union of each batch, a batch closing before its stored arcs
+    would pass ``BFS_BLOCK_ARCS``.  Katz, closeness, harmonic, larger
+    eigenvector members, which try Lanczos first, and a lone node, whose
+    neighbour average is undefined, take one solve per member.  Samples
+    and errors are those of one ``generate`` per attempt and one solve per
+    member, in member order: a member that cannot be sampled raises after
+    the members before it are solved.
     """
     _require_int("n_graphs", n_graphs, 1)
     _require_int("seed", seed)

@@ -13,14 +13,15 @@ easy to port: any implementation with 64-bit unsigned arithmetic gives
 bit-identical graphs.
 
 The generator is counter-based: word k of state s is ``mix(s + k*GAMMA)``,
-so a block of consecutive words is computed at once with numpy ``uint64``
-arithmetic, which wraps modulo 2**64 like the masked scalar code.
+so a block of consecutive words, of one stream or of many at once, is
+computed with numpy ``uint64`` arithmetic, which wraps modulo 2**64 like
+the masked scalar code.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import MutableSequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 
@@ -34,6 +35,33 @@ def _mix(z):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _uint64_rows(streams: Sequence[SplitMix64], count: int) -> np.ndarray:
+    """The next ``count`` words of each stream as a ``(len(streams), count)``
+    ``uint64`` array, one row per stream; each state advances exactly as
+    ``count`` calls of :meth:`SplitMix64.next_uint64` would."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z = z + np.array([stream._state for stream in streams],
+                     dtype=np.uint64)[:, None]
+    step = operator.index(count) * _GAMMA
+    for stream in streams:
+        stream._state = (stream._state + step) & _MASK64
+    return _mix(z)
+
+
+def _swap_limits(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bounds ``top + 1`` down to 2 of a Fisher-Yates shuffle's swaps
+    and, for each, the largest word that :meth:`SplitMix64.below` accepts,
+    as ``uint64`` arrays."""
+    bounds = np.arange(top + 1, 1, -1).astype(np.uint64)
+    # 2**64 mod b, in wrapping array arithmetic: scalar uint64 wrap would
+    # warn.
+    sliver = (np.zeros_like(bounds) - bounds) % bounds
+    return bounds, np.uint64(_MASK64) - sliver
 
 
 class SplitMix64:
@@ -55,14 +83,7 @@ class SplitMix64:
     def uint64_block(self, count: int) -> np.ndarray:
         """The next ``count`` words as a ``uint64`` array; the state advances
         exactly as ``count`` calls of :meth:`next_uint64` would."""
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(_GAMMA)
-        z += np.uint64(self._state)
-        self._state = ((self._state + operator.index(count) * _GAMMA)
-                       & _MASK64)
-        return _mix(z)
+        return _uint64_rows([self], count)[0]
 
     def random_block(self, count: int) -> np.ndarray:
         """The next ``count`` floats of :meth:`random` as a float64 array."""
@@ -94,12 +115,9 @@ class SplitMix64:
         top = len(items) - 1
         while top > 0:
             start = self._state
-            bounds = np.arange(top + 1, 1, -1).astype(np.uint64)
+            bounds, limits = _swap_limits(top)
             words = self.uint64_block(top)
-            # 2**64 mod b, in wrapping array arithmetic: scalar uint64
-            # wrap would warn.
-            sliver = (np.zeros_like(bounds) - bounds) % bounds
-            accepted = words <= np.uint64(_MASK64) - sliver
+            accepted = words <= limits
             count = top if accepted.all() else int(np.argmin(accepted))
             for i, j in zip(range(top, top - count, -1),
                             (words[:count] % bounds[:count]).tolist()):

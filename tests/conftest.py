@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from paradoxlab import (GenerationError, RandomGraphSpec, build_directed,
-                        build_undirected, derive_seed, generate,
+                        build_undirected, derive_seed, generate, generators,
                         is_connected)
-from paradoxlab.generators import (complete_edges, cycle_edges, path_edges,
-                                   star_edges)
+from paradoxlab.generators import (MAX_PAIRING_ATTEMPTS, complete_edges,
+                                   cycle_edges, path_edges, star_edges)
 from paradoxlab.graph import Graph
 from paradoxlab.paradox import MAX_CONNECTED_ATTEMPTS
+from paradoxlab.rng import _GAMMA, SplitMix64, _uint64_rows
 
 
 def path(n):
@@ -109,3 +110,73 @@ def connected_sample(spec: RandomGraphSpec, graph_index: int,
         f"no connected graph from {spec.model!r} after "
         f"{MAX_CONNECTED_ATTEMPTS} attempts "
         f"(graph {graph_index})")
+
+
+def _unshift(z, shift):
+    """Inverse of ``z ^= z >> shift`` on 64-bit words."""
+    x = z
+    for _ in range(64 // shift + 1):
+        x = z ^ (x >> shift)
+    return x
+
+
+def unmix(word):
+    """The state whose splitmix64 finalizer output is ``word``."""
+    z = _unshift(word, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2 ** 64) % 2 ** 64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) % 2 ** 64
+    return _unshift(z, 30)
+
+
+def rejecting_seed(position):
+    """A seed whose stream's word ``position`` is 2**64 - 1, which every
+    bound but a power of two rejects."""
+    return (unmix(2 ** 64 - 1) - (position + 1) * _GAMMA) % 2 ** 64
+
+
+# The per-stream stub pairing the generators module ran before it paired
+# the streams of many draws at once, kept as the reference that its batch
+# is checked against.
+def pair_stubs(degrees: list[int],
+               rng: SplitMix64) -> tuple[np.ndarray, int, int]:
+    """Uniform stub pairing; returns (simple edges as an ``(m, 2)`` int64
+    array, dropped loops, collapsed parallels)."""
+    n = len(degrees)
+    stubs = np.repeat(np.arange(n), degrees).tolist()
+    rng.shuffle(stubs)
+    a, b = np.array(stubs, dtype=np.int64).reshape(-1, 2).T
+    kept = a != b
+    keys = np.minimum(a, b)[kept] * n + np.maximum(a, b)[kept]
+    simple = np.unique(keys)
+    return (np.column_stack([simple // n, simple % n]),
+            len(a) - len(keys), len(keys) - len(simple))
+
+
+def k_regular_edges(n: int, k: int, rng: SplitMix64) -> np.ndarray:
+    """Retry stub pairings until one is simple, so the result is exactly
+    k-regular."""
+    for _ in range(MAX_PAIRING_ATTEMPTS):
+        edges, loops, parallels = pair_stubs([k] * n, rng)
+        if loops == 0 and parallels == 0:
+            return edges
+    raise GenerationError(
+        f"no simple {k}-regular pairing on {n} nodes after "
+        f"{MAX_PAIRING_ATTEMPTS} attempts")
+
+
+def unshuffled_rows(streams, count):
+    """Word rows under which every Fisher-Yates swap leaves its item in
+    place: word ``p`` of a block is the largest below its bound
+    ``count + 1 - p``.  The streams advance as they do for their own
+    words."""
+    words = _uint64_rows(streams, count)
+    words[:] = np.arange(count, 0, -1, dtype=np.uint64)
+    return words
+
+
+@pytest.fixture
+def unshuffled(monkeypatch):
+    """Stub pairings in the generators module draw ``unshuffled_rows``, so
+    stubs stay in node order and pair with their neighbours."""
+    monkeypatch.setattr(generators, "_uint64_rows", unshuffled_rows)

@@ -1,10 +1,16 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
 from paradoxlab import (GenerationError, ParameterError, RandomGraphSpec,
-                        generate, generators, is_connected)
-from paradoxlab.rng import SplitMix64
-from conftest import edge_pairs
+                        build_undirected, derive_seed, generate, generators,
+                        is_connected)
+from paradoxlab import rng as rng_module
+from paradoxlab.rng import _GAMMA, SplitMix64
+from conftest import (edge_pairs, k_regular_edges, pair_stubs,
+                      rejecting_seed, unshuffled_rows)
 
 
 def test_deterministic_families():
@@ -212,20 +218,17 @@ def test_preferential_attachment_grows_hubs():
     assert degrees[0] >= 4 * np.median(g.degree_seq)
 
 
-class _IdentityShuffle:
-    """Stub stream whose shuffle is a no-op, so stub pairing always pairs
-    identical neighbours in a regular sequence."""
-
-    def shuffle(self, items):
-        pass
-
-
-def test_k_regular_retry_budget_raises():
-    from paradoxlab.generators import _k_regular_edges
+def test_k_regular_retry_budget_raises(unshuffled):
     # Unshuffled stubs [0,0,1,1,...] always pair into self-loops, so every
-    # one of the 100 attempts fails.
+    # one of the 100 attempts fails, for each stream of a batch.
+    streams = [SplitMix64(0), SplitMix64(1)]
+    results = generators._k_regular_edges(4, 2, streams)
+    assert [type(result) for result in results] == [GenerationError] * 2
+    # 100 pairings of 8 stubs, each drawing 7 words.
+    assert [stream._state for stream in streams] == [
+        (seed + 100 * 7 * _GAMMA) % 2 ** 64 for seed in (0, 1)]
     with pytest.raises(GenerationError):
-        _k_regular_edges(4, 2, _IdentityShuffle())
+        generate(RandomGraphSpec(model="k_regular", n=4, k=2))
 
 
 def _loop_pair_stubs(degrees, rng):
@@ -262,25 +265,145 @@ def _degree_sequences():
         yield degrees
 
 
-def test_pair_stubs_matches_the_scalar_loop():
+def test_pair_stubs_matches_the_scalar_loop(monkeypatch):
     totals = np.zeros(2, dtype=np.int64)
     for index, degrees in enumerate(_degree_sequences()):
-        for seed in (index, index + 1000):
-            rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
-            edges, loops, parallels = generators._pair_stubs(degrees, rng)
+        seeds = (index, index + 1000)
+        streams = [SplitMix64(seed) for seed in seeds]
+        pairings = generators._pair_stubs(degrees, streams)
+        for seed, stream, (edges, loops, parallels) in zip(seeds, streams,
+                                                           pairings):
+            ref_rng = SplitMix64(seed)
             want, want_loops, want_parallels = _loop_pair_stubs(degrees,
                                                                 ref_rng)
             assert edges.dtype == np.int64 and edges.shape == (len(want), 2)
             assert sorted(map(tuple, edges.tolist())) == sorted(want)
             assert (loops, parallels) == (want_loops, want_parallels)
-            assert rng._state == ref_rng._state
+            assert stream._state == ref_rng._state
             totals += (loops, parallels)
-        identity = generators._pair_stubs(degrees, _IdentityShuffle())
-        want = _loop_pair_stubs(degrees, _IdentityShuffle())
+        with monkeypatch.context() as patch:
+            # Neither the batch nor the loop's shuffle moves a stub.
+            patch.setattr(generators, "_uint64_rows", unshuffled_rows)
+            patch.setattr(rng_module, "_uint64_rows", unshuffled_rows)
+            identity = generators._pair_stubs(degrees, [SplitMix64(0)])[0]
+            want = _loop_pair_stubs(degrees, SplitMix64(0))
         assert sorted(map(tuple, identity[0].tolist())) == sorted(want[0])
         assert identity[1:] == want[1:]
     # Loops and parallels both occurred, so both counts were compared.
     assert (totals > 0).all()
+
+
+def _assert_pairings_agree(degrees, seeds):
+    """One batched pairing of ``seeds`` against one reference pairing per
+    seed: edges, counts and final states."""
+    streams = [SplitMix64(seed) for seed in seeds]
+    pairings = generators._pair_stubs(degrees, streams)
+    assert len(pairings) == len(seeds)
+    for seed, stream, (edges, loops, parallels) in zip(seeds, streams,
+                                                       pairings):
+        ref_rng = SplitMix64(seed)
+        want, want_loops, want_parallels = pair_stubs(degrees, ref_rng)
+        assert edges.dtype == want.dtype and np.array_equal(edges, want)
+        assert (loops, parallels) == (want_loops, want_parallels)
+        assert stream._state == ref_rng._state
+    return pairings
+
+
+def test_batched_pairing_matches_the_per_stream_reference():
+    # Word 5 of this stream is the rejected draw for bound top + 1 - 5.
+    rejecting = rejecting_seed(5)
+    rejected = 0
+    for index, degrees in enumerate(_degree_sequences()):
+        seeds = [derive_seed(index, row) for row in range(6)]
+        top = sum(degrees) - 1
+        if top > 5 and 2 ** 64 % (top + 1 - 5):
+            # A row in mid-batch shuffles through the rejected word.
+            seeds.insert(3, rejecting)
+            rejected += 1
+        batch = _assert_pairings_agree(degrees, seeds)
+        # A row alone gives what it gives inside the batch.
+        alone = _assert_pairings_agree(degrees, seeds[3:4])[0]
+        assert np.array_equal(alone[0], batch[3][0])
+        assert alone[1:] == batch[3][1:]
+    assert rejected > 100
+    assert _assert_pairings_agree([1, 1], []) == []
+    _assert_pairings_agree([0, 0, 0], [1, 2])
+
+
+def _words_drawn(seed, stream):
+    return (stream._state - seed) * pow(_GAMMA, -1, 2 ** 64) % 2 ** 64
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 3), (12, 2), (40, 3), (80, 2),
+                                  (30, 4)])
+def test_k_regular_retries_each_row_from_its_own_state(n, k):
+    seeds = [derive_seed(n * k, row) for row in range(40)]
+    streams = [SplitMix64(seed) for seed in seeds]
+    results = generators._k_regular_edges(n, k, streams)
+    attempts, exhausted = set(), 0
+    for seed, stream, edges in zip(seeds, streams, results):
+        ref_rng = SplitMix64(seed)
+        spec = RandomGraphSpec(model="k_regular", n=n, k=k, seed=seed)
+        try:
+            want = k_regular_edges(n, k, ref_rng)
+        except GenerationError as error:
+            # The budget ran out on this row and on this row alone.
+            assert type(edges) is GenerationError
+            assert str(edges) == str(error)
+            with pytest.raises(GenerationError, match=str(error)):
+                generate(spec)
+            exhausted += 1
+        else:
+            assert np.array_equal(edges, want)
+            assert generate(spec) == build_undirected(n, want)
+        assert stream._state == ref_rng._state
+        attempts.add(_words_drawn(seed, stream) // (n * k - 1))
+    if (n, k) not in ((2, 1), (4, 3)):
+        # Rows needed different numbers of pairings.
+        assert len(attempts) > 3
+    # P(simple) is about exp(-15/4) for 4-regular pairings, so some rows
+    # of 40 exhaust their 100 pairings.
+    assert (exhausted > 0) == (k == 4)
+
+
+def test_configuration_draws_match_the_per_stream_reference():
+    for index, degrees in enumerate(_degree_sequences()):
+        if max(degrees) >= len(degrees):
+            continue  # a degree the spec rejects
+        spec = RandomGraphSpec(model="configuration", n=len(degrees),
+                               degree_sequence=tuple(degrees))
+        seeds = [derive_seed(index, row) for row in range(5)]
+        for seed, edges in zip(seeds, generators._draw_edges(spec, seeds)):
+            want = pair_stubs(degrees, SplitMix64(seed))[0]
+            assert np.array_equal(edges, want)
+            graph = generate(dataclasses.replace(spec, seed=seed))
+            assert graph == build_undirected(len(degrees), want)
+
+
+def _erasure_messages(degrees, seeds):
+    """The erasure notice of each reference pairing that erased, in
+    order."""
+    messages = []
+    for seed in seeds:
+        _, loops, parallels = pair_stubs(list(degrees), SplitMix64(seed))
+        if loops or parallels:
+            messages.append(f"configuration model erased {loops} loops "
+                            f"and {parallels} parallel edges")
+    return messages
+
+
+def test_batched_erasures_log_as_the_per_attempt_reference(caplog):
+    degrees = (5, 3, 2, 2, 1, 1, 1, 1)
+    spec = RandomGraphSpec(model="configuration", n=8,
+                           degree_sequence=degrees)
+    seeds = [derive_seed(3, row) for row in range(30)]
+    with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
+        generators._draw_edges(spec, seeds)
+    got = [record.getMessage() for record in caplog.records]
+    want = _erasure_messages(degrees, seeds)
+    assert 0 < len(want) < len(seeds)
+    assert got == want
+    assert all(record.levelno == logging.INFO for record in caplog.records)
 
 
 def test_models_are_reproducible_across_processes():

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace as dataclass_replace
 from fractions import Fraction
 
@@ -581,6 +582,73 @@ def test_sampling_windows_stay_under_the_arc_cap(monkeypatch):
     assert max(unions) == 5 and unions[0] == 5
 
 
+@pytest.fixture
+def drawn_seeds(monkeypatch):
+    """The seeds of each batch the sampler draws, in call order."""
+    batches = []
+    draw = paradox._draw_edges
+
+    def recorded(spec, seeds):
+        batches.append(list(seeds))
+        return draw(spec, seeds)
+
+    monkeypatch.setattr(paradox, "_draw_edges", recorded)
+    return batches
+
+
+def _round_order(spec, n_graphs, seed):
+    """The seed of every attempt the reference sampler makes, attempt 0
+    of each member first, then attempt 1 of each member that needs it,
+    and so on."""
+    attempts = [_attempts(spec, index, seed) for index in range(n_graphs)]
+    return [derive_seed(derive_seed(seed, index), attempt)
+            for attempt in range(max(attempts))
+            for index in range(n_graphs) if attempt < attempts[index]]
+
+
+@pytest.mark.parametrize("window", [None, 5])
+def test_each_round_draws_its_members_in_one_batch(monkeypatch, drawn_seeds,
+                                                   window):
+    spec, n_graphs = ENSEMBLES["ring"]
+    if window:
+        monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS",
+                            window * (spec.n + 2 * spec.n))
+    got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
+    want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
+    assert got.tobytes() == want.tobytes()
+    seeds = [seed for batch in drawn_seeds for seed in batch]
+    # Every attempt the reference makes is drawn once and no other.
+    assert sorted(seeds) == sorted(_round_order(spec, n_graphs, SEED))
+    if window is None:
+        # One batch per round, in the order of the rounds.
+        assert seeds == _round_order(spec, n_graphs, SEED)
+        assert len(drawn_seeds[0]) == n_graphs
+        assert len(drawn_seeds) == max(
+            _attempts(spec, index, SEED) for index in range(n_graphs))
+    else:
+        # Ring candidates all have the largest extent, so round 0 of a
+        # window draws its 5 members and the one that opens the next.
+        assert len(drawn_seeds[0]) == window + 1
+
+
+def test_erasure_notices_follow_the_rounds(caplog):
+    spec, n_graphs = ENSEMBLES["configuration"]
+    order = _round_order(spec, n_graphs, SEED)
+    assert len(order) > n_graphs
+    with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
+        bias_distribution(spec, CentralityParams(kind="degree"), n_graphs,
+                          SEED)
+        got = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        # The per-attempt reference: one generate per attempt, in the
+        # order the rounds draw them.
+        for seed in order:
+            generate(dataclass_replace(spec, seed=seed))
+        want = [record.getMessage() for record in caplog.records]
+    assert len(want) > n_graphs
+    assert got == want
+
+
 def _raised(call):
     with pytest.raises(ParadoxLabError) as info:
         call()
@@ -657,15 +725,9 @@ def test_a_failing_member_waits_for_the_members_before_it(monkeypatch,
         spec, measure, n_graphs, SEED)) == want
 
 
-class _Unshuffled(SplitMix64):
-    """Leaves stubs in order, so that every pairing has self-loops."""
-
-    def shuffle(self, items):
-        pass
-
-
 @pytest.mark.parametrize("budget", [None, "short"])
 def test_pairing_exhaustion_waits_for_the_members_before_it(monkeypatch,
+                                                            unshuffled,
                                                             budget):
     spec, n_graphs = ENSEMBLES["erdos_renyi_resampled"]
     steps = [compute(connected_sample(spec, i, SEED),
@@ -676,10 +738,12 @@ def test_pairing_exhaustion_waits_for_the_members_before_it(monkeypatch,
     exhausted = derive_seed(derive_seed(SEED, failing), 2)
     draw = generators._draw_edges
 
-    def draw_or_exhaust(spec, seed):
-        if seed != exhausted:
-            return draw(spec, seed)
-        return generators._k_regular_edges(spec.n, 2, _Unshuffled(seed))
+    def draw_or_exhaust(spec, seeds):
+        # The exhausted draw pairs 2-regular stubs that are never
+        # shuffled, so every pairing has self-loops.
+        return [generators._k_regular_edges(spec.n, 2, [SplitMix64(seed)])[0]
+                if seed == exhausted else draw(spec, [seed])[0]
+                for seed in seeds]
 
     # generate, and so the reference, calls the generators module's name.
     monkeypatch.setattr(generators, "_draw_edges", draw_or_exhaust)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from paradoxlab.rng import _GAMMA, SplitMix64, derive_seed
+from paradoxlab.rng import _GAMMA, SplitMix64, _uint64_rows, derive_seed
+from conftest import rejecting_seed
 
 
 def test_streams_are_reproducible():
@@ -50,6 +51,23 @@ def test_block_draws_continue_the_scalar_stream(seed, count):
     assert floats.dtype == np.float64 and floats.shape == (count,)
     assert floats.tolist() == [scalar.random() for _ in range(count)]
     assert block.next_uint64() == scalar.next_uint64()
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 1000])
+def test_word_rows_continue_each_stream(count):
+    seeds = [0, 12345, 2 ** 64 - 1, -3 * _GAMMA % 2 ** 64, 12345]
+    streams = [SplitMix64(seed) for seed in seeds]
+    # The two streams of seed 12345 stand at different positions.
+    streams[1].uint64_block(7)
+    singles = [SplitMix64(stream._state) for stream in streams]
+    rows = _uint64_rows(streams, count)
+    assert rows.dtype == np.uint64 and rows.shape == (len(streams), count)
+    for row, single in zip(rows.tolist(), singles):
+        assert row == [single.next_uint64() for _ in range(count)]
+    assert [s._state for s in streams] == [s._state for s in singles]
+    assert _uint64_rows([], count).shape == (0, count)
+    with pytest.raises(ValueError):
+        _uint64_rows(streams, -1)
 
 
 def test_block_draws_wrap_the_counter():
@@ -114,29 +132,12 @@ def test_shuffle_matches_one_draw_per_swap():
             _assert_shuffles_agree(seed, m)
 
 
-def _unshift(z, shift):
-    """Inverse of ``z ^= z >> shift`` on 64-bit words."""
-    x = z
-    for _ in range(64 // shift + 1):
-        x = z ^ (x >> shift)
-    return x
-
-
-def _unmix(word):
-    """The state whose splitmix64 finalizer output is ``word``."""
-    z = _unshift(word, 31)
-    z = z * pow(0x94D049BB133111EB, -1, 2 ** 64) % 2 ** 64
-    z = _unshift(z, 27)
-    z = z * pow(0xBF58476D1CE4E5B9, -1, 2 ** 64) % 2 ** 64
-    return _unshift(z, 30)
-
-
 @pytest.mark.parametrize("m, position", [(3, 0), (1000, 0), (160, 5)])
 def test_shuffle_keeps_the_stream_through_a_rejected_word(m, position):
     top = 2 ** 64 - 1
     # Word ``position`` of the stream is 2**64 - 1, the draw for bound
     # ``m - position``, which rejects it: 2**64 is not a multiple of it.
-    seed = (_unmix(top) - (position + 1) * _GAMMA) % 2 ** 64
+    seed = rejecting_seed(position)
     assert SplitMix64(seed).uint64_block(position + 1)[position] == top
     assert 2 ** 64 % (m - position) != 0
     _assert_shuffles_agree(seed, m)
