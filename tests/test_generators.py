@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 
 import numpy as np
 import pytest
@@ -378,32 +377,6 @@ def test_configuration_draws_match_the_per_stream_reference():
             assert np.array_equal(edges, want)
             graph = generate(dataclasses.replace(spec, seed=seed))
             assert graph == build_undirected(len(degrees), want)
-
-
-def _erasure_messages(degrees, seeds):
-    """The erasure notice of each reference pairing that erased, in
-    order."""
-    messages = []
-    for seed in seeds:
-        _, loops, parallels = pair_stubs(list(degrees), SplitMix64(seed))
-        if loops or parallels:
-            messages.append(f"configuration model erased {loops} loops "
-                            f"and {parallels} parallel edges")
-    return messages
-
-
-def test_batched_erasures_log_as_the_per_attempt_reference(caplog):
-    degrees = (5, 3, 2, 2, 1, 1, 1, 1)
-    spec = RandomGraphSpec(model="configuration", n=8,
-                           degree_sequence=degrees)
-    seeds = [derive_seed(3, row) for row in range(30)]
-    with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
-        generators._draw_edges(spec, seeds)
-    got = [record.getMessage() for record in caplog.records]
-    want = _erasure_messages(degrees, seeds)
-    assert 0 < len(want) < len(seeds)
-    assert got == want
-    assert all(record.levelno == logging.INFO for record in caplog.records)
 
 
 def test_models_are_reproducible_across_processes():
