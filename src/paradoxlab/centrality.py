@@ -253,64 +253,51 @@ def _power_blocks(union: Graph, sizes: Sequence[int],
                   image: np.ndarray | None = None):
     """Power iteration on ``A + I`` from the uniform vector for each graph
     of a disjoint union, block ``b`` holding the next ``sizes[b]`` nodes,
-    run as one loop.
+    run as one loop; one graph alone is the one-block case.
 
-    The matvec, the shift, the division, the residual and its per-block
-    maxima run on the whole stacked vector.  Each block's sum and Rayleigh
-    dot products run on its own slice, the same calls as on the graph
-    alone, so each block takes the steps it would alone, byte for byte.
-    A block freezes at the step its own certificate passes; frozen entries
-    keep their values, so their images and residuals recur unchanged.
-    Steps count on from ``spent``; at ``max_iters`` the first block still
-    running raises.  ``image``, when given, is the image of the uniform
-    vector, already computed.  Returns the stacked vector and image, and
-    per block the estimate, residual and iterations.
+    Every step runs on the whole stacked vector, and each per-block
+    reduction (the Rayleigh dot products, the normalising sum and the
+    residual maximum) is one ``reduceat`` over the block starts.  A
+    ``reduceat`` segment reads only its own slice, so each block takes the
+    steps it would alone, byte for byte.  A block freezes at the step its
+    own certificate passes; frozen entries keep their values, so their
+    images and residuals recur unchanged.  Steps count on from ``spent``;
+    at ``max_iters`` the first block still running raises.  ``image``,
+    when given, is the image of the uniform vector, already computed.
+    Returns the stacked vector and image, and per block the estimate,
+    residual and iterations.
     """
     sizes = np.asarray(sizes)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(),
-                                              bounds[1:].tolist())]
-    # Updated in place, so the block views stay valid.
+    starts = np.cumsum(sizes) - sizes
+    # Updated in place, so that a frozen block keeps its vector.
     vec = np.repeat(1.0 / sizes, sizes)
-    vec_blocks = [vec[block] for block in blocks]
     if image is None:
         image = adjacency_matvec(union, vec)
-    estimates = np.empty(len(sizes))
-    sums = np.ones(len(sizes))
-    iterations = [spent] * len(sizes)
+    iterations = np.full(len(sizes), spent)
     running = np.ones(len(sizes), dtype=bool)
-    moving = True
-    active = list(range(len(sizes)))
     iteration = spent
     while True:
-        for b in active:
-            block_vec, block_image = vec_blocks[b], image[blocks[b]]
-            estimates[b] = (block_vec @ block_image) / (block_vec @ block_vec)
+        estimates = (np.add.reduceat(vec * image, starts)
+                     / np.add.reduceat(vec * vec, starts))
         residuals = np.maximum.reduceat(
-            np.abs(image - estimates.repeat(sizes) * vec), bounds[:-1])
-        checked = residuals.tolist()
-        passed = [b for b in active if checked[b] <= params.tol]
-        if passed:
-            for b in passed:
-                iterations[b] = iteration
-            running[passed] = False
-            active = [b for b in active if not checked[b] <= params.tol]
-            if not active:
-                break
-            moving = running.repeat(sizes)
+            np.abs(image - estimates.repeat(sizes) * vec), starts)
+        passed = running & (residuals <= params.tol)
+        iterations[passed] = iteration
+        running &= ~passed
+        if not running.any():
+            break
         iteration += 1
         if iteration >= params.max_iters:
             raise ConvergenceError(
                 f"eigenvector iteration did not reach {params.tol} in "
                 f"{params.max_iters} steps",
-                residual=checked[active[0]],
+                residual=float(residuals[running][0]),
                 iterations=params.max_iters)
         shifted = image + vec
-        for b in active:
-            sums[b] = shifted[blocks[b]].sum()
-        np.divide(shifted, sums.repeat(sizes), out=vec, where=moving)
+        np.divide(shifted, np.add.reduceat(shifted, starts).repeat(sizes),
+                  out=vec, where=running.repeat(sizes))
         image = adjacency_matvec(union, vec)
-    return vec, image, estimates, residuals, iterations
+    return vec, image, estimates, residuals, iterations.tolist()
 
 
 def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
@@ -507,56 +494,37 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
     disjoint union, block ``b`` holding the next ``sizes[b]`` nodes, run
     as one loop, as :func:`_power_blocks` runs eigenvector blocks.
 
-    The transition step, the teleport shift and the division run on the
-    whole stacked vector.  Each block's sums and L1 residual run on its
-    own slice, so each block takes the steps it would alone, byte for
-    byte, and freezes at the step whose residual is at most ``tol``.
-    After ``max_iters`` steps the first block still running raises.
-    Every degree must be positive.  Returns the stacked vector, and per
-    block the residual and iterations.
+    Every step runs on the whole stacked vector, and each per-block
+    reduction (the teleport shift, the L1 residual and the normalising
+    sum) is one ``reduceat`` over the block starts, so each block takes
+    the steps it would alone, byte for byte, and freezes at the step whose
+    residual is at most ``tol``.  After ``max_iters`` steps the first
+    block still running raises.  Every degree must be positive.  Returns
+    the stacked vector, and per block the residual and iterations.
     """
     beta, tol = params.beta, params.tol
     transpose, degrees = union._transpose, union._float_degrees
     sizes = np.asarray(sizes)
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1].tolist(),
-                                              bounds[1:].tolist())]
-    # The scalars one graph alone computes, from its Python int size.
-    teleports = [beta / n for n in sizes.tolist()]
+    starts = np.cumsum(sizes) - sizes
+    teleports = beta / sizes
     # Updated in place, so that a frozen block keeps its vector.
-    vec = np.repeat([1.0 / n for n in sizes.tolist()], sizes)
-    shifts = np.empty(len(sizes))
-    sums = np.ones(len(sizes))
-    residuals = [np.inf] * len(sizes)
-    iterations = [0] * len(sizes)
-    moving = True
-    active = list(range(len(sizes)))
+    vec = np.repeat(1.0 / sizes, sizes)
+    iterations = np.zeros(len(sizes), dtype=np.int64)
+    running = np.ones(len(sizes), dtype=bool)
     for iteration in range(params.max_iters):
-        for b in active:
-            shifts[b] = teleports[b] * vec[blocks[b]].sum()
         image = (1.0 - beta) * (transpose @ (vec / degrees))
-        image += shifts.repeat(sizes)
-        error = np.abs(image - vec)
-        running = []
-        for b in active:
-            residuals[b] = float(error[blocks[b]].sum())
-            if residuals[b] <= tol:
-                iterations[b] = iteration
-            else:
-                running.append(b)
-        if not running:
-            return vec, residuals, iterations
-        if len(running) < len(active):
-            moving = np.zeros(len(sizes), dtype=bool)
-            moving[running] = True
-            moving = moving.repeat(sizes)
-        active = running
-        for b in active:
-            sums[b] = image[blocks[b]].sum()
-        np.divide(image, sums.repeat(sizes), out=vec, where=moving)
+        image += (teleports * np.add.reduceat(vec, starts)).repeat(sizes)
+        residuals = np.add.reduceat(np.abs(image - vec), starts)
+        passed = running & (residuals <= tol)
+        iterations[passed] = iteration
+        running &= ~passed
+        if not running.any():
+            return vec, residuals.tolist(), iterations.tolist()
+        np.divide(image, np.add.reduceat(image, starts).repeat(sizes),
+                  out=vec, where=running.repeat(sizes))
     raise ConvergenceError(
         f"pagerank iteration did not reach {tol} in {params.max_iters} steps",
-        residual=residuals[active[0]], iterations=params.max_iters)
+        residual=float(residuals[running][0]), iterations=params.max_iters)
 
 
 def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:

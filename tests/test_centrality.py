@@ -778,12 +778,17 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
     assert len(calls) == spectral.iterations + 2
 
 
+def _sum(x):
+    """The sum of ``x`` as the blocked solvers reduce a one-block vector."""
+    return np.add.reduceat(x, [0])[0]
+
+
 def _scalar_power(graph, tol=1e-12, max_iters=100_000):
     """Power iteration on ``A + I`` for one graph, one array per step: the
     reference the shared power loop must reproduce byte for byte."""
     vec = np.full(graph.node_count, 1.0 / graph.node_count)
     image = adjacency_matvec(graph, vec)
-    estimate = (vec @ image) / (vec @ vec)
+    estimate = _sum(vec * image) / _sum(vec * vec)
     residual = np.abs(image - estimate * vec).max()
     iteration = 0
     while not residual <= tol:
@@ -791,9 +796,9 @@ def _scalar_power(graph, tol=1e-12, max_iters=100_000):
         if iteration >= max_iters:
             return None, residual, max_iters
         shifted = image + vec
-        vec = shifted / shifted.sum()
+        vec = shifted / _sum(shifted)
         image = adjacency_matvec(graph, vec)
-        estimate = (vec @ image) / (vec @ vec)
+        estimate = _sum(vec * image) / _sum(vec * vec)
         residual = np.abs(image - estimate * vec).max()
     return vec, residual, iteration
 
@@ -856,11 +861,11 @@ def _scalar_pagerank(graph, beta, tol=1e-12, max_iters=100_000):
     for iteration in range(max_iters):
         image = ((1.0 - beta) * (graph.adjacency.T.tocsr() @ (
             vec / graph.degree_seq.astype(np.float64)))
-                 + teleport * vec.sum())
-        residual = float(np.abs(image - vec).sum())
+                 + teleport * _sum(vec))
+        residual = float(_sum(np.abs(image - vec)))
         if residual <= tol:
             return vec, iteration, residual
-        vec = image / image.sum()
+        vec = image / _sum(image)
     return None, max_iters, residual
 
 
