@@ -157,7 +157,7 @@ DIGESTS = {
     "bias-er-degree":
         "20f4a46fe82819b8ffbce0967da62dcaadb64d5b8a70631e870875cdc181e72a",
     "bias-er-eigenvector":
-        "f9cb3c1c1a60ec6200dea1462a09d397b3ab0a1755faf0873ea703bbc963173b",
+        "d918b180e9496d1289b40c1d7d68b6e9550047aeaefbdc2d2d5bb9683970e19e",
     "bias-er-harmonic":
         "7d515a3fdd01a457d99e0b52cd5788a7b14b074dc5cfe58fa4e3a859181a33a0",
     "bias-er-katz":
@@ -167,13 +167,13 @@ DIGESTS = {
     "bias-er-nolcc-walk_count":
         "6f5a544736c07083149a44d7f8d099d24087c4f4cd73a4ce381bda55ba9d7bd7",
     "bias-er-pagerank":
-        "0e8b835073dfb876823466c76f2fb6ca53750ad5a853df32f17903a10b5c375f",
+        "3aa99732d66e9f689fe4bb99ed0c3389eb3a0e416681df8f8b36ac2e989c06bb",
     "bias-er-walk_count":
         "4146b83cf2db8c2d702d4934c6f5902e60d34eab5f6d3838a841819d2b184bac",
     "bias-k_regular-degree":
         "7ace7fbbf9ce0259ed773d065ee9d222240900972677b666b0d9939e1df0114b",
     "bias-pa-eigenvector":
-        "c1b38f5f3c4703ad25b21e7560f35e952735dcca75dfdf7a9b26931ac09fd06d",
+        "2126bd765c3a9cf788b1e43d3022d760ac62b59da742e198998dd5481a905b26",
     "bias-ring-pagerank":
         "d90e0367a71aa9eee9f5f6869875c5005e61f1e0adf6b1fc66315c2abf92f17e",
     "centrality-digraph-degree":
@@ -185,15 +185,15 @@ DIGESTS = {
     "centrality-er-degree":
         "b7176366da5bafaa1e5670bbfdcda46b77f93b925a5e8f4b4a9320a4dd32968b",
     "centrality-er-eigenvector":
-        "ad46a51ed14808c04f8e90c17630fc2f5eaf23d3f2b2162c86227d1d7d7c28d5",
+        "b6b95731630322f7cec8efee4e299e94e7b76efaa718c31a7f2e42fa7b6afb0d",
     "centrality-er-harmonic":
         "cf814526719de9a3d1472f03b34e3c3d29b22aa3b6b6f39843efd0a92cd21a34",
     "centrality-er-katz":
-        "e568e010f3b93580c30b064babe7d2c8d9711f0751eb8483ebe0fd2c953ce1c3",
+        "158dbe696a9a661981c0c5708e90bf3d2a5bc6f0aea8128b24d80aeecd67fbce",
     "centrality-er-katz-alpha":
         "125176f6329d941dd7512af0a38c9c5dcf87ed79fc2e8ad8c2a60260e5069dfb",
     "centrality-er-pagerank":
-        "045648d219a88ce798da694859d86be492c624eecf54f2aac4de0f4b47178a5e",
+        "e796f82db25d88cfbc411000e8537fa5bda8b07769ab05e64c4aebda85c25cac",
     "centrality-er-walk_count":
         "b3d9afdebd0925ee854f312ec862a86f7587ff77958cce1c5cdfbc6eefd77670",
     "centrality-multi-closeness":
@@ -207,7 +207,7 @@ DIGESTS = {
     "centrality-multi-katz":
         "15f3fcfa5aaffaf26451cf65e8744de68183eed4b756a552911ce53f5b66030c",
     "centrality-multi-pagerank":
-        "7892457076db9f9f6067035e6adb56c3bc9584f21010efdb4726d8a35a18101c",
+        "8f6a9ca3ad67877eb6eb3173a15aee21874e5ad0704b9a4e927d8519ab4e7342",
     "centrality-multi-walk_count":
         "06611fa8e48b80424471cbbf4a81fc426867193586b02d2ed68a5b03a882ea66",
     "centrality-pa-closeness":
@@ -215,13 +215,13 @@ DIGESTS = {
     "centrality-pa-degree":
         "597e87b8800b9c1df851b7e2528ad48cf309dca24a6170d52032825f17ada44a",
     "centrality-pa-eigenvector":
-        "f9b786eb39f57fe37b0b4ba4dc890fc6c7c6a0da38eff2e446dec360e59cb644",
+        "f9f8191a286d8a53f9e31bfcc69a3e9f98e5bd4e0c1be39872ef4b6080766ed2",
     "centrality-pa-harmonic":
         "6ef206de28f9801836549caedbd9593432d9704d7d9476391d12e35d89825b2f",
     "centrality-pa-katz":
-        "d7801303092df94d479a4f20d4ccdbdf1ce6ebfe62158c9d6a21e369c4bf6f1e",
+        "103feed814de6216053f22a359fb49787ac82b70a4478646db10d40406f87aa7",
     "centrality-pa-pagerank":
-        "6a1fe3f2032c11f01f65af96f59496470ab7e2be2e53d484fcaeb595184fdb89",
+        "b867f6d7207986a7d69317ca2eeede9a46c2e774f6fac3bd1cb4548a86693a68",
     "centrality-pa-walk_count":
         "96a9d3469c37435563b747ef3e08e43fa2f405faef1d530cb9c52fd62f2213c0",
     "centrality-split-degree":
@@ -237,7 +237,7 @@ DIGESTS = {
     "centrality-wheel-katz-csv":
         "415d53896dbfe2773641def1b96d99cb3c35c9e9b064a696ee3d079bc05a9abf",
     "centrality-wheel-pagerank-csv":
-        "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
+        "e6b792370717139d4921bcdabc9fcf65d45f479f517f1bfef3195a19ddf01006",
     "centrality-wheel-walk_count-csv":
         "b5b497f5e41391b488f2ae1f346aaaba1f8b90a22c079e5f9539d7573c872107",
     "compare-digraph-degree":
@@ -249,15 +249,15 @@ DIGESTS = {
     "compare-er-degree":
         "404bfaadc05617097a091e725e53618393ad955ffbfb84433052c936a61fbf15",
     "compare-er-eigenvector":
-        "d924cd6ac7c42968198b1115d822f1c573ad4a98d389f5e5dc5db0083817e234",
+        "71ff36a76ee335ec39901aa8ae790f3ea5f90eedc0cc021500c634a595ab9ef1",
     "compare-er-harmonic":
         "ab9a7588733480fddfbb82bb24c94e1b76a59b8b6f46466ee0dd381b0886e54b",
     "compare-er-katz":
-        "78dff5db5f77d4ae9ec15e2982d94aa37fc1c52a50b6e459843bffcc84826047",
+        "e97192a9173c1f73edab27522ba60ab376608052e4dfd9ffaeaa032bd252b61d",
     "compare-er-katz-alpha":
         "a3014f4951e59d7286473352b3fb232dbe0264a862af1ece1d884cdb61ab0aa4",
     "compare-er-pagerank":
-        "60c5cfe6efa095932a5730277d7231d37336259e44c60a9c9b65f167516cdc90",
+        "b4a9f7f3d62419796b40f87e80e8eb9f77574b918e2154b0d54b508d39aa99e1",
     "compare-er-walk_count":
         "36d902ab91b930d70657334703352af4816497eea0cb50dd8cf536d704a39cb7",
     "compare-multi-closeness":
@@ -279,13 +279,13 @@ DIGESTS = {
     "compare-pa-degree":
         "d10ff36f4b1ee3066769af6ef3b5766ea0b79c5f685d0e8e4beef8ba577a8bde",
     "compare-pa-eigenvector":
-        "f6980597aaa18cd2e1228c5c0095fcaf3db8fe747aca29378eb8f1c1de0a9c0a",
+        "91a36400c116f070b72b5524a36a71c237d0abbedc97760a0b94dd178ffbfbc1",
     "compare-pa-harmonic":
         "7ded330da1b36178ddff81192871bd1098c5e64d25127052af3898a10d3d3f78",
     "compare-pa-katz":
-        "7e707562a7159f63565e4aa2dd2659787e723e3f43d451da253414b12afef385",
+        "be9cbd793d2dfc4bac9cebf80a43853c0d29df2cc952d46fa7bf120224489a75",
     "compare-pa-pagerank":
-        "6654f3c7af8a44318f55e8ad6bfa2aab5b8b72635d6e91739442c30a95b134bd",
+        "88c024b5cd8bd36f77eeb8842b34966327392134926290227f6760993d14cd90",
     "compare-pa-walk_count":
         "cbf605dcb45ed9daae1c32f0903ace8f15d07e38437cb2613b651821366f404b",
     "compare-split-degree":
@@ -415,7 +415,7 @@ DIGESTS = {
     "identities-digraph":
         "189a01754f60e745399868891f472b0bf2837bf1d7a286574408cfc5830f35fd",
     "identities-er30":
-        "2c5b1489c27cd130fc53cd134730c72759a436b5cf8fd53245c87ea14c24f7a8",
+        "620c9c37a4ccc3357b5104d59cfb40916cd9468477eb66837f185311b4d02a2e",
     "identities-multi":
         "4f637e84a9c1bd29380b665a9ddaa95ccdf614d4816c4ace5f4ad9d8e48e4de2",
     "identities-path6":
@@ -423,9 +423,9 @@ DIGESTS = {
     "identities-split":
         "21742fca7a8fb8afc71f3fe36ff88765713ab778d5e5610cae1fe6033928253e",
     "identities-star9":
-        "9e06273cc6204a5830bab9851a421700dec091d54d817a39d0534fee98f95997",
+        "feafdd7c2f92600128353d5e34ecac7097fb37aaffa84d387b70431609761565",
     "identities-wheel":
-        "f3553a15e90f57c877e8a9c0fd4982c18a6452c5b92ccf32fa126a8727f745ca",
+        "69d8f9bd94fbef62500b94575a3c3a05d89568485c4e32f332ce6d2c273aeef3",
     "paradox-digraph-degree":
         "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
     "paradox-digraph-pagerank":
@@ -435,15 +435,15 @@ DIGESTS = {
     "paradox-er-degree":
         "9e325155a9c9225d69908a149bff09285abb8868fae8cd436f798705bdbb95db",
     "paradox-er-eigenvector":
-        "8687b85f58343cb78ac616eb43677babb02669cf20f604bda0eb0912d4ad4bd1",
+        "6ded5038cb388c1640aaf1caafbde5f15ff5a5369f440ec93333401ecf2b55ed",
     "paradox-er-harmonic":
         "c0ad995b96f7958f9c5348a8308f24753ff6b808512870b6d29f0427cc813927",
     "paradox-er-katz":
-        "68729f849f011c969bc2d871cfc28fe7acd9c0930762d2d59068bad85bae574e",
+        "6dc3065da2865659493e63fa0ae88ff8c422723064a17caa624ce7e275e1f958",
     "paradox-er-katz-alpha":
         "8627f8ca170af06cea54a88cbb6694349c9ec0a7d287c3ac115a915602359140",
     "paradox-er-pagerank":
-        "c2fd5ea94ac3dc06cf83a03bf0639beac262249722e9c5c05073187de06360e1",
+        "0671e1ffe824669ac17c254a86d728d498293a5a064e958329f726d923e58fcf",
     "paradox-er-walk_count":
         "8a8fb7692104fab15bfcecfab458eee89885d572cc774365976ec9dd624b386b",
     "paradox-multi-closeness":
@@ -457,7 +457,7 @@ DIGESTS = {
     "paradox-multi-katz":
         "b8b8a11230c0d8fbf326522f6cdda18c5966af17c5e503e078612933e1269219",
     "paradox-multi-pagerank":
-        "35c5cad8c660192133709723faf21c58e780020d60858c11cc86a1cebb462fbb",
+        "0fd904f2512f5a2d781e1c7e5884ed8ef22e85868cf3296a5ef6a1f6dc3649d9",
     "paradox-multi-walk_count":
         "9ad7794bf6ec5ae76c0de0be5bfd139fe4c6b1b1ab20f79396edafd664e1fde7",
     "paradox-pa-closeness":
@@ -465,13 +465,13 @@ DIGESTS = {
     "paradox-pa-degree":
         "d538e7da4e0a884f5181f79c2c67a0dcbbc68b058fa4374bb276f299fc0a6484",
     "paradox-pa-eigenvector":
-        "db8c00edc567cdc1ef2fc83d0cd6f86f25f0bb5697bec909328f24451ebeb961",
+        "f58b47cab208b96cf085b1e71ed117a97e8ce88a8f7764a8c28719e1642dc501",
     "paradox-pa-harmonic":
         "5d1cf979bcc0c4f88b529e18db74526427421ded1cb66101d25f03ee89977c0b",
     "paradox-pa-katz":
-        "d5fcb4218d369be305477ea9e3bda15ad060f676691c3f2dd3d0ed2ec7dbdafa",
+        "07238bb620b6324dcf02f1cbe089885911f15bb3b7b41f7bff2199a7e0e7d137",
     "paradox-pa-pagerank":
-        "4e547171bb9b870d8e64d5b509db0ab17051ddf6a8ddec4d90ad7f9e4f16049d",
+        "48b9c15c00a04a50f2b53fa5daf23fd429ea54e5ea2a39709446620985d93cae",
     "paradox-pa-walk_count":
         "4df36baceb054b44be4af7e2ccfe7e7734f82a543e053bb2f9ac423034ab344b",
     "paradox-split-degree":
@@ -487,7 +487,7 @@ DIGESTS = {
     "paradox-wheel-katz-csv":
         "415d53896dbfe2773641def1b96d99cb3c35c9e9b064a696ee3d079bc05a9abf",
     "paradox-wheel-pagerank-csv":
-        "77f46a7d7bfccc84e56ff86f9854a9fc433195a5121369fbe6f9d2bf96151b2d",
+        "e6b792370717139d4921bcdabc9fcf65d45f479f517f1bfef3195a19ddf01006",
     "paradox-wheel-walk_count-csv":
         "b5b497f5e41391b488f2ae1f346aaaba1f8b90a22c079e5f9539d7573c872107",
 }
