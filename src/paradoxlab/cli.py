@@ -28,7 +28,7 @@ from .formats import (ReportDocument, emit_edge_list, emit_json,
 from .generators import (MODELS, RandomGraphSpec, effective_lcc_extract,
                          generate)
 from .graph import Graph
-from .paradox import (BILINEAR_TOL, MAX_EAVES_NODES, MAX_FIEDLER_NODES,
+from .paradox import (BILINEAR_TOL, MAX_FIEDLER_NODES,
                       bias_distribution, compare_averages, eaves_check,
                       fiedler_check, harmonic_mean_check, neighbor_average,
                       pagerank_paradox_check, paradox_report,
@@ -247,12 +247,8 @@ def _cmd_identities(args: argparse.Namespace) -> str:
         h_lhs, h_rhs = harmonic_mean_check(graph, spectral)
         payload["harmonic_mean"] = {"lambda1": spectral.lambda1,
                                     "lhs": h_lhs, "rhs": h_rhs}
-        if graph.node_count <= MAX_EAVES_NODES:
-            e_lhs, e_rhs = eaves_check(graph, args.ell)
-            payload["eaves"] = {"ell": args.ell, "lhs": e_lhs, "rhs": e_rhs}
-        else:
-            print(f"note: skipping the walk-matrix check; the graph has "
-                  f"more than {MAX_EAVES_NODES} nodes", file=sys.stderr)
+        e_lhs, e_rhs = eaves_check(graph, args.ell)
+        payload["eaves"] = {"ell": args.ell, "lhs": e_lhs, "rhs": e_rhs}
     else:
         print("note: skipping the undirected-only identities on a "
               "directed graph", file=sys.stderr)

@@ -29,7 +29,6 @@ from .rng import SplitMix64, derive_seed
 # Two float means this close are reported as the equality case.
 EQUALITY_TOL = 1e-10
 
-MAX_EAVES_NODES = 512
 MAX_FIEDLER_NODES = 16
 
 # A sampled bilinear form this far below lambda counts as a violation.
@@ -226,9 +225,6 @@ def eaves_check(graph: Graph, ell: int) -> tuple[float, float]:
     if graph.directed:
         raise InputError("the walk-matrix inequality expects an "
                          "undirected graph")
-    if graph.node_count > MAX_EAVES_NODES:
-        raise RangeError(
-            f"walk-matrix check limited to {MAX_EAVES_NODES} nodes")
     degrees = _require_positive_degrees(graph)
     weighted = degrees.copy()
     ones = np.ones(graph.node_count)

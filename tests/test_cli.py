@@ -132,21 +132,16 @@ def test_identities_on_directed_graph(capsys, tmp_path):
     assert "skipping the undirected-only" in err
 
 
-def test_identities_skip_only_eaves_above_its_limit(capsys):
-    code, out, err = run_cli(capsys, "identities", "--model", "cycle",
-                             "--n", "600")
-    assert code == 0
-    payload = json.loads(out)
-    assert "eaves" not in payload
-    assert {"symmetrization", "harmonic_mean", "pagerank_check"} <= \
-        payload.keys()
-    assert "skipping the walk-matrix check" in err
-    code, out, err = run_cli(capsys, "identities", "--model", "cycle",
-                             "--n", "500")
-    assert code == 0
-    assert json.loads(out)["eaves"] == {"ell": 2, "lhs": 2000.0,
-                                        "rhs": 2000.0}
-    assert "walk-matrix" not in err
+def test_identities_run_eaves_at_every_size(capsys):
+    for n in (500, 600):
+        code, out, err = run_cli(capsys, "identities", "--model", "cycle",
+                                 "--n", str(n))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["eaves"] == {"ell": 2, "lhs": 4.0 * n, "rhs": 4.0 * n}
+        assert {"symmetrization", "harmonic_mean", "pagerank_check"} <= \
+            payload.keys()
+        assert "walk-matrix" not in err
 
 
 def test_exit_codes(capsys, tmp_path):

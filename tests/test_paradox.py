@@ -227,8 +227,7 @@ def test_eaves_inequality_values(p6):
     with pytest.raises(ParameterError):
         eaves_check(p6, 0)
     big = build_undirected(513, [(i, i + 1) for i in range(512)])
-    with pytest.raises(RangeError):
-        eaves_check(big, 1)
+    assert eaves_check(big, 1) == (1025.0, 1024.0)
 
 
 def test_eaves_inequality_random():
