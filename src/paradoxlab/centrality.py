@@ -275,6 +275,7 @@ def _power_blocks(union: Graph, sizes: Sequence[int],
         image = adjacency_matvec(union, vec)
     iterations = np.full(len(sizes), spent)
     running = np.ones(len(sizes), dtype=bool)
+    moving = True
     iteration = spent
     while True:
         estimates = (np.add.reduceat(vec * image, starts)
@@ -282,10 +283,12 @@ def _power_blocks(union: Graph, sizes: Sequence[int],
         residuals = np.maximum.reduceat(
             np.abs(image - estimates.repeat(sizes) * vec), starts)
         passed = running & (residuals <= params.tol)
-        iterations[passed] = iteration
-        running &= ~passed
-        if not running.any():
-            break
+        if passed.any():
+            iterations[passed] = iteration
+            running &= ~passed
+            if not running.any():
+                break
+            moving = running.repeat(sizes)
         iteration += 1
         if iteration >= params.max_iters:
             raise ConvergenceError(
@@ -295,7 +298,7 @@ def _power_blocks(union: Graph, sizes: Sequence[int],
                 iterations=params.max_iters)
         shifted = image + vec
         np.divide(shifted, np.add.reduceat(shifted, starts).repeat(sizes),
-                  out=vec, where=running.repeat(sizes))
+                  out=vec, where=moving)
         image = adjacency_matvec(union, vec)
     return vec, image, estimates, residuals, iterations.tolist()
 
@@ -511,17 +514,20 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
     vec = np.repeat(1.0 / sizes, sizes)
     iterations = np.zeros(len(sizes), dtype=np.int64)
     running = np.ones(len(sizes), dtype=bool)
+    moving = True
     for iteration in range(params.max_iters):
         image = (1.0 - beta) * (transpose @ (vec / degrees))
         image += (teleports * np.add.reduceat(vec, starts)).repeat(sizes)
         residuals = np.add.reduceat(np.abs(image - vec), starts)
         passed = running & (residuals <= tol)
-        iterations[passed] = iteration
-        running &= ~passed
-        if not running.any():
-            return vec, residuals.tolist(), iterations.tolist()
+        if passed.any():
+            iterations[passed] = iteration
+            running &= ~passed
+            if not running.any():
+                return vec, residuals.tolist(), iterations.tolist()
+            moving = running.repeat(sizes)
         np.divide(image, np.add.reduceat(image, starts).repeat(sizes),
-                  out=vec, where=running.repeat(sizes))
+                  out=vec, where=moving)
     raise ConvergenceError(
         f"pagerank iteration did not reach {tol} in {params.max_iters} steps",
         residual=float(residuals[running][0]), iterations=params.max_iters)
