@@ -43,6 +43,12 @@ class RandomGraphSpec:
     off elsewhere).  ``degree_sequence`` drives the configuration model and
     must have length ``n``; ``m_attach`` is the number of edges each new
     node brings in preferential attachment.
+
+    ``k_regular`` redraws whole stub pairings, up to
+    ``MAX_PAIRING_ATTEMPTS``, until one is simple.  A simple pairing is
+    rare for ``k >= 4``, so such a spec often raises ``GenerationError``
+    (``n=100, k=5`` fails for 158 of the seeds 0-199), and
+    ``bias_distribution`` raises at the first member whose draw fails.
     """
 
     model: str
