@@ -188,37 +188,16 @@ def _enclosure(graph: Graph, x: np.ndarray,
     return float(lo), float(hi)
 
 
-def _certificate(vec: np.ndarray, image: np.ndarray) -> tuple[float, float]:
-    """Rayleigh estimate of lambda1 and the residual ``max|A v - l v|``."""
-    estimate = (vec @ image) / (vec @ vec)
-    return estimate, np.abs(image - estimate * vec).max()
-
-
-def _eigenpair(graph: Graph, params: CentralityParams, vec: np.ndarray,
-               image: np.ndarray, estimate: float, residual: float,
-               iterations: int, method: str,
-               ) -> tuple[SpectralResult, CentralityVector]:
-    spectral = SpectralResult(lambda1=float(estimate), vector=vec,
-                              residual=float(residual),
-                              iterations=iterations,
-                              enclosure=_enclosure(graph, vec, image),
-                              method=method)
-    return spectral, CentralityVector(values=vec, params=params,
-                                      iterations=iterations,
-                                      residual=float(residual))
-
-
 class _BudgetSpent(Exception):
     """The Lanczos solve asked for its ``max_iters``-th matvec."""
 
 
 def _lanczos(graph: Graph, params: CentralityParams,
-             ) -> tuple[tuple[SpectralResult, CentralityVector] | None, int]:
-    """Perron pair by ARPACK's implicitly restarted Lanczos, and the
-    matvecs it spent.  The pair is ``None`` when ARPACK fails, the matvec
-    budget runs out, the vector is not positive or it fails the residual
-    certificate.  Like every solver here, it succeeds only in fewer than
-    ``max_iters`` steps."""
+             ) -> tuple[np.ndarray | None, int]:
+    """Perron vector proposed by ARPACK's implicitly restarted Lanczos,
+    positive and L1-normalised, and the matvecs it spent.  The vector is
+    ``None`` when ARPACK fails, the matvec budget runs out or the vector
+    is not positive.  It spends fewer than ``max_iters`` matvecs."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     calls = 0
@@ -239,40 +218,36 @@ def _lanczos(graph: Graph, params: CentralityParams,
     vec = vec * np.sign(vec.sum())
     if not (vec > 0).all():
         return None, calls
-    vec = vec / vec.sum()
-    image = adjacency_matvec(graph, vec)
-    estimate, residual = _certificate(vec, image)
-    if not residual <= params.tol:
-        return None, calls
-    return _eigenpair(graph, params, vec, image, estimate, residual, calls,
-                      "lanczos"), calls
+    return vec / vec.sum(), calls
 
 
 def _power_blocks(union: Graph, sizes: Sequence[int],
                   params: CentralityParams, spent: int = 0,
-                  image: np.ndarray | None = None):
-    """Power iteration on ``A + I`` from the uniform vector for each graph
-    of a disjoint union, block ``b`` holding the next ``sizes[b]`` nodes,
-    run as one loop; one graph alone is the one-block case.
+                  start: np.ndarray | None = None):
+    """Power iteration on ``A + I`` for each graph of a disjoint union,
+    block ``b`` holding the next ``sizes[b]`` nodes, run as one loop; one
+    graph alone is the one-block case.  Each block starts from the uniform
+    vector, or all of them from ``start`` when given, a positive stacked
+    vector with each block L1-normalised.
 
-    Every step runs on the whole stacked vector, and each per-block
-    reduction (the Rayleigh dot products, the normalising sum and the
-    residual maximum) is one ``reduceat`` over the block starts.  A
-    ``reduceat`` segment reads only its own slice, so each block takes the
-    steps it would alone, byte for byte.  A block freezes at the step its
-    own certificate passes; frozen entries keep their values, so their
-    images and residuals recur unchanged.  Steps count on from ``spent``;
-    at ``max_iters`` the first block still running raises.  ``image``,
-    when given, is the image of the uniform vector, already computed.
-    Returns the stacked vector and image, and per block the estimate,
-    residual and iterations.
+    This loop is the only eigenvector certificate: step 0 checks the start
+    itself, so a ``start`` that passes is returned unchanged, and one that
+    fails is polished by the steps after it.  Every step runs on the whole
+    stacked vector, and each per-block reduction (the Rayleigh dot
+    products, the normalising sum and the residual maximum) is one
+    ``reduceat`` over the block starts.  A ``reduceat`` segment reads only
+    its own slice, so each block takes the steps it would alone, byte for
+    byte.  A block freezes at the step its own certificate passes; frozen
+    entries keep their values, so their images and residuals recur
+    unchanged.  Steps count on from ``spent``; at ``max_iters`` the first
+    block still running raises.  Returns the stacked vector and image, and
+    per block the estimate, residual and iterations.
     """
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     # Updated in place, so that a frozen block keeps its vector.
-    vec = np.repeat(1.0 / sizes, sizes)
-    if image is None:
-        image = adjacency_matvec(union, vec)
+    vec = np.repeat(1.0 / sizes, sizes) if start is None else start.copy()
+    image = adjacency_matvec(union, vec)
     iterations = np.full(len(sizes), spent)
     running = np.ones(len(sizes), dtype=bool)
     moving = True
@@ -308,15 +283,18 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
                            ) -> tuple[SpectralResult, CentralityVector]:
     """Dominant eigenpair of the adjacency matrix.
 
-    Checks the uniform vector first, so regular graphs keep it exactly.
-    Otherwise graphs with at least ``LANCZOS_MIN_NODES`` nodes try Lanczos
-    (ARPACK's ``eigsh``), which needs far fewer matvecs than power
-    iteration when the spectral gap is small.  Smaller graphs, and any
-    graph whose Lanczos vector fails, run power iteration on ``A + I``, so
-    that bipartite graphs, whose spectrum is symmetric, still have a
-    strictly dominant eigenvalue.  Either way the result must pass
-    ``max|A r - lambda r| <= tol`` with the Rayleigh-quotient eigenvalue
-    estimate.  The vector is positive and L1-normalised.
+    Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
+    first ask Lanczos (ARPACK's ``eigsh``) for a start vector; it needs far
+    fewer matvecs than power iteration when the spectral gap is small.
+    Regular graphs, whose Perron vector is the uniform one, and smaller
+    graphs start from the uniform vector.  Either start goes to power
+    iteration on ``A + I``, so that bipartite graphs, whose spectrum is
+    symmetric, still have a strictly dominant eigenvalue.  Its step 0
+    certifies the start: the result must pass ``max|A r - lambda r| <=
+    tol`` with the Rayleigh-quotient eigenvalue estimate, and a start that
+    fails is polished by the steps after it.  ``method`` is ``"lanczos"``
+    when the Lanczos vector passes as it is, and ``"power"`` otherwise.
+    The vector is positive and L1-normalised.
 
     Both solvers draw on one budget: ``iterations`` counts the Lanczos
     matvecs plus the power steps and stays below ``max_iters``, and power
@@ -325,18 +303,20 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
-    uniform = np.full(graph.node_count, 1.0 / graph.node_count)
-    image = adjacency_matvec(graph, uniform)
-    spent = 0
-    if (graph.node_count >= LANCZOS_MIN_NODES
-            and not _certificate(uniform, image)[1] <= tol):
-        found, spent = _lanczos(graph, params)
-        if found is not None:
-            return found
+    start, spent = None, 0
+    if graph.node_count >= LANCZOS_MIN_NODES and not graph.regular:
+        start, spent = _lanczos(graph, params)
     vec, image, estimates, residuals, iterations = _power_blocks(
-        graph, [graph.node_count], params, spent, image)
-    return _eigenpair(graph, params, vec, image, estimates[0], residuals[0],
-                      iterations[0], "power")
+        graph, [graph.node_count], params, spent, start)
+    residual = float(residuals[0])
+    spectral = SpectralResult(
+        lambda1=float(estimates[0]), vector=vec, residual=residual,
+        iterations=iterations[0], enclosure=_enclosure(graph, vec, image),
+        method=("lanczos" if start is not None and iterations[0] == spent
+                else "power"))
+    return spectral, CentralityVector(values=vec, params=params,
+                                      iterations=iterations[0],
+                                      residual=residual)
 
 
 # Conjugate gradients hand Katz to the Jacobi tail once their recursive

@@ -117,7 +117,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict, int | None]:
             graph = parse_edge_list(text, directed=args.directed)
     meta = {"n": graph.node_count, "m": graph.edge_count,
             "directed": graph.directed,
-            "regular": bool((graph.degree_seq == graph.degree_seq[0]).all())}
+            "regular": graph.regular}
     return graph, meta, seed
 
 

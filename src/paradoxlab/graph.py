@@ -97,6 +97,12 @@ class Graph:
         every node has component label 0."""
         return not self._component_labels.any()
 
+    @cached_property
+    def regular(self) -> bool:
+        """Whether every node has the same degree (out-degree, if
+        directed)."""
+        return bool((self.degree_seq == self.degree_seq[0]).all())
+
     def stored_entries(self, lower: bool = False) -> np.ndarray:
         """Stored ``(row, column)`` entries in CSR order with multiplicity
         repeats, as an ``(m, 2)`` array: every arc when directed, and each

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .centrality import (BFS_BLOCK_ARCS, CentralityParams, CentralityVector,
-                         SpectralResult, _block_values, _in_blocks, compute)
+                         SpectralResult, _block_values, _in_blocks, _walks,
+                         compute)
 from .errors import GenerationError, InputError, NumericalError, RangeError
 from .generators import RandomGraphSpec, _draw_edges, effective_lcc_extract
 from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _connected_blocks,
@@ -146,7 +147,7 @@ def paradox_report(graph: Graph, r: CentralityVector) -> ParadoxReport:
         measure=params,
         mu=mu, mu_bar=mu_bar, mu_tilde=mu_tilde, slack=slack,
         paradox_holds=bool(slack >= -EQUALITY_TOL),
-        is_regular=bool((graph.degree_seq == graph.degree_seq[0]).all()),
+        is_regular=graph.regular,
         delta=averages - values,
         edge_weights=degrees / degrees.sum())
 
@@ -226,15 +227,13 @@ def eaves_check(graph: Graph, ell: int) -> tuple[float, float]:
         raise InputError("the walk-matrix inequality expects an "
                          "undirected graph")
     degrees = _require_positive_degrees(graph)
-    weighted = degrees.copy()
-    ones = np.ones(graph.node_count)
-    for _ in range(ell):
-        weighted = adjacency_matvec(graph, weighted)
-        ones = adjacency_matvec(graph, ones)
-        if weighted.max() > MAX_EXACT_COUNT:
-            raise RangeError(
-                f"walk-matrix entries for ell={ell} exceed 2**53")
-    return float((weighted / degrees).sum()), float(ones.sum())
+    walks = _walks(graph, ell)
+    # W d = A^(ell+1) 1; walk counts never fall as ell grows, so this is
+    # the largest entry the check forms.
+    weighted = adjacency_matvec(graph, walks)
+    if weighted.max() > MAX_EXACT_COUNT:
+        raise RangeError(f"walk-matrix entries for ell={ell} exceed 2**53")
+    return float((weighted / degrees).sum()), float(walks.sum())
 
 
 def _perron_pair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -663,6 +663,10 @@ def test_lanczos_agrees_with_the_dense_oracle():
 
 
 def test_regular_graph_above_threshold_keeps_the_uniform_vector(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a regular graph skips Lanczos")
+
+    monkeypatch.setattr(splinalg, "eigsh", never)
     for n in (400, 512):
         g = generate(RandomGraphSpec(model="k_regular", n=n, k=3, seed=2))
         spectral, vector = eigenvector_centrality(g)
@@ -673,6 +677,34 @@ def test_regular_graph_above_threshold_keeps_the_uniform_vector(monkeypatch):
         assert spectral.enclosure[0] <= 3.0 <= spectral.enclosure[1]
     # 1/512 is exact, so the sums are too.
     assert (spectral.lambda1, spectral.residual) == (3.0, 0.0)
+
+
+def test_lanczos_result_carries_the_power_loop_certificate():
+    # The estimate and residual of a Lanczos vector are those of the power
+    # loop's step 0, by the same one-segment reduceat as every other
+    # eigenvector result.
+    for seed in range(20):
+        g = _preferential(300, seed)
+        spectral, vector = eigenvector_centrality(g)
+        assert spectral.method == "lanczos"
+        vec = vector.values
+        image = adjacency_matvec(g, vec)
+        estimate = _sum(vec * image) / _sum(vec * vec)
+        assert spectral.lambda1 == estimate
+        assert spectral.residual == vector.residual == \
+            np.abs(image - estimate * vec).max()
+
+
+def test_lanczos_vector_short_of_tol_is_polished_from_where_it_stopped(
+        monkeypatch):
+    # ARPACK stops near machine precision, so at tol 1e-16 the power loop
+    # may still have steps to take; it takes them from the Lanczos vector,
+    # so the solve costs fewer matvecs than power iteration alone.
+    g = _preferential(2000, 1)
+    spectral, _ = eigenvector_centrality(g, tol=1e-16)
+    assert spectral.residual <= 1e-16
+    alone = _power_only(monkeypatch, g, tol=1e-16)[0].iterations
+    assert spectral.iterations < alone / 2
 
 
 def test_lanczos_result_is_reproducible():
@@ -714,6 +746,20 @@ def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
         with pytest.raises(ConvergenceError) as info:
             eigenvector_centrality(g, max_iters=max_iters)
         assert info.value.iterations == max_iters
+        return
+    if kind == "certificate":
+        # A positive vector that fails the certificate is the power loop's
+        # start, normalised as _lanczos normalises it.
+        vec = np.arange(1.0, g.node_count + 1)
+        vec = vec / np.linalg.norm(vec)
+        values, _, estimates, residuals, iterations = centrality._power_blocks(
+            g, [g.node_count], CentralityParams(kind="eigenvector"), 0,
+            vec / vec.sum())
+        spectral, vector = eigenvector_centrality(g)
+        assert spectral.method == "power"
+        assert np.array_equal(vector.values, values)
+        assert (spectral.lambda1, spectral.residual, spectral.iterations) \
+            == (estimates[0], residuals[0], iterations[0])
         return
     _assert_same_result(eigenvector_centrality(g), want)
 
@@ -774,8 +820,8 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
     calls.clear()
     spectral, _ = eigenvector_centrality(path(300))
     assert spectral.method == "lanczos"
-    # The uniform start, the Lanczos matvecs and the certificate.
-    assert len(calls) == spectral.iterations + 2
+    # The Lanczos matvecs and the image of its vector.
+    assert len(calls) == spectral.iterations + 1
 
 
 def _sum(x):

@@ -230,6 +230,14 @@ def test_eaves_inequality_values(p6):
     assert eaves_check(big, 1) == (1025.0, 1024.0)
 
 
+def test_eaves_guard_stops_at_two_to_the_53():
+    # W d = A^(ell+1) 1 is 999^5 < 2^53 at ell=4 and 999^6 > 2^53 at 5.
+    k1000 = complete(1000)
+    assert eaves_check(k1000, 4) == (1000.0 * 999 ** 4, 1000.0 * 999 ** 4)
+    with pytest.raises(RangeError):
+        eaves_check(k1000, 5)
+
+
 def test_eaves_inequality_random():
     rng = SplitMix64(111)
     for _ in range(30):
