@@ -197,9 +197,21 @@ def _lanczos(graph: Graph, params: CentralityParams,
     """Perron vector proposed by ARPACK's implicitly restarted Lanczos,
     positive and L1-normalised, and the matvecs it spent.  The vector is
     ``None`` when ARPACK fails, the matvec budget runs out or the vector
-    is not positive.  It spends fewer than ``max_iters`` matvecs."""
+    is not positive.  It spends fewer than ``max_iters`` matvecs.
+
+    ARPACK stops once its Ritz pair ``(theta, y)``, ``y`` a unit vector,
+    has ``|A y - theta y|_2 <= tol_a theta``.  It is asked for ``tol_a =
+    tol / d_max``, ``d_max`` the weighted maximum degree, which is what
+    the power loop's step 0 needs.  First, ``theta <= lambda1 <= d_max``.
+    Second, the Rayleigh estimate ``lambda`` of ``v = y / sum(y)``
+    minimises the 2-norm residual of ``v``.  Third, a positive unit ``y``
+    has ``sum(y) >= 1``.  So ``max|A v - lambda v| <= |A y - theta y|_2 /
+    sum(y) <= tol``, up to rounding.  A ``tol_a`` below machine epsilon
+    is passed as 0, ARPACK's machine precision.  Step 0 still decides,
+    and polishes a vector that misses."""
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
+    arpack_tol = params.tol / float(graph.degree_seq.max())
     calls = 0
 
     def matvec(x):
@@ -212,7 +224,8 @@ def _lanczos(graph: Graph, params: CentralityParams,
     operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     try:
         # A fixed start vector keeps the result byte-reproducible.
-        vec = eigsh(operator, k=1, which="LA", v0=np.ones(n))[1][:, 0]
+        vec = eigsh(operator, k=1, which="LA", v0=np.ones(n),
+                    tol=arpack_tol if arpack_tol >= EPS else 0)[1][:, 0]
     except (ArpackError, _BudgetSpent):
         return None, calls
     vec = vec * np.sign(vec.sum())
@@ -286,6 +299,9 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
     first ask Lanczos (ARPACK's ``eigsh``) for a start vector; it needs far
     fewer matvecs than power iteration when the spectral gap is small.
+    ARPACK stops at ``tol / d_max`` relative to its Ritz value, or at
+    machine precision when that is below epsilon, which is enough for the
+    start to pass the certificate below up to rounding (see ``_lanczos``).
     Regular graphs, whose Perron vector is the uniform one, and smaller
     graphs start from the uniform vector.  Either start goes to power
     iteration on ``A + I``, so that bipartite graphs, whose spectrum is

@@ -697,9 +697,10 @@ def test_lanczos_result_carries_the_power_loop_certificate():
 
 def test_lanczos_vector_short_of_tol_is_polished_from_where_it_stopped(
         monkeypatch):
-    # ARPACK stops near machine precision, so at tol 1e-16 the power loop
-    # may still have steps to take; it takes them from the Lanczos vector,
-    # so the solve costs fewer matvecs than power iteration alone.
+    # At tol 1e-16, tol / d_max is below machine epsilon, so ARPACK is asked
+    # for machine precision and stops near it.  The power loop may still
+    # have steps to take; it takes them from the Lanczos vector, so the
+    # solve costs fewer matvecs than power iteration alone.
     g = _preferential(2000, 1)
     spectral, _ = eigenvector_centrality(g, tol=1e-16)
     assert spectral.residual <= 1e-16
@@ -713,8 +714,59 @@ def test_lanczos_result_is_reproducible():
         _assert_same_result(first, second)
 
 
+@pytest.mark.parametrize("graph, monotone", [
+    (lambda: path(300), True),
+    (lambda: path(1000), True),
+    (lambda: _preferential(2000, 1), True),
+    (lambda: generate(RandomGraphSpec(model="erdos_renyi", n=400, p=0.02,
+                                      seed=2)), True),
+    # The star's Krylov space from the uniform start has dimension 2, so
+    # ARPACK restarts from a random vector, drawn unseeded on recent scipy:
+    # its vector is reproducible, its matvec count is not.
+    (lambda: star(1000), False),
+], ids=["path300", "path1000", "preferential", "erdos_renyi", "star"])
+def test_lanczos_stops_at_the_accuracy_tol_needs(graph, monotone):
+    g = graph()
+    counts = []
+    for tol in (1e-12, 1e-8, 1e-4, 1e-2):
+        spectral, vector = eigenvector_centrality(g, tol=tol)
+        assert spectral.method == "lanczos"
+        assert spectral.residual == vector.residual <= tol
+        counts.append(spectral.iterations)
+    if monotone:
+        assert counts == sorted(counts, reverse=True)
+
+
+def test_loose_tol_on_a_long_path_takes_few_matvecs():
+    spectral, _ = eigenvector_centrality(path(1000), tol=0.01)
+    assert spectral.method == "lanczos" and spectral.residual <= 0.01
+    assert spectral.iterations < 100
+
+
+@pytest.mark.parametrize("graph, tol, want", [
+    (lambda: path(1000), 1e-2, 1e-2 / 2),
+    (lambda: path(300), 1e-12, 1e-12 / 2),
+    (lambda: star(1000), 1e-8, 1e-8 / 999),
+    (lambda: _preferential(2000, 1), 1e-16, 0),
+    (lambda: star(1000), 1e-14, 0),
+], ids=["path1000", "path300", "star", "preferential-eps", "star-eps"])
+def test_arpack_gets_tol_over_the_maximum_degree(monkeypatch, graph, tol,
+                                                 want):
+    g = graph()
+    received = []
+    real = splinalg.eigsh
+
+    def spy(*args, **kwargs):
+        received.append(kwargs["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(splinalg, "eigsh", spy)
+    assert eigenvector_centrality(g, tol=tol)[1].residual <= tol
+    assert received == [want]
+
+
 def _fake_eigsh(kind):
-    def fake(operator, k, which, v0):
+    def fake(operator, k, which, v0, tol):
         n = operator.shape[0]
         if kind == "raise":
             raise ArpackNoConvergence("no convergence", np.empty(0),
