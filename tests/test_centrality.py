@@ -311,6 +311,74 @@ def test_katz_converges_up_to_the_spectral_radius(name):
                 <= 1e-9 * expected.max()), (name, share)
 
 
+# The Katz solve katz_centrality ran before its Jacobi tail shared the
+# blocked loop, kept as the reference that the shared loop is checked
+# against.  Conjugate gradients are the solver's own.
+def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
+    """``(values, iterations, residual, rescues)``, or ``(None, max_iters,
+    residual, rescues)`` when the budget runs out; ``rescues`` counts the
+    cycles the tail's Brent search broke."""
+    ones = np.ones(graph.node_count)
+    step = alpha * adjacency_matvec(graph, ones)
+    image = ones + step
+    residual = np.abs(image - ones).max()
+    if residual <= tol:
+        return ones, 0, residual, 0
+    start, spent = centrality._katz_cg(
+        graph, alpha, tol, step, min(graph.node_count, max_iters - 2))
+    vec = np.maximum(start, 1.0) if spent else image
+    anchor = peak = vec
+    since, horizon, rescues = 0, 1, 0
+    for iteration in range(1 + spent, max_iters):
+        image = ones + alpha * adjacency_matvec(graph, vec)
+        residual = np.abs(image - vec).max()
+        if residual <= tol:
+            return vec, iteration, residual, rescues
+        peak = np.maximum(peak, vec)
+        since += 1
+        if np.array_equal(image, anchor):
+            image = anchor = peak
+            since, horizon = 0, 1
+            rescues += 1
+        elif since == horizon:
+            anchor = peak = image
+            since, horizon = 0, 2 * horizon
+        vec = image
+    return None, max_iters, residual, rescues
+
+
+def test_katz_matches_the_scalar_reference():
+    # The cycle rescue must run somewhere in the grid.  Of star50 and
+    # path1000 at 0.999, the two the test above names, only path1000's
+    # tail still needs it after conjugate gradients (at step 533).
+    rescued = []
+    for name in sorted(KATZ_GRID):
+        g = KATZ_GRID[name]()
+        lam = solve_lambda1(g).lambda1
+        for share in (0.5, 0.85, 0.99, 0.999):
+            vec, iterations, residual, rescues = _scalar_katz(g, share / lam)
+            got = katz_centrality(g, share / lam)
+            assert got.values.tobytes() == vec.tobytes(), (name, share)
+            assert (got.iterations, got.residual) == (iterations, residual)
+            if rescues:
+                rescued.append((name, share))
+    assert rescued
+    g = path(60)
+    for budget in (1, 2, 5, 20):
+        _, _, residual, _ = _scalar_katz(g, 0.45, max_iters=budget)
+        with pytest.raises(ConvergenceError) as info:
+            katz_centrality(g, 0.45, max_iters=budget)
+        assert (info.value.residual, info.value.iterations) == \
+            (residual, budget)
+    # A budget of one step is the all-ones check alone, whose residual is
+    # the one reported.
+    ones = np.ones(60)
+    with pytest.raises(ConvergenceError) as info:
+        katz_centrality(g, 0.45, max_iters=1)
+    assert info.value.residual == \
+        np.abs(ones + 0.45 * adjacency_matvec(g, ones) - ones).max()
+
+
 def test_katz_budget_is_shared_by_both_stages(monkeypatch):
     g = path(300)
     alpha = 0.85 / (2 * np.cos(np.pi / 301))
