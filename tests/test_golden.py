@@ -125,6 +125,15 @@ def _cases():
             "digraph": ("@digraph.txt",),
             "split": ("@split.txt",)}.items():
         cases[f"identities-{label}"] = ("identities", *args)
+    # Each iterative solver running out of its budget (exit 3).
+    for label, args in {
+            "eigenvector": ("--max-iters", "40"),
+            "pagerank": ("--beta", "0.05", "--max-iters", "20"),
+            "katz-1": ("--alpha", "0.45", "--max-iters", "1"),
+            "katz-5": ("--alpha", "0.45", "--max-iters", "5")}.items():
+        cases[f"paradox-path60-{label}-budget"] = (
+            "paradox", "--model", "path", "--n", "60",
+            "--measure", label.split("-")[0], *args)
     return cases
 
 
@@ -474,6 +483,14 @@ DIGESTS = {
         "48b9c15c00a04a50f2b53fa5daf23fd429ea54e5ea2a39709446620985d93cae",
     "paradox-pa-walk_count":
         "4df36baceb054b44be4af7e2ccfe7e7734f82a543e053bb2f9ac423034ab344b",
+    "paradox-path60-eigenvector-budget":
+        "3fd9cdc4a8b3ed42cc8834a7a561eaeccf2691ef1acbe2eb6fdb880f6279d7ff",
+    "paradox-path60-katz-1-budget":
+        "cec26cff778aff6e8478e1b6046670a6ac4c8b57fd5395c99570f7fc9fbc8a22",
+    "paradox-path60-katz-5-budget":
+        "c5e45b8ab767e201f3dceca7dd7aeb7bb7b3b943b8d8e6a822fd47fe1adccc99",
+    "paradox-path60-pagerank-budget":
+        "315c769b76696c3842ce5b172f510c362cd7600cab9f69d187f3444d23a83a12",
     "paradox-split-degree":
         "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
     "paradox-wheel-closeness-csv":
