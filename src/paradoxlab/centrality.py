@@ -1,8 +1,9 @@
 """Centrality measures: degree, walk counts, eigenvector, Katz, PageRank,
 plus closeness/harmonic for comparison tables.
 
-All iterative solvers stop on explicit residuals, never on iteration
-plateaus, and report the residual and iteration count they achieved.
+The eigenvector, Katz and PageRank solvers run one fixed-point loop,
+``_iterate_blocks``.  It stops on explicit residuals, never on iteration
+plateaus, and reports the residual and iteration count achieved.
 """
 
 from __future__ import annotations
@@ -234,61 +235,77 @@ def _lanczos(graph: Graph, params: CentralityParams,
     return vec / vec.sum(), calls
 
 
-def _power_blocks(union: Graph, sizes: Sequence[int],
-                  params: CentralityParams, spent: int = 0,
-                  start: np.ndarray | None = None):
-    """Power iteration on ``A + I`` for each graph of a disjoint union,
-    block ``b`` holding the next ``sizes[b]`` nodes, run as one loop; one
-    graph alone is the one-block case.  Each block starts from the uniform
-    vector, or all of them from ``start`` when given, a positive stacked
-    vector with each block L1-normalised.
+def _iterate_blocks(sizes: Sequence[int], start: np.ndarray | None, step,
+                    params: CentralityParams, what: str, spent: int = 0):
+    """The one fixed-point loop of the eigenvector, Katz and PageRank
+    solvers for each graph of a disjoint union, block ``b`` holding the
+    next ``sizes[b]`` nodes.  Each block starts from the uniform vector,
+    or all of them from the stacked vector ``start`` when given.
 
-    This loop is the only eigenvector certificate: step 0 checks the start
-    itself, so a ``start`` that passes is returned unchanged, and one that
-    fails is polished by the steps after it.  Every step runs on the whole
-    stacked vector, and each per-block reduction (the Rayleigh dot
-    products, the normalising sum and the residual maximum) is one
-    ``reduceat`` over the block starts.  A ``reduceat`` segment reads only
-    its own slice, so each block takes the steps it would alone, byte for
-    byte.  A block freezes at the step its own certificate passes; frozen
-    entries keep their values, so their images and residuals recur
-    unchanged.  Steps count on from ``spent``; at ``max_iters`` the first
-    block still running raises.  Returns the stacked vector and image, and
-    per block the estimate, residual and iterations.
+    ``step(vec, starts)`` returns each block's residual of ``vec`` and the
+    next iterate, reducing per block by ``reduceat`` over the block
+    ``starts``.  A segment reads only its own slice, so each block takes
+    the steps it would alone, byte for byte.  A block freezes at the step
+    its residual is at most ``tol``: its entries keep their values, so its
+    residual recurs.  Steps count on from ``spent`` and are checked only
+    while the count is below ``max_iters``; then the first block still
+    running raises.  Returns the stacked vector, and per block the
+    residuals and iterations.
     """
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     # Updated in place, so that a frozen block keeps its vector.
     vec = np.repeat(1.0 / sizes, sizes) if start is None else start.copy()
-    image = adjacency_matvec(union, vec)
     iterations = np.full(len(sizes), spent)
     running = np.ones(len(sizes), dtype=bool)
     moving = True
-    iteration = spent
-    while True:
-        estimates = (np.add.reduceat(vec * image, starts)
-                     / np.add.reduceat(vec * vec, starts))
-        residuals = np.maximum.reduceat(
-            np.abs(image - estimates.repeat(sizes) * vec), starts)
+    for iteration in range(spent, params.max_iters):
+        residuals, image = step(vec, starts)
         passed = running & (residuals <= params.tol)
         if passed.any():
             iterations[passed] = iteration
             running &= ~passed
             if not running.any():
-                break
+                return vec, residuals, iterations.tolist()
             moving = running.repeat(sizes)
-        iteration += 1
-        if iteration >= params.max_iters:
-            raise ConvergenceError(
-                f"eigenvector iteration did not reach {params.tol} in "
-                f"{params.max_iters} steps",
-                residual=float(residuals[running][0]),
-                iterations=params.max_iters)
-        shifted = image + vec
-        np.divide(shifted, np.add.reduceat(shifted, starts).repeat(sizes),
-                  out=vec, where=moving)
+        np.copyto(vec, image, where=moving)
+    raise ConvergenceError(
+        f"{what} iteration did not reach {params.tol} in "
+        f"{params.max_iters} steps",
+        residual=float(residuals[running][0]), iterations=params.max_iters)
+
+
+def _power_blocks(union: Graph, sizes: Sequence[int],
+                  params: CentralityParams, spent: int = 0,
+                  start: np.ndarray | None = None):
+    """Power iteration on ``A + I`` for each graph of a disjoint union,
+    run by :func:`_iterate_blocks`; a ``start`` is positive with each
+    block L1-normalised.
+
+    This loop is the only eigenvector certificate: step 0 checks the start
+    itself, so a ``start`` that passes is returned unchanged, and one that
+    fails is polished by the steps after it.  A step takes each block's
+    Rayleigh estimate and residual ``max|A v - lambda v|``, and normalises
+    ``A v + v``.  Returns the stacked vector and image, and per block the
+    estimate, residual and iterations.
+    """
+    sizes = np.asarray(sizes)
+    image = estimates = None
+
+    def power_step(vec, starts):
+        nonlocal image, estimates
         image = adjacency_matvec(union, vec)
-    return vec, image, estimates, residuals, iterations.tolist()
+        estimates = (np.add.reduceat(vec * image, starts)
+                     / np.add.reduceat(vec * vec, starts))
+        residuals = np.maximum.reduceat(
+            np.abs(image - estimates.repeat(sizes) * vec), starts)
+        shifted = image + vec
+        return residuals, shifted / np.add.reduceat(
+            shifted, starts).repeat(sizes)
+
+    vec, residuals, iterations = _iterate_blocks(
+        sizes, start, power_step, params, "eigenvector", spent)
+    return vec, image, estimates, residuals, iterations
 
 
 def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
@@ -434,20 +451,19 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
     # only moves it closer, and the admissibility proof needs a start
     # >= 0.
     vec = np.maximum(start, 1.0) if spent else image
+    # A one-step budget has no tail step: re-check the all-ones vector.
+    vec, spent = (vec, 1 + spent) if max_iters > 1 else (ones, 0)
     # Brent's cycle search: later iterates are compared with anchor, set
     # every horizon steps; peak is the maximum of the iterates since.
     anchor = peak = vec
     since, horizon = 0, 1
-    for iteration in range(1 + spent, max_iters):
-        step = _katz_step(graph, alpha, vec)
-        image = ones + step
+
+    def jacobi_step(vec, starts):
+        nonlocal anchor, peak, since, horizon
+        image = ones + _katz_step(graph, alpha, vec)
         # max|image - vec| is the self-consistency defect of vec itself,
-        # so return the iterate the certificate was computed for.
-        residual = np.abs(image - vec).max()
-        if residual <= tol:
-            return CentralityVector(values=vec, params=params,
-                                    iterations=iteration,
-                                    residual=float(residual))
+        # the iterate the loop returns.
+        residual = np.abs(image - vec).max(keepdims=True)
         peak = np.maximum(peak, vec)
         since += 1
         if np.array_equal(image, anchor):
@@ -456,10 +472,13 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
         elif since == horizon:
             anchor = peak = image
             since, horizon = 0, 2 * horizon
-        vec = image
-    raise ConvergenceError(
-        f"Katz iteration did not reach {tol} in {max_iters} steps",
-        residual=float(residual), iterations=max_iters)
+        return residual, image
+
+    vec, residuals, iterations = _iterate_blocks(
+        [graph.node_count], vec, jacobi_step, params, "Katz", spent)
+    return CentralityVector(values=vec, params=params,
+                            iterations=iterations[0],
+                            residual=float(residuals[0]))
 
 
 def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
@@ -484,49 +503,29 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     vec, residuals, iterations = _pagerank_blocks(graph, [graph.node_count],
                                                   params)
     return CentralityVector(values=vec, params=params,
-                            iterations=iterations[0], residual=residuals[0])
+                            iterations=iterations[0],
+                            residual=float(residuals[0]))
 
 
 def _pagerank_blocks(union: Graph, sizes: Sequence[int],
                      params: CentralityParams):
     """PageRank iteration from the uniform vector for each graph of a
-    disjoint union, block ``b`` holding the next ``sizes[b]`` nodes, run
-    as one loop, as :func:`_power_blocks` runs eigenvector blocks.
-
-    Every step runs on the whole stacked vector, and each per-block
-    reduction (the teleport shift, the L1 residual and the normalising
-    sum) is one ``reduceat`` over the block starts, so each block takes
-    the steps it would alone, byte for byte, and freezes at the step whose
-    residual is at most ``tol``.  After ``max_iters`` steps the first
-    block still running raises.  Every degree must be positive.  Returns
-    the stacked vector, and per block the residual and iterations.
+    disjoint union, run by :func:`_iterate_blocks`.  A step adds each
+    block's teleport share to the walk step, takes the L1 residual and
+    normalises the image.  Every degree must be positive.  Returns the
+    stacked vector, and per block the residual and iterations.
     """
-    beta, tol = params.beta, params.tol
     transpose, degrees = union._transpose, union._float_degrees
     sizes = np.asarray(sizes)
-    starts = np.cumsum(sizes) - sizes
-    teleports = beta / sizes
-    # Updated in place, so that a frozen block keeps its vector.
-    vec = np.repeat(1.0 / sizes, sizes)
-    iterations = np.zeros(len(sizes), dtype=np.int64)
-    running = np.ones(len(sizes), dtype=bool)
-    moving = True
-    for iteration in range(params.max_iters):
-        image = (1.0 - beta) * (transpose @ (vec / degrees))
+    teleports = params.beta / sizes
+
+    def pagerank_step(vec, starts):
+        image = (1.0 - params.beta) * (transpose @ (vec / degrees))
         image += (teleports * np.add.reduceat(vec, starts)).repeat(sizes)
         residuals = np.add.reduceat(np.abs(image - vec), starts)
-        passed = running & (residuals <= tol)
-        if passed.any():
-            iterations[passed] = iteration
-            running &= ~passed
-            if not running.any():
-                return vec, residuals.tolist(), iterations.tolist()
-            moving = running.repeat(sizes)
-        np.divide(image, np.add.reduceat(image, starts).repeat(sizes),
-                  out=vec, where=moving)
-    raise ConvergenceError(
-        f"pagerank iteration did not reach {tol} in {params.max_iters} steps",
-        residual=float(residuals[running][0]), iterations=params.max_iters)
+        return residuals, image / np.add.reduceat(image, starts).repeat(sizes)
+
+    return _iterate_blocks(sizes, None, pagerank_step, params, "pagerank")
 
 
 def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:

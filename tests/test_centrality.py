@@ -1068,9 +1068,9 @@ def test_pagerank_blocks_match_one_solve_per_graph():
     assert len(set(iterations)) > 5
     assert vec.tobytes() == np.concatenate(
         [result.values for result in alone]).tobytes()
-    assert (residuals, iterations) == (
-        [result.residual for result in alone],
-        [result.iterations for result in alone])
+    assert residuals.tobytes() == np.array(
+        [result.residual for result in alone]).tobytes()
+    assert iterations == [result.iterations for result in alone]
     # The first block to run out of steps raises, as it would alone.
     slow = path(40)
     budget = pagerank_centrality(slow, 0.05).iterations
