@@ -289,8 +289,8 @@ KATZ_GRID = {
 def test_katz_converges_up_to_the_spectral_radius(name):
     # Jacobi from the all-ones vector converges at every share below (it
     # takes about 28k steps at 0.999), so Katz must too.  At 0.999
-    # rounding traps the plain tail in a 2-cycle on star50 (residual
-    # 2.5e-11) and on path1000 (1.02e-12); the cycle rescue ends both.
+    # rounding traps the plain tail in a 2-cycle on path1000 (residual
+    # 1.02e-12); the cycle rescue ends it.  star50's tail passes at once.
     # At 1 - 1e-6 on P_1000 Jacobi from the all-ones vector runs out of
     # its budget.
     g = KATZ_GRID[name]()
@@ -348,9 +348,8 @@ def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
 
 
 def test_katz_matches_the_scalar_reference():
-    # The cycle rescue must run somewhere in the grid.  Of star50 and
-    # path1000 at 0.999, the two the test above names, only path1000's
-    # tail still needs it after conjugate gradients (at step 533).
+    # The cycle rescue must run somewhere in the grid: path1000 at 0.999
+    # needs it (the certificate passes at step 533).
     rescued = []
     for name in sorted(KATZ_GRID):
         g = KATZ_GRID[name]()
