@@ -311,50 +311,44 @@ def _candidates(spec: RandomGraphSpec, master_seed: int, indices,
                                           attempt) for index in indices])
 
 
-def _extent(spec: RandomGraphSpec, candidate) -> int:
-    """Nodes and stored arcs that a candidate adds to a sampled union."""
-    return (0 if isinstance(candidate, GenerationError)
-            else spec.n + 2 * len(candidate))
-
-
-def _largest_extent(spec: RandomGraphSpec) -> int:
-    """The most nodes and stored arcs that one candidate, a simple graph,
-    can add to a sampled union."""
-    if spec.model == "k_regular":
-        return spec.n * (spec.k + 1)
-    if spec.model == "configuration":
-        return spec.n + sum(spec.degree_sequence)
-    return spec.n * spec.n
+def _mean_extent(spec: RandomGraphSpec) -> float:
+    """Nodes plus stored arcs of one candidate, ``n + 2 * edges``: exact
+    where the model fixes the edge count, an upper bound for the
+    configuration model, whose erasures only remove edges, and the mean
+    for Erdos-Renyi."""
+    n = spec.n
+    if spec.model == "erdos_renyi":
+        edges = spec.p * n * (n - 1) / 2
+    elif spec.model == "k_regular":
+        edges = n * spec.k // 2
+    elif spec.model == "configuration":
+        edges = sum(spec.degree_sequence) // 2
+    elif spec.model == "preferential_attachment":
+        edges = n * spec.m_attach - spec.m_attach * (spec.m_attach + 1) // 2
+    elif spec.model == "complete":
+        edges = n * (n - 1) // 2
+    else:
+        edges = n if spec.model == "cycle" else n - 1
+    return n + 2 * edges
 
 
 def _sampling_round(spec: RandomGraphSpec, candidates: list) -> list:
     """The outcome of one round's candidates, in order: the member's
     graph, ``None`` when the candidate is not connected, or the error its
-    draw raised.
-
-    The drawn candidates are assembled as disjoint unions of consecutive
-    candidates, one union closing before its nodes and stored arcs would
-    pass ``BFS_BLOCK_ARCS``, and each union is labelled once.
-    """
-    largest = effective_lcc_extract(spec)
+    draw raised.  The drawn candidates are assembled as one disjoint union,
+    which is labelled once."""
     outcomes = list(candidates)
     drawn = [slot for slot, candidate in enumerate(candidates)
              if not isinstance(candidate, GenerationError)]
-    while drawn:
-        chunk, size = [], 0
-        for slot in drawn:
-            size += _extent(spec, candidates[slot])
-            if chunk and size > BFS_BLOCK_ARCS:
-                break
-            chunk.append(slot)
-        drawn = drawn[len(chunk):]
-        edges = [candidates[slot] for slot in chunk]
+    if drawn:
+        edges = [candidates[slot] for slot in drawn]
         pairs = np.concatenate(edges)
-        pairs += np.repeat(spec.n * np.arange(len(chunk)),
+        pairs += np.repeat(spec.n * np.arange(len(drawn)),
                            [len(e) for e in edges])[:, None]
-        union = build_undirected(spec.n * len(chunk), pairs)
-        graphs = _connected_blocks(union, [spec.n] * len(chunk), largest)
-        for slot, graph in zip(chunk, graphs):
+        union = build_undirected(spec.n * len(drawn), pairs)
+        graphs = _connected_blocks(union, [spec.n] * len(drawn),
+                                   effective_lcc_extract(spec))
+        for slot, graph in zip(drawn, graphs):
             outcomes[slot] = graph
     return outcomes
 
@@ -368,43 +362,26 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
     ``base = derive_seed(master_seed, i)`` and takes the first attempt
     that is connected, or its largest component when the spec extracts
     it, within ``MAX_CONNECTED_ATTEMPTS`` attempts.  Members are sampled
-    in windows of consecutive members, in rounds: round ``a`` draws
-    attempt ``a`` of every member of the window still pending in one
-    batch and labels them together (see :func:`_sampling_round`).  Round
-    0 fixes the window, which closes before its candidates' nodes and
-    stored arcs would pass ``BFS_BLOCK_ARCS``; the candidate that did not
-    fit opens the next window.  Round 0 draws in batches of the members
-    that would fit at the largest extent a candidate can have, plus the
-    one after them, so a batch ends at or before the candidate that does
-    not fit.  The samples, and the order of the draws, equal those of one
-    ``generate`` and one connectivity check per attempt.
+    in windows of ``BFS_BLOCK_ARCS // _mean_extent(spec)`` consecutive
+    members (at least one), in rounds: round ``a`` draws attempt ``a`` of
+    every member of the window still pending in one batch and labels them
+    together (see :func:`_sampling_round`).  So a round's union stays
+    within ``BFS_BLOCK_ARCS`` nodes and stored arcs, unless one candidate
+    alone has more, for every model but Erdos-Renyi, where the bound
+    holds on average over the window.  The samples equal those of one
+    ``generate`` and one connectivity check per attempt; each window
+    draws all its rounds before the next window draws.
     """
-    first, ahead = 0, []
-    while first < n_graphs:
-        window, size = [], 0
-        for index in range(first, n_graphs):
-            if not ahead:
-                # The members that fit even at the largest extent, and
-                # the one after them: no candidate is drawn before one
-                # drawn singly would be.
-                count = 1 + (max(BFS_BLOCK_ARCS - size, 0)
-                             // _largest_extent(spec))
-                ahead = _candidates(spec, master_seed, range(
-                    index, min(index + count, n_graphs)), 0)[::-1]
-            candidate = ahead.pop()
-            size += _extent(spec, candidate)
-            if window and size > BFS_BLOCK_ARCS:
-                ahead.append(candidate)
-                break
-            window.append(candidate)
-        samples = [None] * len(window)
-        pending = list(range(len(window)))
+    window = max(1, int(BFS_BLOCK_ARCS // _mean_extent(spec)))
+    for first in range(0, n_graphs, window):
+        samples = [None] * min(window, n_graphs - first)
+        pending = list(range(len(samples)))
         for attempt in range(MAX_CONNECTED_ATTEMPTS):
             if not pending:
                 break
-            candidates = window if attempt == 0 else _candidates(
-                spec, master_seed, [first + slot for slot in pending],
-                attempt)
+            candidates = _candidates(spec, master_seed,
+                                     [first + slot for slot in pending],
+                                     attempt)
             for slot, sample in zip(pending,
                                     _sampling_round(spec, candidates)):
                 samples[slot] = sample
@@ -418,7 +395,6 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
             if isinstance(sample, GenerationError):
                 raise sample
             yield sample
-        first += len(window)
 
 
 def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:

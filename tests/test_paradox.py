@@ -571,22 +571,28 @@ def test_one_labelling_per_sampling_round(search_calls, name):
         assert max(attempts) < sum(attempts)
 
 
-def test_sampling_windows_stay_under_the_arc_cap(monkeypatch):
-    spec, n_graphs = ENSEMBLES["ring"]
-    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 5 * (spec.n + 2 * spec.n))
+@pytest.mark.parametrize("name", ["ring", "k_regular",
+                                  "preferential_attachment"])
+def test_sampling_windows_stay_under_the_arc_cap(monkeypatch, name):
+    spec, n_graphs = ENSEMBLES[name]
+    # Every candidate of these models has the same nodes and stored arcs.
+    member = generate(spec)
+    cap = 5 * (member.node_count + len(member.column_targets))
+    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", cap)
     unions = []
     build = paradox.build_undirected
 
     def recorded(node_count, pairs):
-        unions.append(node_count // spec.n)
+        unions.append((node_count // spec.n, node_count + 2 * len(pairs)))
         return build(node_count, pairs)
 
     monkeypatch.setattr(paradox, "build_undirected", recorded)
     got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
     want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
     assert got.tobytes() == want.tobytes()
-    # Windows of 5, 5 and 2 members, each labelled once per round.
-    assert max(unions) == 5 and unions[0] == 5
+    # Windows of 5 members, each labelled once per round.
+    assert unions[0][0] == 5 and max(members for members, _ in unions) == 5
+    assert max(extent for _, extent in unions) <= cap
 
 
 @pytest.fixture
@@ -603,14 +609,21 @@ def drawn_seeds(monkeypatch):
     return batches
 
 
-def _round_order(spec, n_graphs, seed):
-    """The seed of every attempt the reference sampler makes, attempt 0
-    of each member first, then attempt 1 of each member that needs it,
-    and so on."""
-    attempts = [_attempts(spec, index, seed) for index in range(n_graphs)]
+def _round_order(spec, members, seed):
+    """The seed of every attempt the reference sampler makes for the
+    members in ``members``, attempt 0 of each member first, then attempt 1
+    of each member that needs it, and so on."""
+    attempts = {index: _attempts(spec, index, seed) for index in members}
     return [derive_seed(derive_seed(seed, index), attempt)
-            for attempt in range(max(attempts))
-            for index in range(n_graphs) if attempt < attempts[index]]
+            for attempt in range(max(attempts.values()))
+            for index in members if attempt < attempts[index]]
+
+
+def _window_order(spec, n_graphs, seed, window):
+    """:func:`_round_order` of each window of ``window`` consecutive
+    members in turn, as lists."""
+    return [_round_order(spec, range(first, min(first + window, n_graphs)),
+                         seed) for first in range(0, n_graphs, window)]
 
 
 @pytest.mark.parametrize("window", [None, 5])
@@ -625,34 +638,65 @@ def test_each_round_draws_its_members_in_one_batch(monkeypatch, drawn_seeds,
     assert got.tobytes() == want.tobytes()
     seeds = [seed for batch in drawn_seeds for seed in batch]
     # Every attempt the reference makes is drawn once and no other.
-    assert sorted(seeds) == sorted(_round_order(spec, n_graphs, SEED))
+    assert sorted(seeds) == sorted(_round_order(spec, range(n_graphs), SEED))
     if window is None:
         # One batch per round, in the order of the rounds.
-        assert seeds == _round_order(spec, n_graphs, SEED)
+        assert seeds == _round_order(spec, range(n_graphs), SEED)
         assert len(drawn_seeds[0]) == n_graphs
         assert len(drawn_seeds) == max(
             _attempts(spec, index, SEED) for index in range(n_graphs))
     else:
-        # Ring candidates all have the largest extent, so round 0 of a
-        # window draws its 5 members and the one that opens the next.
-        assert len(drawn_seeds[0]) == window + 1
+        # Windows of 5 members, each drawing all its rounds before the
+        # next window draws, one batch per round.
+        orders = _window_order(spec, n_graphs, SEED, window)
+        assert seeds == [seed for order in orders for seed in order]
+        window_of = {seed: number for number, order in enumerate(orders)
+                     for seed in order}
+        assert all(len({window_of[seed] for seed in batch}) == 1
+                   for batch in drawn_seeds)
+        assert len(drawn_seeds) == sum(
+            max(_attempts(spec, index, SEED) for index in range(
+                first, min(first + window, n_graphs)))
+            for first in range(0, n_graphs, window))
+
+
+def _erasure_notices(caplog, call):
+    """The erasure notices the generators log during ``call()``."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
+        call()
+    notices = [record.getMessage() for record in caplog.records]
+    caplog.clear()
+    return notices
 
 
 def test_erasure_notices_follow_the_rounds(caplog):
     spec, n_graphs = ENSEMBLES["configuration"]
-    order = _round_order(spec, n_graphs, SEED)
+    order = _round_order(spec, range(n_graphs), SEED)
     assert len(order) > n_graphs
-    with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
-        bias_distribution(spec, CentralityParams(kind="degree"), n_graphs,
-                          SEED)
-        got = [record.getMessage() for record in caplog.records]
-        caplog.clear()
-        # The per-attempt reference: one generate per attempt, in the
-        # order the rounds draw them.
-        for seed in order:
-            generate(dataclass_replace(spec, seed=seed))
-        want = [record.getMessage() for record in caplog.records]
+    got = _erasure_notices(caplog, lambda: bias_distribution(
+        spec, CentralityParams(kind="degree"), n_graphs, SEED))
+    # The per-attempt reference: one generate per attempt, in the order
+    # the rounds draw them.
+    want = _erasure_notices(caplog, lambda: [
+        generate(dataclass_replace(spec, seed=seed)) for seed in order])
     assert len(want) > n_graphs
+    assert got == want
+
+
+def test_erasure_notices_follow_the_windows(monkeypatch, caplog):
+    spec, n_graphs = ENSEMBLES["configuration"]
+    # Windows of 5 members: a candidate has at most n nodes and one stored
+    # arc per stub.
+    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS",
+                        5 * (spec.n + sum(spec.degree_sequence)))
+    orders = _window_order(spec, n_graphs, SEED, 5)
+    assert any(len(order) > 5 for order in orders)
+    got = _erasure_notices(caplog, lambda: bias_distribution(
+        spec, CentralityParams(kind="degree"), n_graphs, SEED))
+    want = _erasure_notices(caplog, lambda: [
+        generate(dataclass_replace(spec, seed=seed))
+        for order in orders for seed in order])
     assert got == want
 
 
