@@ -269,9 +269,10 @@ def _iterate_blocks(sizes: Sequence[int], start: np.ndarray | None, step,
                 return vec, residuals, iterations.tolist()
             moving = running.repeat(sizes)
         np.copyto(vec, image, where=moving)
+    noun = "step" if params.max_iters == 1 else "steps"
     raise ConvergenceError(
         f"{what} iteration did not reach {params.tol} in "
-        f"{params.max_iters} steps",
+        f"{params.max_iters} {noun}",
         residual=float(residuals[running][0]), iterations=params.max_iters)
 
 

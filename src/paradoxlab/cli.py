@@ -337,8 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParadoxLabError as exc:
         detail = ""
         if isinstance(exc, ConvergenceError) and exc.residual is not None:
+            noun = "iteration" if exc.iterations == 1 else "iterations"
             detail = (f" (residual {exc.residual:.3e} after "
-                      f"{exc.iterations} iterations)")
+                      f"{exc.iterations} {noun})")
         print(f"error: {exc}{detail}", file=sys.stderr)
         return exc.exit_code
     output = getattr(args, "output", None)

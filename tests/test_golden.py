@@ -486,7 +486,7 @@ DIGESTS = {
     "paradox-path60-eigenvector-budget":
         "3fd9cdc4a8b3ed42cc8834a7a561eaeccf2691ef1acbe2eb6fdb880f6279d7ff",
     "paradox-path60-katz-1-budget":
-        "cec26cff778aff6e8478e1b6046670a6ac4c8b57fd5395c99570f7fc9fbc8a22",
+        "5b6a03e6affa240002203d70ce32b0dcba2af779e810ffa9fd6437b62ffb4158",
     "paradox-path60-katz-5-budget":
         "c5e45b8ab767e201f3dceca7dd7aeb7bb7b3b943b8d8e6a822fd47fe1adccc99",
     "paradox-path60-pagerank-budget":
