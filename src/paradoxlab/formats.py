@@ -329,12 +329,10 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
         if doc.node_table is None:
             raise UsageError("csv output needs a node table; this report "
                              "has none")
-        lines = [",".join(_NODE_COLUMNS)]
-        # float.__repr__ writes numpy floats as the JSON encoder does.
-        for row in doc.node_table:
-            lines.append(",".join(
-                float.__repr__(row[col]) if isinstance(row[col], float)
-                else str(row[col]) for col in _NODE_COLUMNS))
+        # str writes Python and numpy floats as the JSON encoder does.
+        lines = [",".join(_NODE_COLUMNS)] + [
+            ",".join([str(row[col]) for col in _NODE_COLUMNS])
+            for row in doc.node_table]
         return "\n".join(lines) + "\n"
     raise UsageError(f"unknown report format {fmt!r}; expected json or csv")
 
