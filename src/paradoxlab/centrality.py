@@ -41,7 +41,8 @@ LANCZOS_MIN_NODES = 256
 # k x n distance block too, since a connected graph on n >= 2 nodes
 # stores at least n arcs.  Picked by measurement on paths and
 # heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the
-# unions it samples and solves by it too.
+# unions it solves by it too, and sizes its sampling windows by it from
+# each candidate's expected nodes plus stored arcs.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps

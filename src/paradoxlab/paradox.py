@@ -425,12 +425,14 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     neighbour average minus its own value; samples from all graphs are
     pooled.
 
-    Members are sampled in rounds over windows of consecutive members:
-    each round draws the next attempt of every member still pending in
-    one batch, which pairs the stubs of ``k_regular`` and
-    ``configuration`` members together, assembles them as one disjoint
-    union and labels it once, so no attempt is assembled or labelled
-    alone.  Degree, walk counts, PageRank, and eigenvector members below
+    Members are sampled in rounds over windows of consecutive members,
+    each window sized from the spec so that its candidates' nodes and
+    stored arcs stay within ``BFS_BLOCK_ARCS`` (on average, for
+    Erdos-Renyi): each round draws the next attempt of every member of
+    the window still pending in one batch, which pairs the stubs of
+    ``k_regular`` and ``configuration`` members together, assembles them
+    as one disjoint union and labels it once, so no attempt is assembled
+    or labelled alone.  Degree, walk counts, PageRank, and eigenvector members below
     ``LANCZOS_MIN_NODES`` nodes are then solved in batches of
     consecutive members, one solve and one neighbour average over the
     disjoint union of each batch, a batch closing before its stored arcs
