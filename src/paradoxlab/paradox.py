@@ -432,8 +432,8 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     the window still pending in one batch, which pairs the stubs of
     ``k_regular`` and ``configuration`` members together, assembles them
     as one disjoint union and labels it once, so no attempt is assembled
-    or labelled alone.  Degree, walk counts, PageRank, and eigenvector members below
-    ``LANCZOS_MIN_NODES`` nodes are then solved in batches of
+    or labelled alone.  Degree, walk counts, PageRank, and eigenvector
+    members below ``LANCZOS_MIN_NODES`` nodes are then solved in batches of
     consecutive members, one solve and one neighbour average over the
     disjoint union of each batch, a batch closing before its stored arcs
     would pass ``BFS_BLOCK_ARCS``.  Katz, closeness, harmonic, larger

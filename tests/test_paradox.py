@@ -810,6 +810,19 @@ def test_pairing_exhaustion_waits_for_the_members_before_it(monkeypatch,
         spec, measure, n_graphs, SEED)) == want
 
 
+def test_a_round_with_no_drawn_candidate_raises_its_pairing_error(
+        monkeypatch):
+    # Simple 5-regular pairings on 100 nodes are rare, so some member's
+    # round 0 draws no candidate; windows of one member leave it alone in
+    # its round.
+    spec = RandomGraphSpec(model="k_regular", n=100, k=5)
+    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 0)
+    measure = CentralityParams(kind="degree")
+    want = _raised(lambda: _per_member_samples(spec, measure, 4, SEED))
+    assert want[0] is GenerationError and "pairing" in want[1]
+    assert _raised(lambda: bias_distribution(spec, measure, 4, SEED)) == want
+
+
 def test_directed_reports_use_out_degrees(hub_digraph):
     vector = pagerank_centrality(hub_digraph, 0.15)
     report = paradox_report(hub_digraph, vector)
