@@ -665,9 +665,7 @@ def _erasure_notices(caplog, call):
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="paradoxlab.generators"):
         call()
-    notices = [record.getMessage() for record in caplog.records]
-    caplog.clear()
-    return notices
+    return [record.getMessage() for record in caplog.records]
 
 
 def test_erasure_notices_follow_the_rounds(caplog):
