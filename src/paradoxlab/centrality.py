@@ -30,10 +30,16 @@ DEFAULT_MAX_ITERS = 100_000
 # Katz decay must keep alpha * lambda1 bounded away from 1.
 ALPHA_MARGIN = 1e-9
 
-# Graphs with at least this many nodes try a Lanczos solve before power
-# iteration.  Below it the power loop is cheaper (measured crossover on
-# Erdős–Rényi, preferential-attachment and path graphs; see CHANGES.md).
+# Graphs with at least this many nodes try a shift-invert or Lanczos
+# solve before power iteration.  Below it the power loop is cheaper
+# (measured crossover on Erdős–Rényi and preferential-attachment graphs,
+# and on paths before they moved to shift-invert; see CHANGES.md).
 LANCZOS_MIN_NODES = 256
+
+# eigsh's default Lanczos basis size (ncv) for one eigenpair: the matvecs
+# of ARPACK's first restart cycle.  Shift-invert iteration is taken where
+# its LU factor costs at most that cycle, and gets as many solves.
+_ARPACK_NCV = 20
 
 # Caps k * len(column_targets) for a block of k closeness/harmonic sources:
 # the (source, arc) expansions of its whole search, so no per-level array
@@ -110,7 +116,8 @@ class SpectralResult:
     """Dominant adjacency eigenpair with two certificates: the residual
     ``max|A v - lambda1 v|`` and the Collatz–Wielandt enclosure
     ``lo <= lambda1 <= hi`` of the returned vector.  ``method`` names the
-    solver that produced it, ``"lanczos"`` or ``"power"``."""
+    solver that produced it, ``"shift-invert"``, ``"lanczos"`` or
+    ``"power"``."""
 
     lambda1: float
     vector: np.ndarray
@@ -194,12 +201,107 @@ class _BudgetSpent(Exception):
     """The Lanczos solve asked for its ``max_iters``-th matvec."""
 
 
-def _lanczos(graph: Graph, params: CentralityParams,
+class _Stalled(Exception):
+    """Shift-invert iteration left the residual no smaller than the step
+    before, or spent ``_ARPACK_NCV`` solves short of ``tol``."""
+
+
+def _banded(graph: Graph) -> bool:
+    """Whether an LU factor of ``sigma I - A`` costs at most ARPACK's first
+    restart cycle, so that shift-invert iteration starts the eigenvector
+    solve instead of Lanczos.
+
+    A band of width ``b`` factors in about ``n b^2`` operations, ``b`` the
+    bandwidth in reverse Cuthill–McKee order.  The restart cycle takes
+    ``_ARPACK_NCV`` matvecs of ``nnz(A)`` each.  A node with ``k``
+    distinct neighbours forces ``b >= ceil(k / 2)`` in any order, so a
+    graph that this bound already rules out skips the ordering.
+    """
+    n, arcs = graph.node_count, len(graph.column_targets)
+    budget = _ARPACK_NCV * arcs
+    lengths = np.diff(graph.row_offsets)
+    narrowest = -(-int(lengths.max()) // 2)
+    if n * narrowest * narrowest > budget:
+        return False
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    order = reverse_cuthill_mckee(graph.adjacency, symmetric_mode=True)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    width = int(np.abs(np.repeat(position, lengths)
+                       - position[graph.column_targets]).max())
+    return n * width * width <= budget
+
+
+def _shift_invert(graph: Graph, params: CentralityParams,
+                  ) -> tuple[np.ndarray | None, int]:
+    """Perron vector proposed by inverse iteration with ``(sigma I -
+    A)^-1`` from the uniform vector, positive and L1-normalised, and the
+    solves it spent, run by :func:`_iterate_blocks`.
+
+    ``sigma`` is the Collatz–Wielandt upper bound of the uniform vector,
+    the maximum degree rounded outward, so ``sigma > lambda1`` and
+    ``(sigma I - A)^-1 = sum_k A^k / sigma^(k+1)`` is entrywise positive:
+    the iterates stay positive, and the Perron vector dominates them.
+    ``sigma I - A`` is factored once by SuperLU.
+
+    The steps stop on the test ARPACK applies for :func:`_lanczos`,
+    ``|A y - theta y|_2 <= (tol / d_max) theta`` for ``y = v / |v|_2``
+    and the Rayleigh estimate ``theta``, taken as the residual ``d_max
+    |A v - theta v|_2 / (theta |v|_2) <= tol``; a ``ConvergenceError``
+    raised during the solves carries it.  It bounds the certificate's
+    ``max|A v - theta v|``, as ``theta <= d_max`` and ``|v|_2 <= 1``.
+    Unlike the certificate, it does not shrink as the entries of an
+    L1-normalised vector do on a long path: on ``P_1000`` the certificate
+    alone stops 5 solves in, 1.2e-8 from the Perron vector, and this test
+    8 solves in, 1.6e-11 from it.
+
+    The steps contract by ``(sigma - lambda1) / (sigma - lambda2)``,
+    fast where ``lambda1`` is near the maximum degree, as on paths, and
+    as slowly as power iteration where it is not and the gap is small,
+    as on a path with a pendant node at each end (``lambda1 = 2``,
+    ``sigma = 3``).  So the solves get the ``_ARPACK_NCV`` steps of the
+    restart cycle that ``_banded`` prices them against.  The vector is
+    ``None`` when the residual stops shrinking or those solves are spent
+    short of ``tol``, or when it is not positive after rounding.
+    """
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import splu
+    n = graph.node_count
+    d_max = float(graph.degree_seq.max())
+    # A 1 = d exactly, so this is the enclosure of the uniform vector.
+    sigma = _enclosure(graph, np.ones(n), graph._float_degrees)[1]
+    lu = splu((sigma * identity(n) - graph.adjacency).tocsc())
+    least, solves = np.inf, 0
+
+    def shift_invert_step(vec, starts):
+        nonlocal least, solves
+        image = adjacency_matvec(graph, vec)
+        theta = (vec @ image) / (vec @ vec)
+        residual = (d_max * np.linalg.norm(image - theta * vec)
+                    / (theta * np.linalg.norm(vec)))
+        if residual <= params.tol:
+            return np.array([residual]), vec
+        if not residual < least or solves == _ARPACK_NCV:
+            raise _Stalled
+        least, solves = residual, solves + 1
+        solved = lu.solve(vec)
+        return np.array([residual]), solved / solved.sum()
+
+    try:
+        vec, _, _ = _iterate_blocks([n], None, shift_invert_step, params,
+                                    "eigenvector")
+    except _Stalled:
+        return None, solves
+    return (vec if (vec > 0).all() else None), solves
+
+
+def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
              ) -> tuple[np.ndarray | None, int]:
     """Perron vector proposed by ARPACK's implicitly restarted Lanczos,
-    positive and L1-normalised, and the matvecs it spent.  The vector is
-    ``None`` when ARPACK fails, the matvec budget runs out or the vector
-    is not positive.  It spends fewer than ``max_iters`` matvecs.
+    positive and L1-normalised, and the matvecs spent, counted on from
+    ``spent``.  The vector is ``None`` when ARPACK fails, the matvec
+    budget runs out or the vector is not positive.  The count stays below
+    ``max_iters``.
 
     ARPACK stops once its Ritz pair ``(theta, y)``, ``y`` a unit vector,
     has ``|A y - theta y|_2 <= tol_a theta``.  It is asked for ``tol_a =
@@ -214,7 +316,7 @@ def _lanczos(graph: Graph, params: CentralityParams,
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     arpack_tol = params.tol / float(graph.degree_seq.max())
-    calls = 0
+    calls = spent
 
     def matvec(x):
         nonlocal calls
@@ -316,38 +418,51 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     """Dominant eigenpair of the adjacency matrix.
 
     Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
-    first ask Lanczos (ARPACK's ``eigsh``) for a start vector; it needs far
-    fewer matvecs than power iteration when the spectral gap is small.
-    ARPACK stops at ``tol / d_max`` relative to its Ritz value, or at
-    machine precision when that is below epsilon, which is enough for the
-    start to pass the certificate below up to rounding (see ``_lanczos``).
+    first ask for a start vector from a solver that needs far fewer steps
+    than power iteration when the spectral gap is small.  Banded graphs,
+    such as long paths, whose LU factor costs at most ARPACK's first
+    restart cycle (see ``_banded``), run shift-invert iteration with a
+    factor of ``sigma I - A``, ``sigma`` just above the maximum degree
+    (see ``_shift_invert``).  The others, and banded graphs whose solves
+    fall short of ``tol`` within one restart cycle or end on a vector that
+    is not positive, ask Lanczos (ARPACK's ``eigsh``).  Both stop at
+    ``tol / d_max`` relative to their Rayleigh or Ritz value on a unit
+    vector, ARPACK at machine precision when that is below epsilon, which
+    is enough for the start to pass the certificate below up to rounding
+    (see ``_lanczos``).
     Regular graphs, whose Perron vector is the uniform one, and smaller
-    graphs start from the uniform vector.  Either start goes to power
+    graphs start from the uniform vector.  Any start goes to power
     iteration on ``A + I``, so that bipartite graphs, whose spectrum is
     symmetric, still have a strictly dominant eigenvalue.  Its step 0
     certifies the start: the result must pass ``max|A r - lambda r| <=
     tol`` with the Rayleigh-quotient eigenvalue estimate, and a start that
-    fails is polished by the steps after it.  ``method`` is ``"lanczos"``
-    when the Lanczos vector passes as it is, and ``"power"`` otherwise.
-    The vector is positive and L1-normalised.
+    fails is polished by the steps after it.  ``method`` is
+    ``"shift-invert"`` or ``"lanczos"`` when that solver's vector passes
+    as it is, and ``"power"`` otherwise.  The vector is positive and
+    L1-normalised.
 
-    Both solvers draw on one budget: ``iterations`` counts the Lanczos
-    matvecs plus the power steps and stays below ``max_iters``, and power
-    iteration gets only what Lanczos left of it.
+    All solvers draw on one budget: ``iterations`` counts the shift-invert
+    solves, the Lanczos matvecs and the power steps, and stays below
+    ``max_iters``; each solver gets only what those before it left.
     """
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
-    start, spent = None, 0
+    start, spent, method = None, 0, "power"
     if graph.node_count >= LANCZOS_MIN_NODES and not graph.regular:
-        start, spent = _lanczos(graph, params)
+        if _banded(graph):
+            start, spent = _shift_invert(graph, params)
+            method = "shift-invert"
+        if start is None:
+            start, spent = _lanczos(graph, params, spent)
+            method = "lanczos"
     vec, image, estimates, residuals, iterations = _power_blocks(
         graph, [graph.node_count], params, spent, start)
     residual = float(residuals[0])
     spectral = SpectralResult(
         lambda1=float(estimates[0]), vector=vec, residual=residual,
         iterations=iterations[0], enclosure=_enclosure(graph, vec, image),
-        method=("lanczos" if start is not None and iterations[0] == spent
+        method=(method if start is not None and iterations[0] == spent
                 else "power"))
     return spectral, CentralityVector(values=vec, params=params,
                                       iterations=iterations[0],

@@ -145,8 +145,9 @@ def _dense_power(matrix: np.ndarray, tol: float,
         if residual <= tol:
             return float(estimate - 1.0), vec
         vec = nxt / nxt.sum()
+    noun = "step" if max_iters == 1 else "steps"
     raise ConvergenceError(
-        f"dense power iteration did not reach {tol} in {max_iters} steps",
+        f"dense power iteration did not reach {tol} in {max_iters} {noun}",
         residual=float(residual), iterations=max_iters)
 
 

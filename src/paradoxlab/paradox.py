@@ -437,11 +437,11 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     consecutive members, one solve and one neighbour average over the
     disjoint union of each batch, a batch closing before its stored arcs
     would pass ``BFS_BLOCK_ARCS``.  Katz, closeness, harmonic, larger
-    eigenvector members, which try Lanczos first, and a lone node, whose
-    neighbour average is undefined, take one solve per member.  Samples
-    and errors are those of one ``generate`` per attempt and one solve per
-    member, in member order: a member that cannot be sampled raises after
-    the members before it are solved.
+    eigenvector members, which try shift-invert or Lanczos first, and a
+    lone node, whose neighbour average is undefined, take one solve per
+    member.  Samples and errors are those of one ``generate`` per attempt
+    and one solve per member, in member order: a member that cannot be
+    sampled raises after the members before it are solved.
     """
     _require_int("n_graphs", n_graphs, 1)
     _require_int("seed", seed)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -664,7 +665,7 @@ def test_scale_covariance_of_means(p6):
     assert triple.mu_tilde == pytest.approx(3.0 * report.mu_tilde, rel=1e-13)
 
 
-# --- Lanczos above LANCZOS_MIN_NODES, power iteration below --------------
+# --- Shift-invert or Lanczos above LANCZOS_MIN_NODES, power below --------
 
 def _power_only(monkeypatch, graph, **kwargs):
     """The power-iteration result, with the Lanczos path switched off."""
@@ -688,19 +689,38 @@ def _preferential(n, seed):
                                     m_attach=2, seed=seed))
 
 
+def _grid(rows, cols):
+    """The ``rows x cols`` grid graph.  Its reverse Cuthill–McKee bandwidth
+    is about ``rows``, too wide for shift-invert at 10 rows and more, so
+    it keeps a long strip's small spectral gap on Lanczos."""
+    edges = [(i * cols + j, i * cols + j + 1)
+             for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j)
+              for i in range(rows - 1) for j in range(cols)]
+    return build_undirected(rows * cols, edges)
+
+
+def _grid300():
+    return _grid(12, 25)
+
+
+def _grid1000():
+    return _grid(10, 100)
+
+
 def test_threshold_keeps_small_graphs_on_the_power_path():
     assert 100 < centrality.LANCZOS_MIN_NODES <= 300
     small = path(centrality.LANCZOS_MIN_NODES - 1)
     assert eigenvector_centrality(small, tol=1e-9)[0].method == "power"
-    assert eigenvector_centrality(path(centrality.LANCZOS_MIN_NODES)
-                                  )[0].method == "lanczos"
+    assert eigenvector_centrality(_preferential(
+        centrality.LANCZOS_MIN_NODES, 0))[0].method == "lanczos"
 
 
 @pytest.mark.parametrize("n", [300, 1000, 2000])
 def test_long_paths_and_cycles_converge_with_certificates(n):
     exact = 2 * np.cos(np.pi / (n + 1))
     spectral, vector = eigenvector_centrality(path(n))
-    assert spectral.method == "lanczos"
+    assert spectral.method == "shift-invert"
     assert spectral.residual <= 1e-12 and vector.residual == spectral.residual
     assert vector.iterations == spectral.iterations < 10_000
     lo, hi = spectral.enclosure
@@ -776,14 +796,14 @@ def test_lanczos_vector_short_of_tol_is_polished_from_where_it_stopped(
 
 
 def test_lanczos_result_is_reproducible():
-    for g in (path(1000), _preferential(500, 9)):
+    for g in (_grid1000(), _preferential(500, 9)):
         first, second = eigenvector_centrality(g), eigenvector_centrality(g)
         _assert_same_result(first, second)
 
 
 @pytest.mark.parametrize("graph, monotone", [
-    (lambda: path(300), True),
-    (lambda: path(1000), True),
+    (_grid300, True),
+    (_grid1000, True),
     (lambda: _preferential(2000, 1), True),
     (lambda: generate(RandomGraphSpec(model="erdos_renyi", n=400, p=0.02,
                                       seed=2)), True),
@@ -791,7 +811,7 @@ def test_lanczos_result_is_reproducible():
     # ARPACK restarts from a random vector, drawn unseeded on recent scipy:
     # its vector is reproducible, its matvec count is not.
     (lambda: star(1000), False),
-], ids=["path300", "path1000", "preferential", "erdos_renyi", "star"])
+], ids=["grid300", "grid1000", "preferential", "erdos_renyi", "star"])
 def test_lanczos_stops_at_the_accuracy_tol_needs(graph, monotone):
     g = graph()
     counts = []
@@ -805,18 +825,19 @@ def test_lanczos_stops_at_the_accuracy_tol_needs(graph, monotone):
 
 
 def test_loose_tol_on_a_long_path_takes_few_matvecs():
-    spectral, _ = eigenvector_centrality(path(1000), tol=0.01)
+    # A 10 x 100 strip: a long path of rungs, on Lanczos.
+    spectral, _ = eigenvector_centrality(_grid1000(), tol=0.01)
     assert spectral.method == "lanczos" and spectral.residual <= 0.01
     assert spectral.iterations < 100
 
 
 @pytest.mark.parametrize("graph, tol, want", [
-    (lambda: path(1000), 1e-2, 1e-2 / 2),
-    (lambda: path(300), 1e-12, 1e-12 / 2),
+    (_grid1000, 1e-2, 1e-2 / 4),
+    (_grid300, 1e-12, 1e-12 / 4),
     (lambda: star(1000), 1e-8, 1e-8 / 999),
     (lambda: _preferential(2000, 1), 1e-16, 0),
     (lambda: star(1000), 1e-14, 0),
-], ids=["path1000", "path300", "star", "preferential-eps", "star-eps"])
+], ids=["grid1000", "grid300", "star", "preferential-eps", "star-eps"])
 def test_arpack_gets_tol_over_the_maximum_degree(monkeypatch, graph, tol,
                                                  want):
     g = graph()
@@ -884,14 +905,14 @@ def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
 
 
 def test_lanczos_budget_counts_matvecs():
-    needed = eigenvector_centrality(path(300))[0].iterations
-    spectral, _ = eigenvector_centrality(path(300), max_iters=needed + 1)
+    needed = eigenvector_centrality(_grid300())[0].iterations
+    spectral, _ = eigenvector_centrality(_grid300(), max_iters=needed + 1)
     assert (spectral.method, spectral.iterations) == ("lanczos", needed)
     # A result must stay below max_iters, as Katz, PageRank and power
     # iteration do: at max_iters == needed Lanczos gives up, and so does
     # the power fallback.
     with pytest.raises(ConvergenceError) as info:
-        eigenvector_centrality(path(300), max_iters=needed)
+        eigenvector_centrality(_grid300(), max_iters=needed)
     assert info.value.iterations == needed
 
 
@@ -937,10 +958,149 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
     assert spectral.method == "power"
     assert len(calls) == spectral.iterations + 1
     calls.clear()
-    spectral, _ = eigenvector_centrality(path(300))
+    spectral, _ = eigenvector_centrality(_grid300())
     assert spectral.method == "lanczos"
     # The Lanczos matvecs and the image of its vector.
     assert len(calls) == spectral.iterations + 1
+
+
+def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
+    factored, ordered = [], []
+    real_splu = splinalg.splu
+    real_order = csgraph.reverse_cuthill_mckee
+
+    def splu_spy(matrix, *args, **kwargs):
+        factored.append(matrix.shape[0])
+        return real_splu(matrix, *args, **kwargs)
+
+    def order_spy(matrix, *args, **kwargs):
+        ordered.append(matrix.shape[0])
+        return real_order(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(splinalg, "splu", splu_spy)
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", order_spy)
+    for g in (path(300), path(1000), _permuted_path(300, 13)):
+        factored.clear()
+        assert eigenvector_centrality(g)[0].method == "shift-invert"
+        assert factored == [g.node_count]
+    er = generate(RandomGraphSpec(model="erdos_renyi", n=400, p=0.02, seed=2))
+    preferential = [_preferential(300, seed) for seed in range(20)]
+    preferential += [_preferential(400, 5), _preferential(500, 9),
+                     _preferential(2000, 1), KATZ_GRID["pa300"]()]
+    for g in preferential + [er, star(1000)]:
+        factored.clear()
+        ordered.clear()
+        assert eigenvector_centrality(g)[0].method == "lanczos"
+        assert factored == []
+        # The degree bound alone rules out every graph but ER's, whose
+        # reverse Cuthill–McKee bandwidth does.
+        assert ordered == ([400] if g is er else [])
+
+
+def test_shift_invert_budget_counts_solves(monkeypatch):
+    solves = []
+    real_splu = splinalg.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(splinalg, "splu",
+                        lambda matrix: Counted(real_splu(matrix)))
+    needed = eigenvector_centrality(path(300))[0].iterations
+    assert len(solves) == needed
+    spectral, _ = eigenvector_centrality(path(300), max_iters=needed + 1)
+    assert (spectral.method, spectral.iterations) == ("shift-invert", needed)
+    # As with Lanczos, a result stays below max_iters: at max_iters ==
+    # needed the solves run out of budget and raise.
+    with pytest.raises(ConvergenceError) as info:
+        eigenvector_centrality(path(300), max_iters=needed)
+    assert info.value.iterations == needed
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: path(300),
+    lambda: path(1000),
+    lambda: _permuted_path(300, 13),
+], ids=["path300", "path1000", "permuted_path300"])
+def test_shift_invert_stops_at_the_accuracy_tol_needs(graph):
+    g = graph()
+    counts = []
+    for tol in (1e-12, 1e-8, 1e-4, 1e-2):
+        spectral, vector = eigenvector_centrality(g, tol=tol)
+        assert spectral.method == "shift-invert"
+        assert spectral.residual == vector.residual <= tol
+        counts.append(spectral.iterations)
+    assert counts == sorted(counts, reverse=True)
+
+
+def test_shift_invert_result_is_reproducible():
+    _assert_same_result(eigenvector_centrality(path(1000)),
+                        eigenvector_centrality(path(1000)))
+
+
+class _FakeFactor:
+    """An LU factor whose solve gives back its right-hand side, which
+    leaves the residual where it was, or else a fixed vector."""
+
+    def __init__(self, vec=None):
+        self.vec = vec
+
+    def solve(self, rhs):
+        return rhs.copy() if self.vec is None else self.vec.copy()
+
+
+@pytest.mark.parametrize("kind", ["stall", "mixed sign", "slow"])
+def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
+    # slow: pendant nodes next to both ends of P_300 make lambda1 exactly
+    # 2, while sigma is 3, the maximum degree, so the solves contract
+    # about as slowly as power iteration.  They get the _ARPACK_NCV solves
+    # of one restart cycle.
+    g = (build_undirected(302, edge_pairs(path(300)) + [(1, 300), (298, 301)])
+         if kind == "slow" else path(300))
+    with monkeypatch.context() as patch:
+        patch.setattr(centrality, "_banded", lambda graph: False)
+        want = eigenvector_centrality(g)
+    assert want[0].method == "lanczos"
+    spent = centrality._ARPACK_NCV if kind == "slow" else 1
+    if kind == "stall":
+        monkeypatch.setattr(splinalg, "splu", lambda matrix: _FakeFactor())
+    elif kind == "mixed sign":
+        # A true eigenvector with a positive sum, but not the Perron one:
+        # it passes the solves' stop test and fails the positivity check.
+        fake = _FakeFactor(np.linalg.eigh(dense_from_graph(g))[1][:, -3])
+        assert fake.vec.sum() > 0 and (fake.vec < 0).any()
+        monkeypatch.setattr(splinalg, "splu", lambda matrix: fake)
+    lanczos = []
+    real = centrality._lanczos
+
+    def watched(graph, params, spent=0):
+        lanczos.append(spent)
+        return real(graph, params, spent)
+
+    monkeypatch.setattr(centrality, "_lanczos", watched)
+    spectral, vector = eigenvector_centrality(g)
+    # Lanczos counts on from the solves spent.
+    assert lanczos == [spent]
+    assert spectral.method == "lanczos"
+    assert spectral.iterations == want[0].iterations + spent
+    assert np.array_equal(vector.values, want[1].values)
+
+
+def test_shift_invert_converges_on_a_path_of_100000_nodes():
+    # A handful of solves; Lanczos took 1,661 matvecs on P_1000 alone.
+    n = 100_000
+    g = path(n)
+    spectral, vector = eigenvector_centrality(g, max_iters=100)
+    assert spectral.method == "shift-invert"
+    assert spectral.residual == vector.residual <= 1e-12
+    lo, hi = spectral.enclosure
+    assert lo <= 2 * np.cos(np.pi / (n + 1)) <= hi
+    assert (vector.values > 0).all()
 
 
 def _sum(x):

@@ -1,14 +1,16 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from paradoxlab import cli
+from paradoxlab import adjacency_matvec, cli
 from paradoxlab.cli import main
 from paradoxlab.errors import (ConvergenceError, GenerationError, InputError,
                                NumericalError, ParadoxLabError,
                                ParameterError, PreconditionError, RangeError,
                                UsageError)
+from conftest import path
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +318,18 @@ def test_eigenvector_on_long_path_converges(capsys):
     r = np.array([row["r"] for row in json.loads(out)["node_table"]])
     sine = np.sin(np.arange(1, 1001) * np.pi / 1001)
     np.testing.assert_allclose(r, sine / sine.sum(), rtol=0, atol=1e-9)
+
+
+def test_eigenvector_on_a_path_of_10000_nodes_converges(capsys):
+    # Shift-invert takes a handful of solves; Lanczos and then power
+    # iteration ran out of the default budget here, exit 3 after 34 s.
+    began = time.perf_counter()
+    code, out, err = run_cli(capsys, "paradox", "--model", "path", "--n",
+                             "10000", "--measure", "eigenvector")
+    assert time.perf_counter() - began < 30
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    r = np.array([row["r"] for row in doc["node_table"]])
+    image = adjacency_matvec(path(10000), r)
+    estimate = (r @ image) / (r @ r)
+    assert np.abs(image - estimate * r).max() <= doc["measure"]["tol"]

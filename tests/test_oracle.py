@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from paradoxlab import (InputError, NumericalError, RangeError,
-                        build_directed, build_undirected, dense_from_graph,
-                        dense_hop_distances, dense_perron, dense_solve,
-                        enumerate_walks)
+from paradoxlab import (ConvergenceError, InputError, NumericalError,
+                        RangeError, build_directed, build_undirected,
+                        dense_from_graph, dense_hop_distances, dense_perron,
+                        dense_solve, enumerate_walks)
 from paradoxlab.rng import SplitMix64
 from conftest import complete, cycle, path, star
 
@@ -170,6 +170,16 @@ def test_dense_perron_rejects_bad_matrices():
         dense_perron(reducible)
     with pytest.raises(InputError):
         dense_perron(np.ones((2, 3)))
+
+
+def test_dense_perron_budget_message_agrees_in_number():
+    matrix = dense_from_graph(path(60))
+    for budget, steps in ((1, "1 step"), (2, "2 steps")):
+        with pytest.raises(ConvergenceError) as info:
+            dense_perron(matrix, max_iters=budget)
+        assert str(info.value) == (f"dense power iteration did not reach "
+                                   f"1e-12 in {steps}")
+        assert info.value.iterations == budget
 
 
 def test_dense_guards():
