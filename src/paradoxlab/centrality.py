@@ -42,13 +42,16 @@ LANCZOS_MIN_NODES = 256
 _ARPACK_NCV = 20
 
 # Caps k * len(column_targets) for a block of k closeness/harmonic sources:
-# the (source, arc) expansions of its whole search, so no per-level array
-# holds more keys, unless one source alone has more arcs.  It caps the
-# k x n distance block too, since a connected graph on n >= 2 nodes
-# stores at least n arcs.  Picked by measurement on paths and
-# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the
-# unions it solves by it too, and sizes its sampling windows by it from
-# each candidate's expected nodes plus stored arcs.
+# the (source, arc) expansions of a top-down search of the whole block, so
+# no per-level array holds more keys, unless one source alone has more
+# arcs.  A bottom-up search rounds k up to W = ceil(k / 64) words, W <= k,
+# and gathers W words per arc at each level, so it stays within the same
+# cap.  It caps the k x n distance block too, up to that rounding, since a
+# connected graph on n >= 2 nodes stores at least n arcs.  Picked by
+# measurement on paths and heavy-tailed graphs; see CHANGES.md.
+# bias_distribution caps the unions it solves by it too, and sizes its
+# sampling windows by it from each candidate's expected nodes plus stored
+# arcs.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -297,11 +300,11 @@ def _shift_invert(graph: Graph, params: CentralityParams,
 
 def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
              ) -> tuple[np.ndarray | None, int]:
-    """Perron vector proposed by ARPACK's implicitly restarted Lanczos,
-    positive and L1-normalised, and the matvecs spent, counted on from
-    ``spent``.  The vector is ``None`` when ARPACK fails, the matvec
-    budget runs out or the vector is not positive.  The count stays below
-    ``max_iters``.
+    """Perron vector proposed by ARPACK's implicitly restarted Lanczos, the
+    absolute values of its Ritz vector L1-normalised, and the matvecs
+    spent, counted on from ``spent``.  The vector is ``None`` when ARPACK
+    fails, the matvec budget runs out or the Ritz vector has a zero entry.
+    The count stays below ``max_iters``.
 
     ARPACK stops once its Ritz pair ``(theta, y)``, ``y`` a unit vector,
     has ``|A y - theta y|_2 <= tol_a theta``.  It is asked for ``tol_a =
@@ -332,9 +335,11 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
                     tol=arpack_tol if arpack_tol >= EPS else 0)[1][:, 0]
     except (ArpackError, _BudgetSpent):
         return None, calls
-    vec = vec * np.sign(vec.sum())
-    if not (vec > 0).all():
+    # The Perron vector is positive, so entries of the wrong sign are
+    # rounding in a tail far below the largest; step 0 judges the result.
+    if not vec.all():
         return None, calls
+    vec = np.abs(vec)
     return vec / vec.sum(), calls
 
 
@@ -649,9 +654,9 @@ def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
     """Hop distances from sources ``start..stop-1`` as a flat C-order
     ``k x n`` int32 block, ``-1`` where a source does not reach a node.
 
-    One breadth-first search serves the whole block: its frontier holds
-    keys ``row * n + node``, one per (source, node) pair, expanded through
-    the CSR arrays at each level.  A key is kept once per level without
+    One top-down breadth-first search serves the whole block: its frontier
+    holds keys ``row * n + node``, one per (source, node) pair, expanded
+    through the CSR arrays at each level.  A key is kept once per level without
     sorting, by the copy whose position ``mark`` remembers.
     """
     n = graph.node_count
@@ -681,14 +686,68 @@ def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
     return dist
 
 
+def _bit_distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
+    """Hop distances from sources ``start..stop-1`` as a flat C-order
+    ``k x n`` uint8 block, for a connected graph whose distances are below
+    256.
+
+    One bottom-up search serves the whole block, with one bit per source
+    in ``ceil(k / 64)`` uint64 words per node (Then et al., VLDB 2014): a
+    node's next frontier word is the OR of its neighbours' frontier words,
+    less the sources that reached it already.  Each level adds 1 to every
+    (node, source) pair not yet reached, so a pair counts its distance.
+    The graph is undirected, so the node-major block transposes to the
+    source-major one.
+    """
+    n = graph.node_count
+    offsets, targets = graph.row_offsets, graph.column_targets
+    k = stop - start
+    sources = np.arange(k)
+    # Source s is bit s % 8 of byte s // 8 in row start + s.  Bits are set
+    # and read through the byte view, so no shift touches a uint64.
+    frontier = np.zeros((n, -(-k // 64)), dtype=np.uint64)
+    frontier.view(np.uint8)[start + sources, sources // 8] = 1 << sources % 8
+    unseen = ~frontier
+    dist = np.zeros((n, 64 * frontier.shape[1]), dtype=np.uint8)
+    while frontier.any():
+        dist += np.unpackbits(unseen.view(np.uint8), axis=1,
+                              bitorder="little")
+        frontier = np.bitwise_or.reduceat(frontier[targets], offsets[:-1],
+                                          axis=0)
+        frontier &= unseen
+        unseen ^= frontier
+    return dist[:, :k].T.ravel()
+
+
+def _few_levels(graph: Graph) -> bool:
+    """Whether the searches from every source of a connected graph with
+    two or more nodes end in fewer levels than a word has bits, bounded
+    by the eccentricity of node 0.
+
+    A bottom-up level of :func:`_bit_distance_block` reads every arc once
+    per word of 64 sources; :func:`_distance_block` expands every arc once
+    per source over all its levels.  So the bit kernel does less work
+    while it runs fewer than 64 levels, as on small-world graphs, and the
+    key kernel on long paths and strips.  Every distance is at most twice
+    that eccentricity, below 128 where this holds.
+    """
+    from scipy.sparse.csgraph import shortest_path
+    return shortest_path(graph.adjacency, indices=0,
+                         unweighted=True).max() < 64
+
+
 def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     """Closeness ``(n-1)/sum_j dist(i,j)`` or harmonic ``sum_j 1/dist(i,j)``
     centrality from breadth-first hop distances.
 
     Sources go in blocks of ``k``, one multi-source search per block, with
     ``k * len(column_targets)`` at most ``BFS_BLOCK_ARCS`` (or ``k = 1``).
-    Closeness divides by exact integer distance sums; harmonic sums each
-    source's row of ``1/dist`` with its own entry removed.
+    Graphs where :func:`_few_levels` holds round ``k`` up to whole words
+    of 64 sources and take bottom-up searches
+    (:func:`_bit_distance_block`); the others take top-down ones
+    (:func:`_distance_block`).  Both give the same distances.  Closeness
+    divides by exact integer distance sums; harmonic sums each source's
+    row of ``1/dist`` with its own entry removed.
     """
     if kind not in ("closeness", "harmonic"):
         raise ParameterError(
@@ -697,11 +756,14 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     _require_undirected_connected(graph, f"{kind} centrality")
     n = graph.node_count
     values = np.zeros(n)
-    # A lone node reaches no other node and keeps 0.
     block = max(1, BFS_BLOCK_ARCS // max(len(graph.column_targets), 1))
+    search = _distance_block
+    if n > 1 and _few_levels(graph):
+        search, block = _bit_distance_block, 64 * -(-block // 64)
+    # A lone node reaches no other node and keeps 0.
     for start in range(0, n if n > 1 else 0, block):
         stop = min(start + block, n)
-        dist = _distance_block(graph, start, stop)
+        dist = search(graph, start, stop)
         if kind == "closeness":
             values[start:stop] = (n - 1) / dist.reshape(-1, n).sum(axis=1)
         else:

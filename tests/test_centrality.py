@@ -14,7 +14,7 @@ from paradoxlab import (CentralityParams, ConvergenceError, InputError,
                         solve_lambda1, walk_count)
 from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
                         dense_hop_distances, generate)
-from paradoxlab.graph import disjoint_union
+from paradoxlab.graph import disjoint_union, extract_lcc
 from paradoxlab.rng import SplitMix64
 from conftest import (complete, cycle, edge_pairs, hop_distances, path,
                       star)
@@ -617,6 +617,66 @@ def test_blocked_search_matches_the_per_source_loop(monkeypatch, name):
             assert np.array_equal(got, expected), (kind, block)
 
 
+@pytest.mark.parametrize("bits", [False, True], ids=["keys", "bits"])
+@pytest.mark.parametrize("name", DISTANCE_CORPUS)
+def test_both_kernels_match_the_per_source_loop(monkeypatch, name, bits):
+    g = DISTANCE_CORPUS[name]
+    monkeypatch.setattr(centrality, "_few_levels", lambda graph: bits)
+    want = {kind: _per_source_loop(g, kind)
+            for kind in ("closeness", "harmonic")}
+    # The default cap, then blocks of 1 and 65 sources.  The bit kernel
+    # rounds them up to one word, so several blocks and a partial last
+    # word at n = 65, 82, 85 and 120, and to two words, the second partial.
+    for block in (None, 1, 65):
+        if block is not None:
+            monkeypatch.setattr(centrality, "BFS_BLOCK_ARCS",
+                                block * max(len(g.column_targets), 1))
+        for kind, expected in want.items():
+            got = closeness_harmonic(g, kind).values
+            assert np.array_equal(got, expected), (kind, block)
+
+
+def _heavy_tailed_lcc(n, m, seed):
+    """The largest component of ``m`` node pairs drawn in proportion to
+    power-law weights ``(i+1)^(-2/3)``: a few hubs, eccentricities near
+    10."""
+    rng = np.random.default_rng(seed)
+    weights = (np.arange(n) + 1.0) ** (-2.0 / 3.0)
+    u, v = rng.choice(n, size=(2, m), p=weights / weights.sum())
+    pairs = np.column_stack([u, v])[u != v]
+    return extract_lcc(build_undirected(n, pairs))[0]
+
+
+def test_long_searches_keep_the_key_kernel(monkeypatch):
+    ran = []
+    for name in ("_distance_block", "_bit_distance_block"):
+        def spy(graph, start, stop, name=name, real=getattr(centrality,
+                                                            name)):
+            ran.append((name, stop - start))
+            return real(graph, start, stop)
+        monkeypatch.setattr(centrality, name, spy)
+    keys = {"path65": path(65), "path300": path(300),
+            "path1000": path(1000), "strip10x100": _grid(10, 100)}
+    bits = {"path64": path(64), "hub": _heavy_tailed_lcc(620, 900, 1),
+            "er": generate(RandomGraphSpec(model="erdos_renyi", n=400,
+                                           p=0.02, seed=2)),
+            "pa": _preferential(300, 1), "complete300": complete(300),
+            "grid30x30": _grid(30, 30)}
+    for kernel, graphs in (("_distance_block", keys),
+                           ("_bit_distance_block", bits)):
+        for name, g in graphs.items():
+            ran.clear()
+            closeness_harmonic(g, "closeness")
+            assert {run[0] for run in ran} == {kernel}, name
+            # Blocks cover every source once.  A bit block rounds the
+            # sources of a key block up to whole words, and no further.
+            assert sum(run[1] for run in ran) == g.node_count, name
+            arcs = len(g.column_targets)
+            assert all(max(1, sources - 63) * arcs
+                       <= max(centrality.BFS_BLOCK_ARCS, arcs)
+                       for _, sources in ran), name
+
+
 @pytest.mark.parametrize("name", DISTANCE_CORPUS)
 def test_closeness_and_harmonic_match_the_dense_oracle(name):
     g = DISTANCE_CORPUS[name]
@@ -853,6 +913,19 @@ def test_arpack_gets_tol_over_the_maximum_degree(monkeypatch, graph, tol,
     assert received == [want]
 
 
+def _fake_ritz_vector(kind, graph):
+    """The unit vector a fake ``eigsh`` returns for ``graph``."""
+    n = graph.node_count
+    if kind == "mixed sign":
+        # A true eigenvector, but not the Perron one.
+        vec = np.linalg.eigh(dense_from_graph(graph))[1][:, -2]
+    elif kind == "zero entry":
+        vec = np.arange(float(n))
+    else:  # positive, but not an eigenvector
+        vec = np.arange(1.0, n + 1)
+    return vec / np.linalg.norm(vec)
+
+
 def _fake_eigsh(kind):
     def fake(operator, k, which, v0, tol):
         n = operator.shape[0]
@@ -862,17 +935,12 @@ def _fake_eigsh(kind):
         if kind == "budget":
             while True:
                 operator.matvec(v0)
-        if kind == "mixed sign":
-            # A true eigenvector, but not the Perron one.
-            vec = np.linalg.eigh(dense_from_graph(fake.graph))[1][:, -2]
-        else:  # positive, but not an eigenvector
-            vec = np.arange(1.0, n + 1)
-        return np.array([1.0]), vec[:, None] / np.linalg.norm(vec)
+        return np.array([1.0]), _fake_ritz_vector(kind, fake.graph)[:, None]
     return fake
 
 
 @pytest.mark.parametrize("kind", ["raise", "budget", "mixed sign",
-                                  "certificate"])
+                                  "certificate", "zero entry"])
 def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
     g = _preferential(300, 3)
     want = _power_only(monkeypatch, g)
@@ -887,11 +955,11 @@ def test_failed_lanczos_falls_back_to_power_iteration(monkeypatch, kind):
             eigenvector_centrality(g, max_iters=max_iters)
         assert info.value.iterations == max_iters
         return
-    if kind == "certificate":
-        # A positive vector that fails the certificate is the power loop's
-        # start, normalised as _lanczos normalises it.
-        vec = np.arange(1.0, g.node_count + 1)
-        vec = vec / np.linalg.norm(vec)
+    if kind in ("certificate", "mixed sign"):
+        # A vector without zero entries that fails the certificate starts
+        # the power loop, its absolute values L1-normalised as _lanczos
+        # normalises them.
+        vec = np.abs(_fake_ritz_vector(kind, g))
         values, _, estimates, residuals, iterations = centrality._power_blocks(
             g, [g.node_count], CentralityParams(kind="eigenvector"), 0,
             vec / vec.sum())
@@ -917,10 +985,19 @@ def test_lanczos_budget_counts_matvecs():
 
 
 def test_lanczos_and_power_share_one_budget(monkeypatch):
-    # K_50 with a 256-node tail: Lanczos returns tail entries that round
-    # below zero, so power iteration finishes the solve.
+    # K_50 with a 256-node tail, whose Lanczos vector is given a zero
+    # entry: _lanczos drops it after its matvecs, so power iteration runs
+    # the whole solve from the uniform vector.
     g = build_undirected(306, edge_pairs(complete(50))
                          + [(49 + i, 50 + i) for i in range(256)])
+    real = splinalg.eigsh
+
+    def zeroed(*args, **kwargs):
+        values, vectors = real(*args, **kwargs)
+        vectors[-1] = 0.0
+        return values, vectors
+
+    monkeypatch.setattr(splinalg, "eigsh", zeroed)
     calls = []
 
     def counted(graph, x):
@@ -944,6 +1021,23 @@ def test_lanczos_and_power_share_one_budget(monkeypatch):
     _assert_same_result(
         eigenvector_centrality(g, max_iters=spectral.iterations + 1),
         (spectral, vector))
+
+
+def test_lanczos_keeps_a_vector_whose_negative_entries_are_rounding():
+    # P_1000 with a pendant node on node 500: lambda1 2.058, lambda2
+    # 1.99996, and a Perron vector whose smallest entry is 1.8e-19 of its
+    # largest.  Shift-invert stalls after a few solves; eigsh's vector has
+    # tail entries that round down to -7.7e-14.  Their absolute values
+    # pass the power loop's step 0, where power iteration from the uniform
+    # vector takes 1,279 steps.
+    g = build_undirected(1001, edge_pairs(path(1000)) + [(500, 1000)])
+    spectral, vector = eigenvector_centrality(g)
+    assert spectral.method == "lanczos"
+    assert spectral.residual == vector.residual <= 1e-12
+    assert spectral.iterations < 200
+    assert (vector.values > 0).all()
+    lo, hi = spectral.enclosure
+    assert lo <= np.linalg.eigvalsh(g.adjacency.toarray())[-1] <= hi
 
 
 def test_enclosure_reuses_the_final_image(monkeypatch):
