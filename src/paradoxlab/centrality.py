@@ -316,6 +316,8 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
     sum(y) <= tol``, up to rounding.  A ``tol_a`` below machine epsilon
     is passed as 0, ARPACK's machine precision.  Step 0 still decides,
     and polishes a vector that misses."""
+    from inspect import signature
+
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     arpack_tol = params.tol / float(graph.degree_seq.max())
@@ -329,10 +331,16 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
         return adjacency_matvec(graph, x)
 
     operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    # Where the uniform start spans an invariant subspace, as on a star,
+    # ARPACK restarts from a random vector.  An eigsh that takes an rng
+    # draws it from the OS unless given a seed; an older one from ARPACK's
+    # own generator.
+    seeded = {"rng": 0} if "rng" in signature(eigsh).parameters else {}
     try:
         # A fixed start vector keeps the result byte-reproducible.
         vec = eigsh(operator, k=1, which="LA", v0=np.ones(n),
-                    tol=arpack_tol if arpack_tol >= EPS else 0)[1][:, 0]
+                    tol=arpack_tol if arpack_tol >= EPS else 0,
+                    **seeded)[1][:, 0]
     except (ArpackError, _BudgetSpent):
         return None, calls
     # The Perron vector is positive, so entries of the wrong sign are
@@ -672,12 +680,13 @@ def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
         nodes = frontier % n
         first = offsets[nodes]
         lengths = offsets[nodes + 1] - first
-        ends = np.cumsum(lengths)
-        # Arc positions first, then their keys, in place to save memory.
-        keys = np.repeat(first - ends + lengths, lengths)
-        keys += np.arange(len(keys))
-        keys = targets[keys]
-        keys += np.repeat(frontier - nodes, lengths)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        # Arc positions first, then their int64 keys, in place to save
+        # memory; the targets may be int32, so they are added last.
+        arcs = np.repeat(first - ends + lengths, lengths)
+        arcs += np.arange(len(arcs))
+        keys = np.repeat(frontier - nodes, lengths)
+        keys += targets[arcs]
         keys = keys[dist[keys] < 0]
         order = np.arange(len(keys), dtype=np.int32)
         mark[keys] = order

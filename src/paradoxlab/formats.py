@@ -283,6 +283,13 @@ def report_payload(doc: ReportDocument) -> dict:
     return payload
 
 
+# Node-table rows rendered per C-encoder call in emit_json, so that its
+# transient copies of the text span one slice instead of the whole table.
+_JSON_SLICE_ROWS = 2048
+# Between two flat rows of the indented node table.
+_ROW_BREAK = "\n    },\n    {\n      "
+
+
 def emit_json(payload: dict) -> str:
     """JSON with two-space indentation and insertion key order; floats use
     repr, so serialisation is byte-stable and lossless.
@@ -290,21 +297,27 @@ def emit_json(payload: dict) -> str:
     The text is ``json.dumps(payload, indent=2)`` plus a newline.  With
     ``indent`` set, CPython's ``json`` runs its pure-Python encoder, so a
     ``node_table`` of flat rows, the one section whose size grows with the
-    graph, is rendered by the C encoder and indented afterwards.
+    graph, is rendered by the C encoder, a slice of rows at a time, and
+    indented afterwards.
     """
     table = payload.get("node_table") if isinstance(payload, dict) else None
     if not _flat_rows(table):
         return json.dumps(payload, indent=2) + "\n"
     text = json.dumps(dict(payload, node_table=None), indent=2)
-    # Strings escape their NULs, so every raw NUL is an item separator,
-    # and flat rows meet exactly at "},\0{".
-    rows = json.dumps(table, separators=(",\x00", ": "))[2:-2]
-    rows = rows.replace("},\x00{", "\n    },\n    {\n      ").replace(
-        ",\x00", ",\n      ")
     # Top-level keys are the only lines indented by exactly two spaces.
-    return text.replace('\n  "node_table": null',
-                        '\n  "node_table": [\n    {\n      ' + rows
-                        + "\n    }\n  ]", 1) + "\n"
+    head, _, tail = text.partition('\n  "node_table": null')
+    parts = [head, '\n  "node_table": [\n    {\n      ']
+    for lo in range(0, len(table), _JSON_SLICE_ROWS):
+        if lo:
+            parts.append(_ROW_BREAK)
+        # Strings escape their NULs, so every raw NUL is an item
+        # separator, and flat rows meet exactly at "},\0{".
+        rows = json.dumps(table[lo:lo + _JSON_SLICE_ROWS],
+                          separators=(",\x00", ": "))[2:-2]
+        parts.append(rows.replace("},\x00{", _ROW_BREAK).replace(
+            ",\x00", ",\n      "))
+    parts += ["\n    }\n  ]", tail, "\n"]
+    return "".join(parts)
 
 
 def _flat_rows(table) -> bool:

@@ -4,7 +4,8 @@ Graphs are stored in compressed sparse row form with integer edge
 multiplicities.  Undirected graphs keep both orientations of every edge, so
 the adjacency matrix is symmetric by construction; directed graphs store
 out-edges per row.  Node ids are dense 0-based integers and self-loops are
-rejected everywhere.
+rejected everywhere.  The CSR arrays are in the index dtype scipy.sparse
+picks for the adjacency matrix, which therefore shares them.
 """
 
 from __future__ import annotations
@@ -21,13 +22,25 @@ from .errors import InputError, ParameterError, PreconditionError, UsageError
 # Largest integer count that float64 arithmetic keeps exact.
 MAX_EXACT_COUNT = 2 ** 53
 
+_INT32_MAX = 2 ** 31 - 1
+
+
+def _index_dtype(node_count: int, arcs: int) -> type[np.signedinteger]:
+    """Dtype of the CSR arrays of a graph with ``node_count`` nodes and
+    ``arcs`` stored arcs counted with multiplicity, which bounds every
+    offset and multiplicity: int32 while both are at most 2^31 - 1, else
+    int64.  scipy.sparse picks the same for the adjacency matrix, so it
+    wraps the graph's index arrays without copying them."""
+    return np.int32 if max(node_count, arcs) <= _INT32_MAX else np.int64
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Adjacency in CSR layout: ``column_targets[row_offsets[i]:row_offsets[i+1]]``
     are the (out-)neighbours of node ``i`` and ``multiplicities`` counts
     parallel edges.  ``degree_seq`` holds multiplicity-weighted row sums,
-    i.e. out-degrees when directed."""
+    i.e. out-degrees when directed, as int64; the three CSR arrays are in
+    the dtype of :func:`_index_dtype`."""
 
     node_count: int
     edge_count: int
@@ -54,7 +67,9 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """Adjacency matrix with float64 multiplicity entries."""
+        """Adjacency matrix with float64 multiplicity entries.  Its index
+        arrays are ``column_targets`` and ``row_offsets`` themselves; only
+        the data is new."""
         return sparse.csr_matrix(
             (self.multiplicities.astype(np.float64), self.column_targets,
              self.row_offsets),
@@ -83,9 +98,18 @@ class Graph:
         # Imported here so that ``import paradoxlab`` leaves csgraph out.
         from scipy.sparse.csgraph import connected_components
 
+        # The search reads only the index arrays: a graph without a
+        # matrix is searched through one whose data is a broadcast 1.0,
+        # so that labelling allocates no float64 copy of the arcs.
+        matrix = vars(self).get("adjacency")
+        if matrix is None:
+            matrix = sparse.csr_matrix(
+                (np.broadcast_to(1.0, len(self.column_targets)),
+                 self.column_targets, self.row_offsets),
+                shape=(self.node_count, self.node_count))
         # Both arcs of every undirected edge are stored, so its strong
         # components are its connected components.
-        _, labels = connected_components(self.adjacency, directed=True,
+        _, labels = connected_components(matrix, directed=True,
                                          connection="strong")
         labels = labels.astype(np.int64)
         labels.setflags(write=False)
@@ -178,17 +202,28 @@ def _validated_pairs(node_count: int,
     return pairs
 
 
+def _offsets(row_lengths: np.ndarray,
+             dtype: type[np.signedinteger]) -> np.ndarray:
+    """CSR row offsets of rows of ``row_lengths`` entries, summed in int64
+    and stored as ``dtype``."""
+    offsets = np.zeros(len(row_lengths) + 1, dtype=dtype)
+    offsets[1:] = np.cumsum(row_lengths, dtype=np.int64)
+    return offsets
+
+
 def _assemble(node_count: int, arcs: np.ndarray, edge_count: int,
               directed: bool) -> Graph:
     rows, cols = arcs[:, 0], arcs[:, 1]
-    # Row-major keys, below node_count**2, sort by row and then by column.
+    dtype = _index_dtype(node_count, len(arcs))
+    # Row-major int64 keys, below node_count**2, sort by row and then by
+    # column.
     keys, counts = np.unique(rows * node_count + cols, return_counts=True)
     row_lengths = np.bincount(keys // node_count, minlength=node_count)
     degrees = np.bincount(rows, minlength=node_count)
     return Graph(node_count, edge_count, directed,
-                 row_offsets=np.concatenate(([0], np.cumsum(row_lengths))),
-                 column_targets=keys % node_count,
-                 multiplicities=counts.astype(np.int64, copy=False),
+                 row_offsets=_offsets(row_lengths, dtype),
+                 column_targets=(keys % node_count).astype(dtype),
+                 multiplicities=counts.astype(dtype),
                  degree_seq=degrees.astype(np.int64, copy=False))
 
 
@@ -250,11 +285,15 @@ def _restrict(graph: Graph, inside: np.ndarray) -> tuple[Graph, np.ndarray]:
     lengths = np.diff(graph.row_offsets)
     entries = np.repeat(inside, lengths)
     degrees = graph.degree_seq[keep]
-    return Graph(len(keep), int(degrees.sum()) // 2, directed=False,
-                 row_offsets=np.concatenate(([0], np.cumsum(lengths[keep]))),
-                 column_targets=(np.cumsum(inside) - 1)[
-                     graph.column_targets[entries]],
-                 multiplicities=graph.multiplicities[entries],
+    arcs = int(degrees.sum())
+    dtype = _index_dtype(len(keep), arcs)
+    new_id = np.cumsum(inside, dtype=np.int64) - 1
+    return Graph(len(keep), arcs // 2, directed=False,
+                 row_offsets=_offsets(lengths[keep], dtype),
+                 column_targets=new_id[graph.column_targets[entries]].astype(
+                     dtype, copy=False),
+                 multiplicities=graph.multiplicities[entries].astype(
+                     dtype, copy=False),
                  degree_seq=degrees), keep
 
 
@@ -303,13 +342,21 @@ def _connected_blocks(union: Graph, sizes: Sequence[int],
     for b, nodes in zip(np.flatnonzero(accepted).tolist(),
                         component_sizes[chosen[accepted]].tolist()):
         hi = lo + nodes
-        first_arc, stop_arc = cut.row_offsets[lo], cut.row_offsets[hi]
+        first_arc, stop_arc = (int(cut.row_offsets[lo]),
+                               int(cut.row_offsets[hi]))
         degrees = cut.degree_seq[lo:hi]
+        arcs = int(degrees.sum())
+        dtype = _index_dtype(nodes, arcs)
+        # A block's offsets and ids lie between 0 and the cut's, so they
+        # are shifted in the cut's dtype without wrapping.
         graphs[b] = _known_connected(Graph(
-            nodes, int(degrees.sum()) // 2, directed=False,
-            row_offsets=cut.row_offsets[lo:hi + 1] - first_arc,
-            column_targets=cut.column_targets[first_arc:stop_arc] - lo,
-            multiplicities=cut.multiplicities[first_arc:stop_arc],
+            nodes, arcs // 2, directed=False,
+            row_offsets=(cut.row_offsets[lo:hi + 1] - first_arc).astype(
+                dtype, copy=False),
+            column_targets=(cut.column_targets[first_arc:stop_arc]
+                            - lo).astype(dtype, copy=False),
+            multiplicities=cut.multiplicities[first_arc:stop_arc].astype(
+                dtype, copy=False),
             degree_seq=degrees))
         lo = hi
     return graphs
@@ -325,22 +372,27 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     directed = {graph.directed for graph in graphs}
     if len(directed) != 1:
         raise UsageError("a disjoint union needs graphs of one kind")
-    nodes = np.array([graph.node_count for graph in graphs])
-    arcs = np.array([len(graph.column_targets) for graph in graphs])
+    nodes = np.array([graph.node_count for graph in graphs], dtype=np.int64)
+    arcs = np.array([len(graph.column_targets) for graph in graphs],
+                    dtype=np.int64)
     node_starts = np.cumsum(nodes) - nodes
     arc_starts = np.cumsum(arcs) - arcs
+    degrees = np.concatenate([graph.degree_seq for graph in graphs])
+    dtype = _index_dtype(int(nodes.sum()), int(degrees.sum()))
+    # Shifted in int64, in place, then cast once: the union may hold many
+    # arcs, and its offsets may outgrow each part's index dtype.
     offsets = np.concatenate([[0]] + [graph.row_offsets[1:]
-                                      for graph in graphs])
+                                      for graph in graphs], dtype=np.int64)
     offsets[1:] += np.repeat(arc_starts, nodes)
-    # Shifted in place: the union may hold many arcs.
-    targets = np.concatenate([graph.column_targets for graph in graphs])
+    targets = np.concatenate([graph.column_targets for graph in graphs],
+                             dtype=np.int64)
     targets += np.repeat(node_starts, arcs)
     return Graph(int(nodes.sum()), sum(graph.edge_count for graph in graphs),
-                 directed.pop(), row_offsets=offsets, column_targets=targets,
+                 directed.pop(), row_offsets=offsets.astype(dtype),
+                 column_targets=targets.astype(dtype),
                  multiplicities=np.concatenate(
-                     [graph.multiplicities for graph in graphs]),
-                 degree_seq=np.concatenate(
-                     [graph.degree_seq for graph in graphs]))
+                     [graph.multiplicities for graph in graphs], dtype=dtype),
+                 degree_seq=degrees)
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

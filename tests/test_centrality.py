@@ -861,6 +861,19 @@ def test_lanczos_result_is_reproducible():
         _assert_same_result(first, second)
 
 
+def test_lanczos_count_is_reproducible_through_a_random_restart():
+    # The star's Krylov space from the uniform start has dimension 2, so
+    # ARPACK restarts from a random vector: seeded where eigsh takes an
+    # rng, ARPACK's own draw where it does not.
+    g = star(1000)
+    counts = set()
+    for _ in range(6):
+        spectral, _ = eigenvector_centrality(g, tol=1e-8)
+        assert spectral.method == "lanczos"
+        counts.add(spectral.iterations)
+    assert len(counts) == 1
+
+
 @pytest.mark.parametrize("graph, monotone", [
     (_grid300, True),
     (_grid1000, True),
@@ -868,8 +881,8 @@ def test_lanczos_result_is_reproducible():
     (lambda: generate(RandomGraphSpec(model="erdos_renyi", n=400, p=0.02,
                                       seed=2)), True),
     # The star's Krylov space from the uniform start has dimension 2, so
-    # ARPACK restarts from a random vector, drawn unseeded on recent scipy:
-    # its vector is reproducible, its matvec count is not.
+    # ARPACK restarts from a random vector: its matvec count depends on
+    # that draw, not on tol alone.
     (lambda: star(1000), False),
 ], ids=["grid300", "grid1000", "preferential", "erdos_renyi", "star"])
 def test_lanczos_stops_at_the_accuracy_tol_needs(graph, monotone):

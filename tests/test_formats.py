@@ -330,6 +330,22 @@ def test_emit_json_is_json_dumps_with_indent():
     assert emit_json({"meta": 1}) == '{\n  "meta": 1\n}\n'
 
 
+@pytest.mark.parametrize("slice_rows", [1, 2, 3])
+def test_emit_json_joins_row_slices_as_one_table(monkeypatch, slice_rows):
+    monkeypatch.setattr(formats, "_JSON_SLICE_ROWS", slice_rows)
+    for table in FLAT_TABLES:
+        for payload in _payloads(table):
+            assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_json_renders_tables_longer_than_a_slice():
+    table = [{"id": i, "r": i / 7, "name": f"n{i}\x00"}
+             for i in range(2 * formats._JSON_SLICE_ROWS + 1)]
+    payload = {"graph_meta": {"n": len(table)}, "node_table": table,
+               "tool_version": "x"}
+    assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("table", [
     [{"id": np.int64(1)}], [{"id": 0}, {"id": np.int64(1)}],
     [{"id": 0, "nested": [np.int64(1)]}],

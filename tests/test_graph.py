@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from paradoxlab import (Graph, InputError, PreconditionError,
                         RandomGraphSpec, UsageError, adjacency_matvec,
@@ -14,7 +15,8 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         connected_component_labels, dense_from_graph,
                         dense_hop_distances, extract_lcc, fiedler_check,
                         generate, is_connected, is_strongly_connected)
-from paradoxlab.graph import _connected_blocks, disjoint_union
+from paradoxlab.graph import (_connected_blocks, _index_dtype,
+                              disjoint_union)
 from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
                       path, star)
 
@@ -346,10 +348,14 @@ def _reference_lcc(graph):
 
 def assert_same_arrays(graph, expected):
     assert graph == expected
-    for name in ("row_offsets", "column_targets", "multiplicities",
-                 "degree_seq"):
+    # Every graph here is far below 2^31 nodes and arcs, so its CSR arrays
+    # are int32; degrees stay int64.
+    for name, dtype in (("row_offsets", np.int32),
+                        ("column_targets", np.int32),
+                        ("multiplicities", np.int32),
+                        ("degree_seq", np.int64)):
         got, want = getattr(graph, name), getattr(expected, name)
-        assert got.dtype == np.int64, name
+        assert got.dtype == dtype, name
         assert got.tolist() == want.tolist(), name
 
 
@@ -513,3 +519,81 @@ def test_transition_transpose_matches_stored_transpose(g, vec_seed):
     # The stored CSR transpose the graph used to cache.
     reference = g.adjacency.T.tocsr() @ (x / g.degree_seq.astype(np.float64))
     assert np.array_equal(apply_transition_transpose(g, x), reference)
+
+
+# --- CSR storage: the index dtype scipy picks, shared with the matrix --------
+
+def _assert_shares_index_arrays(graph):
+    for name in ("row_offsets", "column_targets", "multiplicities"):
+        assert getattr(graph, name).dtype == np.int32, name
+    assert graph.degree_seq.dtype == np.int64
+    matrix = graph.adjacency
+    assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+    assert matrix.data.dtype == np.float64
+    assert matrix.data.tolist() == graph.multiplicities.tolist()
+    # A csgraph search through the matrix leaves its arrays shared.
+    labels = csgraph.connected_components(
+        matrix, directed=True, connection="strong")[1]
+    assert labels.tolist() == graph._component_labels.tolist()
+    assert graph.adjacency is matrix
+    assert np.shares_memory(matrix.indptr, graph.row_offsets)
+    # An empty array shares memory with nothing.
+    assert (np.shares_memory(matrix.indices, graph.column_targets)
+            or not len(graph.column_targets))
+
+
+def test_adjacency_shares_the_graph_index_arrays(p6, hub_digraph):
+    multigraph = build_undirected(4, [(0, 1), (1, 0), (0, 1), (2, 3)])
+    parts = [p6, star(4), multigraph]
+    lcc, _ = extract_lcc(multigraph)
+    blocks = _connected_blocks(disjoint_union(parts), [6, 4, 4], True)
+    for graph in [p6, hub_digraph, multigraph, lcc, disjoint_union(parts),
+                  build_undirected(1, []), build_directed(1, []), *blocks]:
+        _assert_shares_index_arrays(graph)
+
+
+def test_index_dtype_is_int32_below_two_to_the_31():
+    for count in (0, 1, 2 ** 31 - 1):
+        assert _index_dtype(count, count) == np.int32
+        assert _index_dtype(count, 0) == _index_dtype(0, count) == np.int32
+    for count in (2 ** 31, 2 ** 40):
+        assert _index_dtype(count, 0) == _index_dtype(0, count) == np.int64
+
+
+def test_disjoint_union_offsets_are_int64_sums():
+    # Parts in a narrow dtype: shifting their offsets and targets in it
+    # would wrap past 127.
+    def narrow(graph):
+        return Graph(graph.node_count, graph.edge_count, graph.directed,
+                     *(getattr(graph, name).astype(np.int8) for name in (
+                         "row_offsets", "column_targets", "multiplicities")),
+                     degree_seq=graph.degree_seq)
+
+    parts = [complete(9), path(60), complete(10), cycle(50)]
+    union = disjoint_union([narrow(part) for part in parts])
+    nodes = np.array([part.node_count for part in parts], dtype=np.int64)
+    arcs = np.array([len(part.column_targets) for part in parts],
+                    dtype=np.int64)
+    offsets = np.concatenate([[0]] + [
+        part.row_offsets[1:].astype(np.int64) + start
+        for part, start in zip(parts, np.cumsum(arcs) - arcs)])
+    targets = np.concatenate([
+        part.column_targets.astype(np.int64) + start
+        for part, start in zip(parts, np.cumsum(nodes) - nodes)])
+    assert offsets[-1] > 127 and targets.max() > 127
+    assert union.row_offsets.tolist() == offsets.tolist()
+    assert union.column_targets.tolist() == targets.tolist()
+    assert union == disjoint_union(parts)
+    _assert_shares_index_arrays(union)
+
+
+def test_labelling_leaves_no_matrix_behind(search_calls):
+    graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
+    labels = connected_component_labels(graph).tolist()
+    assert "adjacency" not in vars(graph)
+    # A graph that has its matrix already is labelled through it.
+    again = build_undirected(7, edge_pairs(graph))
+    matrix = again.adjacency
+    assert connected_component_labels(again).tolist() == labels
+    assert again.adjacency is matrix
+    assert search_calls == ["strong"] * 2
