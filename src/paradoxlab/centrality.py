@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
@@ -40,6 +41,14 @@ LANCZOS_MIN_NODES = 256
 # of ARPACK's first restart cycle.  Shift-invert iteration is taken where
 # its LU factor costs at most that cycle, and gets as many solves.
 _ARPACK_NCV = 20
+
+# Where the uniform start spans an invariant subspace, as on a star,
+# ARPACK restarts from a random vector.  scipy 1.17's eigsh draws it from
+# the OS unless given an rng, so it gets a fixed one.  Earlier releases
+# are called without it, as not all of them take one: Fortran ARPACK
+# draws from a seed it advances across calls, which no argument resets.
+_EIGSH_RESTART_SEED = ({"rng": 0} if tuple(
+    map(int, scipy.__version__.split(".")[:2])) >= (1, 17) else {})
 
 # Caps k * len(column_targets) for a block of k closeness/harmonic sources:
 # the (source, arc) expansions of a top-down search of the whole block, so
@@ -316,8 +325,6 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
     sum(y) <= tol``, up to rounding.  A ``tol_a`` below machine epsilon
     is passed as 0, ARPACK's machine precision.  Step 0 still decides,
     and polishes a vector that misses."""
-    from inspect import signature
-
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     n = graph.node_count
     arpack_tol = params.tol / float(graph.degree_seq.max())
@@ -331,16 +338,11 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
         return adjacency_matvec(graph, x)
 
     operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    # Where the uniform start spans an invariant subspace, as on a star,
-    # ARPACK restarts from a random vector.  An eigsh that takes an rng
-    # draws it from the OS unless given a seed; an older one from ARPACK's
-    # own generator.
-    seeded = {"rng": 0} if "rng" in signature(eigsh).parameters else {}
     try:
         # A fixed start vector keeps the result byte-reproducible.
         vec = eigsh(operator, k=1, which="LA", v0=np.ones(n),
                     tol=arpack_tol if arpack_tol >= EPS else 0,
-                    **seeded)[1][:, 0]
+                    **_EIGSH_RESTART_SEED)[1][:, 0]
     except (ArpackError, _BudgetSpent):
         return None, calls
     # The Perron vector is positive, so entries of the wrong sign are

@@ -98,17 +98,14 @@ class Graph:
         # Imported here so that ``import paradoxlab`` leaves csgraph out.
         from scipy.sparse.csgraph import connected_components
 
-        # The search reads only the index arrays: a graph without a
-        # matrix is searched through one whose data is a broadcast 1.0,
-        # so that labelling allocates no float64 copy of the arcs.
-        matrix = vars(self).get("adjacency")
-        if matrix is None:
-            matrix = sparse.csr_matrix(
-                (np.broadcast_to(1.0, len(self.column_targets)),
-                 self.column_targets, self.row_offsets),
-                shape=(self.node_count, self.node_count))
-        # Both arcs of every undirected edge are stored, so its strong
-        # components are its connected components.
+        # The search reads only the index arrays, so it runs through a
+        # matrix whose data is a broadcast 1.0: labelling allocates no
+        # float64 copy of the arcs.  Both arcs of every undirected edge
+        # are stored, so its strong components are its connected ones.
+        matrix = sparse.csr_matrix(
+            (np.broadcast_to(1.0, len(self.column_targets)),
+             self.column_targets, self.row_offsets),
+            shape=(self.node_count, self.node_count))
         _, labels = connected_components(matrix, directed=True,
                                          connection="strong")
         labels = labels.astype(np.int64)

@@ -202,10 +202,17 @@ def symmetrization_identity(graph: Graph) -> tuple[float, float]:
                          "undirected graph")
     degrees = graph.degree_seq.astype(np.float64)
     lhs = float(apply_transition(graph, degrees).sum() - degrees.sum())
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.row_offsets))
-    d_i = degrees[rows]
+    d_i = np.repeat(degrees, np.diff(graph.row_offsets))
     d_j = degrees[graph.column_targets]
-    terms = graph.multiplicities * (np.sqrt(d_j / d_i) - np.sqrt(d_i / d_j)) ** 2
+    # A_ij (sqrt(d_j/d_i) - sqrt(d_i/d_j))^2 per stored arc, in place:
+    # an arc-sized temporary per operation gets its pages faulted in
+    # afresh on every call.
+    terms = d_j / d_i
+    np.sqrt(terms, out=terms)
+    inverse = np.divide(d_i, d_j, out=d_i)
+    terms -= np.sqrt(inverse, out=inverse)
+    np.square(terms, out=terms)
+    terms *= graph.adjacency.data
     rhs = float(0.5 * terms.sum())
     return lhs, rhs
 

@@ -531,10 +531,22 @@ def _assert_shares_index_arrays(graph):
     assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
     assert matrix.data.dtype == np.float64
     assert matrix.data.tolist() == graph.multiplicities.tolist()
-    # A csgraph search through the matrix leaves its arrays shared.
+    # The matrix's index arrays are the graph's read-only ones.  Every
+    # csgraph entry point the package calls reads them as a writable
+    # copy would, and leaves them shared.
+    writable = matrix.copy()
     labels = csgraph.connected_components(
         matrix, directed=True, connection="strong")[1]
     assert labels.tolist() == graph._component_labels.tolist()
+    assert np.array_equal(
+        csgraph.shortest_path(matrix, indices=0, unweighted=True),
+        csgraph.shortest_path(writable, indices=0, unweighted=True))
+    symmetric = not graph.directed
+    assert np.array_equal(
+        csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=symmetric),
+        csgraph.reverse_cuthill_mckee(writable, symmetric_mode=symmetric))
+    assert not (matrix.indices.flags.writeable
+                or matrix.indptr.flags.writeable)
     assert graph.adjacency is matrix
     assert np.shares_memory(matrix.indptr, graph.row_offsets)
     # An empty array shares memory with nothing.
@@ -591,7 +603,7 @@ def test_labelling_leaves_no_matrix_behind(search_calls):
     graph = build_undirected(7, [(0, 1), (2, 3), (3, 4), (4, 2), (5, 6)])
     labels = connected_component_labels(graph).tolist()
     assert "adjacency" not in vars(graph)
-    # A graph that has its matrix already is labelled through it.
+    # A graph that has its matrix keeps it, and gets the same labels.
     again = build_undirected(7, edge_pairs(graph))
     matrix = again.adjacency
     assert connected_component_labels(again).tolist() == labels
