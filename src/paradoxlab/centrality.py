@@ -9,6 +9,7 @@ plateaus, and reports the residual and iteration count achieved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -50,14 +51,14 @@ _ARPACK_NCV = 20
 _EIGSH_RESTART_SEED = ({"rng": 0} if tuple(
     map(int, scipy.__version__.split(".")[:2])) >= (1, 17) else {})
 
-# Caps k * len(column_targets) for a block of k closeness/harmonic sources:
-# the (source, arc) expansions of a top-down search of the whole block, so
-# no per-level array holds more keys, unless one source alone has more
-# arcs.  A bottom-up search rounds k up to W = ceil(k / 64) words, W <= k,
-# and gathers W words per arc at each level, so it stays within the same
-# cap.  It caps the k x n distance block too, up to that rounding, since a
-# connected graph on n >= 2 nodes stores at least n arcs.  Picked by
-# measurement on paths and heavy-tailed graphs; see CHANGES.md.
+# Caps k * len(column_targets) for a block of k closeness/harmonic sources
+# searched top-down: the (source, arc) expansions of a search of the whole
+# block, so no per-level array holds more keys, unless one source alone
+# has more arcs.  Its k x n int32 marks stay within the same cap, since a
+# connected graph on n >= 2 nodes stores at least n arcs.  A bottom-up
+# search takes W words of 64 sources with W * len(column_targets) within
+# the cap (or W = 1), and gathers W words per arc at each level.  Picked
+# by measurement on paths and heavy-tailed graphs; see CHANGES.md.
 # bias_distribution caps the unions it solves by it too, and sizes its
 # sampling windows by it from each candidate's expected nodes plus stored
 # arcs.
@@ -660,74 +661,92 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
     return _iterate_blocks(sizes, None, pagerank_step, params, "pagerank")
 
 
-def _distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
-    """Hop distances from sources ``start..stop-1`` as a flat C-order
-    ``k x n`` int32 block, ``-1`` where a source does not reach a node.
+def _reach_counts(graph: Graph, start: int, stop: int):
+    """Reach counts of sources ``start..stop-1``, one row per level ``L =
+    1, 2, ...``: entry ``s`` is how many nodes lie at distance ``L`` from
+    source ``start + s``.
 
     One top-down breadth-first search serves the whole block: its frontier
     holds keys ``row * n + node``, one per (source, node) pair, expanded
-    through the CSR arrays at each level.  A key is kept once per level without
-    sorting, by the copy whose position ``mark`` remembers.
+    through the CSR arrays at each level, and a level's row is one
+    ``bincount`` of its frontier rows.  ``mark`` is the only ``k x n``
+    array: a key is seen once its mark is -1, and is kept once per level
+    without sorting, by the copy whose position its mark remembers.
     """
     n = graph.node_count
-    offsets, targets = graph.row_offsets, graph.column_targets
+    row_starts, row_stops = graph.row_offsets[:-1], graph.row_offsets[1:]
+    targets = graph.column_targets
     k = stop - start
-    dist = np.full(k * n, -1, dtype=np.int32)
-    mark = np.empty(k * n, dtype=np.int32)
+    mark = np.zeros(k * n, dtype=np.int32)
     frontier = np.arange(k) * (n + 1) + start
-    dist[frontier] = 0
-    hops = 0
-    while len(frontier):
-        hops += 1
+    mark[frontier] = -1
+    while True:
         nodes = frontier % n
-        first = offsets[nodes]
-        lengths = offsets[nodes + 1] - first
+        last = row_stops[nodes]
+        lengths = last - row_starts[nodes]
         ends = np.cumsum(lengths, dtype=np.int64)
         # Arc positions first, then their int64 keys, in place to save
         # memory; the targets may be int32, so they are added last.
-        arcs = np.repeat(first - ends + lengths, lengths)
+        arcs = np.repeat(last - ends, lengths)
         arcs += np.arange(len(arcs))
         keys = np.repeat(frontier - nodes, lengths)
         keys += targets[arcs]
-        keys = keys[dist[keys] < 0]
+        keys = keys[mark[keys] >= 0]
+        if not len(keys):
+            return
         order = np.arange(len(keys), dtype=np.int32)
         mark[keys] = order
         frontier = keys[mark[keys] == order]
-        dist[frontier] = hops
-    return dist
+        mark[frontier] = -1
+        yield np.bincount(frontier // n, minlength=k)
 
 
-def _bit_distance_block(graph: Graph, start: int, stop: int) -> np.ndarray:
-    """Hop distances from sources ``start..stop-1`` as a flat C-order
-    ``k x n`` uint8 block, for a connected graph whose distances are below
-    256.
+# Shifts and masks of the SWAR popcount, all np.uint64: numpy 1.24 turns
+# uint64 mixed with int64 into float64.
+_ONE, _TWO, _FOUR, _TOP_BYTE = map(np.uint64, (1, 2, 4, 56))
+_PAIRS, _NIBBLES, _BYTES, _ONES = map(np.uint64, (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+    0x0101010101010101))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, as int64: bit counts of pairs, then
+    nibbles, then bytes, whose sum a multiply gathers in the top byte."""
+    words = words - ((words >> _ONE) & _PAIRS)
+    words = (words & _NIBBLES) + ((words >> _TWO) & _NIBBLES)
+    words = (words + (words >> _FOUR)) & _BYTES
+    return ((words * _ONES) >> _TOP_BYTE).view(np.int64)
+
+
+def _bit_reach_counts(graph: Graph, start: int, stop: int):
+    """Reach counts over sources ``start..stop-1`` of a connected graph,
+    one row per level ``L = 1, 2, ...``: entry ``x`` is how many of those
+    sources lie at distance ``L`` from node ``x``.
 
     One bottom-up search serves the whole block, with one bit per source
     in ``ceil(k / 64)`` uint64 words per node (Then et al., VLDB 2014): a
     node's next frontier word is the OR of its neighbours' frontier words,
-    less the sources that reached it already.  Each level adds 1 to every
-    (node, source) pair not yet reached, so a pair counts its distance.
-    The graph is undirected, so the node-major block transposes to the
-    source-major one.
+    less the sources that reached it already.  A level's row popcounts
+    each node's new frontier words.  The graph is undirected, so that
+    count is also how many nodes of the block lie at distance ``L`` from
+    ``x``, and rows summed over blocks are ``x``'s own reach counts.
     """
     n = graph.node_count
     offsets, targets = graph.row_offsets, graph.column_targets
     k = stop - start
     sources = np.arange(k)
-    # Source s is bit s % 8 of byte s // 8 in row start + s.  Bits are set
-    # and read through the byte view, so no shift touches a uint64.
+    # Source s is bit s % 8 of byte s // 8 in row start + s.
     frontier = np.zeros((n, -(-k // 64)), dtype=np.uint64)
     frontier.view(np.uint8)[start + sources, sources // 8] = 1 << sources % 8
     unseen = ~frontier
-    dist = np.zeros((n, 64 * frontier.shape[1]), dtype=np.uint8)
-    while frontier.any():
-        dist += np.unpackbits(unseen.view(np.uint8), axis=1,
-                              bitorder="little")
+    while True:
         frontier = np.bitwise_or.reduceat(frontier[targets], offsets[:-1],
                                           axis=0)
         frontier &= unseen
+        if not frontier.any():
+            return
         unseen ^= frontier
-    return dist[:, :k].T.ravel()
+        yield _popcount(frontier).sum(axis=1)
 
 
 def _few_levels(graph: Graph) -> bool:
@@ -735,30 +754,43 @@ def _few_levels(graph: Graph) -> bool:
     two or more nodes end in fewer levels than a word has bits, bounded
     by the eccentricity of node 0.
 
-    A bottom-up level of :func:`_bit_distance_block` reads every arc once
-    per word of 64 sources; :func:`_distance_block` expands every arc once
+    A bottom-up level of :func:`_bit_reach_counts` reads every arc once
+    per word of 64 sources; :func:`_reach_counts` expands every arc once
     per source over all its levels.  So the bit kernel does less work
     while it runs fewer than 64 levels, as on small-world graphs, and the
     key kernel on long paths and strips.  Every distance is at most twice
-    that eccentricity, below 128 where this holds.
+    that eccentricity, so the bit side counts fewer than 128 levels.
     """
     from scipy.sparse.csgraph import shortest_path
     return shortest_path(graph.adjacency, indices=0,
                          unweighted=True).max() < 64
 
 
+def _from_reach_counts(levels, kind: str, n: int) -> np.ndarray:
+    """Closeness or harmonic from reach-count rows ``c_1, c_2, ...`` in
+    increasing distance: ``(n-1) / sum_L L c_L`` in exact integers, or
+    the left-to-right sum ``c_1/1 + c_2/2 + ...``."""
+    if kind == "closeness":
+        return (n - 1) / sum(hops * row for hops, row in enumerate(levels, 1))
+    return sum(row / hops for hops, row in enumerate(levels, 1))
+
+
 def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     """Closeness ``(n-1)/sum_j dist(i,j)`` or harmonic ``sum_j 1/dist(i,j)``
-    centrality from breadth-first hop distances.
+    centrality from breadth-first reach counts: how many nodes lie at each
+    distance from each node.  No distance block is formed.
 
-    Sources go in blocks of ``k``, one multi-source search per block, with
-    ``k * len(column_targets)`` at most ``BFS_BLOCK_ARCS`` (or ``k = 1``).
-    Graphs where :func:`_few_levels` holds round ``k`` up to whole words
-    of 64 sources and take bottom-up searches
-    (:func:`_bit_distance_block`); the others take top-down ones
-    (:func:`_distance_block`).  Both give the same distances.  Closeness
-    divides by exact integer distance sums; harmonic sums each source's
-    row of ``1/dist`` with its own entry removed.
+    Graphs where :func:`_few_levels` holds take bottom-up searches of
+    ``W`` words of 64 sources, ``W = max(1, BFS_BLOCK_ARCS //
+    len(column_targets))`` (:func:`_bit_reach_counts`), and sum their
+    integer counts over all blocks.  The others take top-down searches of
+    ``k`` sources, ``k`` chosen the same way (:func:`_reach_counts`),
+    which count each source's reach in full.  Both give the same counts,
+    and :func:`_from_reach_counts` reduces them, so neither measure
+    depends on the kernel or the block size.  The bottom-up side holds
+    ``levels x n`` integer counts, fewer than 128 levels, and gathers
+    ``W * len(column_targets)`` words per level; the top-down side holds
+    ``k x n`` int32 marks and one row of ``k`` counts at a time.
     """
     if kind not in ("closeness", "harmonic"):
         raise ParameterError(
@@ -767,21 +799,21 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     _require_undirected_connected(graph, f"{kind} centrality")
     n = graph.node_count
     values = np.zeros(n)
+    # Sources per top-down search, or words of 64 sources per bottom-up one.
     block = max(1, BFS_BLOCK_ARCS // max(len(graph.column_targets), 1))
-    search = _distance_block
     if n > 1 and _few_levels(graph):
-        search, block = _bit_distance_block, 64 * -(-block // 64)
-    # A lone node reaches no other node and keeps 0.
-    for start in range(0, n if n > 1 else 0, block):
-        stop = min(start + block, n)
-        dist = search(graph, start, stop)
-        if kind == "closeness":
-            values[start:stop] = (n - 1) / dist.reshape(-1, n).sum(axis=1)
-        else:
-            # Rows of a C-order block reduce like the 1-D array of each.
-            diagonal = np.arange(stop - start) * (n + 1) + start
-            others = np.delete(dist, diagonal).reshape(-1, n - 1)
-            values[start:stop] = (1.0 / others).sum(axis=1)
+        counts = []
+        for start in range(0, n, 64 * block):
+            rows = _bit_reach_counts(graph, start, min(start + 64 * block, n))
+            counts = [total + row for total, row
+                      in zip_longest(counts, rows, fillvalue=0)]
+        values = _from_reach_counts(counts, kind, n)
+    else:
+        # A lone node reaches no other node and keeps 0.
+        for start in range(0, n if n > 1 else 0, block):
+            stop = min(start + block, n)
+            values[start:stop] = _from_reach_counts(
+                _reach_counts(graph, start, stop), kind, n)
     return CentralityVector(values=values, params=params,
                             iterations=0, residual=0.0)
 

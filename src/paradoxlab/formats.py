@@ -127,10 +127,20 @@ def emit_edge_list(graph: Graph) -> str:
     return text or "\n"
 
 
+# Rows rendered per call in _pair_lines and per C-encoder call in
+# emit_json, so that their transient Python objects and copies of the text
+# span one slice instead of the whole graph or table.
+_SLICE_ROWS = 2048
+
+
 def _pair_lines(pairs: np.ndarray) -> str:
     """One ``i j`` line per row of an ``(m, 2)`` integer array, rendered
-    by a single ``%``-format."""
-    return ("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+    by one ``%``-format per slice of rows."""
+    parts = []
+    for lo in range(0, len(pairs), _SLICE_ROWS):
+        rows = pairs[lo:lo + _SLICE_ROWS]
+        parts.append(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def parse_matrix_market(text: str) -> Graph:
@@ -283,9 +293,6 @@ def report_payload(doc: ReportDocument) -> dict:
     return payload
 
 
-# Node-table rows rendered per C-encoder call in emit_json, so that its
-# transient copies of the text span one slice instead of the whole table.
-_JSON_SLICE_ROWS = 2048
 # Between two flat rows of the indented node table.
 _ROW_BREAK = "\n    },\n    {\n      "
 
@@ -307,12 +314,12 @@ def emit_json(payload: dict) -> str:
     # Top-level keys are the only lines indented by exactly two spaces.
     head, _, tail = text.partition('\n  "node_table": null')
     parts = [head, '\n  "node_table": [\n    {\n      ']
-    for lo in range(0, len(table), _JSON_SLICE_ROWS):
+    for lo in range(0, len(table), _SLICE_ROWS):
         if lo:
             parts.append(_ROW_BREAK)
         # Strings escape their NULs, so every raw NUL is an item
         # separator, and flat rows meet exactly at "},\0{".
-        rows = json.dumps(table[lo:lo + _JSON_SLICE_ROWS],
+        rows = json.dumps(table[lo:lo + _SLICE_ROWS],
                           separators=(",\x00", ": "))[2:-2]
         parts.append(rows.replace("},\x00{", _ROW_BREAK).replace(
             ",\x00", ",\n      "))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.sparse import csgraph
@@ -557,18 +559,21 @@ def test_closeness_and_harmonic():
 
 def _per_source_loop(graph, kind):
     """Closeness or harmonic by one scalar search per source: the loop the
-    blocked search replaced, kept as its byte-for-byte reference."""
+    blocked search replaced, kept as its byte-for-byte reference.  Harmonic
+    sums the source's reach counts ``c_L / L`` in increasing ``L``."""
     n = graph.node_count
     values = np.empty(n)
     for source in range(n):
         dist = hop_distances(graph.row_offsets, graph.column_targets, source)
-        others = np.delete(dist, source).astype(np.float64)
+        others = np.delete(dist, source)
         if n == 1:
             values[source] = 0.0
         elif kind == "closeness":
-            values[source] = (n - 1) / others.sum()
+            values[source] = (n - 1) / others.astype(np.float64).sum()
         else:
-            values[source] = (1.0 / others).sum()
+            counts = np.bincount(others)
+            values[source] = sum(counts[hops] / hops
+                                 for hops in range(1, len(counts)))
     return values
 
 
@@ -649,7 +654,7 @@ def _heavy_tailed_lcc(n, m, seed):
 
 def test_long_searches_keep_the_key_kernel(monkeypatch):
     ran = []
-    for name in ("_distance_block", "_bit_distance_block"):
+    for name in ("_reach_counts", "_bit_reach_counts"):
         def spy(graph, start, stop, name=name, real=getattr(centrality,
                                                             name)):
             ran.append((name, stop - start))
@@ -662,19 +667,29 @@ def test_long_searches_keep_the_key_kernel(monkeypatch):
                                            p=0.02, seed=2)),
             "pa": _preferential(300, 1), "complete300": complete(300),
             "grid30x30": _grid(30, 30)}
-    for kernel, graphs in (("_distance_block", keys),
-                           ("_bit_distance_block", bits)):
+    for kernel, graphs in (("_reach_counts", keys),
+                           ("_bit_reach_counts", bits)):
         for name, g in graphs.items():
             ran.clear()
             closeness_harmonic(g, "closeness")
             assert {run[0] for run in ran} == {kernel}, name
-            # Blocks cover every source once.  A bit block rounds the
-            # sources of a key block up to whole words, and no further.
+            # Blocks cover every source once, in as few searches as the
+            # cap allows.  A bit block is sized in words of 64 sources.
             assert sum(run[1] for run in ran) == g.node_count, name
             arcs = len(g.column_targets)
-            assert all(max(1, sources - 63) * arcs
-                       <= max(centrality.BFS_BLOCK_ARCS, arcs)
-                       for _, sources in ran), name
+            cap = max(centrality.BFS_BLOCK_ARCS, arcs)
+            per_block = max(1, centrality.BFS_BLOCK_ARCS // arcs)
+            if kernel == "_bit_reach_counts":
+                per_block *= 64
+                assert all(-(-sources // 64) * arcs <= cap
+                           for _, sources in ran), name
+            else:
+                assert all(sources * arcs <= cap for _, sources in ran), name
+            assert len(ran) == -(-g.node_count // per_block), name
+    # The hub's 500-odd sources take one bottom-up search.
+    ran.clear()
+    closeness_harmonic(bits["hub"], "harmonic")
+    assert len(ran) == 1
 
 
 @pytest.mark.parametrize("name", DISTANCE_CORPUS)
@@ -693,6 +708,28 @@ def test_closeness_and_harmonic_match_the_dense_oracle(name):
     expected = inverse.sum(axis=1)
     assert np.abs(harmonic - expected).max() <= (
         n * np.finfo(np.float64).eps * expected.max())
+
+
+@pytest.mark.parametrize("name", [*DISTANCE_CORPUS, "hub", "star300"])
+def test_harmonic_is_within_eccentricity_roundings_of_exact(name):
+    # Left to right over D levels, harmonic rounds once per term and once
+    # per addition, so it stays within D eps of the exact sum, D the
+    # node's eccentricity, tighter than the dense oracle's n eps.  The
+    # star's levels hold more than 255 nodes.
+    if name == "hub":
+        g = _heavy_tailed_lcc(620, 900, 1)
+    elif name == "star300":
+        g = star(300)
+    else:
+        g = DISTANCE_CORPUS[name]
+    harmonic = closeness_harmonic(g, "harmonic").values
+    for node, dist in enumerate(dense_hop_distances(g)):
+        counts = np.bincount(dist)
+        exact = sum(Fraction(int(counts[hops]), hops)
+                    for hops in range(1, len(counts)))
+        eccentricity = len(counts) - 1
+        assert abs(Fraction(harmonic[node]) - exact) <= (
+            eccentricity * Fraction(np.finfo(np.float64).eps) * exact), node
 
 
 def test_compute_dispatch(p6):

@@ -332,7 +332,7 @@ def test_emit_json_is_json_dumps_with_indent():
 
 @pytest.mark.parametrize("slice_rows", [1, 2, 3])
 def test_emit_json_joins_row_slices_as_one_table(monkeypatch, slice_rows):
-    monkeypatch.setattr(formats, "_JSON_SLICE_ROWS", slice_rows)
+    monkeypatch.setattr(formats, "_SLICE_ROWS", slice_rows)
     for table in FLAT_TABLES:
         for payload in _payloads(table):
             assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
@@ -340,7 +340,7 @@ def test_emit_json_joins_row_slices_as_one_table(monkeypatch, slice_rows):
 
 def test_emit_json_renders_tables_longer_than_a_slice():
     table = [{"id": i, "r": i / 7, "name": f"n{i}\x00"}
-             for i in range(2 * formats._JSON_SLICE_ROWS + 1)]
+             for i in range(2 * formats._SLICE_ROWS + 1)]
     payload = {"graph_meta": {"n": len(table)}, "node_table": table,
                "tool_version": "x"}
     assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
@@ -370,6 +370,19 @@ def _per_line_matrix_market(graph):
              f"{graph.node_count} {graph.node_count} {len(entries)}"]
     lines.extend(f"{i} {j}" for i, j in entries)
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 3])
+def test_pair_emitters_join_row_slices_as_one_text(monkeypatch, slice_rows):
+    graphs = [path(9), build_undirected(1, []),
+              build_directed(5, [(0, 1), (0, 1), (1, 0), (4, 2), (3, 2),
+                                 (2, 3), (1, 4)])]
+    # Under the default slice size each graph is one %-format.
+    emitters = (emit_edge_list, emit_matrix_market)
+    whole = [[emit(graph) for emit in emitters] for graph in graphs]
+    monkeypatch.setattr(formats, "_SLICE_ROWS", slice_rows)
+    for graph, texts in zip(graphs, whole):
+        assert [emit(graph) for emit in emitters] == texts
 
 
 def test_pair_emitters_match_the_per_line_loop(hub_digraph):
