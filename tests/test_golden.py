@@ -168,7 +168,7 @@ DIGESTS = {
     "bias-er-eigenvector":
         "d918b180e9496d1289b40c1d7d68b6e9550047aeaefbdc2d2d5bb9683970e19e",
     "bias-er-harmonic":
-        "7d515a3fdd01a457d99e0b52cd5788a7b14b074dc5cfe58fa4e3a859181a33a0",
+        "1fe3a3dbbe43e6699f602f9579d67402e9ef1155266c4d551d8ab28c63d13f15",
     "bias-er-katz":
         "9be4717139b32df4083b963ae6b04515917ee8d7075fdd75e57b9d1bb99cb692",
     "bias-er-katz-default-alpha":
@@ -196,7 +196,7 @@ DIGESTS = {
     "centrality-er-eigenvector":
         "b6b95731630322f7cec8efee4e299e94e7b76efaa718c31a7f2e42fa7b6afb0d",
     "centrality-er-harmonic":
-        "cf814526719de9a3d1472f03b34e3c3d29b22aa3b6b6f39843efd0a92cd21a34",
+        "67f7623120f534ffc6610e24125489a95e0e41c014c30d5122bec48bb69a54e1",
     "centrality-er-katz":
         "158dbe696a9a661981c0c5708e90bf3d2a5bc6f0aea8128b24d80aeecd67fbce",
     "centrality-er-katz-alpha":
@@ -212,7 +212,7 @@ DIGESTS = {
     "centrality-multi-eigenvector":
         "e2c345cd6d2164824a05155e500f5c7a23a5950ceb5f1a775ed8c08c479d2c2a",
     "centrality-multi-harmonic":
-        "3935e9e526e00df34fbe50cead003a88271b631c5ab0213b8f7fe7c672c4f82e",
+        "990ca4df70bd9956aec1e586d51d66bdced1be90d7bcce393ec15894bb323fa6",
     "centrality-multi-katz":
         "15f3fcfa5aaffaf26451cf65e8744de68183eed4b756a552911ce53f5b66030c",
     "centrality-multi-pagerank":
@@ -226,7 +226,7 @@ DIGESTS = {
     "centrality-pa-eigenvector":
         "f9f8191a286d8a53f9e31bfcc69a3e9f98e5bd4e0c1be39872ef4b6080766ed2",
     "centrality-pa-harmonic":
-        "6ef206de28f9801836549caedbd9593432d9704d7d9476391d12e35d89825b2f",
+        "e03befa7a4ad8826e74bbe05f54b75ffa9e91f0c355b56e3794b4ed78bc375e7",
     "centrality-pa-katz":
         "103feed814de6216053f22a359fb49787ac82b70a4478646db10d40406f87aa7",
     "centrality-pa-pagerank":
@@ -260,7 +260,7 @@ DIGESTS = {
     "compare-er-eigenvector":
         "71ff36a76ee335ec39901aa8ae790f3ea5f90eedc0cc021500c634a595ab9ef1",
     "compare-er-harmonic":
-        "ab9a7588733480fddfbb82bb24c94e1b76a59b8b6f46466ee0dd381b0886e54b",
+        "7455a3738636ee4cd84c5b989b129abc2f6792df02d4e9c82a1e86b1fe95c8a1",
     "compare-er-katz":
         "e97192a9173c1f73edab27522ba60ab376608052e4dfd9ffaeaa032bd252b61d",
     "compare-er-katz-alpha":
@@ -290,7 +290,7 @@ DIGESTS = {
     "compare-pa-eigenvector":
         "91a36400c116f070b72b5524a36a71c237d0abbedc97760a0b94dd178ffbfbc1",
     "compare-pa-harmonic":
-        "7ded330da1b36178ddff81192871bd1098c5e64d25127052af3898a10d3d3f78",
+        "4406398c552d3c0102bb8391be675540e7840f5135b5e824a577f638afb5171b",
     "compare-pa-katz":
         "be9cbd793d2dfc4bac9cebf80a43853c0d29df2cc952d46fa7bf120224489a75",
     "compare-pa-pagerank":
@@ -446,7 +446,7 @@ DIGESTS = {
     "paradox-er-eigenvector":
         "6ded5038cb388c1640aaf1caafbde5f15ff5a5369f440ec93333401ecf2b55ed",
     "paradox-er-harmonic":
-        "c0ad995b96f7958f9c5348a8308f24753ff6b808512870b6d29f0427cc813927",
+        "fb65d62008e483ccbeccf0cad4e07b6cc5a0c519f50482c89e34a614a114cb69",
     "paradox-er-katz":
         "6dc3065da2865659493e63fa0ae88ff8c422723064a17caa624ce7e275e1f958",
     "paradox-er-katz-alpha":
@@ -462,7 +462,7 @@ DIGESTS = {
     "paradox-multi-eigenvector":
         "6bdaa596356b2685e46647c0cf9db9434f81b1d87e294b0edffc46fcd5773b30",
     "paradox-multi-harmonic":
-        "085876e1bb23bb286bf4cd7a7f80ae465cccc7f337f87c075ae08d78e669e7a7",
+        "03fd8a5ab68a9633976d4e10caec4429377bce489a5fab4ec15da7e7b8c119cd",
     "paradox-multi-katz":
         "b8b8a11230c0d8fbf326522f6cdda18c5966af17c5e503e078612933e1269219",
     "paradox-multi-pagerank":
@@ -476,7 +476,7 @@ DIGESTS = {
     "paradox-pa-eigenvector":
         "f58b47cab208b96cf085b1e71ed117a97e8ce88a8f7764a8c28719e1642dc501",
     "paradox-pa-harmonic":
-        "5d1cf979bcc0c4f88b529e18db74526427421ded1cb66101d25f03ee89977c0b",
+        "30a1c9682cbfbbee1199abd263aac0fa15eb702780c3bc0db6a1bae61ea909ba",
     "paradox-pa-katz":
         "07238bb620b6324dcf02f1cbe089885911f15bb3b7b41f7bff2199a7e0e7d137",
     "paradox-pa-pagerank":
