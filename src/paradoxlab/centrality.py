@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -766,7 +766,8 @@ def _few_levels(graph: Graph) -> bool:
                          unweighted=True).max() < 64
 
 
-def _from_reach_counts(levels, kind: str, n: int) -> np.ndarray:
+def _from_reach_counts(levels: Iterable[np.ndarray], kind: str,
+                       n: int) -> np.ndarray:
     """Closeness or harmonic from reach-count rows ``c_1, c_2, ...`` in
     increasing distance: ``(n-1) / sum_L L c_L`` in exact integers, or
     the left-to-right sum ``c_1/1 + c_2/2 + ...``."""
