@@ -674,7 +674,8 @@ def test_long_searches_keep_the_key_kernel(monkeypatch):
             closeness_harmonic(g, "closeness")
             assert {run[0] for run in ran} == {kernel}, name
             # Blocks cover every source once, in as few searches as the
-            # cap allows.  A bit block is sized in words of 64 sources.
+            # cap allows.  A bit block is sized in words of 64 sources, so
+            # the hub's 500-odd sources take one search.
             assert sum(run[1] for run in ran) == g.node_count, name
             arcs = len(g.column_targets)
             cap = max(centrality.BFS_BLOCK_ARCS, arcs)
@@ -686,10 +687,6 @@ def test_long_searches_keep_the_key_kernel(monkeypatch):
             else:
                 assert all(sources * arcs <= cap for _, sources in ran), name
             assert len(ran) == -(-g.node_count // per_block), name
-    # The hub's 500-odd sources take one bottom-up search.
-    ran.clear()
-    closeness_harmonic(bits["hub"], "harmonic")
-    assert len(ran) == 1
 
 
 @pytest.mark.parametrize("name", DISTANCE_CORPUS)
