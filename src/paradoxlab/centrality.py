@@ -39,8 +39,9 @@ ALPHA_MARGIN = 1e-9
 LANCZOS_MIN_NODES = 256
 
 # eigsh's default Lanczos basis size (ncv) for one eigenpair: the matvecs
-# of ARPACK's first restart cycle.  Shift-invert iteration is taken where
-# its LU factor costs at most that cycle, and gets as many solves.
+# of ARPACK's first restart cycle.  A graph takes banded Cholesky factors
+# (shift-invert, and the direct Katz and PageRank starts) where one costs
+# at most that cycle, and shift-invert gets as many solves.
 _ARPACK_NCV = 20
 
 # Where the uniform start spans an invariant subspace, as on a star,
@@ -219,33 +220,70 @@ class _Stalled(Exception):
     before, or spent ``_ARPACK_NCV`` solves short of ``tol``."""
 
 
-def _banded(graph: Graph) -> bool:
-    """Whether an LU factor of ``sigma I - A`` costs at most ARPACK's first
-    restart cycle, so that shift-invert iteration starts the eigenvector
-    solve instead of Lanczos.
+def _banded(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
+    """The lower band of ``A`` in reverse Cuthill–McKee order, in LAPACK's
+    lower banded storage (``band[k, p]`` is the entry at positions ``(p +
+    k, p)``), and each node's position in that order, when a banded
+    Cholesky factor of a matrix with ``A``'s pattern costs at most ARPACK's
+    first restart cycle; else ``None``.
 
-    A band of width ``b`` factors in about ``n b^2`` operations, ``b`` the
-    bandwidth in reverse Cuthill–McKee order.  The restart cycle takes
-    ``_ARPACK_NCV`` matvecs of ``nnz(A)`` each.  A node with ``k``
-    distinct neighbours forces ``b >= ceil(k / 2)`` in any order, so a
-    graph that this bound already rules out skips the ordering.
+    A band of width ``b`` factors in about ``n b^2`` operations.  The
+    restart cycle takes ``_ARPACK_NCV`` matvecs of ``nnz(A)`` each.  A
+    node with ``k`` distinct neighbours forces ``b >= ceil(k / 2)`` in any
+    order, so a graph that this bound already rules out skips the
+    ordering.  Row 0 of the band, the diagonal, is zero.
     """
     n, arcs = graph.node_count, len(graph.column_targets)
     budget = _ARPACK_NCV * arcs
     lengths = np.diff(graph.row_offsets)
     narrowest = -(-int(lengths.max()) // 2)
     if n * narrowest * narrowest > budget:
-        return False
+        return None
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     order = reverse_cuthill_mckee(graph.adjacency, symmetric_mode=True)
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
-    width = int(np.abs(np.repeat(position, lengths)
-                       - position[graph.column_targets]).max())
-    return n * width * width <= budget
+    rows = np.repeat(position, lengths)
+    offsets = rows - position[graph.column_targets]
+    width = int(np.abs(offsets).max())
+    if n * width * width > budget:
+        return None
+    lower = offsets > 0
+    band = np.zeros((width + 1, n))
+    band[offsets[lower], rows[lower] - offsets[lower]] = \
+        graph.multiplicities[lower]
+    return band, position
 
 
-def _shift_invert(graph: Graph, params: CentralityParams,
+def _band_solver(banded: tuple[np.ndarray, np.ndarray] | None, diagonal,
+                 scale: float):
+    """The solve of ``diag(diagonal) - scale A`` in node order, for a
+    scalar or per-node ``diagonal``, from one LAPACK banded Cholesky
+    factor of the band ``_banded`` gave (``cholesky_banded``, then
+    ``cho_solve_banded`` per right-hand side); ``None`` when that is
+    ``None`` or LAPACK finds the matrix not positive definite."""
+    if banded is None:
+        return None
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+    band, position = banded
+
+    def in_band_order(x):
+        permuted = np.empty(len(position))
+        permuted[position] = x
+        return permuted
+
+    matrix = -scale * band
+    matrix[0] = in_band_order(diagonal)
+    try:
+        factor = cholesky_banded(matrix, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    return lambda rhs: cho_solve_banded(
+        (factor, True), in_band_order(rhs), check_finite=False)[position]
+
+
+def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
+                  params: CentralityParams,
                   ) -> tuple[np.ndarray | None, int]:
     """Perron vector proposed by inverse iteration with ``(sigma I -
     A)^-1`` from the uniform vector, positive and L1-normalised, and the
@@ -255,7 +293,9 @@ def _shift_invert(graph: Graph, params: CentralityParams,
     the maximum degree rounded outward, so ``sigma > lambda1`` and
     ``(sigma I - A)^-1 = sum_k A^k / sigma^(k+1)`` is entrywise positive:
     the iterates stay positive, and the Perron vector dominates them.
-    ``sigma I - A`` is factored once by SuperLU.
+    ``sigma I - A`` is positive definite and is factored once, from the
+    ``_banded`` band of ``A``, by LAPACK's banded Cholesky
+    (:func:`_band_solver`).
 
     The steps stop on the test ARPACK applies for :func:`_lanczos`,
     ``|A y - theta y|_2 <= (tol / d_max) theta`` for ``y = v / |v|_2``
@@ -274,16 +314,17 @@ def _shift_invert(graph: Graph, params: CentralityParams,
     as on a path with a pendant node at each end (``lambda1 = 2``,
     ``sigma = 3``).  So the solves get the ``_ARPACK_NCV`` steps of the
     restart cycle that ``_banded`` prices them against.  The vector is
-    ``None`` when the residual stops shrinking or those solves are spent
-    short of ``tol``, or when it is not positive after rounding.
+    ``None`` when LAPACK rejects the factor, when the residual stops
+    shrinking or those solves are spent short of ``tol``, or when it is
+    not positive after rounding.
     """
-    from scipy.sparse import identity
-    from scipy.sparse.linalg import splu
     n = graph.node_count
     d_max = float(graph.degree_seq.max())
     # A 1 = d exactly, so this is the enclosure of the uniform vector.
     sigma = _enclosure(graph, np.ones(n), graph._float_degrees)[1]
-    lu = splu((sigma * identity(n) - graph.adjacency).tocsc())
+    solve = _band_solver(banded, sigma, 1.0)
+    if solve is None:
+        return None, 0
     least, solves = np.inf, 0
 
     def shift_invert_step(vec, starts):
@@ -297,7 +338,7 @@ def _shift_invert(graph: Graph, params: CentralityParams,
         if not residual < least or solves == _ARPACK_NCV:
             raise _Stalled
         least, solves = residual, solves + 1
-        solved = lu.solve(vec)
+        solved = solve(vec)
         return np.array([residual]), solved / solved.sum()
 
     try:
@@ -436,12 +477,13 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
     first ask for a start vector from a solver that needs far fewer steps
     than power iteration when the spectral gap is small.  Banded graphs,
-    such as long paths, whose LU factor costs at most ARPACK's first
-    restart cycle (see ``_banded``), run shift-invert iteration with a
-    factor of ``sigma I - A``, ``sigma`` just above the maximum degree
-    (see ``_shift_invert``).  The others, and banded graphs whose solves
-    fall short of ``tol`` within one restart cycle or end on a vector that
-    is not positive, ask Lanczos (ARPACK's ``eigsh``).  Both stop at
+    such as long paths, whose banded Cholesky factor costs at most
+    ARPACK's first restart cycle (see ``_banded``), run shift-invert
+    iteration with a factor of ``sigma I - A``, ``sigma`` just above the
+    maximum degree (see ``_shift_invert``).  The others, and banded graphs
+    whose factor LAPACK rejects, whose solves fall short of ``tol`` within
+    one restart cycle or that end on a vector that is not positive, ask
+    Lanczos (ARPACK's ``eigsh``).  Both stop at
     ``tol / d_max`` relative to their Rayleigh or Ritz value on a unit
     vector, ARPACK at machine precision when that is below epsilon, which
     is enough for the start to pass the certificate below up to rounding
@@ -466,8 +508,9 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     _require_undirected_connected(graph, "eigenvector centrality")
     start, spent, method = None, 0, "power"
     if graph.node_count >= LANCZOS_MIN_NODES and not graph.regular:
-        if _banded(graph):
-            start, spent = _shift_invert(graph, params)
+        banded = _banded(graph)
+        if banded is not None:
+            start, spent = _shift_invert(graph, banded, params)
             method = "shift-invert"
         if start is None:
             start, spent = _lanczos(graph, params, spent)
@@ -532,17 +575,38 @@ def _katz_cg(graph: Graph, alpha: float, tol: float, r: np.ndarray,
     return x, spent
 
 
+def _katz_start(graph: Graph, alpha: float, tol: float, r: np.ndarray,
+                cap: int) -> tuple[np.ndarray, int]:
+    """The iterate the Jacobi tail starts from, and the matvecs or solves
+    it spent, at most ``cap``.  Banded graphs of at least
+    ``LANCZOS_MIN_NODES`` nodes take one solve of ``(I - alpha A) x = 1``
+    by a banded Cholesky factor (:func:`_band_solver`).  The others, and
+    banded graphs whose ``I - alpha A`` LAPACK finds not positive
+    definite, run conjugate gradients from the all-ones vector, whose
+    residual is ``r`` (:func:`_katz_cg`)."""
+    if cap and graph.node_count >= LANCZOS_MIN_NODES:
+        solve = _band_solver(_banded(graph), 1.0, alpha)
+        if solve is not None:
+            return solve(np.ones(graph.node_count)), 1
+    return _katz_cg(graph, alpha, tol, r, cap)
+
+
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                     max_iters: int = DEFAULT_MAX_ITERS) -> CentralityVector:
-    """Katz vector ``r = 1 + alpha A r``: conjugate gradients on
-    ``(I - alpha A) r = 1``, then a Jacobi tail that certifies the result.
+    """Katz vector ``r = 1 + alpha A r``: a direct or conjugate-gradient
+    solve of ``(I - alpha A) r = 1``, then a Jacobi tail that certifies
+    the result.
 
     The all-ones vector is tried first and returned with
-    ``iterations == 0`` when it passes.  Otherwise conjugate gradients
-    (Hestenes & Stiefel, 1952) run from it until their recursive residual
-    is at most ``max(tol, 1e-13 max(1, max r))``, for at most ``n``
-    matvecs.  The Jacobi iteration ``r <- 1 + alpha A r`` then starts from
-    that iterate, raised entrywise to at least 1, and returns the first
+    ``iterations == 0`` when it passes.  Otherwise banded graphs (see
+    ``_banded``) of at least ``LANCZOS_MIN_NODES`` nodes take one solve
+    by a banded Cholesky factor of ``I - alpha A``.  The others, and
+    banded graphs whose factor LAPACK rejects as not positive definite,
+    run conjugate gradients (Hestenes & Stiefel, 1952) from the all-ones
+    vector until their recursive residual is at most ``max(tol, 1e-13
+    max(1, max r))``, for at most ``n`` matvecs (see ``_katz_start``).
+    The Jacobi iteration ``r <- 1 + alpha A r`` then starts from that
+    iterate, raised entrywise to at least 1, and returns the first
     iterate whose defect ``max|1 + alpha A r - r|`` is at most ``tol``,
     with that defect as its residual.  Every entry of the result is at
     least 1.
@@ -559,12 +623,14 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
     ``alpha x.Ax / x.x <= alpha * lambda1``, which rejects an ``alpha``
     whose bound reaches ``1 - ALPHA_MARGIN``.  Conversely, from a start
     ``>= 0``, ``alpha * lambda1 >= 1`` keeps the defect at or above 1, so
-    a residual ``<= tol < 1`` proves ``alpha * lambda1 < 1``.
+    a residual ``<= tol < 1`` proves ``alpha * lambda1 < 1``.  This holds
+    whichever solve gave the start, and whether LAPACK factored ``I -
+    alpha A`` or not.
 
-    ``iterations`` counts the matvecs spent before the one that certified
-    the returned vector: the one on the all-ones vector, those of
-    conjugate gradients and the Jacobi steps.  All draw on one budget; a
-    result takes fewer than ``max_iters``.
+    ``iterations`` counts the steps spent before the one that certified
+    the returned vector: the matvec on the all-ones vector, the banded
+    solve or the matvecs of conjugate gradients, and the Jacobi steps.
+    All draw on one budget; a result takes fewer than ``max_iters``.
     """
     params = CentralityParams(kind="katz", alpha=alpha, tol=tol,
                               max_iters=max_iters)
@@ -577,9 +643,9 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
         return CentralityVector(values=ones, params=params, iterations=0,
                                 residual=float(residual))
     # step is the conjugate-gradient residual of the all-ones start.  The
-    # tail keeps at least one matvec of the budget.
-    start, spent = _katz_cg(graph, alpha, tol, step,
-                            min(graph.node_count, max_iters - 2))
+    # tail keeps at least one step of the budget.
+    start, spent = _katz_start(graph, alpha, tol, step,
+                               min(graph.node_count, max_iters - 2))
     # The solution is at least 1 everywhere, so raising the iterate to 1
     # only moves it closer, and the admissibility proof needs a start
     # >= 0.
@@ -626,27 +692,47 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     condition on two or more nodes, and a lone node fails it.  Stops when
     the L1 fixed-point residual of the returned vector is at most ``tol``;
     the result sums to 1.
+
+    The power loop runs from the uniform vector, which is exact on
+    regular graphs, except on undirected banded graphs (see ``_banded``)
+    of at least ``LANCZOS_MIN_NODES`` nodes that are not regular, where it
+    would contract by only ``1 - beta`` per step on a path.  There one
+    solve of ``(D - (1-beta) A) z = (beta/n) 1``, symmetric and strictly
+    diagonally dominant, by a banded Cholesky factor
+    (:func:`_band_solver`) gives the start ``r = D z``, L1-normalised,
+    since ``A D^-1 r = A z``.  The loop's step 0 certifies it, and the
+    steps after it polish a start that fails.  ``iterations`` counts that
+    solve and the steps, and stays below ``max_iters``.
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)
     if not graph.connected:
         kind = "strongly connected directed" if graph.directed else "connected"
         raise PreconditionError(f"pagerank requires a {kind} graph")
-    _require_positive_degrees(graph)
-    vec, residuals, iterations = _pagerank_blocks(graph, [graph.node_count],
-                                                  params)
+    degrees = _require_positive_degrees(graph)
+    n, start = graph.node_count, None
+    if (n >= LANCZOS_MIN_NODES and not (graph.directed or graph.regular)
+            and max_iters > 1):
+        solve = _band_solver(_banded(graph), degrees, 1.0 - beta)
+        if solve is not None:
+            start = degrees * solve(np.full(n, beta / n))
+            start /= start.sum()
+    vec, residuals, iterations = _pagerank_blocks(
+        graph, [n], params, int(start is not None), start)
     return CentralityVector(values=vec, params=params,
                             iterations=iterations[0],
                             residual=float(residuals[0]))
 
 
 def _pagerank_blocks(union: Graph, sizes: Sequence[int],
-                     params: CentralityParams):
-    """PageRank iteration from the uniform vector for each graph of a
-    disjoint union, run by :func:`_iterate_blocks`.  A step adds each
-    block's teleport share to the walk step, takes the L1 residual and
-    normalises the image.  Every degree must be positive.  Returns the
-    stacked vector, and per block the residual and iterations.
+                     params: CentralityParams, spent: int = 0,
+                     start: np.ndarray | None = None):
+    """PageRank iteration for each graph of a disjoint union, run by
+    :func:`_iterate_blocks` from the uniform vector or from ``start``,
+    each block of which sums to 1.  A step adds each block's teleport
+    share to the walk step, takes the L1 residual and normalises the
+    image.  Every degree must be positive.  Returns the stacked vector,
+    and per block the residual and iterations.
     """
     transpose, degrees = union._transpose, union._float_degrees
     sizes = np.asarray(sizes)
@@ -658,7 +744,8 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
         residuals = np.add.reduceat(np.abs(image - vec), starts)
         return residuals, image / np.add.reduceat(image, starts).repeat(sizes)
 
-    return _iterate_blocks(sizes, None, pagerank_step, params, "pagerank")
+    return _iterate_blocks(sizes, start, pagerank_step, params, "pagerank",
+                           spent)
 
 
 def _reach_counts(graph: Graph, start: int, stop: int):
@@ -826,14 +913,18 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
     return spectral
 
 
-def _in_blocks(params: CentralityParams, node_count: int) -> bool:
-    """Whether :func:`_block_values` solves a connected graph of
-    ``node_count`` nodes as :func:`compute` does: degree, walk counts,
-    PageRank, and eigenvector below ``LANCZOS_MIN_NODES`` nodes, where
-    power iteration is its only solver."""
+def _in_blocks(params: CentralityParams, graph: Graph) -> bool:
+    """Whether :func:`_block_values` solves a connected undirected graph as
+    :func:`compute` does: degree, walk counts, and eigenvector and PageRank
+    where power iteration from the uniform vector is their only solver.
+    That is below ``LANCZOS_MIN_NODES`` nodes for both, and for PageRank
+    also on regular graphs and on graphs that are not banded."""
+    small = graph.node_count < LANCZOS_MIN_NODES
     if params.kind == "eigenvector":
-        return node_count < LANCZOS_MIN_NODES
-    return params.kind in ("degree", "walk_count", "pagerank")
+        return small
+    if params.kind == "pagerank":
+        return small or graph.regular or _banded(graph) is None
+    return params.kind in ("degree", "walk_count")
 
 
 def _block_values(union: Graph, sizes: Sequence[int],

@@ -130,11 +130,13 @@ class Graph:
         undirected edge once, from the upper triangle or, with ``lower``,
         from the lower one."""
         rows = np.repeat(np.arange(self.node_count), np.diff(self.row_offsets))
-        cols = self.column_targets
-        # An undirected edge is stored in both rows; keep one of them.
-        stored = self.directed | ((rows > cols) if lower else (rows < cols))
-        return np.repeat(np.column_stack([rows, cols])[stored],
-                         self.multiplicities[stored], axis=0)
+        cols, counts = self.column_targets, self.multiplicities
+        if not self.directed:
+            # An undirected edge is stored in both rows; keep one of them
+            # before anything is stacked.
+            stored = (rows > cols) if lower else (rows < cols)
+            rows, cols, counts = rows[stored], cols[stored], counts[stored]
+        return np.repeat(np.column_stack([rows, cols]), counts, axis=0)
 
 
 def _is_int(value) -> bool:

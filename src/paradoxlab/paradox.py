@@ -439,15 +439,18 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     the window still pending in one batch, which pairs the stubs of
     ``k_regular`` and ``configuration`` members together, assembles them
     as one disjoint union and labels it once, so no attempt is assembled
-    or labelled alone.  Degree, walk counts, PageRank, and eigenvector
-    members below ``LANCZOS_MIN_NODES`` nodes are then solved in batches of
+    or labelled alone.  Degree, walk counts, and the eigenvector and
+    PageRank members that ``_in_blocks`` admits (below
+    ``LANCZOS_MIN_NODES`` nodes, and for PageRank also larger members
+    that are regular or not banded) are then solved in batches of
     consecutive members, one solve and one neighbour average over the
     disjoint union of each batch, a batch closing before its stored arcs
     would pass ``BFS_BLOCK_ARCS``.  Katz, closeness, harmonic, larger
-    eigenvector members, which try shift-invert or Lanczos first, and a
-    lone node, whose neighbour average is undefined, take one solve per
-    member.  Samples and errors are those of one ``generate`` per attempt
-    and one solve per member, in member order: a member that cannot be
+    eigenvector members, which try shift-invert or Lanczos first, larger
+    PageRank members that start from a banded solve, and a lone node,
+    whose neighbour average is undefined, take one solve per member.
+    Samples and errors are those of one ``generate`` per attempt and one
+    solve per member, in member order: a member that cannot be
     sampled raises after the members before it are solved.
     """
     _require_int("n_graphs", n_graphs, 1)
@@ -466,7 +469,7 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
             _union_bias(batch, measure)
             raise
         alone = (graph.node_count == 1
-                 or not _in_blocks(measure, graph.node_count))
+                 or not _in_blocks(measure, graph))
         if alone or arcs + len(graph.column_targets) > BFS_BLOCK_ARCS:
             deltas += _union_bias(batch, measure)
             arcs = 0

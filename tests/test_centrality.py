@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import csgraph
 from scipy.sparse import linalg as splinalg
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -279,6 +280,7 @@ KATZ_GRID = {
     "path300": lambda: path(300),
     "permuted_path300": lambda: _permuted_path(300, 13),
     "path1000": lambda: path(1000),
+    "path210": lambda: path(210),
     "pa300": lambda: generate(RandomGraphSpec(
         model="preferential_attachment", n=300, m_attach=2, seed=31)),
     "star50": lambda: star(50),
@@ -316,7 +318,8 @@ def test_katz_converges_up_to_the_spectral_radius(name):
 
 # The Katz solve katz_centrality ran before its Jacobi tail shared the
 # blocked loop, kept as the reference that the shared loop is checked
-# against.  Conjugate gradients are the solver's own.
+# against.  The start, a banded direct solve or conjugate gradients, is
+# the solver's own.
 def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
     """``(values, iterations, residual, rescues)``, or ``(None, max_iters,
     residual, rescues)`` when the budget runs out; ``rescues`` counts the
@@ -327,7 +330,7 @@ def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
     residual = np.abs(image - ones).max()
     if residual <= tol:
         return ones, 0, residual, 0
-    start, spent = centrality._katz_cg(
+    start, spent = centrality._katz_start(
         graph, alpha, tol, step, min(graph.node_count, max_iters - 2))
     vec = np.maximum(start, 1.0) if spent else image
     anchor = peak = vec
@@ -351,8 +354,9 @@ def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
 
 
 def test_katz_matches_the_scalar_reference():
-    # The cycle rescue must run somewhere in the grid: path1000 at 0.999
-    # needs it (the certificate passes at step 533).
+    # The cycle rescue must run somewhere in the grid: path210 at 0.999,
+    # on conjugate gradients below LANCZOS_MIN_NODES, needs it (the
+    # certificate passes at step 171).
     rescued = []
     for name in sorted(KATZ_GRID):
         g = KATZ_GRID[name]()
@@ -382,8 +386,9 @@ def test_katz_matches_the_scalar_reference():
 
 
 def test_katz_budget_is_shared_by_both_stages(monkeypatch):
-    g = path(300)
-    alpha = 0.85 / (2 * np.cos(np.pi / 301))
+    # Below LANCZOS_MIN_NODES, so the start comes from conjugate gradients.
+    g = path(255)
+    alpha = 0.85 / (2 * np.cos(np.pi / 256))
     needed = katz_centrality(g, alpha).iterations
     calls = []
 
@@ -403,6 +408,14 @@ def test_katz_budget_is_shared_by_both_stages(monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         katz_centrality(g, alpha, max_iters=needed)
     assert info.value.iterations == needed
+    # On P_300 the start is one banded solve, which counts as one step.
+    g = path(300)
+    alpha = 0.85 / (2 * np.cos(np.pi / 301))
+    assert katz_centrality(g, alpha).iterations == 2
+    assert katz_centrality(g, alpha, max_iters=3).iterations == 2
+    with pytest.raises(ConvergenceError) as info:
+        katz_centrality(g, alpha, max_iters=2)
+    assert info.value.iterations == 2
 
 
 def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
@@ -420,9 +433,9 @@ def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
     pa = generate(RandomGraphSpec(model="preferential_attachment", n=300,
                                   m_attach=2, seed=31))
     # The all-ones Rayleigh bound of each passes; a conjugate direction's
-    # does not.
+    # does not.  Paths of LANCZOS_MIN_NODES or more take a banded solve.
     cases = [(star(50), 7.0, 1.01), (pa, solve_lambda1(pa).lambda1, 1.01),
-             (path(300), 2 * np.cos(np.pi / 301), 1.0)]
+             (path(255), 2 * np.cos(np.pi / 256), 1.0)]
     for g, lam, factor in cases:
         rejected.clear()
         with pytest.raises(ParameterError) as info:
@@ -430,6 +443,43 @@ def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
         assert rejected == [g.node_count]
         bound = float(str(info.value).rsplit(">= ", 1)[1])
         assert 1 - 1e-9 <= bound <= factor * (1 + 1e-9)
+
+
+def test_katz_falls_back_to_conjugate_gradients_when_the_factor_fails(
+        monkeypatch):
+    g = path(300)
+    alpha = 0.85 / (2 * np.cos(np.pi / 301))
+    with monkeypatch.context() as patch:
+        patch.setattr(centrality, "_banded", lambda graph: None)
+        want = katz_centrality(g, alpha)
+    assert want.iterations > 2
+    started = []
+    run_cg = centrality._katz_cg
+
+    def watched(*args):
+        started.append(args[0].node_count)
+        return run_cg(*args)
+
+    monkeypatch.setattr(centrality, "_katz_cg", watched)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+                        _not_positive_definite)
+    got = katz_centrality(g, alpha)
+    assert started == [300]
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+
+
+def test_katz_rejects_alpha_at_the_spectral_radius_after_a_banded_solve():
+    # LAPACK factors I - A / lambda1 on P_300, singular only up to
+    # rounding; the tail's Rayleigh bound on the huge solution rejects it.
+    g = path(300)
+    alpha = 1 / (2 * np.cos(np.pi / 301))
+    solve = centrality._band_solver(centrality._banded(g), 1.0, alpha)
+    assert solve is not None and np.abs(solve(np.ones(300))).max() > 1e15
+    with pytest.raises(ParameterError) as info:
+        katz_centrality(g, alpha)
+    bound = float(str(info.value).rsplit(">= ", 1)[1])
+    assert 1 - 1e-9 <= bound <= 1 + 1e-9
 
 
 def _barbell(clique, bridge):
@@ -1110,18 +1160,18 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
 
 def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
     factored, ordered = [], []
-    real_splu = splinalg.splu
+    real_factor = scipy.linalg.cholesky_banded
     real_order = csgraph.reverse_cuthill_mckee
 
-    def splu_spy(matrix, *args, **kwargs):
-        factored.append(matrix.shape[0])
-        return real_splu(matrix, *args, **kwargs)
+    def factor_spy(band, *args, **kwargs):
+        factored.append(band.shape[1])
+        return real_factor(band, *args, **kwargs)
 
     def order_spy(matrix, *args, **kwargs):
         ordered.append(matrix.shape[0])
         return real_order(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(splinalg, "splu", splu_spy)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
     monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", order_spy)
     for g in (path(300), path(1000), _permuted_path(300, 13)):
         factored.clear()
@@ -1143,18 +1193,13 @@ def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
 
 def test_shift_invert_budget_counts_solves(monkeypatch):
     solves = []
-    real_splu = splinalg.splu
+    real_solve = scipy.linalg.cho_solve_banded
 
-    class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+    def counted(factor, rhs, *args, **kwargs):
+        solves.append(len(rhs))
+        return real_solve(factor, rhs, *args, **kwargs)
 
-        def solve(self, rhs):
-            solves.append(len(rhs))
-            return self.lu.solve(rhs)
-
-    monkeypatch.setattr(splinalg, "splu",
-                        lambda matrix: Counted(real_splu(matrix)))
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counted)
     needed = eigenvector_centrality(path(300))[0].iterations
     assert len(solves) == needed
     spectral, _ = eigenvector_centrality(path(300), max_iters=needed + 1)
@@ -1187,18 +1232,12 @@ def test_shift_invert_result_is_reproducible():
                         eigenvector_centrality(path(1000)))
 
 
-class _FakeFactor:
-    """An LU factor whose solve gives back its right-hand side, which
-    leaves the residual where it was, or else a fixed vector."""
-
-    def __init__(self, vec=None):
-        self.vec = vec
-
-    def solve(self, rhs):
-        return rhs.copy() if self.vec is None else self.vec.copy()
+def _not_positive_definite(*args, **kwargs):
+    raise np.linalg.LinAlgError("not positive definite")
 
 
-@pytest.mark.parametrize("kind", ["stall", "mixed sign", "slow"])
+@pytest.mark.parametrize("kind", ["stall", "mixed sign", "slow",
+                                  "not positive definite"])
 def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
     # slow: pendant nodes next to both ends of P_300 make lambda1 exactly
     # 2, while sigma is 3, the maximum degree, so the solves contract
@@ -1207,18 +1246,30 @@ def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
     g = (build_undirected(302, edge_pairs(path(300)) + [(1, 300), (298, 301)])
          if kind == "slow" else path(300))
     with monkeypatch.context() as patch:
-        patch.setattr(centrality, "_banded", lambda graph: False)
+        patch.setattr(centrality, "_banded", lambda graph: None)
         want = eigenvector_centrality(g)
     assert want[0].method == "lanczos"
-    spent = centrality._ARPACK_NCV if kind == "slow" else 1
+    spent = {"slow": centrality._ARPACK_NCV,
+             "not positive definite": 0}.get(kind, 1)
     if kind == "stall":
-        monkeypatch.setattr(splinalg, "splu", lambda matrix: _FakeFactor())
+        # A solve that gives back its right-hand side, which leaves the
+        # residual where it was.
+        monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
+                            lambda factor, rhs, **kwargs: rhs.copy())
     elif kind == "mixed sign":
         # A true eigenvector with a positive sum, but not the Perron one:
         # it passes the solves' stop test and fails the positivity check.
-        fake = _FakeFactor(np.linalg.eigh(dense_from_graph(g))[1][:, -3])
-        assert fake.vec.sum() > 0 and (fake.vec < 0).any()
-        monkeypatch.setattr(splinalg, "splu", lambda matrix: fake)
+        # The solve returns it in band order, as LAPACK would.
+        vec = np.linalg.eigh(dense_from_graph(g))[1][:, -3]
+        assert vec.sum() > 0 and (vec < 0).any()
+        in_band_order = np.empty_like(vec)
+        in_band_order[centrality._banded(g)[1]] = vec
+        monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
+                            lambda factor, rhs, **kwargs:
+                            in_band_order.copy())
+    elif kind == "not positive definite":
+        monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+                            _not_positive_definite)
     lanczos = []
     real = centrality._lanczos
 
@@ -1418,3 +1469,60 @@ def test_enclosure_with_underflowed_entries():
     x = np.array([1.0, 0.0, 1.0])
     lo, hi = centrality._enclosure(g, x, adjacency_matvec(g, x))
     assert lo <= 0.0 and hi == np.inf
+
+
+def test_pagerank_on_long_paths_takes_one_banded_solve():
+    # On a path the power loop contracts by only 1 - beta per step: at
+    # beta = 1e-6 it ran out of the default budget on P_1000.  One solve of
+    # (D - (1-beta) A) z = (beta/n) 1 passes step 0 as it is.
+    for n in (1000, 10000):
+        vector = pagerank_centrality(path(n), 1e-6)
+        assert vector.iterations == 1
+        assert vector.residual <= 1e-12
+        assert (vector.values > 0).all()
+        assert _sum(vector.values) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_banded_pagerank_matches_the_power_loop():
+    for g in (path(300), _permuted_path(300, 13)):
+        got = pagerank_centrality(g, 0.15)
+        vec, iterations, residual = _scalar_pagerank(g, 0.15)
+        # Both pass the L1 residual tol, and the map contracts by 1 - beta
+        # in L1, so each lies within tol / beta of the fixed point.
+        assert got.iterations == 1 < iterations
+        assert got.residual <= 1e-12
+        assert np.abs(got.values - vec).sum() <= 2 * 1e-12 / 0.15
+    # A budget of one step leaves no room for the solve.
+    g = path(300)
+    _, _, residual = _scalar_pagerank(g, 0.15, max_iters=1)
+    with pytest.raises(ConvergenceError) as info:
+        pagerank_centrality(g, 0.15, max_iters=1)
+    assert (info.value.residual, info.value.iterations) == (residual, 1)
+    assert pagerank_centrality(g, 0.15, max_iters=2).iterations == 1
+
+
+def test_pagerank_keeps_the_power_loop_off_the_banded_solve(monkeypatch):
+    factored = []
+    real_factor = scipy.linalg.cholesky_banded
+
+    def factor_spy(band, *args, **kwargs):
+        factored.append(band.shape[1])
+        return real_factor(band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
+    pairs = edge_pairs(path(300))
+    bidirected = build_directed(300, pairs + [(j, i) for i, j in pairs])
+    # Regular graphs keep the exact uniform vector.
+    for g in (bidirected, path(255), _preferential(300, 3), cycle(300)):
+        vec, iterations, residual = _scalar_pagerank(g, 0.15)
+        got = pagerank_centrality(g, 0.15)
+        assert got.values.tobytes() == vec.tobytes()
+        assert (got.iterations, got.residual) == (iterations, residual)
+    assert factored == []
+    # A factor that LAPACK rejects leaves the power loop to do it all.
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+                        _not_positive_definite)
+    vec, iterations, residual = _scalar_pagerank(path(300), 0.15)
+    got = pagerank_centrality(path(300), 0.15)
+    assert got.values.tobytes() == vec.tobytes()
+    assert (got.iterations, got.residual) == (iterations, residual)

@@ -333,3 +333,18 @@ def test_eigenvector_on_a_path_of_10000_nodes_converges(capsys):
     image = adjacency_matvec(path(10000), r)
     estimate = (r @ image) / (r @ r)
     assert np.abs(image - estimate * r).max() <= doc["measure"]["tol"]
+
+
+def test_pagerank_on_a_long_path_with_a_tiny_teleport_converges(capsys):
+    # One banded solve; the power loop, which contracts by only 1 - beta
+    # per step on a path, ran out of the default budget here, exit 3
+    # after 4.4 s.
+    code, out, err = run_cli(capsys, "paradox", "--model", "path", "--n",
+                             "1000", "--measure", "pagerank", "--beta",
+                             "1e-6")
+    assert code == 0
+    doc = json.loads(out)
+    r = np.array([row["r"] for row in doc["node_table"]])
+    g = path(1000)
+    image = (1 - 1e-6) * adjacency_matvec(g, r / g.degree_seq) + 1e-6 / 1000
+    assert np.abs(image - r).sum() <= 1e-12

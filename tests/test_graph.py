@@ -416,7 +416,7 @@ def test_import_leaves_out_csgraph_and_linalg():
     # Each of these costs import time that no code path needs.
     code = ("import sys, paradoxlab; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg'))))")
+            "'scipy.sparse.linalg', 'scipy.linalg'))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

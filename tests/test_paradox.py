@@ -543,7 +543,7 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         assert got.tobytes() == want.tobytes(), measure.kind
 
         batched = [member.node_count for member in members
-                   if centrality._in_blocks(measure, member.node_count)]
+                   if centrality._in_blocks(measure, member)]
         assert [n for sizes in solve_batches for n in sizes] == batched
         if measure.kind == "katz":
             assert not batched
@@ -554,6 +554,22 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         expected = {"one": [1] * n_graphs, "two": [2] * (n_graphs // 2),
                     "all": [n_graphs]}[batch]
         assert list(map(len, solve_batches)) == expected, measure.kind
+
+
+def test_banded_pagerank_members_are_solved_alone(solve_batches):
+    # Non-regular banded members of LANCZOS_MIN_NODES nodes or more start
+    # PageRank from a banded solve, which a batch does not take; shorter
+    # paths and rings, whose uniform start is exact, stay batched.
+    measure = CentralityParams(kind="pagerank", beta=0.15)
+    for spec, batches in ((RandomGraphSpec(model="path", n=300), []),
+                          (RandomGraphSpec(model="path", n=255), [[255] * 3]),
+                          (RandomGraphSpec(model="cycle", n=300),
+                           [[300] * 3])):
+        solve_batches.clear()
+        got = bias_distribution(spec, measure, 3, SEED).samples
+        want = _per_member_samples(spec, measure, 3, SEED)
+        assert got.tobytes() == want.tobytes()
+        assert solve_batches == batches
 
 
 @pytest.mark.parametrize("name", ["ring", "erdos_renyi_resampled",
