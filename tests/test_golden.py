@@ -134,6 +134,13 @@ def _cases():
         cases[f"paradox-path60-{label}-budget"] = (
             "paradox", "--model", "path", "--n", "60",
             "--measure", label.split("-")[0], *args)
+    # Node 0's eccentricity is 299 and 100, at least 64, so closeness and
+    # harmonic take the long-search side; every other graph here is short.
+    for kind in ("closeness", "harmonic"):
+        cases[f"centrality-path300-{kind}"] = (
+            "centrality", "--model", "path", "--n", "300", "--measure", kind)
+        cases[f"paradox-cycle200-{kind}"] = (
+            "paradox", "--model", "cycle", "--n", "200", "--measure", kind)
     return cases
 
 
@@ -233,6 +240,10 @@ DIGESTS = {
         "b867f6d7207986a7d69317ca2eeede9a46c2e774f6fac3bd1cb4548a86693a68",
     "centrality-pa-walk_count":
         "96a9d3469c37435563b747ef3e08e43fa2f405faef1d530cb9c52fd62f2213c0",
+    "centrality-path300-closeness":
+        "d99f46c45a9a8a1c7bd97c5b695249e195f74e18182e405b529a18931b1b04e0",
+    "centrality-path300-harmonic":
+        "c83619cb829f2e097ff8666f7dd30e63b73f5c2010e8d18ef081760098c307c9",
     "centrality-split-degree":
         "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
     "centrality-wheel-closeness-csv":
@@ -435,6 +446,10 @@ DIGESTS = {
         "feafdd7c2f92600128353d5e34ecac7097fb37aaffa84d387b70431609761565",
     "identities-wheel":
         "69d8f9bd94fbef62500b94575a3c3a05d89568485c4e32f332ce6d2c273aeef3",
+    "paradox-cycle200-closeness":
+        "04a35ca7cd8aa2ee9265210cb2b0751b40f02c9173f04cd73f250a303ae30dc6",
+    "paradox-cycle200-harmonic":
+        "0c57f64285d6b76c14dff25bf5c575b691d9485c569bf898d5cce0112f52672f",
     "paradox-digraph-degree":
         "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
     "paradox-digraph-pagerank":
