@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy
@@ -53,16 +53,18 @@ _EIGSH_RESTART_SEED = ({"rng": 0} if tuple(
     map(int, scipy.__version__.split(".")[:2])) >= (1, 17) else {})
 
 # Caps k * len(column_targets) for a block of k closeness/harmonic sources
-# searched top-down: the (source, arc) expansions of a search of the whole
-# block, so no per-level array holds more keys, unless one source alone
-# has more arcs.  Its k x n int32 marks stay within the same cap, since a
-# connected graph on n >= 2 nodes stores at least n arcs.  A bottom-up
-# search takes W words of 64 sources with W * len(column_targets) within
-# the cap (or W = 1), and gathers W words per arc at each level.  Picked
-# by measurement on paths and heavy-tailed graphs; see CHANGES.md.
-# bias_distribution caps the unions it solves by it too, and sizes its
-# sampling windows by it from each candidate's expected nodes plus stored
-# arcs.
+# searched by one csgraph.shortest_path call, unless one source alone has
+# more arcs.  A connected graph on n >= 2 nodes stores at least n arcs, so
+# k * n <= max(2^18, n): the call's float64 k x n distances, their int64
+# copy and the levels x k counts (levels <= n) hold at most 16 bytes per
+# entry at once, 24 for harmonic's two float arrays of counts / L and
+# their running sum.  Traced peaks were 2.1 MB (closeness) and 3.2 MB
+# (harmonic) on paths of 1000 and 3000 nodes.  A bottom-up search takes W
+# words of 64 sources with W * len(column_targets) within the cap (or W =
+# 1), and gathers W words per arc at each level.  Picked by measurement on
+# paths and heavy-tailed graphs; see CHANGES.md.  bias_distribution caps
+# the unions it solves by it too, and sizes its sampling windows by it
+# from each candidate's expected nodes plus stored arcs.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -748,44 +750,25 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
                            spent)
 
 
-def _reach_counts(graph: Graph, start: int, stop: int):
-    """Reach counts of sources ``start..stop-1``, one row per level ``L =
-    1, 2, ...``: entry ``s`` is how many nodes lie at distance ``L`` from
-    source ``start + s``.
+def _reach_counts(graph: Graph, start: int, stop: int) -> np.ndarray:
+    """Reach counts of sources ``start..stop-1`` as a ``levels x k`` array:
+    entry ``(L-1, s)`` is how many nodes lie at distance ``L`` from source
+    ``start + s``.
 
-    One top-down breadth-first search serves the whole block: its frontier
-    holds keys ``row * n + node``, one per (source, node) pair, expanded
-    through the CSR arrays at each level, and a level's row is one
-    ``bincount`` of its frontier rows.  ``mark`` is the only ``k x n``
-    array: a key is seen once its mark is -1, and is kept once per level
-    without sorting, by the copy whose position its mark remembers.
+    One ``csgraph.shortest_path`` call searches the whole block and
+    returns its ``k x n`` float64 distances.  One ``bincount`` of their
+    int64 copy plus ``s * levels`` counts each source's row, and the
+    column for distance 0, the source itself, is dropped.  The distances
+    and their copy take 16 bytes per entry, ``k * n <= max(2^18, n)``
+    entries under ``BFS_BLOCK_ARCS``.
     """
-    n = graph.node_count
-    row_starts, row_stops = graph.row_offsets[:-1], graph.row_offsets[1:]
-    targets = graph.column_targets
-    k = stop - start
-    mark = np.zeros(k * n, dtype=np.int32)
-    frontier = np.arange(k) * (n + 1) + start
-    mark[frontier] = -1
-    while True:
-        nodes = frontier % n
-        last = row_stops[nodes]
-        lengths = last - row_starts[nodes]
-        ends = np.cumsum(lengths, dtype=np.int64)
-        # Arc positions first, then their int64 keys, in place to save
-        # memory; the targets may be int32, so they are added last.
-        arcs = np.repeat(last - ends, lengths)
-        arcs += np.arange(len(arcs))
-        keys = np.repeat(frontier - nodes, lengths)
-        keys += targets[arcs]
-        keys = keys[mark[keys] >= 0]
-        if not len(keys):
-            return
-        order = np.arange(len(keys), dtype=np.int32)
-        mark[keys] = order
-        frontier = keys[mark[keys] == order]
-        mark[frontier] = -1
-        yield np.bincount(frontier // n, minlength=k)
+    from scipy.sparse.csgraph import shortest_path
+    dist = shortest_path(graph.adjacency, indices=np.arange(start, stop),
+                         unweighted=True).astype(np.int64)
+    k, levels = stop - start, int(dist.max()) + 1
+    dist += np.arange(0, k * levels, levels)[:, None]
+    counts = np.bincount(dist.ravel(), minlength=k * levels)
+    return counts.reshape(k, levels).T[1:]
 
 
 # Shifts and masks of the SWAR popcount, all np.uint64: numpy 1.24 turns
@@ -842,25 +825,27 @@ def _few_levels(graph: Graph) -> bool:
     by the eccentricity of node 0.
 
     A bottom-up level of :func:`_bit_reach_counts` reads every arc once
-    per word of 64 sources; :func:`_reach_counts` expands every arc once
-    per source over all its levels.  So the bit kernel does less work
-    while it runs fewer than 64 levels, as on small-world graphs, and the
-    key kernel on long paths and strips.  Every distance is at most twice
-    that eccentricity, so the bit side counts fewer than 128 levels.
+    per word of 64 sources; the csgraph search of :func:`_reach_counts`
+    reads every arc once per source over all its levels.  So the bit
+    kernel does less work while it runs fewer than 64 levels, as on
+    small-world graphs, and csgraph on long paths and strips.  Every
+    distance is at most twice that eccentricity, so the bit side counts
+    fewer than 128 levels, in ``levels x n`` integers; the csgraph side
+    holds a few bytes per entry of ``k x n``, at most ``max(2^18, n)``.
     """
     from scipy.sparse.csgraph import shortest_path
     return shortest_path(graph.adjacency, indices=0,
                          unweighted=True).max() < 64
 
 
-def _from_reach_counts(levels: Iterable[np.ndarray], kind: str,
-                       n: int) -> np.ndarray:
-    """Closeness or harmonic from reach-count rows ``c_1, c_2, ...`` in
-    increasing distance: ``(n-1) / sum_L L c_L`` in exact integers, or
-    the left-to-right sum ``c_1/1 + c_2/2 + ...``."""
+def _from_reach_counts(counts: np.ndarray, kind: str, n: int) -> np.ndarray:
+    """Closeness or harmonic from ``levels x k`` reach counts, row ``L-1``
+    holding distance ``L``: ``(n-1) / sum_L L c_L`` in exact int64, or the
+    sum ``c_1/1 + c_2/2 + ...``, added row by row in increasing ``L``."""
+    hops = np.arange(1, len(counts) + 1)
     if kind == "closeness":
-        return (n - 1) / sum(hops * row for hops, row in enumerate(levels, 1))
-    return sum(row / hops for hops, row in enumerate(levels, 1))
+        return (n - 1) / (hops @ counts)
+    return np.add.accumulate(counts / hops[:, None])[-1]
 
 
 def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
@@ -871,14 +856,17 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     Graphs where :func:`_few_levels` holds take bottom-up searches of
     ``W`` words of 64 sources, ``W = max(1, BFS_BLOCK_ARCS //
     len(column_targets))`` (:func:`_bit_reach_counts`), and sum their
-    integer counts over all blocks.  The others take top-down searches of
-    ``k`` sources, ``k`` chosen the same way (:func:`_reach_counts`),
-    which count each source's reach in full.  Both give the same counts,
-    and :func:`_from_reach_counts` reduces them, so neither measure
-    depends on the kernel or the block size.  The bottom-up side holds
-    ``levels x n`` integer counts, fewer than 128 levels, and gathers
-    ``W * len(column_targets)`` words per level; the top-down side holds
-    ``k x n`` int32 marks and one row of ``k`` counts at a time.
+    integer counts over all blocks.  The others take one
+    ``csgraph.shortest_path`` call per block of ``k`` sources, ``k``
+    chosen the same way (:func:`_reach_counts`), which counts each
+    source's reach in full.  Both give the same counts, and
+    :func:`_from_reach_counts` reduces them, so neither measure depends
+    on the kernel or the block size.  The bottom-up side holds ``levels x
+    n`` integer counts, fewer than 128 levels, and gathers ``W *
+    len(column_targets)`` words per level; the csgraph side holds at most
+    16 bytes (closeness) or 24 bytes (harmonic) per entry of ``k x n``,
+    ``k * n <= max(2^18, n)``: 2.1 MB and 3.2 MB of traced peak on paths
+    of 1000 and 3000 nodes.
     """
     if kind not in ("closeness", "harmonic"):
         raise ParameterError(
@@ -887,7 +875,7 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     _require_undirected_connected(graph, f"{kind} centrality")
     n = graph.node_count
     values = np.zeros(n)
-    # Sources per top-down search, or words of 64 sources per bottom-up one.
+    # Sources per csgraph search, or words of 64 sources per bottom-up one.
     block = max(1, BFS_BLOCK_ARCS // max(len(graph.column_targets), 1))
     if n > 1 and _few_levels(graph):
         counts = []
@@ -895,7 +883,7 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
             rows = _bit_reach_counts(graph, start, min(start + 64 * block, n))
             counts = [total + row for total, row
                       in zip_longest(counts, rows, fillvalue=0)]
-        values = _from_reach_counts(counts, kind, n)
+        values = _from_reach_counts(np.array(counts), kind, n)
     else:
         # A lone node reaches no other node and keeps 0.
         for start in range(0, n if n > 1 else 0, block):

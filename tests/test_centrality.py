@@ -603,6 +603,22 @@ def test_closeness_and_harmonic():
     # star centre reaches everyone at distance 1; leaves see 1 + 2*(1/2)
     np.testing.assert_allclose(closeness_harmonic(star(4), "harmonic").values,
                                [3.0, 2.0, 2.0, 2.0], rtol=1e-15)
+    # A long path at the default cap, 31 blocks of 65 sources: node i's
+    # distance sum is i(i+1)/2 + (n-1-i)(n-i)/2, so closeness is exact,
+    # and harmonic stays within D eps of H_i + H_{n-1-i}, D = max(i,
+    # n-1-i) its eccentricity.
+    n = 2000
+    node = np.arange(n)
+    sums = node * (node + 1) // 2 + (n - 1 - node) * (n - node) // 2
+    assert np.array_equal(closeness_harmonic(path(n), "closeness").values,
+                          (n - 1) / sums)
+    harmonic_numbers = [Fraction(0)]
+    for hops in range(1, n):
+        harmonic_numbers.append(harmonic_numbers[-1] + Fraction(1, hops))
+    eps = Fraction(np.finfo(np.float64).eps)
+    for i, value in enumerate(closeness_harmonic(path(n), "harmonic").values):
+        exact = harmonic_numbers[i] + harmonic_numbers[n - 1 - i]
+        assert abs(Fraction(value) - exact) <= max(i, n - 1 - i) * eps * exact
     with pytest.raises(ParameterError):
         closeness_harmonic(path(3), "betweenness")
 

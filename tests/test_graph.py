@@ -541,6 +541,10 @@ def _assert_shares_index_arrays(graph):
     assert np.array_equal(
         csgraph.shortest_path(matrix, indices=0, unweighted=True),
         csgraph.shortest_path(writable, indices=0, unweighted=True))
+    sources = np.arange(graph.node_count)
+    assert np.array_equal(
+        csgraph.shortest_path(matrix, indices=sources, unweighted=True),
+        csgraph.shortest_path(writable, indices=sources, unweighted=True))
     symmetric = not graph.directed
     assert np.array_equal(
         csgraph.reverse_cuthill_mckee(matrix, symmetric_mode=symmetric),
