@@ -13,7 +13,6 @@ from itertools import zip_longest
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError, UsageError)
@@ -43,14 +42,6 @@ LANCZOS_MIN_NODES = 256
 # (shift-invert, and the direct Katz and PageRank starts) where one costs
 # at most that cycle, and shift-invert gets as many solves.
 _ARPACK_NCV = 20
-
-# Where the uniform start spans an invariant subspace, as on a star,
-# ARPACK restarts from a random vector.  scipy 1.17's eigsh draws it from
-# the OS unless given an rng, so it gets a fixed one.  Earlier releases
-# are called without it, as not all of them take one: Fortran ARPACK
-# draws from a seed it advances across calls, which no argument resets.
-_EIGSH_RESTART_SEED = ({"rng": 0} if tuple(
-    map(int, scipy.__version__.split(".")[:2])) >= (1, 17) else {})
 
 # Caps k * len(column_targets) for a block of k closeness/harmonic sources
 # searched by one csgraph.shortest_path call, unless one source alone has
@@ -384,9 +375,10 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
     operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     try:
         # A fixed start vector keeps the result byte-reproducible.
+        # rng=0 seeds ARPACK's restart where v0 spans an invariant subspace.
         vec = eigsh(operator, k=1, which="LA", v0=np.ones(n),
                     tol=arpack_tol if arpack_tol >= EPS else 0,
-                    **_EIGSH_RESTART_SEED)[1][:, 0]
+                    rng=0)[1][:, 0]
     except (ArpackError, _BudgetSpent):
         return None, calls
     # The Perron vector is positive, so entries of the wrong sign are
@@ -771,23 +763,6 @@ def _reach_counts(graph: Graph, start: int, stop: int) -> np.ndarray:
     return counts.reshape(k, levels).T[1:]
 
 
-# Shifts and masks of the SWAR popcount, all np.uint64: numpy 1.24 turns
-# uint64 mixed with int64 into float64.
-_ONE, _TWO, _FOUR, _TOP_BYTE = map(np.uint64, (1, 2, 4, 56))
-_PAIRS, _NIBBLES, _BYTES, _ONES = map(np.uint64, (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-    0x0101010101010101))
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, as int64: bit counts of pairs, then
-    nibbles, then bytes, whose sum a multiply gathers in the top byte."""
-    words = words - ((words >> _ONE) & _PAIRS)
-    words = (words & _NIBBLES) + ((words >> _TWO) & _NIBBLES)
-    words = (words + (words >> _FOUR)) & _BYTES
-    return ((words * _ONES) >> _TOP_BYTE).view(np.int64)
-
-
 def _bit_reach_counts(graph: Graph, start: int, stop: int):
     """Reach counts over sources ``start..stop-1`` of a connected graph,
     one row per level ``L = 1, 2, ...``: entry ``x`` is how many of those
@@ -796,10 +771,11 @@ def _bit_reach_counts(graph: Graph, start: int, stop: int):
     One bottom-up search serves the whole block, with one bit per source
     in ``ceil(k / 64)`` uint64 words per node (Then et al., VLDB 2014): a
     node's next frontier word is the OR of its neighbours' frontier words,
-    less the sources that reached it already.  A level's row popcounts
-    each node's new frontier words.  The graph is undirected, so that
-    count is also how many nodes of the block lie at distance ``L`` from
-    ``x``, and rows summed over blocks are ``x``'s own reach counts.
+    less the sources that reached it already.  A level's row sums
+    ``np.bitwise_count`` over each node's new frontier words.  The graph is
+    undirected, so that count is also how many nodes of the block lie at
+    distance ``L`` from ``x``, and rows summed over blocks are ``x``'s own
+    reach counts.
     """
     n = graph.node_count
     offsets, targets = graph.row_offsets, graph.column_targets
@@ -816,7 +792,7 @@ def _bit_reach_counts(graph: Graph, start: int, stop: int):
         if not frontier.any():
             return
         unseen ^= frontier
-        yield _popcount(frontier).sum(axis=1)
+        yield np.bitwise_count(frontier).sum(axis=1, dtype=np.int64)
 
 
 def _few_levels(graph: Graph) -> bool:

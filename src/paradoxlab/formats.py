@@ -101,8 +101,7 @@ def _int_pairs(lines: list[str], comments: str | None) -> np.ndarray | None:
     or ``None`` if it rejects them or finds another column count.  Blank
     and comment lines are skipped; a rejected file goes to its parser's
     line scan."""
-    # A warning rejects too: numpy warns on input without data, and
-    # before 2.0 reads "1.0" through float with a DeprecationWarning.
+    # A warning rejects too: numpy warns on input without data.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -961,20 +961,18 @@ def test_lanczos_result_is_reproducible():
         _assert_same_result(first, second)
 
 
-@pytest.mark.skipif(
-    not centrality._EIGSH_RESTART_SEED,
-    reason="this scipy's eigsh is not given an rng, and Fortran ARPACK "
-           "advances its restart seed across calls")
 def test_lanczos_count_is_reproducible_through_a_random_restart():
     # The star's Krylov space from the uniform start has dimension 2, so
     # ARPACK restarts from a random vector, drawn from the fixed rng.
     g = star(1000)
-    counts = set()
+    counts, values, lambdas = set(), set(), set()
     for _ in range(6):
-        spectral, _ = eigenvector_centrality(g, tol=1e-8)
+        spectral, vector = eigenvector_centrality(g, tol=1e-8)
         assert spectral.method == "lanczos"
         counts.add(spectral.iterations)
-    assert len(counts) == 1
+        values.add(vector.values.tobytes())
+        lambdas.add(spectral.lambda1)
+    assert len(counts) == len(values) == len(lambdas) == 1
 
 
 @pytest.mark.parametrize("graph, monotone", [

@@ -1,10 +1,15 @@
+import importlib
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from packaging.requirements import Requirement
+from packaging.specifiers import SpecifierSet
 from scipy import sparse
 from scipy.sparse import csgraph
 
@@ -421,6 +426,22 @@ def test_import_leaves_out_csgraph_and_linalg():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_running_stack_meets_the_declared_floors():
+    # The tests import paradoxlab from src/, so no installer has checked
+    # pyproject.toml's floors against this interpreter and these modules.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    stack = [("python", SpecifierSet(project["requires-python"]),
+              "{}.{}.{}".format(*sys.version_info[:3]))]
+    for dependency in map(Requirement, project["dependencies"]):
+        stack.append((dependency.name, dependency.specifier,
+                      importlib.import_module(dependency.name).__version__))
+    short = [f"{name} {version} is not {specifier}"
+             for name, specifier, version in stack
+             if not specifier.contains(version, prereleases=True)]
+    assert not short, short
 
 
 def test_extract_lcc_tie_goes_to_smallest_ids():
