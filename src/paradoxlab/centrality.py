@@ -52,10 +52,11 @@ _ARPACK_NCV = 20
 # their running sum.  Traced peaks were 2.1 MB (closeness) and 3.2 MB
 # (harmonic) on paths of 1000 and 3000 nodes.  A bottom-up search takes W
 # words of 64 sources with W * len(column_targets) within the cap (or W =
-# 1), and gathers W words per arc at each level.  Picked by measurement on
-# paths and heavy-tailed graphs; see CHANGES.md.  bias_distribution caps
-# the unions it solves by it too, and sizes its sampling windows by it
-# from each candidate's expected nodes plus stored arcs.
+# 1), gathers W words per arc at each level, and holds levels x n integer
+# counts, fewer than 128 levels.  Picked by measurement on paths and
+# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the unions
+# it solves by it too, and sizes its sampling windows by it from each
+# candidate's expected nodes plus stored arcs.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -252,12 +253,14 @@ def _band_solver(banded: tuple[np.ndarray, np.ndarray] | None, diagonal,
                  scale: float):
     """The solve of ``diag(diagonal) - scale A`` in node order, for a
     scalar or per-node ``diagonal``, from one LAPACK banded Cholesky
-    factor of the band ``_banded`` gave (``cholesky_banded``, then
-    ``cho_solve_banded`` per right-hand side); ``None`` when that is
-    ``None`` or LAPACK finds the matrix not positive definite."""
+    factor of the band ``_banded`` gave (``dpbtrf``, then ``dpbtrs`` per
+    right-hand side); ``None`` when that is ``None`` or ``dpbtrf`` finds
+    the matrix not positive definite (``info > 0``)."""
     if banded is None:
         return None
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    # Called directly: scipy's cholesky_banded and cho_solve_banded look
+    # the routine up and validate their input on every call.
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
     band, position = banded
 
     def in_band_order(x):
@@ -267,12 +270,10 @@ def _band_solver(banded: tuple[np.ndarray, np.ndarray] | None, diagonal,
 
     matrix = -scale * band
     matrix[0] = in_band_order(diagonal)
-    try:
-        factor = cholesky_banded(matrix, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    factor, info = dpbtrf(matrix, lower=1)
+    if info > 0:
         return None
-    return lambda rhs: cho_solve_banded(
-        (factor, True), in_band_order(rhs), check_finite=False)[position]
+    return lambda rhs: dpbtrs(factor, in_band_order(rhs), lower=1)[0][position]
 
 
 def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
@@ -750,9 +751,8 @@ def _reach_counts(graph: Graph, start: int, stop: int) -> np.ndarray:
     One ``csgraph.shortest_path`` call searches the whole block and
     returns its ``k x n`` float64 distances.  One ``bincount`` of their
     int64 copy plus ``s * levels`` counts each source's row, and the
-    column for distance 0, the source itself, is dropped.  The distances
-    and their copy take 16 bytes per entry, ``k * n <= max(2^18, n)``
-    entries under ``BFS_BLOCK_ARCS``.
+    column for distance 0, the source itself, is dropped.  Its memory
+    bound is stated at ``BFS_BLOCK_ARCS``.
     """
     from scipy.sparse.csgraph import shortest_path
     dist = shortest_path(graph.adjacency, indices=np.arange(start, stop),
@@ -806,8 +806,8 @@ def _few_levels(graph: Graph) -> bool:
     kernel does less work while it runs fewer than 64 levels, as on
     small-world graphs, and csgraph on long paths and strips.  Every
     distance is at most twice that eccentricity, so the bit side counts
-    fewer than 128 levels, in ``levels x n`` integers; the csgraph side
-    holds a few bytes per entry of ``k x n``, at most ``max(2^18, n)``.
+    fewer than 128 levels.  The memory bound of both sides is stated at
+    ``BFS_BLOCK_ARCS``.
     """
     from scipy.sparse.csgraph import shortest_path
     return shortest_path(graph.adjacency, indices=0,
@@ -837,12 +837,8 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     chosen the same way (:func:`_reach_counts`), which counts each
     source's reach in full.  Both give the same counts, and
     :func:`_from_reach_counts` reduces them, so neither measure depends
-    on the kernel or the block size.  The bottom-up side holds ``levels x
-    n`` integer counts, fewer than 128 levels, and gathers ``W *
-    len(column_targets)`` words per level; the csgraph side holds at most
-    16 bytes (closeness) or 24 bytes (harmonic) per entry of ``k x n``,
-    ``k * n <= max(2^18, n)``: 2.1 MB and 3.2 MB of traced peak on paths
-    of 1000 and 3000 nodes.
+    on the kernel or the block size.  The memory bound of both sides is
+    stated at ``BFS_BLOCK_ARCS``.
     """
     if kind not in ("closeness", "harmonic"):
         raise ParameterError(

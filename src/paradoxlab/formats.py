@@ -37,7 +37,7 @@ def parse_edge_list_with_map(text: str,
         directed = True
         # Blanked rather than removed, so that line numbers still count it.
         lines[first] = ""
-    pairs = _edge_array(lines)
+    pairs = _int_pairs(lines, "#", 0, np.iinfo(np.int64).max)
     if pairs is None:
         pairs = _scan_edges(lines)
     ids, mapped = np.unique(pairs.ravel(), return_inverse=True)
@@ -48,18 +48,6 @@ def parse_edge_list_with_map(text: str,
 
 def _uncommented(line: str) -> str:
     return line.split("#", 1)[0].strip()
-
-
-def _edge_array(lines: list[str]) -> np.ndarray | None:
-    """Edge lines as an ``(m, 2)`` int64 array, or ``None`` unless numpy
-    reads them as two nonnegative integer ids per line with no self-loop
-    and at least one edge.  ``None`` sends the file to :func:`_scan_edges`,
-    which finds the faulty line."""
-    pairs = _int_pairs(lines, comments="#")
-    if pairs is None or (pairs < 0).any() or \
-            (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    return pairs
 
 
 def _scan_edges(lines: list[str]) -> np.ndarray:
@@ -96,11 +84,14 @@ def _scan_edges(lines: list[str]) -> np.ndarray:
         return np.array(pairs, dtype=object)
 
 
-def _int_pairs(lines: list[str], comments: str | None) -> np.ndarray | None:
+def _int_pairs(lines: list[str], comments: str | None, least: int,
+               most: int) -> np.ndarray | None:
     """The lines read by numpy as an ``(m, 2)`` int64 array with ``m > 0``,
-    or ``None`` if it rejects them or finds another column count.  Blank
-    and comment lines are skipped; a rejected file goes to its parser's
-    line scan."""
+    every id in ``[least, most]`` and no self-loop; ``None`` if numpy
+    rejects them or any of that fails.  Blank and comment lines are
+    skipped.  ``None`` sends the file to its parser's line scan
+    (:func:`_scan_edges` or :func:`_scan_entries`), which finds the faulty
+    line."""
     # A warning rejects too: numpy warns on input without data.
     try:
         with warnings.catch_warnings():
@@ -109,7 +100,10 @@ def _int_pairs(lines: list[str], comments: str | None) -> np.ndarray | None:
                                ndmin=2)
     except (ValueError, OverflowError, Warning):
         return None
-    return pairs if pairs.shape[1] == 2 else None
+    if pairs.shape[1] != 2 or ((pairs < least) | (pairs > most)).any() or \
+            (pairs[:, 0] == pairs[:, 1]).any():
+        return None
+    return pairs
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -182,9 +176,13 @@ def parse_matrix_market(text: str) -> Graph:
         raise InputError(
             f"adjacency matrix must be square, got {rows} x {cols}")
     entries = lines[size_at + 1:]
-    pairs = _entry_array(entries, rows)
+    # numpy warns on an empty body, which would send it to the line scan.
+    pairs = (_int_pairs(entries, None, 1, rows) if entries
+             else np.empty((0, 2), dtype=np.int64))
     if pairs is None or len(pairs) != nnz:
         pairs = _scan_entries(entries, size_no + 1, rows, nnz)
+    else:
+        pairs -= 1
     build = build_undirected if symmetry == "symmetric" else build_directed
     return build(rows, pairs)
 
@@ -192,20 +190,6 @@ def parse_matrix_market(text: str) -> Graph:
 def _is_body(line: str) -> bool:
     """Not blank and not a ``%`` comment."""
     return bool(line.strip()) and not line.lstrip().startswith("%")
-
-
-def _entry_array(entries: list[str], rows: int) -> np.ndarray | None:
-    """Entry lines as an ``(m, 2)`` int64 array of 0-based ids, or ``None``
-    unless numpy reads every line as two integer indices in range and off
-    the diagonal (blank lines aside).  ``None`` sends the file to
-    :func:`_scan_entries`, which finds the faulty line."""
-    if not entries:
-        return np.empty((0, 2), dtype=np.int64)
-    pairs = _int_pairs(entries, comments=None)
-    if pairs is None or ((pairs < 1) | (pairs > rows)).any() or \
-            (pairs[:, 0] == pairs[:, 1]).any():
-        return None
-    return pairs - 1
 
 
 def _scan_entries(entries: list[str], first_no: int, rows: int,

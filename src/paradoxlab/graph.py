@@ -51,9 +51,16 @@ class Graph:
     degree_seq: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.row_offsets, self.column_targets,
-                    self.multiplicities, self.degree_seq):
+        # Whatever integer arrays a caller builds, the graph stores them in
+        # the index dtype, so that ``adjacency`` always shares them.
+        dtype = _index_dtype(self.node_count, int(self.degree_seq.sum()))
+        for name in ("row_offsets", "column_targets", "multiplicities"):
+            arr = getattr(self, name)
+            if arr.dtype != dtype:
+                arr = arr.astype(dtype)
+                object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+        self.degree_seq.setflags(write=False)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -201,11 +208,9 @@ def _validated_pairs(node_count: int,
     return pairs
 
 
-def _offsets(row_lengths: np.ndarray,
-             dtype: type[np.signedinteger]) -> np.ndarray:
-    """CSR row offsets of rows of ``row_lengths`` entries, summed in int64
-    and stored as ``dtype``."""
-    offsets = np.zeros(len(row_lengths) + 1, dtype=dtype)
+def _offsets(row_lengths: np.ndarray) -> np.ndarray:
+    """CSR row offsets of rows of ``row_lengths`` entries, in int64."""
+    offsets = np.zeros(len(row_lengths) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum(row_lengths, dtype=np.int64)
     return offsets
 
@@ -213,16 +218,14 @@ def _offsets(row_lengths: np.ndarray,
 def _assemble(node_count: int, arcs: np.ndarray, edge_count: int,
               directed: bool) -> Graph:
     rows, cols = arcs[:, 0], arcs[:, 1]
-    dtype = _index_dtype(node_count, len(arcs))
     # Row-major int64 keys, below node_count**2, sort by row and then by
     # column.
     keys, counts = np.unique(rows * node_count + cols, return_counts=True)
     row_lengths = np.bincount(keys // node_count, minlength=node_count)
     degrees = np.bincount(rows, minlength=node_count)
     return Graph(node_count, edge_count, directed,
-                 row_offsets=_offsets(row_lengths, dtype),
-                 column_targets=(keys % node_count).astype(dtype),
-                 multiplicities=counts.astype(dtype),
+                 row_offsets=_offsets(row_lengths),
+                 column_targets=keys % node_count, multiplicities=counts,
                  degree_seq=degrees.astype(np.int64, copy=False))
 
 
@@ -284,15 +287,11 @@ def _restrict(graph: Graph, inside: np.ndarray) -> tuple[Graph, np.ndarray]:
     lengths = np.diff(graph.row_offsets)
     entries = np.repeat(inside, lengths)
     degrees = graph.degree_seq[keep]
-    arcs = int(degrees.sum())
-    dtype = _index_dtype(len(keep), arcs)
     new_id = np.cumsum(inside, dtype=np.int64) - 1
-    return Graph(len(keep), arcs // 2, directed=False,
-                 row_offsets=_offsets(lengths[keep], dtype),
-                 column_targets=new_id[graph.column_targets[entries]].astype(
-                     dtype, copy=False),
-                 multiplicities=graph.multiplicities[entries].astype(
-                     dtype, copy=False),
+    return Graph(len(keep), int(degrees.sum()) // 2, directed=False,
+                 row_offsets=_offsets(lengths[keep]),
+                 column_targets=new_id[graph.column_targets[entries]],
+                 multiplicities=graph.multiplicities[entries],
                  degree_seq=degrees), keep
 
 
@@ -336,27 +335,24 @@ def _connected_blocks(union: Graph, sizes: Sequence[int],
     kept = np.zeros(len(component_sizes), dtype=bool)
     kept[chosen[accepted]] = True
     cut, _ = _restrict(union, kept[labels])
+    block_nodes = component_sizes[chosen[accepted]]
+    edges = np.add.reduceat(cut.degree_seq,
+                            np.cumsum(block_nodes) - block_nodes) // 2
     graphs: list[Graph | None] = [None] * len(sizes)
     lo = 0
-    for b, nodes in zip(np.flatnonzero(accepted).tolist(),
-                        component_sizes[chosen[accepted]].tolist()):
+    for b, nodes, edge_count in zip(np.flatnonzero(accepted).tolist(),
+                                    block_nodes.tolist(), edges.tolist()):
         hi = lo + nodes
         first_arc, stop_arc = (int(cut.row_offsets[lo]),
                                int(cut.row_offsets[hi]))
-        degrees = cut.degree_seq[lo:hi]
-        arcs = int(degrees.sum())
-        dtype = _index_dtype(nodes, arcs)
         # A block's offsets and ids lie between 0 and the cut's, so they
         # are shifted in the cut's dtype without wrapping.
         graphs[b] = _known_connected(Graph(
-            nodes, arcs // 2, directed=False,
-            row_offsets=(cut.row_offsets[lo:hi + 1] - first_arc).astype(
-                dtype, copy=False),
-            column_targets=(cut.column_targets[first_arc:stop_arc]
-                            - lo).astype(dtype, copy=False),
-            multiplicities=cut.multiplicities[first_arc:stop_arc].astype(
-                dtype, copy=False),
-            degree_seq=degrees))
+            nodes, edge_count, directed=False,
+            row_offsets=cut.row_offsets[lo:hi + 1] - first_arc,
+            column_targets=cut.column_targets[first_arc:stop_arc] - lo,
+            multiplicities=cut.multiplicities[first_arc:stop_arc],
+            degree_seq=cut.degree_seq[lo:hi]))
         lo = hi
     return graphs
 
@@ -376,10 +372,8 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
                     dtype=np.int64)
     node_starts = np.cumsum(nodes) - nodes
     arc_starts = np.cumsum(arcs) - arcs
-    degrees = np.concatenate([graph.degree_seq for graph in graphs])
-    dtype = _index_dtype(int(nodes.sum()), int(degrees.sum()))
-    # Shifted in int64, in place, then cast once: the union may hold many
-    # arcs, and its offsets may outgrow each part's index dtype.
+    # Shifted in int64, in place, and cast once by Graph: the union may
+    # hold many arcs, and its offsets may outgrow each part's index dtype.
     offsets = np.concatenate([[0]] + [graph.row_offsets[1:]
                                       for graph in graphs], dtype=np.int64)
     offsets[1:] += np.repeat(arc_starts, nodes)
@@ -387,11 +381,11 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
                              dtype=np.int64)
     targets += np.repeat(node_starts, arcs)
     return Graph(int(nodes.sum()), sum(graph.edge_count for graph in graphs),
-                 directed.pop(), row_offsets=offsets.astype(dtype),
-                 column_targets=targets.astype(dtype),
+                 directed.pop(), row_offsets=offsets, column_targets=targets,
                  multiplicities=np.concatenate(
-                     [graph.multiplicities for graph in graphs], dtype=dtype),
-                 degree_seq=degrees)
+                     [graph.multiplicities for graph in graphs]),
+                 degree_seq=np.concatenate(
+                     [graph.degree_seq for graph in graphs]))
 
 
 def _as_vector(graph: Graph, x) -> np.ndarray:

@@ -461,7 +461,7 @@ def test_katz_falls_back_to_conjugate_gradients_when_the_factor_fails(
         return run_cg(*args)
 
     monkeypatch.setattr(centrality, "_katz_cg", watched)
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         _not_positive_definite)
     got = katz_centrality(g, alpha)
     assert started == [300]
@@ -1174,7 +1174,7 @@ def test_enclosure_reuses_the_final_image(monkeypatch):
 
 def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
     factored, ordered = [], []
-    real_factor = scipy.linalg.cholesky_banded
+    real_factor = scipy.linalg.lapack.dpbtrf
     real_order = csgraph.reverse_cuthill_mckee
 
     def factor_spy(band, *args, **kwargs):
@@ -1185,7 +1185,7 @@ def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
         ordered.append(matrix.shape[0])
         return real_order(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", factor_spy)
     monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", order_spy)
     for g in (path(300), path(1000), _permuted_path(300, 13)):
         factored.clear()
@@ -1207,13 +1207,13 @@ def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
 
 def test_shift_invert_budget_counts_solves(monkeypatch):
     solves = []
-    real_solve = scipy.linalg.cho_solve_banded
+    real_solve = scipy.linalg.lapack.dpbtrs
 
     def counted(factor, rhs, *args, **kwargs):
         solves.append(len(rhs))
         return real_solve(factor, rhs, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", counted)
     needed = eigenvector_centrality(path(300))[0].iterations
     assert len(solves) == needed
     spectral, _ = eigenvector_centrality(path(300), max_iters=needed + 1)
@@ -1246,8 +1246,9 @@ def test_shift_invert_result_is_reproducible():
                         eigenvector_centrality(path(1000)))
 
 
-def _not_positive_definite(*args, **kwargs):
-    raise np.linalg.LinAlgError("not positive definite")
+def _not_positive_definite(band, *args, **kwargs):
+    # dpbtrf's info > 0: a leading minor is not positive definite.
+    return band, 1
 
 
 @pytest.mark.parametrize("kind", ["stall", "mixed sign", "slow",
@@ -1268,8 +1269,8 @@ def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
     if kind == "stall":
         # A solve that gives back its right-hand side, which leaves the
         # residual where it was.
-        monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
-                            lambda factor, rhs, **kwargs: rhs.copy())
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
+                            lambda factor, rhs, **kwargs: (rhs.copy(), 0))
     elif kind == "mixed sign":
         # A true eigenvector with a positive sum, but not the Perron one:
         # it passes the solves' stop test and fails the positivity check.
@@ -1278,11 +1279,11 @@ def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
         assert vec.sum() > 0 and (vec < 0).any()
         in_band_order = np.empty_like(vec)
         in_band_order[centrality._banded(g)[1]] = vec
-        monkeypatch.setattr(scipy.linalg, "cho_solve_banded",
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
                             lambda factor, rhs, **kwargs:
-                            in_band_order.copy())
+                            (in_band_order.copy(), 0))
     elif kind == "not positive definite":
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+        monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                             _not_positive_definite)
     lanczos = []
     real = centrality._lanczos
@@ -1517,13 +1518,13 @@ def test_banded_pagerank_matches_the_power_loop():
 
 def test_pagerank_keeps_the_power_loop_off_the_banded_solve(monkeypatch):
     factored = []
-    real_factor = scipy.linalg.cholesky_banded
+    real_factor = scipy.linalg.lapack.dpbtrf
 
     def factor_spy(band, *args, **kwargs):
         factored.append(band.shape[1])
         return real_factor(band, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", factor_spy)
     pairs = edge_pairs(path(300))
     bidirected = build_directed(300, pairs + [(j, i) for i, j in pairs])
     # Regular graphs keep the exact uniform vector.
@@ -1534,7 +1535,7 @@ def test_pagerank_keeps_the_power_loop_off_the_banded_solve(monkeypatch):
         assert (got.iterations, got.residual) == (iterations, residual)
     assert factored == []
     # A factor that LAPACK rejects leaves the power loop to do it all.
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded",
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         _not_positive_definite)
     vec, iterations, residual = _scalar_pagerank(path(300), 0.15)
     got = pagerank_centrality(path(300), 0.15)

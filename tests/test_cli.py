@@ -190,6 +190,18 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3 and "residual" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("gen", "--model", "configuration", "--degree-sequence", "1,x"),
+     "--degree-sequence must be comma-separated integers, got '1,x'"),
+    (("gen", "--model", "path"), "--n is required when generating a graph"),
+    (("gen", "--n", "4"), "gen requires --model"),
+    (("bias", "--measure", "degree", "--n", "4"),
+     "bias requires --model (an ensemble recipe)"),
+])
+def test_incomplete_commands_exit_one(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 # The exit code documented for each error class.
 EXIT_CODES = {UsageError: 1, ParameterError: 1, InputError: 2,
               PreconditionError: 2, RangeError: 2, GenerationError: 2,

@@ -70,6 +70,20 @@ def test_spec_validation():
         RandomGraphSpec(model="preferential_attachment", n=3, m_attach=0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"model": "star", "n": 1}, "star needs at least 2 nodes"),
+    ({"model": "complete", "n": 1}, "complete graph needs at least 2 nodes"),
+    ({"model": "configuration", "n": 2, "degree_sequence": (-1, 1)},
+     "degrees must be nonnegative"),
+    ({"model": "configuration", "n": 2, "degree_sequence": (2, 2)},
+     "degrees must be below n for a simple target"),
+])
+def test_spec_rejections_name_their_rule(fields, message):
+    with pytest.raises(ParameterError) as info:
+        RandomGraphSpec(**fields)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("fields", [
     pytest.param({"model": "erdos_renyi", "n": 10, "p": 0.1,
                   "lcc_extract": "no"}, id="lcc_extract_str"),

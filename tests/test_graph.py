@@ -121,6 +121,18 @@ def test_graph_equality(p6):
     assert p6 != path(5)
 
 
+def test_graph_leaves_other_types_to_their_own_equality(p6):
+    assert p6.__eq__(edge_pairs(p6)) is NotImplemented
+    assert p6 != edge_pairs(p6) and p6 != p6.degree_seq.tolist()
+
+
+def test_component_labels_reject_a_digraph():
+    with pytest.raises(UsageError) as info:
+        connected_component_labels(build_directed(3, [(0, 1), (1, 2)]))
+    assert str(info.value) == \
+        "component labels are defined for undirected graphs"
+
+
 def test_connectivity():
     assert is_connected(path(4))
     two_parts = build_undirected(4, [(0, 1), (2, 3)])
@@ -584,8 +596,15 @@ def test_adjacency_shares_the_graph_index_arrays(p6, hub_digraph):
     parts = [p6, star(4), multigraph]
     lcc, _ = extract_lcc(multigraph)
     blocks = _connected_blocks(disjoint_union(parts), [6, 4, 4], True)
+    # Graph stores arrays of any integer dtype in its index dtype: int8
+    # ones here, and int64 ones from the scipy reference.
+    int8 = Graph(6, 5, False, *(getattr(p6, name).astype(np.int8) for name in
+                                ("row_offsets", "column_targets",
+                                 "multiplicities")), degree_seq=p6.degree_seq)
+    reference = _reference_build(4, [(0, 1), (1, 0), (0, 1), (2, 3)], False)
     for graph in [p6, hub_digraph, multigraph, lcc, disjoint_union(parts),
-                  build_undirected(1, []), build_directed(1, []), *blocks]:
+                  build_undirected(1, []), build_directed(1, []), *blocks,
+                  int8, reference]:
         _assert_shares_index_arrays(graph)
 
 
@@ -608,6 +627,12 @@ def test_disjoint_union_offsets_are_int64_sums():
 
     parts = [complete(9), path(60), complete(10), cycle(50)]
     union = disjoint_union([narrow(part) for part in parts])
+    # Graph casts the int8 parts, and the union's int64 sums, to the index
+    # dtype.
+    assert {getattr(graph, name).dtype for graph in (narrow(parts[0]), union)
+            for name in ("row_offsets", "column_targets", "multiplicities")
+            } == {np.dtype(_index_dtype(union.node_count,
+                                        int(union.degree_seq.sum())))}
     nodes = np.array([part.node_count for part in parts], dtype=np.int64)
     arcs = np.array([len(part.column_targets) for part in parts],
                     dtype=np.int64)

@@ -58,7 +58,7 @@ def test_fast_path_agrees_with_the_line_scan(monkeypatch):
     rng = random.Random(2024)
     texts = [_random_file(rng) for _ in range(3000)]
     fast = [_outcome(text) for text in texts]
-    monkeypatch.setattr(formats, "_entry_array", lambda entries, rows: None)
+    monkeypatch.setattr(formats, "_int_pairs", lambda *args: None)
     scanned = [_outcome(text) for text in texts]
     assert fast == scanned
     # Both paths were exercised: some files parse, some fail.
@@ -117,9 +117,26 @@ def test_blank_entry_lines_read_without_a_warning():
     ("3 3 2\n1\n2 3 1\n", "line 3: pattern entries need exactly two"),
     ("3 3 1\n1.0 2\n", "line 3: entry indices must be integers"),
     ("3 3 1\n1e3 2\n", "line 3: entry indices must be integers"),
+    ("", "missing Matrix Market size line"),
+    ("% only a comment\n\n", "missing Matrix Market size line"),
+    ("3 3\n", "line 2: size line must hold rows, columns and entry count"),
+    ("3 3 2 1\n",
+     "line 2: size line must hold rows, columns and entry count"),
+    ("3 3 x\n", "line 2: size line must be integer"),
 ])
 def test_rejected_entries_name_their_line(body, message):
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n" + body
     with pytest.raises(InputError) as info:
         parse_matrix_market(text)
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("banner", [
+    "%%MatrixMarket matrix coordinate pattern",
+    "%%MatrixMarket matrix coordinate pattern symmetric extra",
+    "%%MatrixMarket vector coordinate pattern general",
+])
+def test_banner_needs_five_tokens_naming_a_matrix(banner):
+    with pytest.raises(InputError) as info:
+        parse_matrix_market(banner + "\n3 3 0\n")
+    assert str(info.value) == f"unsupported banner {banner!r}"

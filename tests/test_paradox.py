@@ -413,6 +413,16 @@ def test_bias_distribution_is_zero_on_regular_family():
     assert dist.fraction_negative == 0.0
 
 
+def test_bias_distribution_is_zero_on_complete_graphs():
+    spec = RandomGraphSpec(model="complete", n=5)
+    # Nodes plus both arcs of every edge, which sizes the sampling window.
+    assert paradox._mean_extent(spec) == 5 + 5 * 4
+    dist = bias_distribution(spec, CentralityParams(kind="degree"),
+                             n_graphs=3, seed=0)
+    assert dist.samples.tolist() == [0.0] * 15
+    assert dist.histogram == [(0.0, 0.0, 15)]
+
+
 def test_bias_distribution_star_family_closed_form():
     spec = RandomGraphSpec(model="star", n=6)
     dist = bias_distribution(spec, CentralityParams(kind="degree"),
