@@ -11,9 +11,11 @@ back to the same double, so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -120,20 +122,25 @@ def emit_edge_list(graph: Graph) -> str:
     return text or "\n"
 
 
-# Rows rendered per call in _pair_lines and per C-encoder call in
-# emit_json, so that their transient Python objects and copies of the text
-# span one slice instead of the whole graph or table.
+# Rows rendered per %-format by _sliced, so that their transient Python
+# objects and copies of the text span one slice instead of the whole graph
+# or table.
 _SLICE_ROWS = 2048
 
 
+def _sliced(rows, row_format: str, values, sep: str = "") -> str:
+    """``row_format`` per row of ``rows``, joined by ``sep``: one
+    ``%``-format per slice, filled from ``values(slice)`` in row order."""
+    return sep.join(
+        (row_format + (sep + row_format) * (len(part) - 1))
+        % tuple(values(part))
+        for part in (rows[lo:lo + _SLICE_ROWS]
+                     for lo in range(0, len(rows), _SLICE_ROWS)))
+
+
 def _pair_lines(pairs: np.ndarray) -> str:
-    """One ``i j`` line per row of an ``(m, 2)`` integer array, rendered
-    by one ``%``-format per slice of rows."""
-    parts = []
-    for lo in range(0, len(pairs), _SLICE_ROWS):
-        rows = pairs[lo:lo + _SLICE_ROWS]
-        parts.append(("%d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
+    """One ``i j`` line per row of an ``(m, 2)`` integer array."""
+    return _sliced(pairs, "%d %d\n", lambda rows: rows.ravel().tolist())
 
 
 def parse_matrix_market(text: str) -> Graph:
@@ -276,67 +283,69 @@ def report_payload(doc: ReportDocument) -> dict:
     return payload
 
 
-# Between two flat rows of the indented node table.
-_ROW_BREAK = "\n    },\n    {\n      "
-
-
 def emit_json(payload: dict) -> str:
     """JSON with two-space indentation and insertion key order; floats use
     repr, so serialisation is byte-stable and lossless.
 
-    The text is ``json.dumps(payload, indent=2)`` plus a newline.  With
-    ``indent`` set, CPython's ``json`` runs its pure-Python encoder, so a
-    ``node_table`` of flat rows, the one section whose size grows with the
-    graph, is rendered by the C encoder, a slice of rows at a time, and
-    indented afterwards.
+    The text is ``json.dumps(payload, indent=2)`` plus a newline; only a
+    ``node_table`` that :func:`_row_template` admits, the one section that
+    grows with the graph, is written by that template, a slice at a time.
     """
     table = payload.get("node_table") if isinstance(payload, dict) else None
-    if not _flat_rows(table):
+    template = _row_template(table)
+    if template is None:
         return json.dumps(payload, indent=2) + "\n"
     text = json.dumps(dict(payload, node_table=None), indent=2)
     # Top-level keys are the only lines indented by exactly two spaces.
     head, _, tail = text.partition('\n  "node_table": null')
-    parts = [head, '\n  "node_table": [\n    {\n      ']
-    for lo in range(0, len(table), _SLICE_ROWS):
-        if lo:
-            parts.append(_ROW_BREAK)
-        # Strings escape their NULs, so every raw NUL is an item
-        # separator, and flat rows meet exactly at "},\0{".
-        rows = json.dumps(table[lo:lo + _SLICE_ROWS],
-                          separators=(",\x00", ": "))[2:-2]
-        parts.append(rows.replace("},\x00{", _ROW_BREAK).replace(
-            ",\x00", ",\n      "))
-    parts += ["\n    }\n  ]", tail, "\n"]
-    return "".join(parts)
+    rows = _sliced(table, template, lambda part: chain.from_iterable(
+        map(dict.values, part)), ",\n    ")
+    return f'{head}\n  "node_table": [\n    {rows}\n  ]{tail}\n'
 
 
-def _flat_rows(table) -> bool:
-    """Whether ``table`` is a non-empty list of non-empty dicts holding no
-    list, tuple or dict, checked without a Python-level loop."""
-    if type(table) is not list or not table or \
-            set(map(type, table)) != {dict} or not all(table):
-        return False
-    values = chain.from_iterable(map(dict.values, table))
-    return not any(issubclass(kind, (list, tuple, dict))
-                   for kind in set(map(type, values)))
+def _row_template(table) -> str | None:
+    """The indented ``%``-format of a row of ``table``, or ``None`` unless
+    it is a non-empty list of dicts with one key order of ``str`` keys and
+    each column holds only ``int`` (``%d``) or only finite ``float``
+    (``%r``), the types whose text these share with ``json``."""
+    if type(table) is not list or set(map(type, table)) != {dict}:
+        return None
+    keys = [*table[0]]
+    # No dict holds a key twice, so this gives each row ``keys`` in order.
+    if set(map(type, keys)) != {str} or \
+            list(chain.from_iterable(table)) != keys * len(table):
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, table)))
+    fields = []
+    for at, key in enumerate(keys):
+        column = values[at::len(keys)]
+        kinds = set(map(type, column))
+        # An overflowing sum only sends a finite table to json.dumps.
+        if kinds != {int} and (kinds != {float}
+                               or not math.isfinite(sum(column))):
+            return None
+        fields.append(json.dumps(key).replace("%", "%%")
+                      + (": %d" if kinds == {int} else ": %r"))
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 _NODE_COLUMNS = ("id", "degree", "r", "neighbor_avg", "delta")
 
 
 def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
-    """Serialise a report; ``csv`` needs a node table and renders only it."""
+    """Serialise a report: JSON by :func:`emit_json`, or ``csv``, which
+    needs a node table and writes only it, a ``%s`` row template per slice
+    of rows; ``str`` writes numpy floats as ``json`` writes floats."""
     if fmt == "json":
         return emit_json(report_payload(doc))
     if fmt == "csv":
         if doc.node_table is None:
             raise UsageError("csv output needs a node table; this report "
                              "has none")
-        # str writes Python and numpy floats as the JSON encoder does.
-        lines = [",".join(_NODE_COLUMNS)] + [
-            ",".join([str(row[col]) for col in _NODE_COLUMNS])
-            for row in doc.node_table]
-        return "\n".join(lines) + "\n"
+        cells = itemgetter(*_NODE_COLUMNS)
+        return ",".join(_NODE_COLUMNS) + "\n" + _sliced(
+            doc.node_table, "%s,%s,%s,%s,%s\n",
+            lambda rows: chain.from_iterable(map(cells, rows)))
     raise UsageError(f"unknown report format {fmt!r}; expected json or csv")
 
 

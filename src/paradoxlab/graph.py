@@ -53,7 +53,8 @@ class Graph:
     def __post_init__(self):
         # Whatever integer arrays a caller builds, the graph stores them in
         # the index dtype, so that ``adjacency`` always shares them.
-        dtype = _index_dtype(self.node_count, int(self.degree_seq.sum()))
+        dtype = _index_dtype(self.node_count, self.edge_count if
+                             self.directed else 2 * self.edge_count)
         for name in ("row_offsets", "column_targets", "multiplicities"):
             arr = getattr(self, name)
             if arr.dtype != dtype:

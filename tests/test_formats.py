@@ -320,12 +320,13 @@ def _payloads(table):
 
 
 def test_emit_json_is_json_dumps_with_indent():
-    for tables, flat in ((FLAT_TABLES, True), (GENERIC_TABLES, False)):
-        for table in tables:
-            assert formats._flat_rows(table) is flat
-            for payload in _payloads(table):
-                assert emit_json(payload) == \
-                    json.dumps(payload, indent=2) + "\n"
+    # Only the table of one int column gets a row template: NaN, infinity,
+    # bools, None, str values, non-str keys and nesting all fall back.
+    for table in FLAT_TABLES + GENERIC_TABLES:
+        assert (formats._row_template(table) is None) is \
+            (table is not FLAT_TABLES[-1])
+        for payload in _payloads(table):
+            assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
     assert emit_json({}) == "{}\n"
     assert emit_json({"meta": 1}) == '{\n  "meta": 1\n}\n'
 
@@ -344,6 +345,88 @@ def test_emit_json_renders_tables_longer_than_a_slice():
     payload = {"graph_meta": {"n": len(table)}, "node_table": table,
                "tool_version": "x"}
     assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_emit_json_renders_templated_tables_longer_than_a_slice():
+    table = [{"id": i, "r": i / 7, "%d \"q\"\x00": -i * 2 ** 60}
+             for i in range(2 * formats._SLICE_ROWS + 1)]
+    assert formats._row_template(table) == \
+        '{\n      "id": %d,\n      "r": %r,\n' \
+        '      "%%d \\"q\\"\\u0000": %d\n    }'
+    payload = {"graph_meta": {"n": len(table)}, "node_table": table,
+               "tool_version": "x"}
+    assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1.7976931348623157e308])
+_COLUMNS = {
+    "int": st.integers() | st.sampled_from([2 ** 63, -2 ** 63 - 1, 10 ** 30]),
+    "finite": _FINITE,
+    "float": st.floats() | _FINITE,
+    "mixed": st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                       st.text(max_size=3)),
+}
+_KEYS = st.text(max_size=4) | st.sampled_from(
+    ["%", "%d", "%(a)s", '"', "\x00"])
+
+
+@st.composite
+def node_tables(draw):
+    """Tables of int, float and mixed columns, about half of them fit for
+    a row template, with one row reordered or cut, or one key not ``str``,
+    now and then."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)),
+                          min_size=len(keys), max_size=len(keys)))
+    rows = draw(st.lists(st.tuples(*(_COLUMNS[kind] for kind in kinds)),
+                         min_size=1, max_size=7))
+    table = [dict(zip(keys, row)) for row in rows]
+    at = draw(st.integers(0, len(table) - 1))
+    change = draw(st.sampled_from([None] * 4 + ["reorder", "cut", "key"]))
+    if change == "reorder":
+        table[at] = dict(reversed(table[at].items()))
+    elif change == "cut":
+        del table[at][keys[-1]]
+    elif change == "key":
+        key = draw(st.integers() | st.floats() | st.booleans() | st.none())
+        table = [{key if k == keys[0] else k: v for k, v in row.items()}
+                 for row in table]
+    return table
+
+
+@pytest.mark.parametrize("slice_rows", [1, formats._SLICE_ROWS])
+@settings(max_examples=300, deadline=None)
+@given(node_tables())
+def test_emit_json_is_json_dumps_on_any_node_table(slice_rows, table):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_SLICE_ROWS", slice_rows)
+        for payload in _payloads(table):
+            assert emit_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def _per_row_csv(table):
+    """The per-row ``str`` join that the CSV report used to run."""
+    lines = [",".join(formats._NODE_COLUMNS)] + [
+        ",".join([str(row[col]) for col in formats._NODE_COLUMNS])
+        for row in table]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, formats._SLICE_ROWS])
+def test_report_csv_is_the_per_row_str_join(monkeypatch, slice_rows):
+    cells = [0, -3, 2 ** 70, True, False, None, "a,b", "", 0.1, -0.0,
+             5e-324, 1e16, float("nan"), float("-inf"), np.float64(0.1) * 3,
+             np.float64(-0.0), np.float32(0.1), np.int64(-7), np.nan,
+             (1, 2), "%s"]
+    table = [{col: cells[(k + 3 * c) % len(cells)]
+              for c, col in enumerate(reversed(formats._NODE_COLUMNS))}
+             for k in range(2 * len(cells))]
+    tables = [[], table[:1], table, [dict(row, extra=1) for row in table]]
+    monkeypatch.setattr(formats, "_SLICE_ROWS", slice_rows)
+    for rows in tables:
+        doc = ReportDocument(graph_meta={"n": len(rows)}, node_table=rows)
+        assert emit_report(doc, "csv") == _per_row_csv(rows)
 
 
 @pytest.mark.parametrize("table", [

@@ -616,6 +616,27 @@ def test_index_dtype_is_int32_below_two_to_the_31():
         assert _index_dtype(count, 0) == _index_dtype(0, count) == np.int64
 
 
+def test_edge_counts_are_the_arc_counts_of_the_degree_sequences():
+    # Graph reads its arc count, which fixes the index dtype, from
+    # edge_count, doubled when undirected; every constructor passes the
+    # count that its degree sequence sums to.
+    multigraph = build_undirected(7, [(0, 1), (1, 0), (0, 1), (2, 3),
+                                      (4, 5), (5, 6), (6, 4)])
+    digraph = build_directed(5, [(0, 1), (0, 1), (1, 0), (4, 2), (3, 2)])
+    parts = [path(6), multigraph, cycle(5), build_undirected(1, [])]
+    union = disjoint_union(parts)
+    sizes = [part.node_count for part in parts]
+    graphs = [multigraph, digraph, build_undirected(1, []),
+              build_directed(1, []), extract_lcc(multigraph)[0],
+              extract_lcc(union)[0], union, disjoint_union([digraph] * 3),
+              *_connected_blocks(union, sizes, True),
+              *filter(None, _connected_blocks(union, sizes, False))]
+    for graph in graphs:
+        arcs = graph.edge_count if graph.directed else 2 * graph.edge_count
+        assert int(graph.degree_seq.sum()) == arcs
+        assert int(graph.multiplicities.sum()) == arcs
+
+
 def test_disjoint_union_offsets_are_int64_sums():
     # Parts in a narrow dtype: shifting their offsets and targets in it
     # would wrap past 127.

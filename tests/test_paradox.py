@@ -18,7 +18,8 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
                         paradox_report, symmetrization_identity)
 from paradoxlab import centrality, generators, paradox
 from paradoxlab.rng import SplitMix64
-from conftest import complete, connected_sample, cycle, path, star
+from conftest import (complete, connected_sample, cycle, hop_distances, path,
+                      star)
 
 
 def random_connected(rng, max_nodes=12):
@@ -862,3 +863,63 @@ def test_directed_reports_use_out_degrees(hub_digraph):
         eaves_check(hub_digraph, 1)
     with pytest.raises(InputError):
         exact_degree_stats(hub_digraph)
+
+
+# Closeness and harmonic lie outside the paper's theorem, and these graphs
+# violate the inequality for them.  The barbell K_5-P_6-K_5: two 5-cliques
+# joined through the six path nodes 5..10.
+BARBELL = [(i, j) for i in range(5) for j in range(i + 1, 5)] + \
+    [(k, k + 1) for k in range(4, 11)] + \
+    [(i, j) for i in range(11, 16) for j in range(i + 1, 16)]
+# A 16-node, 43-edge graph found by a local search over edge toggles.
+SEARCHED = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+    (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 7), (4, 5),
+    (4, 8), (5, 6), (6, 7), (7, 8), (7, 13), (8, 9), (8, 14), (9, 10),
+    (9, 11), (9, 12), (9, 15), (10, 11), (10, 12), (10, 13), (10, 14),
+    (10, 15), (11, 12), (11, 13), (11, 14), (11, 15), (12, 13), (12, 14),
+    (12, 15), (13, 15), (14, 15)]
+
+
+def _exact_slack(graph, kind):
+    """``mu_bar - mu`` of closeness or harmonic as a ``Fraction``, from
+    breadth-first distances."""
+    n = graph.node_count
+    dists = [hop_distances(graph.row_offsets, graph.column_targets, i
+                           ).tolist() for i in range(n)]
+    if kind == "closeness":
+        r = [Fraction(n - 1, sum(row)) for row in dists]
+    else:
+        r = [sum(Fraction(1, d) for d in row if d) for row in dists]
+    offsets, targets = graph.row_offsets.tolist(), graph.column_targets
+    mu_bar = sum(Fraction(sum(r[j] for j in targets[lo:hi].tolist()),
+                          hi - lo)
+                 for lo, hi in zip(offsets, offsets[1:])) / n
+    return mu_bar - sum(r) / n
+
+
+@pytest.mark.parametrize("edges, violated", [
+    (BARBELL, {"closeness": "-4.98e-05"}),
+    (SEARCHED, {"closeness": "-4.68e-03", "harmonic": "-1.11e-02"}),
+])
+def test_closeness_and_harmonic_can_violate_the_inequality(edges, violated):
+    graph = build_undirected(16, edges)
+    assert graph.edge_count == len(edges) and is_connected(graph)
+    for kind in ("closeness", "harmonic"):
+        report = paradox_report(graph, compute(graph, CentralityParams(kind)))
+        exact = _exact_slack(graph, kind)
+        assert report.slack == pytest.approx(float(exact), rel=1e-9)
+        assert report.paradox_holds is (kind not in violated)
+        if kind in violated:
+            assert f"{float(exact):.2e}" == violated[kind]
+    if "harmonic" in violated:
+        assert _exact_slack(graph, "harmonic") == Fraction(-1, 90)
+    # The measures the theorem covers hold on both graphs.
+    for params in (CentralityParams("degree"),
+                   CentralityParams("walk_count", ell=2),
+                   CentralityParams("walk_count", ell=5),
+                   CentralityParams("eigenvector"),
+                   CentralityParams("katz", alpha=0.05),
+                   CentralityParams("pagerank", beta=0.15)):
+        report = paradox_report(graph, compute(graph, params))
+        assert report.paradox_holds and report.slack > 0
