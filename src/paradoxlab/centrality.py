@@ -31,8 +31,10 @@ DEFAULT_MAX_ITERS = 100_000
 # Katz decay must keep alpha * lambda1 bounded away from 1.
 ALPHA_MARGIN = 1e-9
 
-# Graphs with at least this many nodes try a shift-invert or Lanczos
-# solve before power iteration.  Below it the power loop is cheaper
+# Graphs with at least this many nodes may start a power loop from a
+# solve: shift-invert or Lanczos (eigenvector), the banded Katz solve and
+# PageRank's start solve (_start_solve); ensemble batching leaves such
+# members alone where they do.  Below it the power loop is cheaper
 # (measured crossover on Erdős–Rényi and preferential-attachment graphs,
 # and on paths before they moved to shift-invert; see CHANGES.md).
 LANCZOS_MIN_NODES = 256
@@ -471,18 +473,11 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
 
     Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
     first ask for a start vector from a solver that needs far fewer steps
-    than power iteration when the spectral gap is small.  Banded graphs,
-    such as long paths, whose banded Cholesky factor costs at most
-    ARPACK's first restart cycle (see ``_banded``), run shift-invert
-    iteration with a factor of ``sigma I - A``, ``sigma`` just above the
-    maximum degree (see ``_shift_invert``).  The others, and banded graphs
-    whose factor LAPACK rejects, whose solves fall short of ``tol`` within
-    one restart cycle or that end on a vector that is not positive, ask
-    Lanczos (ARPACK's ``eigsh``).  Both stop at
-    ``tol / d_max`` relative to their Rayleigh or Ritz value on a unit
-    vector, ARPACK at machine precision when that is below epsilon, which
-    is enough for the start to pass the certificate below up to rounding
-    (see ``_lanczos``).
+    than power iteration when the spectral gap is small: shift-invert
+    iteration on banded graphs, such as long paths (see ``_banded`` and
+    ``_shift_invert``), and Lanczos (ARPACK's ``eigsh``, see ``_lanczos``)
+    on the others and where shift-invert gives no vector.  Both stop where
+    their start passes the certificate below up to rounding.
     Regular graphs, whose Perron vector is the uniform one, and smaller
     graphs start from the uniform vector.  Any start goes to power
     iteration on ``A + I``, so that bipartite graphs, whose spectrum is
@@ -523,8 +518,7 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
                                       residual=residual)
 
 
-# Conjugate gradients hand Katz to the Jacobi tail once their recursive
-# residual is at most this share of max(1, max x), or tol if larger.
+# The share of max(s, max x) at which _start_solve's conjugate gradients stop.
 _CG_HANDOFF = 1e-13
 
 
@@ -543,47 +537,46 @@ def _katz_step(graph: Graph, alpha: float, vec: np.ndarray) -> np.ndarray:
     return step
 
 
-def _katz_cg(graph: Graph, alpha: float, tol: float, r: np.ndarray,
-             cap: int) -> tuple[np.ndarray, int]:
-    """Conjugate gradients on ``(I - alpha A) x = 1`` from the all-ones
-    vector, whose residual is ``r``, until the recursive residual is at
-    most ``max(tol, _CG_HANDOFF max(1, max x))`` or ``cap`` matvecs are
-    spent.  Returns the iterate and the matvecs spent.
+def _start_solve(graph: Graph, diagonal, scale: float, rhs: np.ndarray,
+                 scaled, band: bool, tol: float, cap: int, r=None,
+                 ) -> tuple[np.ndarray | None, int]:
+    """The Katz and PageRank start: ``x`` with ``(diag(diagonal) - scale
+    A) x = rhs``, symmetric positive definite, and the solves or matvecs
+    spent; ``x`` is ``None`` when none were.
 
-    Every direction is checked by :func:`_katz_step`.  One that passes has
-    the curvature ``p.(I - alpha A)p > ALPHA_MARGIN p.p``, so no step
-    divides by zero.
+    Where ``band`` allows and ``_banded`` accepts, graphs of at least
+    ``LANCZOS_MIN_NODES`` nodes take one banded Cholesky solve
+    (:func:`_band_solver`).  Otherwise, or when LAPACK rejects the factor,
+    Jacobi-preconditioned conjugate gradients (Hestenes & Stiefel, 1952)
+    run from ``x = rhs / diagonal``, whose residual ``scaled(x)`` is ``r``
+    or else the first of at most ``cap`` matvecs, until the recursive
+    residual is at most ``max(tol s, _CG_HANDOFF max(s, max x))``, ``s =
+    max|rhs|``.  ``scaled(p)``, ``scale A p``, may reject a direction by
+    raising; the curvature ``p.(diagonal p) - p.(scale A p)`` is positive.
     """
-    x = np.ones_like(r)
-    p = r
-    rr = r @ r
-    spent = 0
+    solve = _band_solver(
+        _banded(graph) if band and graph.node_count >= LANCZOS_MIN_NODES
+        else None, diagonal, scale)
+    if solve is not None:
+        return solve(rhs), 1
+    if cap <= 0:
+        return None, 0
+    x = rhs / diagonal
+    r, spent = (scaled(x), 1) if r is None else (r, 0)
+    z = r / diagonal
+    p, rz, s = z, r @ z, np.abs(rhs).max()
     while (spent < cap and np.abs(r).max()
-           > max(tol, _CG_HANDOFF * max(1.0, x.max()))):
-        ap = _katz_step(graph, alpha, p)
+           > max(tol * s, _CG_HANDOFF * max(s, x.max()))):
+        ap = scaled(p)
         spent += 1
-        step = rr / (p @ p - p @ ap)
+        dp = diagonal * p
+        step = rz / (p @ dp - p @ ap)
         x = x + step * p
-        r = r - step * (p - ap)
-        rr, previous = r @ r, rr
-        p = r + (rr / previous) * p
+        r = r - step * (dp - ap)
+        z = r / diagonal
+        rz, previous = r @ z, rz
+        p = z + (rz / previous) * p
     return x, spent
-
-
-def _katz_start(graph: Graph, alpha: float, tol: float, r: np.ndarray,
-                cap: int) -> tuple[np.ndarray, int]:
-    """The iterate the Jacobi tail starts from, and the matvecs or solves
-    it spent, at most ``cap``.  Banded graphs of at least
-    ``LANCZOS_MIN_NODES`` nodes take one solve of ``(I - alpha A) x = 1``
-    by a banded Cholesky factor (:func:`_band_solver`).  The others, and
-    banded graphs whose ``I - alpha A`` LAPACK finds not positive
-    definite, run conjugate gradients from the all-ones vector, whose
-    residual is ``r`` (:func:`_katz_cg`)."""
-    if cap and graph.node_count >= LANCZOS_MIN_NODES:
-        solve = _band_solver(_banded(graph), 1.0, alpha)
-        if solve is not None:
-            return solve(np.ones(graph.node_count)), 1
-    return _katz_cg(graph, alpha, tol, r, cap)
 
 
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
@@ -593,18 +586,14 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
     the result.
 
     The all-ones vector is tried first and returned with
-    ``iterations == 0`` when it passes.  Otherwise banded graphs (see
-    ``_banded``) of at least ``LANCZOS_MIN_NODES`` nodes take one solve
-    by a banded Cholesky factor of ``I - alpha A``.  The others, and
-    banded graphs whose factor LAPACK rejects as not positive definite,
-    run conjugate gradients (Hestenes & Stiefel, 1952) from the all-ones
-    vector until their recursive residual is at most ``max(tol, 1e-13
-    max(1, max r))``, for at most ``n`` matvecs (see ``_katz_start``).
-    The Jacobi iteration ``r <- 1 + alpha A r`` then starts from that
-    iterate, raised entrywise to at least 1, and returns the first
-    iterate whose defect ``max|1 + alpha A r - r|`` is at most ``tol``,
-    with that defect as its residual.  Every entry of the result is at
-    least 1.
+    ``iterations == 0`` when it passes.  Otherwise the start that PageRank
+    shares, :func:`_start_solve`, solves ``(I - alpha A) r = 1`` by a
+    banded Cholesky factor or by conjugate gradients from the all-ones
+    vector, for at most ``n`` matvecs.  The Jacobi iteration ``r <- 1 +
+    alpha A r`` then starts from that iterate, raised entrywise to at
+    least 1, and returns the first iterate whose defect ``max|1 + alpha A
+    r - r|`` is at most ``tol``, with that defect as its residual.  Every
+    entry of the result is at least 1.
 
     Rounding can trap the tail in a cycle of iterates short of ``tol``
     (seen on bipartite graphs with ``alpha * lambda1`` near 1).  A cycle
@@ -639,8 +628,10 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                                 residual=float(residual))
     # step is the conjugate-gradient residual of the all-ones start.  The
     # tail keeps at least one step of the budget.
-    start, spent = _katz_start(graph, alpha, tol, step,
-                               min(graph.node_count, max_iters - 2))
+    cap = min(graph.node_count, max_iters - 2)
+    start, spent = _start_solve(
+        graph, 1.0, alpha, ones, lambda p: _katz_step(graph, alpha, p),
+        cap > 0, tol, cap, step)
     # The solution is at least 1 everywhere, so raising the iterate to 1
     # only moves it closer, and the admissibility proof needs a start
     # >= 0.
@@ -689,15 +680,17 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     the result sums to 1.
 
     The power loop runs from the uniform vector, which is exact on
-    regular graphs, except on undirected banded graphs (see ``_banded``)
-    of at least ``LANCZOS_MIN_NODES`` nodes that are not regular, where it
-    would contract by only ``1 - beta`` per step on a path.  There one
-    solve of ``(D - (1-beta) A) z = (beta/n) 1``, symmetric and strictly
-    diagonally dominant, by a banded Cholesky factor
-    (:func:`_band_solver`) gives the start ``r = D z``, L1-normalised,
-    since ``A D^-1 r = A z``.  The loop's step 0 certifies it, and the
-    steps after it polish a start that fails.  ``iterations`` counts that
-    solve and the steps, and stays below ``max_iters``.
+    regular graphs, except on undirected graphs of at least
+    ``LANCZOS_MIN_NODES`` nodes that are not regular, where it may
+    contract by only ``1 - beta`` per step, as on a path.  There the start
+    that Katz shares, :func:`_start_solve`, solves the symmetric, strictly
+    diagonally dominant ``(D - (1-beta) A) z = (beta/n) 1`` by a banded
+    Cholesky factor, or, unless the power loop is sure to finish within
+    its budget (:func:`_power_suffices`), by conjugate gradients from the
+    ``z`` whose ``D z`` is uniform.  ``r = D z``, L1-normalised, is the
+    start, since ``A D^-1 r = A z``; the loop's step 0 certifies it, and
+    the steps after it polish a start that fails.  ``iterations`` counts
+    the solve or matvecs and the steps, and stays below ``max_iters``.
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)
@@ -705,18 +698,27 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
         kind = "strongly connected directed" if graph.directed else "connected"
         raise PreconditionError(f"pagerank requires a {kind} graph")
     degrees = _require_positive_degrees(graph)
-    n, start = graph.node_count, None
+    n, start, spent = graph.node_count, None, 0
     if (n >= LANCZOS_MIN_NODES and not (graph.directed or graph.regular)
             and max_iters > 1):
-        solve = _band_solver(_banded(graph), degrees, 1.0 - beta)
-        if solve is not None:
-            start = degrees * solve(np.full(n, beta / n))
+        z, spent = _start_solve(
+            graph, degrees, 1.0 - beta, np.full(n, beta / n),
+            lambda p: (1.0 - beta) * adjacency_matvec(graph, p), True, tol,
+            0 if _power_suffices(params) else min(n, max_iters - 1))
+        if spent:
+            start = degrees * z
             start /= start.sum()
-    vec, residuals, iterations = _pagerank_blocks(
-        graph, [n], params, int(start is not None), start)
+    vec, residuals, iterations = _pagerank_blocks(graph, [n], params, spent,
+                                                  start)
     return CentralityVector(values=vec, params=params,
                             iterations=iterations[0],
                             residual=float(residuals[0]))
+
+
+def _power_suffices(params: CentralityParams) -> bool:
+    """Whether PageRank's power loop surely passes ``tol`` in ``max_iters``
+    steps, each contracting its L1 residual, at most 2, by ``1 - beta``."""
+    return 2.0 * (1.0 - params.beta) ** params.max_iters <= params.tol
 
 
 def _pagerank_blocks(union: Graph, sizes: Sequence[int],
@@ -876,14 +878,15 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
 def _in_blocks(params: CentralityParams, graph: Graph) -> bool:
     """Whether :func:`_block_values` solves a connected undirected graph as
     :func:`compute` does: degree, walk counts, and eigenvector and PageRank
-    where power iteration from the uniform vector is their only solver.
-    That is below ``LANCZOS_MIN_NODES`` nodes for both, and for PageRank
-    also on regular graphs and on graphs that are not banded."""
+    where power iteration from the uniform vector is their only solver:
+    below ``LANCZOS_MIN_NODES`` nodes, and for PageRank also on regular
+    graphs and, where :func:`_power_suffices`, on graphs not banded."""
     small = graph.node_count < LANCZOS_MIN_NODES
     if params.kind == "eigenvector":
         return small
     if params.kind == "pagerank":
-        return small or graph.regular or _banded(graph) is None
+        return (small or graph.regular
+                or (_power_suffices(params) and _banded(graph) is None))
     return params.kind in ("degree", "walk_count")
 
 

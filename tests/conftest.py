@@ -29,6 +29,33 @@ def complete(n):
     return build_undirected(n, complete_edges(n))
 
 
+def grid(rows, cols):
+    """The ``rows x cols`` grid graph.  Its reverse Cuthill–McKee bandwidth
+    is about ``rows``, too wide for a banded factor at 10 rows and more,
+    so it keeps a long strip's small spectral gap off the banded solves."""
+    edges = [(i * cols + j, i * cols + j + 1)
+             for i in range(rows) for j in range(cols - 1)]
+    edges += [(i * cols + j, (i + 1) * cols + j)
+              for i in range(rows - 1) for j in range(cols)]
+    return build_undirected(rows * cols, edges)
+
+
+# Closeness and harmonic lie outside the paper's theorem, and these graphs
+# violate the inequality for them.  The barbell K_5-P_6-K_5: two 5-cliques
+# joined through the six path nodes 5..10.
+BARBELL = [(i, j) for i in range(5) for j in range(i + 1, 5)] + \
+    [(k, k + 1) for k in range(4, 11)] + \
+    [(i, j) for i in range(11, 16) for j in range(i + 1, 16)]
+# A 16-node, 43-edge graph found by a local search over edge toggles.
+SEARCHED = [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
+    (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 7), (4, 5),
+    (4, 8), (5, 6), (6, 7), (7, 8), (7, 13), (8, 9), (8, 14), (9, 10),
+    (9, 11), (9, 12), (9, 15), (10, 11), (10, 12), (10, 13), (10, 14),
+    (10, 15), (11, 12), (11, 13), (11, 14), (11, 15), (12, 13), (12, 14),
+    (12, 15), (13, 15), (14, 15)]
+
+
 @pytest.fixture
 def p6():
     return path(6)

@@ -19,8 +19,8 @@ from paradoxlab import (RandomGraphSpec, adjacency_matvec, centrality,
                         dense_hop_distances, generate)
 from paradoxlab.graph import disjoint_union, extract_lcc
 from paradoxlab.rng import SplitMix64
-from conftest import (complete, cycle, edge_pairs, hop_distances, path,
-                      star)
+from conftest import (complete, cycle, edge_pairs, grid, hop_distances,
+                      path, star)
 
 
 def random_connected(rng, max_nodes=10):
@@ -330,8 +330,11 @@ def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
     residual = np.abs(image - ones).max()
     if residual <= tol:
         return ones, 0, residual, 0
-    start, spent = centrality._katz_start(
-        graph, alpha, tol, step, min(graph.node_count, max_iters - 2))
+    cap = min(graph.node_count, max_iters - 2)
+    start, spent = centrality._start_solve(
+        graph, 1.0, alpha, ones,
+        lambda p: centrality._katz_step(graph, alpha, p), cap > 0, tol, cap,
+        step)
     vec = np.maximum(start, 1.0) if spent else image
     anchor = peak = vec
     since, horizon, rescues = 0, 1, 0
@@ -420,7 +423,7 @@ def test_katz_budget_is_shared_by_both_stages(monkeypatch):
 
 def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
     rejected = []
-    run_cg = centrality._katz_cg
+    run_cg = centrality._start_solve
 
     def watched(*args):
         try:
@@ -429,7 +432,7 @@ def test_katz_conjugate_gradients_reject_divergent_alpha(monkeypatch):
             rejected.append(args[0].node_count)
             raise
 
-    monkeypatch.setattr(centrality, "_katz_cg", watched)
+    monkeypatch.setattr(centrality, "_start_solve", watched)
     pa = generate(RandomGraphSpec(model="preferential_attachment", n=300,
                                   m_attach=2, seed=31))
     # The all-ones Rayleigh bound of each passes; a conjugate direction's
@@ -454,13 +457,13 @@ def test_katz_falls_back_to_conjugate_gradients_when_the_factor_fails(
         want = katz_centrality(g, alpha)
     assert want.iterations > 2
     started = []
-    run_cg = centrality._katz_cg
+    run_cg = centrality._start_solve
 
     def watched(*args):
         started.append(args[0].node_count)
         return run_cg(*args)
 
-    monkeypatch.setattr(centrality, "_katz_cg", watched)
+    monkeypatch.setattr(centrality, "_start_solve", watched)
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         _not_positive_definite)
     got = katz_centrality(g, alpha)
@@ -727,12 +730,12 @@ def test_long_searches_keep_the_key_kernel(monkeypatch):
             return real(graph, start, stop)
         monkeypatch.setattr(centrality, name, spy)
     keys = {"path65": path(65), "path300": path(300),
-            "path1000": path(1000), "strip10x100": _grid(10, 100)}
+            "path1000": path(1000), "strip10x100": grid(10, 100)}
     bits = {"path64": path(64), "hub": _heavy_tailed_lcc(620, 900, 1),
             "er": generate(RandomGraphSpec(model="erdos_renyi", n=400,
                                            p=0.02, seed=2)),
             "pa": _preferential(300, 1), "complete300": complete(300),
-            "grid30x30": _grid(30, 30)}
+            "grid30x30": grid(30, 30)}
     for kernel, graphs in (("_reach_counts", keys),
                            ("_bit_reach_counts", bits)):
         for name, g in graphs.items():
@@ -849,23 +852,12 @@ def _preferential(n, seed):
                                     m_attach=2, seed=seed))
 
 
-def _grid(rows, cols):
-    """The ``rows x cols`` grid graph.  Its reverse Cuthill–McKee bandwidth
-    is about ``rows``, too wide for shift-invert at 10 rows and more, so
-    it keeps a long strip's small spectral gap on Lanczos."""
-    edges = [(i * cols + j, i * cols + j + 1)
-             for i in range(rows) for j in range(cols - 1)]
-    edges += [(i * cols + j, (i + 1) * cols + j)
-              for i in range(rows - 1) for j in range(cols)]
-    return build_undirected(rows * cols, edges)
-
-
 def _grid300():
-    return _grid(12, 25)
+    return grid(12, 25)
 
 
 def _grid1000():
-    return _grid(10, 100)
+    return grid(10, 100)
 
 
 def test_threshold_keeps_small_graphs_on_the_power_path():
@@ -1541,3 +1533,25 @@ def test_pagerank_keeps_the_power_loop_off_the_banded_solve(monkeypatch):
     got = pagerank_centrality(path(300), 0.15)
     assert got.values.tobytes() == vec.tobytes()
     assert (got.iterations, got.residual) == (iterations, residual)
+
+
+def test_pagerank_with_a_tiny_teleport_starts_from_conjugate_gradients():
+    # _banded rejects both, and at beta = 1e-6 the power loop cannot be
+    # sure of tol within the default budget: from the uniform vector the
+    # grid took 38,831 steps, and the strip ran out of its 100,000.
+    for g in (grid(100, 100), grid(20, 1000)):
+        assert centrality._banded(g) is None
+        vector = pagerank_centrality(g, 1e-6)
+        assert vector.iterations <= 2000
+        assert vector.residual <= 1e-12
+        r = vector.values
+        image = ((1 - 1e-6) * adjacency_matvec(g, r / g.degree_seq)
+                 + 1e-6 / g.node_count)
+        assert _sum(np.abs(image - r)) <= 1e-12
+        assert (r > 0).all()
+        assert _sum(r) == pytest.approx(1.0, abs=1e-14)
+    # The matvecs of conjugate gradients draw on the loop's budget, which
+    # keeps its last step for the certificate.
+    with pytest.raises(ConvergenceError) as info:
+        pagerank_centrality(grid(100, 100), 1e-6, max_iters=50)
+    assert info.value.iterations == 50

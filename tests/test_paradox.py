@@ -18,8 +18,8 @@ from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
                         paradox_report, symmetrization_identity)
 from paradoxlab import centrality, generators, paradox
 from paradoxlab.rng import SplitMix64
-from conftest import (complete, connected_sample, cycle, hop_distances, path,
-                      star)
+from conftest import (BARBELL, SEARCHED, complete, connected_sample, cycle,
+                      hop_distances, path, star)
 
 
 def random_connected(rng, max_nodes=12):
@@ -583,6 +583,24 @@ def test_banded_pagerank_members_are_solved_alone(solve_batches):
         assert solve_batches == batches
 
 
+def test_pagerank_members_leave_the_batch_where_the_power_loop_may_not_finish(
+        solve_batches):
+    # ER(300, 0.02) members are not banded.  At beta = 0.15 the power loop
+    # from the uniform vector is sure to pass tol within its budget, so
+    # they stay batched; at 1e-6 it is not, and each is solved alone from
+    # a conjugate-gradient start.
+    spec = RandomGraphSpec(model="erdos_renyi", n=300, p=0.02)
+    sizes = [connected_sample(spec, i, SEED).node_count for i in range(3)]
+    assert min(sizes) >= centrality.LANCZOS_MIN_NODES
+    for beta, batched in ((0.15, sizes), (1e-6, [])):
+        measure = CentralityParams(kind="pagerank", beta=beta)
+        solve_batches.clear()
+        got = bias_distribution(spec, measure, 3, SEED).samples
+        want = _per_member_samples(spec, measure, 3, SEED)
+        assert got.tobytes() == want.tobytes()
+        assert [n for batch in solve_batches for n in batch] == batched
+
+
 @pytest.mark.parametrize("name", ["ring", "erdos_renyi_resampled",
                                   "erdos_renyi"])
 def test_one_labelling_per_sampling_round(search_calls, name):
@@ -863,22 +881,6 @@ def test_directed_reports_use_out_degrees(hub_digraph):
         eaves_check(hub_digraph, 1)
     with pytest.raises(InputError):
         exact_degree_stats(hub_digraph)
-
-
-# Closeness and harmonic lie outside the paper's theorem, and these graphs
-# violate the inequality for them.  The barbell K_5-P_6-K_5: two 5-cliques
-# joined through the six path nodes 5..10.
-BARBELL = [(i, j) for i in range(5) for j in range(i + 1, 5)] + \
-    [(k, k + 1) for k in range(4, 11)] + \
-    [(i, j) for i in range(11, 16) for j in range(i + 1, 16)]
-# A 16-node, 43-edge graph found by a local search over edge toggles.
-SEARCHED = [
-    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4),
-    (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 7), (4, 5),
-    (4, 8), (5, 6), (6, 7), (7, 8), (7, 13), (8, 9), (8, 14), (9, 10),
-    (9, 11), (9, 12), (9, 15), (10, 11), (10, 12), (10, 13), (10, 14),
-    (10, 15), (11, 12), (11, 13), (11, 14), (11, 15), (12, 13), (12, 14),
-    (12, 15), (13, 15), (14, 15)]
 
 
 def _exact_slack(graph, kind):
