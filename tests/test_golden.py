@@ -16,6 +16,7 @@ import pytest
 
 from paradoxlab.cli import main
 from paradoxlab.centrality import VALID_KINDS
+from conftest import BARBELL, SEARCHED
 
 # Input files referenced from argv as "@name".
 FILES = {
@@ -24,7 +25,17 @@ FILES = {
     "split.txt": "0 1\n1 2\n3 4\n",
     "wheel.mtx": ("%%MatrixMarket matrix coordinate pattern symmetric\n"
                   "5 5 8\n2 1\n3 1\n4 1\n5 1\n3 2\n4 3\n5 4\n5 2\n"),
+    "barbell.txt": "".join(f"{i} {j}\n" for i, j in BARBELL),
+    "searched.txt": "".join(f"{i} {j}\n" for i, j in SEARCHED),
 }
+
+# What closeness and harmonic print as "paradox_holds" on the two
+# counterexamples: the inequality fails for closeness on both, and for
+# harmonic on the 43-edge graph.
+COUNTEREXAMPLES = {("barbell", "closeness"): False,
+                   ("barbell", "harmonic"): True,
+                   ("searched", "closeness"): False,
+                   ("searched", "harmonic"): False}
 
 GEN_MODELS = {
     "path": ("--n", "7"),
@@ -141,6 +152,9 @@ def _cases():
             "centrality", "--model", "path", "--n", "300", "--measure", kind)
         cases[f"paradox-cycle200-{kind}"] = (
             "paradox", "--model", "cycle", "--n", "200", "--measure", kind)
+    for source, kind in COUNTEREXAMPLES:
+        cases[f"paradox-{source}-{kind}"] = (
+            "paradox", f"@{source}.txt", "--measure", kind)
     return cases
 
 
@@ -446,6 +460,10 @@ DIGESTS = {
         "feafdd7c2f92600128353d5e34ecac7097fb37aaffa84d387b70431609761565",
     "identities-wheel":
         "69d8f9bd94fbef62500b94575a3c3a05d89568485c4e32f332ce6d2c273aeef3",
+    "paradox-barbell-closeness":
+        "85a8629ed1e8942c6259a4d8609b71ed05eb4ac0a5a734a139d8e1bb09730f45",
+    "paradox-barbell-harmonic":
+        "f56c1336f368401958b57a060b499f71d8ef1655ef05665b02d844edb68a35de",
     "paradox-cycle200-closeness":
         "04a35ca7cd8aa2ee9265210cb2b0751b40f02c9173f04cd73f250a303ae30dc6",
     "paradox-cycle200-harmonic":
@@ -506,6 +524,10 @@ DIGESTS = {
         "c5e45b8ab767e201f3dceca7dd7aeb7bb7b3b943b8d8e6a822fd47fe1adccc99",
     "paradox-path60-pagerank-budget":
         "315c769b76696c3842ce5b172f510c362cd7600cab9f69d187f3444d23a83a12",
+    "paradox-searched-closeness":
+        "26537d3b7f20ec626c2046753989e1d1b86921950835fb813e6f86f531c60c49",
+    "paradox-searched-harmonic":
+        "96c281dc1af601b4382643e85858e6bae2a880ea00e307f783e90f2fa0906aaf",
     "paradox-split-degree":
         "a9ece9d396f9f96cfd636c7734fb90244b6a5f7881c773ffc03937060f490203",
     "paradox-wheel-closeness-csv":
@@ -532,6 +554,15 @@ def test_corpus_matches_digests():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_byte_identical(case, input_dir):
     assert run_case(CASES[case], input_dir) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("source, kind", sorted(COUNTEREXAMPLES))
+def test_counterexamples_print_their_verdicts(source, kind, input_dir,
+                                              capsys):
+    assert main(["paradox", str(input_dir / f"{source}.txt"),
+                 "--measure", kind]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["paradox_holds"] is COUNTEREXAMPLES[source, kind]
 
 
 if __name__ == "__main__":
