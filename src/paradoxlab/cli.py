@@ -108,8 +108,8 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict, int | None]:
     else:
         path = Path(args.graph)
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
         if text.lstrip().lower().startswith("%%matrixmarket"):
             graph = parse_matrix_market(text)
@@ -334,6 +334,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text = args.handler(args)
+        output = getattr(args, "output", None)
+        if output:
+            try:
+                Path(output).write_text(text)
+            except OSError as exc:
+                raise ParadoxLabError(
+                    f"cannot write {output}: {exc}") from None
+        else:
+            sys.stdout.write(text)
     except ParadoxLabError as exc:
         detail = ""
         if isinstance(exc, ConvergenceError) and exc.residual is not None:
@@ -342,11 +351,6 @@ def main(argv: list[str] | None = None) -> int:
                       f"{exc.iterations} {noun})")
         print(f"error: {exc}{detail}", file=sys.stderr)
         return exc.exit_code
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -183,9 +183,11 @@ def _pair_stubs(degrees: list[int], streams: list[SplitMix64],
     (simple edges as an ``(m, 2)`` int64 array, dropped loops, collapsed
     parallels).
 
-    Each stream shuffles the stubs as :meth:`SplitMix64.shuffle` would,
-    from one block of words drawn for all streams at once.  A stream whose
-    block holds a rejected word goes back to its start and runs
+    :meth:`SplitMix64.shuffle` is the definition, one
+    :meth:`SplitMix64.below` draw per swap, that the rows are tested
+    against.  Each stream shuffles the stubs as it would, from one block of
+    words drawn for all streams at once.  A stream whose block holds a
+    rejected word goes back to its start and runs
     :meth:`SplitMix64.shuffle` itself, so items, final states and words
     drawn equal those of one shuffle per stream.
     """

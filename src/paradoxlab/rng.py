@@ -56,7 +56,7 @@ def _uint64_rows(streams: Sequence[SplitMix64], count: int) -> np.ndarray:
 def _swap_limits(top: int) -> tuple[np.ndarray, np.ndarray]:
     """The bounds ``top + 1`` down to 2 of a Fisher-Yates shuffle's swaps
     and, for each, the largest word that :meth:`SplitMix64.below` accepts,
-    as ``uint64`` arrays."""
+    as ``uint64`` arrays: the row test of ``generators._pair_stubs``."""
     bounds = np.arange(top + 1, 1, -1).astype(np.uint64)
     # 2**64 mod b, in wrapping array arithmetic: scalar uint64 wrap would
     # warn.
@@ -103,28 +103,11 @@ class SplitMix64:
                 return word % bound
 
     def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle (Knuth's Algorithm P).
-
-        Swap ``i`` takes a word below bound ``i + 1`` as :meth:`below`
-        does, and the words for bounds ``top + 1`` down to 2 come in one
-        block.  A rejected word ends the block: the swaps before it run,
-        the state moves to just past it, and the next block starts again
-        at its bound.  Items, final state and words drawn equal those of
-        one :meth:`below` call per swap.
-        """
-        top = len(items) - 1
-        while top > 0:
-            start = self._state
-            bounds, limits = _swap_limits(top)
-            words = self.uint64_block(top)
-            accepted = words <= limits
-            count = top if accepted.all() else int(np.argmin(accepted))
-            for i, j in zip(range(top, top - count, -1),
-                            (words[:count] % bounds[:count]).tolist()):
-                items[i], items[j] = items[j], items[i]
-            if count < top:
-                self._state = (start + (count + 1) * _GAMMA) & _MASK64
-            top -= count
+        """In-place Fisher-Yates shuffle (Knuth's Algorithm P): for ``i``
+        from the top down, swap item ``i`` with item ``below(i + 1)``."""
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -134,6 +117,8 @@ def derive_seed(seed: int, index: int) -> int:
     computed in O(1), so ensemble members can be seeded independently of
     evaluation order.
     """
+    # A numpy integer becomes a Python int, as in SplitMix64.__init__.
+    index = operator.index(index)
     if index < 0:
         raise ValueError("index must be nonnegative")
     return _mix((operator.index(seed) + (index + 1) * _GAMMA) & _MASK64)

@@ -190,6 +190,24 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3 and "residual" in err
 
 
+def test_unreadable_text_is_an_input_error(capsys, tmp_path):
+    latin = tmp_path / "latin.txt"
+    latin.write_bytes(b"0 1\n# caf\xe9\n")
+    code, out, err = run_cli(capsys, "paradox", str(latin), "--measure",
+                             "degree")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {latin}: ")
+
+
+@pytest.mark.parametrize("target", ["directory", "no/such/dir/x"])
+def test_unwritable_output_exits_2(capsys, tmp_path, target):
+    output = tmp_path if target == "directory" else tmp_path / target
+    code, out, err = run_cli(capsys, "gen", "--model", "path", "--n", "3",
+                             "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {output}: ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("gen", "--model", "configuration", "--degree-sequence", "1,x"),
      "--degree-sequence must be comma-separated integers, got '1,x'"),

@@ -6,7 +6,6 @@ import pytest
 from paradoxlab import (GenerationError, ParameterError, RandomGraphSpec,
                         build_undirected, derive_seed, generate, generators,
                         is_connected)
-from paradoxlab import rng as rng_module
 from paradoxlab.rng import _GAMMA, SplitMix64
 from conftest import (edge_pairs, k_regular_edges, pair_stubs,
                       rejecting_seed, unshuffled_rows)
@@ -249,6 +248,11 @@ def _loop_pair_stubs(degrees, rng):
     stubs = [node for node, degree in enumerate(degrees)
              for _ in range(degree)]
     rng.shuffle(stubs)
+    return _loop_pairs(stubs)
+
+
+def _loop_pairs(stubs):
+    """Simple edges, loops and parallels of pairing stubs 2k and 2k + 1."""
     seen, edges, loops, parallels = set(), [], 0, 0
     for k in range(0, len(stubs), 2):
         a, b = stubs[k], stubs[k + 1]
@@ -295,11 +299,12 @@ def test_pair_stubs_matches_the_scalar_loop(monkeypatch):
             assert stream._state == ref_rng._state
             totals += (loops, parallels)
         with monkeypatch.context() as patch:
-            # Neither the batch nor the loop's shuffle moves a stub.
+            # The batch's swaps move no stub, so each pairs with the next
+            # in node order.
             patch.setattr(generators, "_uint64_rows", unshuffled_rows)
-            patch.setattr(rng_module, "_uint64_rows", unshuffled_rows)
             identity = generators._pair_stubs(degrees, [SplitMix64(0)])[0]
-            want = _loop_pair_stubs(degrees, SplitMix64(0))
+        want = _loop_pairs([node for node, degree in enumerate(degrees)
+                            for _ in range(degree)])
         assert sorted(map(tuple, identity[0].tolist())) == sorted(want[0])
         assert identity[1:] == want[1:]
     # Loops and parallels both occurred, so both counts were compared.

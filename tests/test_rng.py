@@ -105,31 +105,16 @@ def test_shuffle_is_a_permutation():
     assert items != list(range(30))
 
 
-def _scalar_shuffle(rng, items):
-    """Fisher-Yates with one ``below`` draw per swap: the reference the
-    block shuffle must reproduce word for word."""
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.below(i + 1)
-        items[i], items[j] = items[j], items[i]
-
-
-def _assert_shuffles_agree(seed, m):
-    scalar, block = SplitMix64(seed), SplitMix64(seed)
-    want, got = list(range(m)), list(range(m))
-    _scalar_shuffle(scalar, want)
-    block.shuffle(got)
-    assert got == want
-    assert block._state == scalar._state
-
-
-def test_shuffle_matches_one_draw_per_swap():
-    for index in range(200):
-        seed = derive_seed(2024, index)
-        for m in (0, 1, 2, 3, 7, 160, 1000):
-            _assert_shuffles_agree(seed, m)
-    for seed in (0, 1, 2 ** 64 - 1):
-        for m in (2 ** 16, 2 ** 16 + 1):
-            _assert_shuffles_agree(seed, m)
+@pytest.mark.parametrize("m, want", [
+    (0, []), (1, [0]), (2, [0, 1]),
+    (10, [9, 0, 6, 3, 4, 2, 5, 7, 8, 1])])
+def test_shuffle_known_answer(m, want):
+    rng = SplitMix64(2024)
+    items = list(range(m))
+    rng.shuffle(items)
+    assert items == want
+    # One accepted word per swap: m - 1 of them.
+    assert rng._state == (2024 + max(m - 1, 0) * _GAMMA) % 2 ** 64
 
 
 @pytest.mark.parametrize("m, position", [(3, 0), (1000, 0), (160, 5)])
@@ -138,11 +123,21 @@ def test_shuffle_keeps_the_stream_through_a_rejected_word(m, position):
     # Word ``position`` of the stream is 2**64 - 1, the draw for bound
     # ``m - position``, which rejects it: 2**64 is not a multiple of it.
     seed = rejecting_seed(position)
-    assert SplitMix64(seed).uint64_block(position + 1)[position] == top
+    words = SplitMix64(seed).uint64_block(m).tolist()
+    assert words[position] == top
     assert 2 ** 64 % (m - position) != 0
-    _assert_shuffles_agree(seed, m)
+    # The swaps take the block's other words in order, each below its
+    # bound, and pass over the rejected one.
+    del words[position]
+    want = list(range(m))
+    for i, word in zip(range(m - 1, 0, -1), words):
+        assert word < 2 ** 64 - 2 ** 64 % (i + 1)
+        j = word % (i + 1)
+        want[i], want[j] = want[j], want[i]
     rng = SplitMix64(seed)
-    rng.shuffle(list(range(m)))
+    items = list(range(m))
+    rng.shuffle(items)
+    assert items == want
     # m - 1 accepted words and the rejected one.
     assert rng._state == (seed + m * _GAMMA) % 2 ** 64
 
@@ -157,6 +152,12 @@ def test_derive_seed_matches_stream_and_is_order_free():
     assert derive_seed(seed, 9) == stream[9]
     with pytest.raises(ValueError):
         derive_seed(seed, -1)
+
+
+@pytest.mark.parametrize("index", [np.int64(3), np.uint64(3), np.int8(3)])
+def test_derive_seed_takes_numpy_integers(index):
+    assert derive_seed(1, index) == derive_seed(1, 3)
+    assert derive_seed(np.uint64(1), index) == derive_seed(1, 3)
 
 
 def test_derived_children_differ():
