@@ -110,12 +110,23 @@ class CentralityParams:
 
 @dataclass(frozen=True)
 class CentralityVector:
-    """A computed measure: one value per node plus solver diagnostics."""
+    """A computed measure: one value per node plus solver diagnostics.
+
+    ``method`` names the path that gave ``values``: ``"exact"`` for degree
+    and walk counts; for the eigenvector, ``SpectralResult.method``; for
+    Katz, ``"ones"`` when the all-ones vector passes, else the start of
+    the certifying Jacobi tail, ``"band"`` or ``"cg"`` from
+    :func:`_start_solve`, or ``"jacobi"`` (the all-ones vector's image)
+    where no solve ran or took a step; for PageRank, ``"band"`` or
+    ``"cg"`` when that start passes as it is, else ``"power"``; for
+    closeness and harmonic, the search kernel, ``"bit-bfs"`` or
+    ``"csgraph"`` (also for a lone node, which needs no search)."""
 
     values: np.ndarray
     params: CentralityParams
     iterations: int
     residual: float
+    method: str
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -152,7 +163,7 @@ def degree_centrality(graph: Graph) -> CentralityVector:
     _require_undirected_connected(graph, "degree centrality")
     return CentralityVector(values=graph.degree_seq.astype(np.float64),
                             params=CentralityParams(kind="degree"),
-                            iterations=0, residual=0.0)
+                            iterations=0, residual=0.0, method="exact")
 
 
 def walk_count(graph: Graph, ell: int) -> CentralityVector:
@@ -161,7 +172,7 @@ def walk_count(graph: Graph, ell: int) -> CentralityVector:
     params = CentralityParams(kind="walk_count", ell=ell)
     _require_undirected_connected(graph, "walk-count centrality")
     return CentralityVector(values=_walks(graph, ell), params=params,
-                            iterations=ell, residual=0.0)
+                            iterations=ell, residual=0.0, method="exact")
 
 
 def _walks(graph: Graph, ell: int) -> np.ndarray:
@@ -285,13 +296,17 @@ def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
     A)^-1`` from the uniform vector, positive and L1-normalised, and the
     solves it spent, run by :func:`_iterate_blocks`.
 
-    ``sigma`` is the Collatz–Wielandt upper bound of the uniform vector,
-    the maximum degree rounded outward, so ``sigma > lambda1`` and
-    ``(sigma I - A)^-1 = sum_k A^k / sigma^(k+1)`` is entrywise positive:
-    the iterates stay positive, and the Perron vector dominates them.
-    ``sigma I - A`` is positive definite and is factored once, from the
-    ``_banded`` band of ``A``, by LAPACK's banded Cholesky
-    (:func:`_band_solver`).
+    ``sigma`` is the Collatz–Wielandt upper bound of the iterate about to
+    be solved, rounded outward (:func:`_enclosure`), where that is below
+    the last ``sigma``: first the maximum degree, then, by the paper's
+    variational bound, a value still above ``lambda1``.  It is infinite
+    for an iterate with an entry that is not positive, which keeps the
+    last ``sigma``.  So ``(sigma I - A)^-1 = sum_k A^k / sigma^(k+1)`` is
+    entrywise positive: the iterates stay positive, and the Perron vector
+    dominates them.  Each ``sigma I - A`` is positive definite and is
+    factored from the ``_banded`` band of ``A`` by LAPACK's banded
+    Cholesky (:func:`_band_solver`); a factor LAPACK rejects for a
+    refined shift leaves the last one in use.
 
     The steps stop on the test ARPACK applies for :func:`_lanczos`,
     ``|A y - theta y|_2 <= (tol / d_max) theta`` for ``y = v / |v|_2``
@@ -301,18 +316,17 @@ def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
     ``max|A v - theta v|``, as ``theta <= d_max`` and ``|v|_2 <= 1``.
     Unlike the certificate, it does not shrink as the entries of an
     L1-normalised vector do on a long path: on ``P_1000`` the certificate
-    alone stops 5 solves in, 1.2e-8 from the Perron vector, and this test
-    8 solves in, 1.6e-11 from it.
+    alone stops 3 solves in, 1.3e-9 from the Perron vector, and this test
+    4 solves in, 9.9e-16 from it.
 
-    The steps contract by ``(sigma - lambda1) / (sigma - lambda2)``,
-    fast where ``lambda1`` is near the maximum degree, as on paths, and
-    as slowly as power iteration where it is not and the gap is small,
-    as on a path with a pendant node at each end (``lambda1 = 2``,
-    ``sigma = 3``).  So the solves get the ``_ARPACK_NCV`` steps of the
-    restart cycle that ``_banded`` prices them against.  The vector is
-    ``None`` when LAPACK rejects the factor, when the residual stops
-    shrinking or those solves are spent short of ``tol``, or when it is
-    not positive after rounding.
+    A step contracts by ``(sigma - lambda1) / (sigma - lambda2)``, which
+    the refined shifts drive towards 0.  A fixed ``sigma = 3`` is as slow
+    as power iteration on a path with a pendant node next to each end
+    (``lambda1 = 2``); refined, it takes 6 solves.  The solves get the
+    ``_ARPACK_NCV`` steps of the restart cycle that ``_banded`` prices a
+    factor against.  The vector is ``None`` when LAPACK rejects the first
+    factor, when the residual stops shrinking or those solves are spent
+    short of ``tol``, or when it is not positive after rounding.
     """
     n = graph.node_count
     d_max = float(graph.degree_seq.max())
@@ -324,7 +338,7 @@ def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
     least, solves = np.inf, 0
 
     def shift_invert_step(vec, starts):
-        nonlocal least, solves
+        nonlocal least, solves, sigma, solve
         image = adjacency_matvec(graph, vec)
         theta = (vec @ image) / (vec @ vec)
         residual = (d_max * np.linalg.norm(image - theta * vec)
@@ -334,6 +348,11 @@ def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
         if not residual < least or solves == _ARPACK_NCV:
             raise _Stalled
         least, solves = residual, solves + 1
+        shift = _enclosure(graph, vec, image)[1]
+        if shift < sigma:
+            refined = _band_solver(banded, shift, 1.0)
+            if refined is not None:
+                sigma, solve = shift, refined
         solved = solve(vec)
         return np.array([residual]), solved / solved.sum()
 
@@ -486,8 +505,8 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     tol`` with the Rayleigh-quotient eigenvalue estimate, and a start that
     fails is polished by the steps after it.  ``method`` is
     ``"shift-invert"`` or ``"lanczos"`` when that solver's vector passes
-    as it is, and ``"power"`` otherwise.  The vector is positive and
-    L1-normalised.
+    as it is, and ``"power"`` otherwise, on both results.  The vector is
+    positive and L1-normalised.
 
     All solvers draw on one budget: ``iterations`` counts the shift-invert
     solves, the Lanczos matvecs and the power steps, and stays below
@@ -496,7 +515,7 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     params = CentralityParams(kind="eigenvector", tol=tol,
                               max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
-    start, spent, method = None, 0, "power"
+    start, spent = None, 0
     if graph.node_count >= LANCZOS_MIN_NODES and not graph.regular:
         banded = _banded(graph)
         if banded is not None:
@@ -508,14 +527,15 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
     vec, image, estimates, residuals, iterations = _power_blocks(
         graph, [graph.node_count], params, spent, start)
     residual = float(residuals[0])
+    if start is None or iterations[0] != spent:
+        method = "power"
     spectral = SpectralResult(
         lambda1=float(estimates[0]), vector=vec, residual=residual,
         iterations=iterations[0], enclosure=_enclosure(graph, vec, image),
-        method=(method if start is not None and iterations[0] == spent
-                else "power"))
+        method=method)
     return spectral, CentralityVector(values=vec, params=params,
                                       iterations=iterations[0],
-                                      residual=residual)
+                                      residual=residual, method=method)
 
 
 # The share of max(s, max x) at which _start_solve's conjugate gradients stop.
@@ -539,10 +559,11 @@ def _katz_step(graph: Graph, alpha: float, vec: np.ndarray) -> np.ndarray:
 
 def _start_solve(graph: Graph, diagonal, scale: float, rhs: np.ndarray,
                  scaled, band: bool, tol: float, cap: int, r=None,
-                 ) -> tuple[np.ndarray | None, int]:
+                 ) -> tuple[np.ndarray | None, int, str]:
     """The Katz and PageRank start: ``x`` with ``(diag(diagonal) - scale
-    A) x = rhs``, symmetric positive definite, and the solves or matvecs
-    spent; ``x`` is ``None`` when none were.
+    A) x = rhs``, symmetric positive definite, the solves or matvecs
+    spent, and the solver that ran, ``"band"`` or ``"cg"``; ``x`` is
+    ``None`` when no step was allowed.
 
     Where ``band`` allows and ``_banded`` accepts, graphs of at least
     ``LANCZOS_MIN_NODES`` nodes take one banded Cholesky solve
@@ -558,9 +579,9 @@ def _start_solve(graph: Graph, diagonal, scale: float, rhs: np.ndarray,
         _banded(graph) if band and graph.node_count >= LANCZOS_MIN_NODES
         else None, diagonal, scale)
     if solve is not None:
-        return solve(rhs), 1
+        return solve(rhs), 1, "band"
     if cap <= 0:
-        return None, 0
+        return None, 0, "cg"
     x = rhs / diagonal
     r, spent = (scaled(x), 1) if r is None else (r, 0)
     z = r / diagonal
@@ -576,7 +597,7 @@ def _start_solve(graph: Graph, diagonal, scale: float, rhs: np.ndarray,
         z = r / diagonal
         rz, previous = r @ z, rz
         p = z + (rz / previous) * p
-    return x, spent
+    return x, spent, "cg"
 
 
 def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
@@ -625,17 +646,18 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
     residual = np.abs(image - ones).max()
     if residual <= tol:
         return CentralityVector(values=ones, params=params, iterations=0,
-                                residual=float(residual))
+                                residual=float(residual), method="ones")
     # step is the conjugate-gradient residual of the all-ones start.  The
     # tail keeps at least one step of the budget.
     cap = min(graph.node_count, max_iters - 2)
-    start, spent = _start_solve(
+    start, spent, method = _start_solve(
         graph, 1.0, alpha, ones, lambda p: _katz_step(graph, alpha, p),
         cap > 0, tol, cap, step)
     # The solution is at least 1 everywhere, so raising the iterate to 1
     # only moves it closer, and the admissibility proof needs a start
     # >= 0.
-    vec = np.maximum(start, 1.0) if spent else image
+    vec, method = ((np.maximum(start, 1.0), method) if spent
+                   else (image, "jacobi"))
     # A one-step budget has no tail step: re-check the all-ones vector.
     vec, spent = (vec, 1 + spent) if max_iters > 1 else (ones, 0)
     # Brent's cycle search: later iterates are compared with anchor, set
@@ -663,7 +685,7 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
         [graph.node_count], vec, jacobi_step, params, "Katz", spent)
     return CentralityVector(values=vec, params=params,
                             iterations=iterations[0],
-                            residual=float(residuals[0]))
+                            residual=float(residuals[0]), method=method)
 
 
 def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
@@ -701,7 +723,7 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     n, start, spent = graph.node_count, None, 0
     if (n >= LANCZOS_MIN_NODES and not (graph.directed or graph.regular)
             and max_iters > 1):
-        z, spent = _start_solve(
+        z, spent, method = _start_solve(
             graph, degrees, 1.0 - beta, np.full(n, beta / n),
             lambda p: (1.0 - beta) * adjacency_matvec(graph, p), True, tol,
             0 if _power_suffices(params) else min(n, max_iters - 1))
@@ -710,9 +732,11 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
             start /= start.sum()
     vec, residuals, iterations = _pagerank_blocks(graph, [n], params, spent,
                                                   start)
+    if start is None or iterations[0] != spent:
+        method = "power"
     return CentralityVector(values=vec, params=params,
                             iterations=iterations[0],
-                            residual=float(residuals[0]))
+                            residual=float(residuals[0]), method=method)
 
 
 def _power_suffices(params: CentralityParams) -> bool:
@@ -852,20 +876,21 @@ def closeness_harmonic(graph: Graph, kind: str) -> CentralityVector:
     # Sources per csgraph search, or words of 64 sources per bottom-up one.
     block = max(1, BFS_BLOCK_ARCS // max(len(graph.column_targets), 1))
     if n > 1 and _few_levels(graph):
-        counts = []
+        method, counts = "bit-bfs", []
         for start in range(0, n, 64 * block):
             rows = _bit_reach_counts(graph, start, min(start + 64 * block, n))
             counts = [total + row for total, row
                       in zip_longest(counts, rows, fillvalue=0)]
         values = _from_reach_counts(np.array(counts), kind, n)
     else:
+        method = "csgraph"
         # A lone node reaches no other node and keeps 0.
         for start in range(0, n if n > 1 else 0, block):
             stop = min(start + block, n)
             values[start:stop] = _from_reach_counts(
                 _reach_counts(graph, start, stop), kind, n)
     return CentralityVector(values=values, params=params,
-                            iterations=0, residual=0.0)
+                            iterations=0, residual=0.0, method=method)
 
 
 def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,

@@ -134,17 +134,20 @@ class Graph:
 
     def stored_entries(self, lower: bool = False) -> np.ndarray:
         """Stored ``(row, column)`` entries in CSR order with multiplicity
-        repeats, as an ``(m, 2)`` array: every arc when directed, and each
-        undirected edge once, from the upper triangle or, with ``lower``,
-        from the lower one."""
-        rows = np.repeat(np.arange(self.node_count), np.diff(self.row_offsets))
+        repeats, as an ``(m, 2)`` array in the index dtype: every arc when
+        directed, and each undirected edge once, from the upper triangle
+        or, with ``lower``, from the lower one."""
         cols, counts = self.column_targets, self.multiplicities
+        rows = np.repeat(np.arange(self.node_count, dtype=cols.dtype),
+                         np.diff(self.row_offsets))
         if not self.directed:
             # An undirected edge is stored in both rows; keep one of them
             # before anything is stacked.
             stored = (rows > cols) if lower else (rows < cols)
             rows, cols, counts = rows[stored], cols[stored], counts[stored]
-        return np.repeat(np.column_stack([rows, cols]), counts, axis=0)
+        entries = np.column_stack([rows, cols])
+        return entries if (counts == 1).all() else np.repeat(entries, counts,
+                                                              axis=0)
 
 
 def _is_int(value) -> bool:

@@ -331,7 +331,7 @@ def _scalar_katz(graph, alpha, tol=1e-12, max_iters=100_000):
     if residual <= tol:
         return ones, 0, residual, 0
     cap = min(graph.node_count, max_iters - 2)
-    start, spent = centrality._start_solve(
+    start, spent, _ = centrality._start_solve(
         graph, 1.0, alpha, ones,
         lambda p: centrality._katz_step(graph, alpha, p), cap > 0, tol, cap,
         step)
@@ -455,19 +455,12 @@ def test_katz_falls_back_to_conjugate_gradients_when_the_factor_fails(
     with monkeypatch.context() as patch:
         patch.setattr(centrality, "_banded", lambda graph: None)
         want = katz_centrality(g, alpha)
-    assert want.iterations > 2
-    started = []
-    run_cg = centrality._start_solve
-
-    def watched(*args):
-        started.append(args[0].node_count)
-        return run_cg(*args)
-
-    monkeypatch.setattr(centrality, "_start_solve", watched)
+    assert want.iterations > 2 and want.method == "cg"
+    assert katz_centrality(g, alpha).method == "band"
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         _not_positive_definite)
     got = katz_centrality(g, alpha)
-    assert started == [300]
+    assert got.method == "cg"
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.iterations, got.residual) == (want.iterations, want.residual)
 
@@ -722,11 +715,11 @@ def _heavy_tailed_lcc(n, m, seed):
 
 
 def test_long_searches_keep_the_key_kernel(monkeypatch):
+    # Sources per search, whichever kernel ran it.
     ran = []
     for name in ("_reach_counts", "_bit_reach_counts"):
-        def spy(graph, start, stop, name=name, real=getattr(centrality,
-                                                            name)):
-            ran.append((name, stop - start))
+        def spy(graph, start, stop, real=getattr(centrality, name)):
+            ran.append(stop - start)
             return real(graph, start, stop)
         monkeypatch.setattr(centrality, name, spy)
     keys = {"path65": path(65), "path300": path(300),
@@ -736,25 +729,23 @@ def test_long_searches_keep_the_key_kernel(monkeypatch):
                                            p=0.02, seed=2)),
             "pa": _preferential(300, 1), "complete300": complete(300),
             "grid30x30": grid(30, 30)}
-    for kernel, graphs in (("_reach_counts", keys),
-                           ("_bit_reach_counts", bits)):
+    for method, graphs in (("csgraph", keys), ("bit-bfs", bits)):
         for name, g in graphs.items():
             ran.clear()
-            closeness_harmonic(g, "closeness")
-            assert {run[0] for run in ran} == {kernel}, name
+            assert closeness_harmonic(g, "closeness").method == method, name
             # Blocks cover every source once, in as few searches as the
             # cap allows.  A bit block is sized in words of 64 sources, so
             # the hub's 500-odd sources take one search.
-            assert sum(run[1] for run in ran) == g.node_count, name
+            assert sum(ran) == g.node_count, name
             arcs = len(g.column_targets)
             cap = max(centrality.BFS_BLOCK_ARCS, arcs)
             per_block = max(1, centrality.BFS_BLOCK_ARCS // arcs)
-            if kernel == "_bit_reach_counts":
+            if method == "bit-bfs":
                 per_block *= 64
                 assert all(-(-sources // 64) * arcs <= cap
-                           for _, sources in ran), name
+                           for sources in ran), name
             else:
-                assert all(sources * arcs <= cap for _, sources in ran), name
+                assert all(sources * arcs <= cap for sources in ran), name
             assert len(ran) == -(-g.node_count // per_block), name
 
 
@@ -796,6 +787,31 @@ def test_harmonic_is_within_eccentricity_roundings_of_exact(name):
         eccentricity = len(counts) - 1
         assert abs(Fraction(harmonic[node]) - exact) <= (
             eccentricity * Fraction(np.finfo(np.float64).eps) * exact), node
+
+
+@pytest.mark.parametrize("solve, method", [
+    (lambda: degree_centrality(path(6)), "exact"),
+    (lambda: walk_count(path(6), 3), "exact"),
+    (lambda: eigenvector_centrality(path(6))[1], "power"),
+    (lambda: eigenvector_centrality(path(300))[1], "shift-invert"),
+    (lambda: eigenvector_centrality(_preferential(300, 1))[1], "lanczos"),
+    (lambda: katz_centrality(path(6), 1e-14), "ones"),
+    (lambda: katz_centrality(path(300), 0.4), "band"),
+    (lambda: katz_centrality(_preferential(300, 1), 0.05), "cg"),
+    # No step is left for a start solve.
+    (lambda: katz_centrality(path(6), 1e-7, max_iters=2), "jacobi"),
+    (lambda: pagerank_centrality(path(6), 0.15), "power"),
+    (lambda: pagerank_centrality(path(300), 0.15), "band"),
+    (lambda: pagerank_centrality(star(300), 1e-6), "cg"),
+    (lambda: closeness_harmonic(path(65), "closeness"), "csgraph"),
+    (lambda: closeness_harmonic(_heavy_tailed_lcc(620, 900, 1), "harmonic"),
+     "bit-bfs"),
+], ids=["degree", "walk_count", "eigenvector-power", "eigenvector-shift",
+        "eigenvector-lanczos", "katz-ones", "katz-band", "katz-cg",
+        "katz-jacobi", "pagerank-power", "pagerank-band", "pagerank-cg",
+        "closeness-csgraph", "harmonic-bit-bfs"])
+def test_every_result_names_its_method(solve, method):
+    assert solve().method == method
 
 
 def test_compute_dispatch(p6):
@@ -902,15 +918,13 @@ def test_lanczos_agrees_with_the_dense_oracle():
 
 
 def test_regular_graph_above_threshold_keeps_the_uniform_vector(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("a regular graph skips Lanczos")
-
-    monkeypatch.setattr(splinalg, "eigsh", never)
     for n in (400, 512):
         g = generate(RandomGraphSpec(model="k_regular", n=n, k=3, seed=2))
         spectral, vector = eigenvector_centrality(g)
         _assert_same_result((spectral, vector), _power_only(monkeypatch, g))
-        assert spectral.method == "power" and spectral.iterations == 0
+        # No matvec was spent before step 0, so no start solver ran.
+        assert spectral.method == vector.method == "power"
+        assert spectral.iterations == 0
         assert (vector.values == 1 / n).all()
         assert spectral.lambda1 == pytest.approx(3.0, abs=1e-15)
         assert spectral.enclosure[0] <= 3.0 <= spectral.enclosure[1]
@@ -1181,8 +1195,11 @@ def test_shift_invert_runs_on_banded_graphs_only(monkeypatch):
     monkeypatch.setattr(csgraph, "reverse_cuthill_mckee", order_spy)
     for g in (path(300), path(1000), _permuted_path(300, 13)):
         factored.clear()
-        assert eigenvector_centrality(g)[0].method == "shift-invert"
-        assert factored == [g.node_count]
+        spectral, _ = eigenvector_centrality(g)
+        assert spectral.method == "shift-invert"
+        # The first solve runs on the maximum degree's factor, and each
+        # solve after it on the factor of its refined shift.
+        assert factored == [g.node_count] * spectral.iterations
     er = generate(RandomGraphSpec(model="erdos_renyi", n=400, p=0.02, seed=2))
     preferential = [_preferential(300, seed) for seed in range(20)]
     preferential += [_preferential(400, 5), _preferential(500, 9),
@@ -1243,21 +1260,59 @@ def _not_positive_definite(band, *args, **kwargs):
     return band, 1
 
 
-@pytest.mark.parametrize("kind", ["stall", "mixed sign", "slow",
+def _pendant_path(n):
+    """P_n with a pendant node next to each end: ``lambda1`` is exactly 2,
+    and the Perron vector is ``1/n`` on the inner path nodes and half
+    that on the four leaves."""
+    g = build_undirected(n + 2, edge_pairs(path(n)) + [(1, n), (n - 2, n + 1)])
+    perron = np.full(n + 2, 1 / n)
+    perron[[0, n - 1, n, n + 1]] = 1 / (2 * n)
+    return g, perron
+
+
+def _strip(rows, cols):
+    """The grid strip and its Perron vector, the outer product of the two
+    paths' sine vectors, L1-normalised."""
+    perron = np.outer(np.sin(np.arange(1, rows + 1) * np.pi / (rows + 1)),
+                      np.sin(np.arange(1, cols + 1) * np.pi / (cols + 1)))
+    return grid(rows, cols), perron.ravel() / perron.sum()
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: _pendant_path(300),
+    lambda: _pendant_path(2000),
+    lambda: _strip(3, 300),
+], ids=["pendant302", "pendant2002", "strip3x300"])
+def test_shift_invert_refines_its_shift_where_the_maximum_degree_is_far(
+        graph):
+    # The maximum degree, 3 or 4, sits far above lambda1, 2 or 3.41, and
+    # the gap is small, so solves at that shift alone contract about as
+    # slowly as power iteration: the 302-node graph would spend all 20
+    # solves of the restart cycle short of tol.  Refined shifts take 7 at
+    # most.
+    g, perron = graph()
+    spectral, vector = eigenvector_centrality(g)
+    assert spectral.method == vector.method == "shift-invert"
+    assert spectral.iterations <= 7
+    assert spectral.residual == vector.residual <= 1e-12
+    np.testing.assert_allclose(vector.values, perron, rtol=0, atol=1e-12)
+    if g.node_count <= 512:
+        # The oracle's power iteration stops at a residual of 1e-12, within
+        # 1e-12 / (lambda1 - lambda2) = 9.1e-9 of the Perron vector.
+        value, right, _ = dense_perron(dense_from_graph(g))
+        assert spectral.lambda1 == pytest.approx(value, abs=1e-12)
+        np.testing.assert_allclose(vector.values, right, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("kind", ["stall", "mixed sign",
                                   "not positive definite"])
 def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
-    # slow: pendant nodes next to both ends of P_300 make lambda1 exactly
-    # 2, while sigma is 3, the maximum degree, so the solves contract
-    # about as slowly as power iteration.  They get the _ARPACK_NCV solves
-    # of one restart cycle.
-    g = (build_undirected(302, edge_pairs(path(300)) + [(1, 300), (298, 301)])
-         if kind == "slow" else path(300))
+    g = path(300)
     with monkeypatch.context() as patch:
         patch.setattr(centrality, "_banded", lambda graph: None)
         want = eigenvector_centrality(g)
     assert want[0].method == "lanczos"
-    spent = {"slow": centrality._ARPACK_NCV,
-             "not positive definite": 0}.get(kind, 1)
+    spent = 0 if kind == "not positive definite" else 1
     if kind == "stall":
         # A solve that gives back its right-hand side, which leaves the
         # residual where it was.
@@ -1509,28 +1564,23 @@ def test_banded_pagerank_matches_the_power_loop():
 
 
 def test_pagerank_keeps_the_power_loop_off_the_banded_solve(monkeypatch):
-    factored = []
-    real_factor = scipy.linalg.lapack.dpbtrf
-
-    def factor_spy(band, *args, **kwargs):
-        factored.append(band.shape[1])
-        return real_factor(band, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf", factor_spy)
     pairs = edge_pairs(path(300))
     bidirected = build_directed(300, pairs + [(j, i) for i, j in pairs])
-    # Regular graphs keep the exact uniform vector.
+    # Regular graphs keep the exact uniform vector.  The same steps and
+    # bytes as the loop from the uniform vector: no start was spent.
     for g in (bidirected, path(255), _preferential(300, 3), cycle(300)):
         vec, iterations, residual = _scalar_pagerank(g, 0.15)
         got = pagerank_centrality(g, 0.15)
+        assert got.method == "power"
         assert got.values.tobytes() == vec.tobytes()
         assert (got.iterations, got.residual) == (iterations, residual)
-    assert factored == []
+    assert pagerank_centrality(path(300), 0.15).method == "band"
     # A factor that LAPACK rejects leaves the power loop to do it all.
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrf",
                         _not_positive_definite)
     vec, iterations, residual = _scalar_pagerank(path(300), 0.15)
     got = pagerank_centrality(path(300), 0.15)
+    assert got.method == "power"
     assert got.values.tobytes() == vec.tobytes()
     assert (got.iterations, got.residual) == (iterations, residual)
 

@@ -27,6 +27,10 @@ FILES = {
                   "5 5 8\n2 1\n3 1\n4 1\n5 1\n3 2\n4 3\n5 4\n5 2\n"),
     "barbell.txt": "".join(f"{i} {j}\n" for i, j in BARBELL),
     "searched.txt": "".join(f"{i} {j}\n" for i, j in SEARCHED),
+    # P_300 with a pendant node next to each end, whose shift-invert
+    # solves refine their shift from the maximum degree 3 to lambda1 = 2.
+    "pendant.txt": "".join(f"{i} {i + 1}\n" for i in range(299))
+    + "1 300\n298 301\n",
 }
 
 # What closeness and harmonic print as "paradox_holds" on the two
@@ -152,6 +156,8 @@ def _cases():
             "centrality", "--model", "path", "--n", "300", "--measure", kind)
         cases[f"paradox-cycle200-{kind}"] = (
             "paradox", "--model", "cycle", "--n", "200", "--measure", kind)
+    cases["paradox-pendant302-eigenvector"] = (
+        "paradox", "@pendant.txt", "--measure", "eigenvector")
     for source, kind in COUNTEREXAMPLES:
         cases[f"paradox-{source}-{kind}"] = (
             "paradox", f"@{source}.txt", "--measure", kind)
@@ -524,6 +530,8 @@ DIGESTS = {
         "c5e45b8ab767e201f3dceca7dd7aeb7bb7b3b943b8d8e6a822fd47fe1adccc99",
     "paradox-path60-pagerank-budget":
         "315c769b76696c3842ce5b172f510c362cd7600cab9f69d187f3444d23a83a12",
+    "paradox-pendant302-eigenvector":
+        "87a95da63278064263974d6cae7ab045f6da47d4a8a262cf7d235aff50700895",
     "paradox-searched-closeness":
         "26537d3b7f20ec626c2046753989e1d1b86921950835fb813e6f86f531c60c49",
     "paradox-searched-harmonic":
