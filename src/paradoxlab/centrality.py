@@ -15,9 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConvergenceError, ParameterError, PreconditionError,
-                     RangeError, UsageError)
+                     RangeError)
 from .graph import (MAX_EXACT_COUNT, Graph, _is_real, _require_int,
-                    _require_positive_degrees, adjacency_matvec)
+                    _require_positive_degrees, _require_undirected,
+                    adjacency_matvec)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
@@ -152,8 +153,7 @@ class SpectralResult:
 
 
 def _require_undirected_connected(graph: Graph, what: str) -> None:
-    if graph.directed:
-        raise UsageError(f"{what} is defined for undirected graphs")
+    _require_undirected(graph, what)
     if not graph.connected:
         raise PreconditionError(f"{what} requires a connected graph")
 
@@ -708,11 +708,11 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     that Katz shares, :func:`_start_solve`, solves the symmetric, strictly
     diagonally dominant ``(D - (1-beta) A) z = (beta/n) 1`` by a banded
     Cholesky factor, or, unless the power loop is sure to finish within
-    its budget (:func:`_power_suffices`), by conjugate gradients from the
-    ``z`` whose ``D z`` is uniform.  ``r = D z``, L1-normalised, is the
-    start, since ``A D^-1 r = A z``; the loop's step 0 certifies it, and
-    the steps after it polish a start that fails.  ``iterations`` counts
-    the solve or matvecs and the steps, and stays below ``max_iters``.
+    its budget, by conjugate gradients from the ``z`` whose ``D z`` is
+    uniform.  ``r = D z``, L1-normalised, is the start, since
+    ``A D^-1 r = A z``; the loop's step 0 certifies it, and the steps
+    after it polish a start that fails.  ``iterations`` counts the solve
+    or matvecs and the steps, and stays below ``max_iters``.
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)
@@ -723,10 +723,12 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     n, start, spent = graph.node_count, None, 0
     if (n >= LANCZOS_MIN_NODES and not (graph.directed or graph.regular)
             and max_iters > 1):
+        # Each step contracts the L1 residual, at most 2, by 1 - beta.
+        power_suffices = 2.0 * (1.0 - beta) ** max_iters <= tol
         z, spent, method = _start_solve(
             graph, degrees, 1.0 - beta, np.full(n, beta / n),
             lambda p: (1.0 - beta) * adjacency_matvec(graph, p), True, tol,
-            0 if _power_suffices(params) else min(n, max_iters - 1))
+            0 if power_suffices else min(n, max_iters - 1))
         if spent:
             start = degrees * z
             start /= start.sum()
@@ -739,12 +741,6 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
                             residual=float(residuals[0]), method=method)
 
 
-def _power_suffices(params: CentralityParams) -> bool:
-    """Whether PageRank's power loop surely passes ``tol`` in ``max_iters``
-    steps, each contracting its L1 residual, at most 2, by ``1 - beta``."""
-    return 2.0 * (1.0 - params.beta) ** params.max_iters <= params.tol
-
-
 def _pagerank_blocks(union: Graph, sizes: Sequence[int],
                      params: CentralityParams, spent: int = 0,
                      start: np.ndarray | None = None):
@@ -755,7 +751,7 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
     image.  Every degree must be positive.  Returns the stacked vector,
     and per block the residual and iterations.
     """
-    transpose, degrees = union._transpose, union._float_degrees
+    transpose, degrees = union.adjacency.T, union._float_degrees
     sizes = np.asarray(sizes)
     teleports = params.beta / sizes
 
@@ -903,15 +899,10 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
 def _in_blocks(params: CentralityParams, graph: Graph) -> bool:
     """Whether :func:`_block_values` solves a connected undirected graph as
     :func:`compute` does: degree, walk counts, and eigenvector and PageRank
-    where power iteration from the uniform vector is their only solver:
-    below ``LANCZOS_MIN_NODES`` nodes, and for PageRank also on regular
-    graphs and, where :func:`_power_suffices`, on graphs not banded."""
-    small = graph.node_count < LANCZOS_MIN_NODES
-    if params.kind == "eigenvector":
-        return small
-    if params.kind == "pagerank":
-        return (small or graph.regular
-                or (_power_suffices(params) and _banded(graph) is None))
+    below ``LANCZOS_MIN_NODES`` nodes, where power iteration from the
+    uniform vector is their only solver."""
+    if params.kind in ("eigenvector", "pagerank"):
+        return graph.node_count < LANCZOS_MIN_NODES
     return params.kind in ("degree", "walk_count")
 
 

@@ -27,7 +27,7 @@ from .formats import (ReportDocument, emit_edge_list, emit_json,
                       parse_matrix_market)
 from .generators import (MODELS, RandomGraphSpec, effective_lcc_extract,
                          generate)
-from .graph import Graph
+from .graph import Graph, _require_int
 from .paradox import (BILINEAR_TOL, MAX_FIEDLER_NODES,
                       bias_distribution, compare_averages, eaves_check,
                       fiedler_check, harmonic_mean_check, neighbor_average,
@@ -237,6 +237,9 @@ def _cmd_bias(args: argparse.Namespace) -> str:
 
 
 def _cmd_identities(args: argparse.Namespace) -> str:
+    # Checked up front: the checks that take them skip some graphs.
+    _require_int("ell", args.ell, 1)
+    _require_int("trials", args.trials, 1)
     graph, meta, _ = _load_graph(args)
     payload: dict = {"graph_meta": meta}
     if not graph.directed:

@@ -84,13 +84,6 @@ class Graph:
             shape=(self.node_count, self.node_count))
 
     @cached_property
-    def _transpose(self) -> sparse.csc_matrix:
-        """``adjacency.T``: a CSC view that shares the CSR arrays, made
-        once.  Its matvec adds each column's entries in row order, as
-        ``adjacency.T.tocsr()`` would."""
-        return self.adjacency.T
-
-    @cached_property
     def _float_degrees(self) -> np.ndarray:
         """``degree_seq`` as read-only float64."""
         degrees = self.degree_seq.astype(np.float64)
@@ -169,6 +162,12 @@ def _require_int(name: str, value, least: int | None = None) -> None:
         bound = "" if least is None else f" of at least {least}"
         raise ParameterError(f"{name} must be an integer{bound}, "
                              f"got {value!r}")
+
+
+def _require_undirected(graph: Graph, what: str) -> None:
+    """Reject a directed graph with a ``UsageError``."""
+    if graph.directed:
+        raise UsageError(f"{what} is defined for undirected graphs")
 
 
 def _exact_int_ids(edges, dtype: np.dtype) -> np.ndarray:
@@ -429,4 +428,4 @@ def apply_transition_transpose(graph: Graph, x) -> np.ndarray:
     """``C^T @ x``, the mass-redistribution step of a degree-normalised
     random walk."""
     degrees = _require_positive_degrees(graph)
-    return graph._transpose @ (_as_vector(graph, x) / degrees)
+    return graph.adjacency.T @ (_as_vector(graph, x) / degrees)

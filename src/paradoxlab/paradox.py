@@ -23,8 +23,9 @@ from .errors import GenerationError, InputError, NumericalError, RangeError
 from .generators import RandomGraphSpec, _draw_edges, effective_lcc_extract
 from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _connected_blocks,
                     _require_int, _require_positive_degrees,
-                    adjacency_matvec, apply_transition, build_directed,
-                    build_undirected, disjoint_union, is_strongly_connected)
+                    _require_undirected, adjacency_matvec, apply_transition,
+                    build_directed, build_undirected, disjoint_union,
+                    is_strongly_connected)
 from .rng import SplitMix64, derive_seed
 
 # Two float means this close are reported as the equality case.
@@ -155,8 +156,7 @@ def paradox_report(graph: Graph, r: CentralityVector) -> ParadoxReport:
 def exact_degree_stats(graph: Graph) -> tuple[Fraction, Fraction, Fraction]:
     """(mu, mu_bar, mu_tilde) for the degree measure in exact rational
     arithmetic; only defined when every degree is positive."""
-    if graph.directed:
-        raise InputError("exact degree statistics expect an undirected graph")
+    _require_undirected(graph, "exact degree statistics")
     _require_positive_degrees(graph)
     degrees = graph.degree_seq
     # Exact in int64: each sum below is at most (sum d)^2, under 2^63 for
@@ -177,9 +177,7 @@ def exact_degree_stats(graph: Graph) -> tuple[Fraction, Fraction, Fraction]:
 def compare_averages(graph: Graph, r: CentralityVector) -> ComparisonDecomposition:
     """Split mu_bar - mu_tilde into per-node contributions (see
     :class:`ComparisonDecomposition`); lhs and rhs agree to rounding."""
-    if graph.directed:
-        raise InputError("the comparison decomposition expects an "
-                         "undirected graph")
+    _require_undirected(graph, "the comparison decomposition")
     values = _measure_values(graph, r)
     degrees = graph.degree_seq.astype(np.float64)
     averages = neighbor_average(graph, values)
@@ -197,9 +195,7 @@ def symmetrization_identity(graph: Graph) -> tuple[float, float]:
         sum(C d) - sum(d) = 1/2 * sum_ij A_ij (sqrt(d_j/d_i) - sqrt(d_i/d_j))^2
 
     which exhibits the degree-paradox gap as a sum of squares."""
-    if graph.directed:
-        raise InputError("the symmetrisation identity expects an "
-                         "undirected graph")
+    _require_undirected(graph, "the symmetrisation identity")
     degrees = graph.degree_seq.astype(np.float64)
     lhs = float(apply_transition(graph, degrees).sum() - degrees.sum())
     d_i = np.repeat(degrees, np.diff(graph.row_offsets))
@@ -221,6 +217,7 @@ def harmonic_mean_check(graph: Graph, spectral: SpectralResult) -> tuple[float, 
     """lhs = sum_i r_i / d_i and rhs = 1 / lambda1 for the L1-normalised
     dominant eigenvector r: the harmonic bound says lhs >= rhs, with
     equality exactly on regular graphs."""
+    _require_undirected(graph, "the harmonic-mean check")
     vector = _measure_values(graph, spectral.vector)
     degrees = _require_positive_degrees(graph)
     return float((vector / degrees).sum()), 1.0 / spectral.lambda1
@@ -230,9 +227,7 @@ def eaves_check(graph: Graph, ell: int) -> tuple[float, float]:
     """Both sides of sum_ij (1/d_i) W_ij d_j >= sum_ij W_ij for W = A^ell,
     computed by repeated matvec."""
     _require_int("ell", ell, 1)
-    if graph.directed:
-        raise InputError("the walk-matrix inequality expects an "
-                         "undirected graph")
+    _require_undirected(graph, "the walk-matrix inequality")
     degrees = _require_positive_degrees(graph)
     walks = _walks(graph, ell)
     # W d = A^(ell+1) 1; walk counts never fall as ell grows, so this is
@@ -274,6 +269,8 @@ def fiedler_check(p: np.ndarray, trials: int, seed: int) -> list[FiedlerInstance
     if n > MAX_FIEDLER_NODES:
         raise RangeError(
             f"bilinear-bound check limited to {MAX_FIEDLER_NODES} nodes")
+    if not np.isfinite(matrix).all():
+        raise InputError("matrix entries must be finite")
     if (matrix < 0).any():
         raise InputError("matrix must be entrywise nonnegative")
     support = (matrix > 0) & ~np.eye(n, dtype=bool)
@@ -439,16 +436,16 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     the window still pending in one batch, which pairs the stubs of
     ``k_regular`` and ``configuration`` members together, assembles them
     as one disjoint union and labels it once, so no attempt is assembled
-    or labelled alone.  Degree, walk counts, and the eigenvector and
-    PageRank members that ``_in_blocks`` admits, those that start from
-    the uniform vector, are then solved in batches of consecutive
-    members, one solve and one neighbour average over the disjoint union
-    of each batch, a batch closing before its stored arcs would pass
-    ``BFS_BLOCK_ARCS``.  The other members and a lone node, whose
-    neighbour average is undefined, take one solve per member.  Samples
-    and errors are those of one ``generate`` per attempt and one solve per
-    member, in member order: a member that cannot be sampled raises after
-    the members before it are solved.
+    or labelled alone.  Degree, walk counts, and eigenvector and PageRank
+    members below ``LANCZOS_MIN_NODES`` nodes, which power iteration
+    solves from the uniform vector, are then solved in batches of
+    consecutive members, one solve and one neighbour average over the
+    disjoint union of each batch, a batch closing before its stored arcs
+    would pass ``BFS_BLOCK_ARCS``.  The other members and a lone node,
+    whose neighbour average is undefined, take one solve per member.
+    Samples and errors are those of one ``generate`` per attempt and one
+    solve per member, in member order: a member that cannot be sampled
+    raises after the members before it are solved.
     """
     _require_int("n_graphs", n_graphs, 1)
     _require_int("seed", seed)

@@ -146,6 +146,23 @@ def test_identities_run_eaves_at_every_size(capsys):
         assert "walk-matrix" not in err
 
 
+@pytest.mark.parametrize("option, source", [
+    ("--trials", ("--model", "path", "--n", "6")),
+    # Above 16 nodes the bilinear bound, which takes --trials, is skipped.
+    ("--trials", ("--model", "path", "--n", "30")),
+    ("--ell", ("--model", "path", "--n", "6")),
+    # On a digraph the walk-matrix check, which takes --ell, is skipped.
+    ("--ell", ("ring.txt",)),
+], ids=["trials-p6", "trials-p30", "ell-p6", "ell-digraph"])
+def test_identities_reject_bad_options_before_any_check(
+        capsys, tmp_path, monkeypatch, option, source):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring.txt").write_text("directed\n0 1\n1 2\n2 0\n")
+    name = option.lstrip("-")
+    assert run_cli(capsys, "identities", *source, option, "0") == (
+        1, "", f"error: {name} must be an integer of at least 1, got 0\n")
+
+
 def test_exit_codes(capsys, tmp_path):
     # Usage: missing input source.
     code, _, err = run_cli(capsys, "paradox", "--measure", "degree")
@@ -174,6 +191,14 @@ def test_exit_codes(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "paradox", str(tmp_path / "nope.txt"),
                          "--measure", "degree")
     assert code == 2
+
+    # Usage: an operation defined for undirected graphs, on a digraph.
+    ring = tmp_path / "ring.txt"
+    ring.write_text("directed\n0 1\n1 2\n2 0\n0 2\n")
+    for measure, what in (("degree", "degree centrality"),
+                          ("pagerank", "the comparison decomposition")):
+        assert run_cli(capsys, "compare", str(ring), "--measure", measure) \
+            == (1, "", f"error: {what} is defined for undirected graphs\n")
 
     # Precondition: disconnected graph.
     disc = tmp_path / "disc.txt"

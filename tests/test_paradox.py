@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from paradoxlab import (EQUALITY_TOL, CentralityParams, ConvergenceError,
-                        GenerationError, InputError, ParadoxLabError,
-                        ParameterError, PreconditionError, RandomGraphSpec,
-                        RangeError, bias_distribution, build_directed,
-                        build_undirected, compare_averages, compute,
-                        derive_seed, eaves_check, eigenvector_centrality,
+                        GenerationError, InputError, NumericalError,
+                        ParadoxLabError, ParameterError, PreconditionError,
+                        RandomGraphSpec, RangeError, UsageError,
+                        bias_distribution, build_directed, build_undirected,
+                        compare_averages, compute, derive_seed, eaves_check,
+                        eigenvector_centrality,
                         exact_degree_stats, fiedler_check, generate,
                         harmonic_mean_check, is_connected,
                         katz_centrality, neighbor_average,
@@ -390,6 +391,15 @@ def test_fiedler_rejects_bad_input():
         fiedler_check(np.ones((2, 2)), trials=0, seed=0)
     with pytest.raises(RangeError):
         fiedler_check(np.ones((17, 17)), trials=1, seed=0)
+    for entry in (np.inf, np.nan):
+        with pytest.raises(InputError, match="entries must be finite"):
+            fiedler_check(np.array([[0.0, entry], [1.0, 0.0]]), trials=1,
+                          seed=0)
+    # Irreducible, but the dense eigenvectors of this near-identity come
+    # out as the unit vectors.
+    with pytest.raises(NumericalError, match="too close to reducible"):
+        fiedler_check(np.array([[1.0, 1e-300], [1e-300, 1.0]]), trials=1,
+                      seed=0)
 
 
 def test_pagerank_paradox_check(hub_digraph):
@@ -559,7 +569,8 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         if measure.kind == "katz":
             assert not batched
             continue
-        if name == "straddling" and measure.kind == "eigenvector":
+        if name == "straddling" and measure.kind in ("eigenvector",
+                                                      "pagerank"):
             assert 0 < len(batched) < n_graphs
             continue
         expected = {"one": [1] * n_graphs, "two": [2] * (n_graphs // 2),
@@ -567,37 +578,40 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         assert list(map(len, solve_batches)) == expected, measure.kind
 
 
-def test_banded_pagerank_members_are_solved_alone(solve_batches):
-    # Non-regular banded members of LANCZOS_MIN_NODES nodes or more start
-    # PageRank from a banded solve, which a batch does not take; shorter
-    # paths and rings, whose uniform start is exact, stay batched.
-    measure = CentralityParams(kind="pagerank", beta=0.15)
-    for spec, batches in ((RandomGraphSpec(model="path", n=300), []),
-                          (RandomGraphSpec(model="path", n=255), [[255] * 3]),
-                          (RandomGraphSpec(model="cycle", n=300),
-                           [[300] * 3])):
-        solve_batches.clear()
-        got = bias_distribution(spec, measure, 3, SEED).samples
-        want = _per_member_samples(spec, measure, 3, SEED)
-        assert got.tobytes() == want.tobytes()
-        assert solve_batches == batches
+# name -> (ensemble, members, measures): members below, on both sides of
+# and above LANCZOS_MIN_NODES, banded (paths), regular (rings) and neither
+# (Erdos-Renyi).  P_255 runs only PageRank at beta = 0.15: its power loop
+# takes 36,643 eigenvector steps and exhausts its PageRank budget at 1e-6.
+SIZE_RULE_MEASURES = (EIGENVECTOR,
+                      CentralityParams(kind="pagerank", beta=0.15),
+                      CentralityParams(kind="pagerank", beta=1e-6))
+SIZE_RULE_ENSEMBLES = {
+    "path255": (RandomGraphSpec(model="path", n=255), 3,
+                SIZE_RULE_MEASURES[1:2]),
+    "path300": (RandomGraphSpec(model="path", n=300), 3, SIZE_RULE_MEASURES),
+    "cycle300": (RandomGraphSpec(model="cycle", n=300), 3,
+                 SIZE_RULE_MEASURES),
+    "erdos_renyi300": (RandomGraphSpec(model="erdos_renyi", n=300, p=0.02), 3,
+                       SIZE_RULE_MEASURES),
+    "straddling": (*ENSEMBLES["straddling"], SIZE_RULE_MEASURES),
+}
 
 
-def test_pagerank_members_leave_the_batch_where_the_power_loop_may_not_finish(
-        solve_batches):
-    # ER(300, 0.02) members are not banded.  At beta = 0.15 the power loop
-    # from the uniform vector is sure to pass tol within its budget, so
-    # they stay batched; at 1e-6 it is not, and each is solved alone from
-    # a conjugate-gradient start.
-    spec = RandomGraphSpec(model="erdos_renyi", n=300, p=0.02)
-    sizes = [connected_sample(spec, i, SEED).node_count for i in range(3)]
-    assert min(sizes) >= centrality.LANCZOS_MIN_NODES
-    for beta, batched in ((0.15, sizes), (1e-6, [])):
-        measure = CentralityParams(kind="pagerank", beta=beta)
+@pytest.mark.parametrize("name", sorted(SIZE_RULE_ENSEMBLES))
+def test_members_of_lanczos_min_nodes_or_more_are_solved_alone(
+        solve_batches, name):
+    # Eigenvector and PageRank members of LANCZOS_MIN_NODES nodes or more
+    # may start from a solve that a batch does not take, so each is solved
+    # alone whatever its start; the smaller ones stay batched.
+    spec, n_graphs, measures = SIZE_RULE_ENSEMBLES[name]
+    sizes = [connected_sample(spec, i, SEED).node_count
+             for i in range(n_graphs)]
+    batched = [n for n in sizes if n < centrality.LANCZOS_MIN_NODES]
+    for measure in measures:
         solve_batches.clear()
-        got = bias_distribution(spec, measure, 3, SEED).samples
-        want = _per_member_samples(spec, measure, 3, SEED)
-        assert got.tobytes() == want.tobytes()
+        got = bias_distribution(spec, measure, n_graphs, SEED).samples
+        want = _per_member_samples(spec, measure, n_graphs, SEED)
+        assert got.tobytes() == want.tobytes(), measure
         assert [n for batch in solve_batches for n in batch] == batched
 
 
@@ -873,14 +887,22 @@ def test_directed_reports_use_out_degrees(hub_digraph):
     weights = np.array([2.0, 1.0, 1.0]) / 4.0
     assert report.mu_tilde == pytest.approx(
         float(weights @ vector.values), abs=1e-14)
-    with pytest.raises(InputError):
-        compare_averages(hub_digraph, vector)
-    with pytest.raises(InputError):
-        symmetrization_identity(hub_digraph)
-    with pytest.raises(InputError):
-        eaves_check(hub_digraph, 1)
-    with pytest.raises(InputError):
-        exact_degree_stats(hub_digraph)
+    # The undirected-only checks reject it as the centrality measures do.
+    spectral, _ = eigenvector_centrality(cycle(3))
+    for what, check in (
+            ("the comparison decomposition",
+             lambda: compare_averages(hub_digraph, vector)),
+            ("the symmetrisation identity",
+             lambda: symmetrization_identity(hub_digraph)),
+            ("the walk-matrix inequality",
+             lambda: eaves_check(hub_digraph, 1)),
+            ("exact degree statistics",
+             lambda: exact_degree_stats(hub_digraph)),
+            ("the harmonic-mean check",
+             lambda: harmonic_mean_check(hub_digraph, spectral))):
+        with pytest.raises(UsageError) as info:
+            check()
+        assert str(info.value) == f"{what} is defined for undirected graphs"
 
 
 def _exact_slack(graph, kind):
