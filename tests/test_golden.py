@@ -283,7 +283,7 @@ DIGESTS = {
     "compare-digraph-degree":
         "8ee9646e78637435f883e60af27d74a2c15a8f86e2bf0d202161b7d3dea1b0e6",
     "compare-digraph-pagerank":
-        "47b86ec15b5c81bdc56c26ce822e63bd6f0cded452dc8a6f14d1f61ab1138aff",
+        "504a0382755bbb05738c4f64d7f6f7a4a4d5f4224b8cc6914e1948fd91ff90b0",
     "compare-er-closeness":
         "8623bce58a54107e3f81a409241954da9b377d4c070d350e567416fd1abf150f",
     "compare-er-degree":
