@@ -18,7 +18,7 @@ from .errors import (ConvergenceError, ParameterError, PreconditionError,
                      RangeError)
 from .graph import (MAX_EXACT_COUNT, Graph, _is_real, _require_int,
                     _require_positive_degrees, _require_undirected,
-                    adjacency_matvec)
+                    _transpose_matvec, adjacency_matvec)
 
 VALID_KINDS = ("degree", "walk_count", "eigenvector", "katz", "pagerank",
                "closeness", "harmonic")
@@ -247,7 +247,7 @@ def _banded(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
     if n * narrowest * narrowest > budget:
         return None
     from scipy.sparse.csgraph import reverse_cuthill_mckee
-    order = reverse_cuthill_mckee(graph.adjacency, symmetric_mode=True)
+    order = reverse_cuthill_mckee(graph._pattern, symmetric_mode=True)
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     rows = np.repeat(position, lengths)
@@ -751,12 +751,13 @@ def _pagerank_blocks(union: Graph, sizes: Sequence[int],
     image.  Every degree must be positive.  Returns the stacked vector,
     and per block the residual and iterations.
     """
-    transpose, degrees = union.adjacency.T, union._float_degrees
+    degrees = union._float_degrees
     sizes = np.asarray(sizes)
     teleports = params.beta / sizes
 
     def pagerank_step(vec, starts):
-        image = (1.0 - params.beta) * (transpose @ (vec / degrees))
+        walk = _transpose_matvec(union, vec / degrees)
+        image = (1.0 - params.beta) * walk
         image += (teleports * np.add.reduceat(vec, starts)).repeat(sizes)
         residuals = np.add.reduceat(np.abs(image - vec), starts)
         return residuals, image / np.add.reduceat(image, starts).repeat(sizes)

@@ -84,6 +84,47 @@ class Graph:
             shape=(self.node_count, self.node_count))
 
     @cached_property
+    def _rows_by_degree(self) -> tuple[sparse.csr_matrix, np.ndarray | None]:
+        """The adjacency with its rows stored in ascending length order,
+        each row's entries kept in stored order, and each node's row in
+        it; ``adjacency`` itself and ``None`` where the lengths already
+        ascend, as on every regular graph.  scipy's ``csr_matvec`` sums
+        each row from 0, left to right, so ``(layout @ x)[position]`` is
+        ``A @ x`` bit for bit, in any order of equal-length rows.  It is
+        faster: the inner loop's trip count changes only where the length
+        does, so the branch predictor seldom misses it."""
+        lengths = np.diff(self.row_offsets)
+        if (lengths[1:] >= lengths[:-1]).all():
+            return self.adjacency, None
+        order = np.argsort(lengths)
+        sorted_lengths = lengths[order]
+        offsets = np.zeros_like(self.row_offsets)
+        np.cumsum(sorted_lengths, out=offsets[1:])
+        # Entry k of the layout is stored entry k shifted by the distance
+        # its row moved.
+        stored = np.repeat(self.row_offsets[order] - offsets[:-1],
+                           sorted_lengths)
+        stored += np.arange(len(stored), dtype=stored.dtype)
+        layout = sparse.csr_matrix(
+            (self.multiplicities[stored].astype(np.float64),
+             self.column_targets[stored], offsets),
+            shape=(self.node_count, self.node_count))
+        # In intp, which the gather would otherwise convert it to per call.
+        position = np.empty(self.node_count, dtype=np.intp)
+        position[order] = np.arange(self.node_count)
+        return layout, position
+
+    @cached_property
+    def _pattern(self) -> sparse.csr_matrix:
+        """A matrix of the adjacency's pattern whose data is a broadcast
+        1.0, for the csgraph routines that read only the index arrays: it
+        allocates no float64 copy of the arcs."""
+        return sparse.csr_matrix(
+            (np.broadcast_to(1.0, len(self.column_targets)),
+             self.column_targets, self.row_offsets),
+            shape=(self.node_count, self.node_count))
+
+    @cached_property
     def _float_degrees(self) -> np.ndarray:
         """``degree_seq`` as read-only float64."""
         degrees = self.degree_seq.astype(np.float64)
@@ -99,15 +140,9 @@ class Graph:
         # Imported here so that ``import paradoxlab`` leaves csgraph out.
         from scipy.sparse.csgraph import connected_components
 
-        # The search reads only the index arrays, so it runs through a
-        # matrix whose data is a broadcast 1.0: labelling allocates no
-        # float64 copy of the arcs.  Both arcs of every undirected edge
-        # are stored, so its strong components are its connected ones.
-        matrix = sparse.csr_matrix(
-            (np.broadcast_to(1.0, len(self.column_targets)),
-             self.column_targets, self.row_offsets),
-            shape=(self.node_count, self.node_count))
-        _, labels = connected_components(matrix, directed=True,
+        # Both arcs of every undirected edge are stored, so its strong
+        # components are its connected ones.
+        _, labels = connected_components(self._pattern, directed=True,
                                          connection="strong")
         labels = labels.astype(np.int64)
         labels.setflags(write=False)
@@ -401,8 +436,19 @@ def _as_vector(graph: Graph, x) -> np.ndarray:
 
 
 def adjacency_matvec(graph: Graph, x) -> np.ndarray:
-    """Multiplicity-weighted sum of x over (out-)neighbours: ``A @ x``."""
-    return graph.adjacency @ _as_vector(graph, x)
+    """Multiplicity-weighted sum of x over (out-)neighbours: ``A @ x``,
+    run over the rows sorted by length."""
+    layout, position = graph._rows_by_degree
+    image = layout @ _as_vector(graph, x)
+    return image if position is None else image.take(position)
+
+
+def _transpose_matvec(graph: Graph, x: np.ndarray) -> np.ndarray:
+    """``A^T @ x``.  On an undirected graph ``A`` is symmetric with sorted
+    rows, so the CSC view ``A.T`` would add each row's products in the
+    order ``A`` does, and ``A @ x`` is taken instead."""
+    return (graph.adjacency.T @ x if graph.directed
+            else adjacency_matvec(graph, x))
 
 
 def _require_positive_degrees(graph: Graph) -> np.ndarray:
@@ -428,4 +474,4 @@ def apply_transition_transpose(graph: Graph, x) -> np.ndarray:
     """``C^T @ x``, the mass-redistribution step of a degree-normalised
     random walk."""
     degrees = _require_positive_degrees(graph)
-    return graph.adjacency.T @ (_as_vector(graph, x) / degrees)
+    return _transpose_matvec(graph, _as_vector(graph, x) / degrees)

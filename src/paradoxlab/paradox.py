@@ -208,7 +208,7 @@ def symmetrization_identity(graph: Graph) -> tuple[float, float]:
     inverse = np.divide(d_i, d_j, out=d_i)
     terms -= np.sqrt(inverse, out=inverse)
     np.square(terms, out=terms)
-    terms *= graph.adjacency.data
+    terms *= graph.multiplicities
     rhs = float(0.5 * terms.sum())
     return lhs, rhs
 

@@ -18,8 +18,11 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         apply_transition, apply_transition_transpose,
                         build_directed, build_undirected,
                         connected_component_labels, dense_from_graph,
-                        dense_hop_distances, extract_lcc, fiedler_check,
-                        generate, is_connected, is_strongly_connected)
+                        dense_hop_distances, eigenvector_centrality,
+                        extract_lcc, fiedler_check, generate, is_connected,
+                        is_strongly_connected, katz_centrality,
+                        neighbor_average, pagerank_centrality,
+                        symmetrization_identity)
 from paradoxlab.graph import (_connected_blocks, _index_dtype,
                               disjoint_union)
 from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
@@ -552,6 +555,84 @@ def test_transition_transpose_matches_stored_transpose(g, vec_seed):
     # The stored CSR transpose the graph used to cache.
     reference = g.adjacency.T.tocsr() @ (x / g.degree_seq.astype(np.float64))
     assert np.array_equal(apply_transition_transpose(g, x), reference)
+
+
+# --- Matvecs over the rows sorted by length ----------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(multigraph_edge_lists(), st.booleans(), st.integers(0, 2 ** 32))
+@example((1, []), False, 0)
+@example((6, [(0, 1), (2, 3)]), False, 1)
+@example((5, [(0, 1), (1, 0), (0, 1), (3, 1), (1, 4), (4, 3)]), True, 2)
+# Regular graphs, whose layout is the stored matrix: a cycle, K_5, a
+# matching of double edges and a directed ring.
+@example((7, [(i, (i + 1) % 7) for i in range(7)]), False, 3)
+@example((5, [(i, j) for i in range(5) for j in range(i)]), False, 4)
+@example((4, [(0, 1), (1, 0), (2, 3), (3, 2)]), False, 5)
+@example((3, [(0, 1), (1, 2), (2, 0)]), True, 6)
+def test_matvec_is_bit_identical_to_the_stored_matrix(case, directed,
+                                                      vec_seed):
+    n, edges = case
+    g = (build_directed if directed else build_undirected)(n, edges)
+    x = np.random.default_rng(vec_seed).normal(size=n)
+    assert np.array_equal(adjacency_matvec(g, x), g.adjacency @ x)
+
+
+def test_matvec_over_rows_out_of_length_order():
+    # Rows of length 3, 2, 2 and 1; the edge 0-1 twice.
+    g = build_undirected(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 0)])
+    layout, position = g._rows_by_degree
+    assert position.tolist() in ([3, 1, 2, 0], [3, 2, 1, 0])
+    assert layout.indptr.tolist() == [0, 1, 3, 5, 8]
+    assert layout.indptr.dtype == layout.indices.dtype == np.int32
+    for node in range(4):
+        row = slice(*layout.indptr[position[node]:position[node] + 2])
+        assert layout.indices[row].tolist() == neighbors(g, node).tolist()
+    x = np.array([1.0, 10.0, 100.0, 1000.0])
+    assert adjacency_matvec(g, x).tolist() == [1120.0, 102.0, 11.0, 1.0]
+    # C^T x: entry i sums A_ij x_j / d_j, degrees 4, 3, 2 and 1.
+    assert apply_transition_transpose(g, x).tolist() == [
+        2 * (10 / 3) + 100 / 2 + 1000, 2 * (1 / 4) + 100 / 2,
+        1 / 4 + 10 / 3, 1 / 4]
+
+
+def test_rows_by_degree_are_built_once_and_skipped_where_lengths_ascend():
+    g = star(6)
+    x = np.arange(6.0)
+    adjacency_matvec(g, x)
+    layout, position = vars(g)["_rows_by_degree"]
+    apply_transition_transpose(g, x)
+    adjacency_matvec(g, x)
+    assert vars(g)["_rows_by_degree"][0] is layout
+    # The hub's row is the longest; the leaves' rows may take any order.
+    assert position[0] == 5 and sorted(position) == list(range(6))
+    assert "adjacency" not in vars(g)
+    # Rows whose lengths already ascend are stored as they are: every
+    # regular graph, and a star whose hub is its last node.
+    hub_last = build_undirected(6, [(i, 5) for i in range(5)])
+    for graph in (cycle(8), complete(4),
+                  generate(RandomGraphSpec(model="k_regular", n=20, k=3,
+                                           seed=1)), hub_last):
+        adjacency_matvec(graph, np.ones(graph.node_count))
+        layout, position = graph._rows_by_degree
+        assert layout is graph.adjacency and position is None
+
+
+@pytest.mark.parametrize("make", [lambda: star(20), lambda: path(300),
+                                  lambda: generate(RandomGraphSpec(
+                                      model="erdos_renyi", n=400, p=0.02,
+                                      seed=2))],
+                         ids=["star", "banded-path", "erdos-renyi"])
+def test_solves_leave_no_matrix_behind(make):
+    graph = make()
+    spectral, eigenvector = eigenvector_centrality(graph)
+    katz_centrality(graph, 0.85 / spectral.lambda1)
+    pagerank = pagerank_centrality(graph, 0.15)
+    neighbor_average(graph, eigenvector.values)
+    neighbor_average(graph, pagerank.values)
+    symmetrization_identity(graph)
+    assert "_rows_by_degree" in vars(graph)
+    assert "adjacency" not in vars(graph)
 
 
 # --- CSR storage: the index dtype scipy picks, shared with the matrix --------
