@@ -32,12 +32,9 @@ DEFAULT_MAX_ITERS = 100_000
 # Katz decay must keep alpha * lambda1 bounded away from 1.
 ALPHA_MARGIN = 1e-9
 
-# Graphs with at least this many nodes may start a power loop from a
-# solve: shift-invert or Lanczos (eigenvector), the banded Katz solve and
-# PageRank's start solve (_start_solve); ensemble batching leaves such
-# members alone where they do.  Below it the power loop is cheaper
-# (measured crossover on Erdős–Rényi and preferential-attachment graphs,
-# and on paths before they moved to shift-invert; see CHANGES.md).
+# The node count from which a start solve pays before a power loop, read
+# by _starts_from_solve and _start_solve's band (measured crossover on
+# Erdős–Rényi, preferential-attachment and path graphs; see CHANGES.md).
 LANCZOS_MIN_NODES = 256
 
 # eigsh's default Lanczos basis size (ncv) for one eigenpair: the matvecs
@@ -490,33 +487,25 @@ def eigenvector_centrality(graph: Graph, tol: float = DEFAULT_TOL,
                            ) -> tuple[SpectralResult, CentralityVector]:
     """Dominant eigenpair of the adjacency matrix.
 
-    Graphs with at least ``LANCZOS_MIN_NODES`` nodes that are not regular
-    first ask for a start vector from a solver that needs far fewer steps
-    than power iteration when the spectral gap is small: shift-invert
-    iteration on banded graphs, such as long paths (see ``_banded`` and
-    ``_shift_invert``), and Lanczos (ARPACK's ``eigsh``, see ``_lanczos``)
-    on the others and where shift-invert gives no vector.  Both stop where
-    their start passes the certificate below up to rounding.
-    Regular graphs, whose Perron vector is the uniform one, and smaller
-    graphs start from the uniform vector.  Any start goes to power
-    iteration on ``A + I``, so that bipartite graphs, whose spectrum is
-    symmetric, still have a strictly dominant eigenvalue.  Its step 0
-    certifies the start: the result must pass ``max|A r - lambda r| <=
+    Where :func:`_starts_from_solve` allows, shift-invert iteration on
+    banded graphs such as long paths (``_shift_invert``), else Lanczos
+    (``_lanczos``), proposes a start in far fewer steps than power
+    iteration takes when the spectral gap is small; other graphs start
+    from the uniform vector.  Power iteration on ``A + I``, whose
+    dominant eigenvalue is strict on bipartite graphs too, certifies the
+    start at its step 0: the result must pass ``max|A r - lambda r| <=
     tol`` with the Rayleigh-quotient eigenvalue estimate, and a start that
     fails is polished by the steps after it.  ``method`` is
     ``"shift-invert"`` or ``"lanczos"`` when that solver's vector passes
     as it is, and ``"power"`` otherwise, on both results.  The vector is
-    positive and L1-normalised.
-
-    All solvers draw on one budget: ``iterations`` counts the shift-invert
-    solves, the Lanczos matvecs and the power steps, and stays below
-    ``max_iters``; each solver gets only what those before it left.
+    positive and L1-normalised.  All solvers draw on one budget:
+    ``iterations`` counts the shift-invert solves, the Lanczos matvecs and
+    the power steps, below ``max_iters``; each gets what the others left.
     """
-    params = CentralityParams(kind="eigenvector", tol=tol,
-                              max_iters=max_iters)
+    params = CentralityParams(kind="eigenvector", tol=tol, max_iters=max_iters)
     _require_undirected_connected(graph, "eigenvector centrality")
     start, spent = None, 0
-    if graph.node_count >= LANCZOS_MIN_NODES and not graph.regular:
+    if _starts_from_solve(graph, params):
         banded = _banded(graph)
         if banded is not None:
             start, spent = _shift_invert(graph, banded, params)
@@ -701,18 +690,15 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
     the L1 fixed-point residual of the returned vector is at most ``tol``;
     the result sums to 1.
 
-    The power loop runs from the uniform vector, which is exact on
-    regular graphs, except on undirected graphs of at least
-    ``LANCZOS_MIN_NODES`` nodes that are not regular, where it may
-    contract by only ``1 - beta`` per step, as on a path.  There the start
-    that Katz shares, :func:`_start_solve`, solves the symmetric, strictly
-    diagonally dominant ``(D - (1-beta) A) z = (beta/n) 1`` by a banded
-    Cholesky factor, or, unless the power loop is sure to finish within
-    its budget, by conjugate gradients from the ``z`` whose ``D z`` is
-    uniform.  ``r = D z``, L1-normalised, is the start, since
-    ``A D^-1 r = A z``; the loop's step 0 certifies it, and the steps
-    after it polish a start that fails.  ``iterations`` counts the solve
-    or matvecs and the steps, and stays below ``max_iters``.
+    The power loop, which may contract by only ``1 - beta`` per step, as
+    on a path, runs from the uniform vector or, where
+    :func:`_starts_from_solve` allows, from ``r = D z``, L1-normalised
+    (``A D^-1 r = A z``): :func:`_start_solve` solves the symmetric,
+    strictly diagonally dominant ``(D - (1-beta) A) z = (beta/n) 1`` by a
+    banded Cholesky factor or, unless :func:`_power_suffices`, by
+    conjugate gradients from the ``z`` whose ``D z`` is uniform.  Step 0
+    certifies the start, later steps polish one that fails, and
+    ``iterations``, below ``max_iters``, counts the solve or matvecs too.
     """
     params = CentralityParams(kind="pagerank", beta=beta, tol=tol,
                               max_iters=max_iters)
@@ -721,14 +707,11 @@ def pagerank_centrality(graph: Graph, beta: float, tol: float = DEFAULT_TOL,
         raise PreconditionError(f"pagerank requires a {kind} graph")
     degrees = _require_positive_degrees(graph)
     n, start, spent = graph.node_count, None, 0
-    if (n >= LANCZOS_MIN_NODES and not (graph.directed or graph.regular)
-            and max_iters > 1):
-        # Each step contracts the L1 residual, at most 2, by 1 - beta.
-        power_suffices = 2.0 * (1.0 - beta) ** max_iters <= tol
+    if _starts_from_solve(graph, params):
         z, spent, method = _start_solve(
             graph, degrees, 1.0 - beta, np.full(n, beta / n),
             lambda p: (1.0 - beta) * adjacency_matvec(graph, p), True, tol,
-            0 if power_suffices else min(n, max_iters - 1))
+            0 if _power_suffices(params) else min(n, max_iters - 1))
         if spent:
             start = degrees * z
             start /= start.sum()
@@ -897,13 +880,32 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
     return spectral
 
 
+def _power_suffices(params: CentralityParams) -> bool:
+    """Whether PageRank's power loop surely finishes within ``max_iters``:
+    each step contracts the L1 residual, at most 2, by ``1 - beta``."""
+    return 2.0 * (1.0 - params.beta) ** params.max_iters <= params.tol
+
+
+def _starts_from_solve(graph: Graph, params: CentralityParams) -> bool:
+    """The one start rule of the eigenvector and PageRank power loops:
+    whether a solve may give the start in place of the uniform vector.
+    Never on directed graphs (no symmetric solve) nor on regular ones (the
+    uniform vector is exact); else from ``LANCZOS_MIN_NODES`` nodes on,
+    and for PageRank also wherever :func:`_power_suffices` fails, given a
+    budget of a second step to certify the start."""
+    pagerank = params.kind == "pagerank"
+    return (not graph.directed and (params.max_iters > 1 or not pagerank)
+            and (graph.node_count >= LANCZOS_MIN_NODES
+                 or pagerank and not _power_suffices(params))
+            and not graph.regular)
+
+
 def _in_blocks(params: CentralityParams, graph: Graph) -> bool:
     """Whether :func:`_block_values` solves a connected undirected graph as
     :func:`compute` does: degree, walk counts, and eigenvector and PageRank
-    below ``LANCZOS_MIN_NODES`` nodes, where power iteration from the
-    uniform vector is their only solver."""
+    where :func:`_starts_from_solve` refuses a start."""
     if params.kind in ("eigenvector", "pagerank"):
-        return graph.node_count < LANCZOS_MIN_NODES
+        return not _starts_from_solve(graph, params)
     return params.kind in ("degree", "walk_count")
 
 

@@ -436,10 +436,9 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     the window still pending in one batch, which pairs the stubs of
     ``k_regular`` and ``configuration`` members together, assembles them
     as one disjoint union and labels it once, so no attempt is assembled
-    or labelled alone.  Degree, walk counts, and eigenvector and PageRank
-    members below ``LANCZOS_MIN_NODES`` nodes, which power iteration
-    solves from the uniform vector, are then solved in batches of
-    consecutive members, one solve and one neighbour average over the
+    or labelled alone.  Members that ``_in_blocks`` admits (the start
+    rule is ``centrality._starts_from_solve``) are then solved in batches
+    of consecutive members, one solve and one neighbour average over the
     disjoint union of each batch, a batch closing before its stored arcs
     would pass ``BFS_BLOCK_ARCS``.  The other members and a lone node,
     whose neighbour average is undefined, take one solve per member.
@@ -462,8 +461,7 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
             # converge raises before this member's generation error.
             _union_bias(batch, measure)
             raise
-        alone = (graph.node_count == 1
-                 or not _in_blocks(measure, graph))
+        alone = graph.node_count == 1 or not _in_blocks(measure, graph)
         if alone or arcs + len(graph.column_targets) > BFS_BLOCK_ARCS:
             deltas += _union_bias(batch, measure)
             arcs = 0

@@ -1461,6 +1461,13 @@ def _pagerank_graphs():
     return graphs
 
 
+def _bidirected_path(n):
+    """``path(n)`` as a digraph, which never starts from a solve: its
+    PageRank loop is the power loop at any budget."""
+    pairs = edge_pairs(path(n))
+    return build_directed(n, pairs + [(j, i) for i, j in pairs])
+
+
 @pytest.mark.parametrize("beta", [0.15, 0.85])
 def test_pagerank_matches_the_scalar_reference(beta):
     for graph in _pagerank_graphs():
@@ -1468,9 +1475,11 @@ def test_pagerank_matches_the_scalar_reference(beta):
         got = pagerank_centrality(graph, beta)
         assert got.values.tobytes() == vec.tobytes()
         assert (got.iterations, got.residual) == (iterations, residual)
-    _, iterations, residual = _scalar_pagerank(path(60), 0.05, max_iters=20)
+    # An exhausted budget, on a graph that takes no start.
+    slow = _bidirected_path(60)
+    _, iterations, residual = _scalar_pagerank(slow, 0.05, max_iters=20)
     with pytest.raises(ConvergenceError) as info:
-        pagerank_centrality(path(60), 0.05, max_iters=20)
+        pagerank_centrality(slow, 0.05, max_iters=20)
     assert (info.value.residual, info.value.iterations) == (residual, 20)
 
 
@@ -1487,18 +1496,45 @@ def test_pagerank_blocks_match_one_solve_per_graph():
     assert residuals.tobytes() == np.array(
         [result.residual for result in alone]).tobytes()
     assert iterations == [result.iterations for result in alone]
-    # The first block to run out of steps raises, as it would alone.
+    # The first block to run out of steps raises, as it would alone.  At
+    # that budget path(40) alone starts from conjugate gradients, so the
+    # power loop alone is the digraph's.
     slow = path(40)
     budget = pagerank_centrality(slow, 0.05).iterations
     assert pagerank_centrality(complete(5), 0.05).iterations < budget
     with pytest.raises(ConvergenceError) as want:
-        pagerank_centrality(slow, 0.05, max_iters=budget)
+        pagerank_centrality(_bidirected_path(40), 0.05, max_iters=budget)
     with pytest.raises(ConvergenceError) as info:
         centrality._pagerank_blocks(
             disjoint_union([complete(5), slow, path(60)]), [5, 40, 60],
             CentralityParams(kind="pagerank", beta=0.05, max_iters=budget))
     assert (str(info.value), info.value.residual, info.value.iterations) == \
         (str(want.value), want.value.residual, want.value.iterations)
+
+
+@pytest.mark.parametrize("max_iters", [5, 20, 200])
+@pytest.mark.parametrize("beta", [1e-3, 0.05, 0.15])
+def test_pagerank_start_rule_loses_no_converging_input(beta, max_iters):
+    # Where the power loop alone converges, pagerank_centrality converges
+    # in no more steps; where the batch would take the graph, its result
+    # is that power loop's, byte for byte.
+    params = CentralityParams(kind="pagerank", beta=beta, max_iters=max_iters)
+    for graph in _pagerank_graphs():
+        vec, iterations, residual = _scalar_pagerank(graph, beta,
+                                                     max_iters=max_iters)
+        try:
+            got = pagerank_centrality(graph, beta, max_iters=max_iters)
+        except ConvergenceError as error:
+            assert vec is None
+            assert not centrality._in_blocks(params, graph) or (
+                error.residual, error.iterations) == (residual, max_iters)
+            continue
+        if vec is not None:
+            assert got.iterations <= iterations
+        if centrality._in_blocks(params, graph):
+            assert got.method == "power"
+            assert got.values.tobytes() == vec.tobytes()
+            assert (got.iterations, got.residual) == (iterations, residual)
 
 
 def test_perron_bounds(p6):

@@ -405,6 +405,23 @@ def test_pagerank_on_a_long_path_with_a_tiny_teleport_converges(capsys):
     assert np.abs(image - r).sum() <= 1e-12
 
 
+@pytest.mark.parametrize("n", [150, 255])
+def test_pagerank_on_a_short_path_with_a_tiny_teleport_converges(capsys, n):
+    # At beta = 1e-6 the power loop is not sure to finish within its
+    # budget, so conjugate gradients give the start below
+    # LANCZOS_MIN_NODES too; from the uniform vector P_150 and P_255 exited
+    # 3 after 100,000 steps, with residuals 3.4e-12 and 7.1e-3.
+    code, out, err = run_cli(capsys, "paradox", "--model", "path", "--n",
+                             str(n), "--measure", "pagerank", "--beta",
+                             "1e-6")
+    assert code == 0
+    doc = json.loads(out)
+    r = np.array([row["r"] for row in doc["node_table"]])
+    g = path(n)
+    image = (1 - 1e-6) * adjacency_matvec(g, r / g.degree_seq) + 1e-6 / n
+    assert np.abs(image - r).sum() <= 1e-12
+
+
 def test_pagerank_on_a_grid_strip_with_a_tiny_teleport_converges(
         capsys, tmp_path):
     # _banded rejects the 10 x 300 strip, and the power loop from the

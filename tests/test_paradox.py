@@ -578,36 +578,46 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
         assert list(map(len, solve_batches)) == expected, measure.kind
 
 
-# name -> (ensemble, members, measures): members below, on both sides of
-# and above LANCZOS_MIN_NODES, banded (paths), regular (rings) and neither
-# (Erdos-Renyi).  P_255 runs only PageRank at beta = 0.15: its power loop
-# takes 36,643 eigenvector steps and exhausts its PageRank budget at 1e-6.
-SIZE_RULE_MEASURES = (EIGENVECTOR,
-                      CentralityParams(kind="pagerank", beta=0.15),
-                      CentralityParams(kind="pagerank", beta=1e-6))
-SIZE_RULE_ENSEMBLES = {
+# name -> (ensemble, members, (measure, batched node counts) pairs):
+# members below, on both sides of and above LANCZOS_MIN_NODES, banded
+# (paths), regular (rings) and neither (Erdos-Renyi).  Eigenvector and
+# PageRank at beta = 0.15 batch the members below LANCZOS_MIN_NODES and
+# the regular ones.  At beta = 1e-6 the default budget leaves the PageRank
+# power loop unsure to finish, so only regular members are batched.  The
+# eigenvector on P_255 takes 36,643 power steps, so it is left out.
+PAGERANK = CentralityParams(kind="pagerank", beta=0.15)
+TINY_TELEPORT = CentralityParams(kind="pagerank", beta=1e-6)
+START_RULE_ENSEMBLES = {
+    "path200": (RandomGraphSpec(model="path", n=200), 3,
+                ((TINY_TELEPORT, []),)),
     "path255": (RandomGraphSpec(model="path", n=255), 3,
-                SIZE_RULE_MEASURES[1:2]),
-    "path300": (RandomGraphSpec(model="path", n=300), 3, SIZE_RULE_MEASURES),
+                ((PAGERANK, [255] * 3), (TINY_TELEPORT, []))),
+    "path300": (RandomGraphSpec(model="path", n=300), 3,
+                ((EIGENVECTOR, []), (PAGERANK, []), (TINY_TELEPORT, []))),
     "cycle300": (RandomGraphSpec(model="cycle", n=300), 3,
-                 SIZE_RULE_MEASURES),
+                 ((EIGENVECTOR, [300] * 3), (PAGERANK, [300] * 3),
+                  (TINY_TELEPORT, [300] * 3))),
     "erdos_renyi300": (RandomGraphSpec(model="erdos_renyi", n=300, p=0.02), 3,
-                       SIZE_RULE_MEASURES),
-    "straddling": (*ENSEMBLES["straddling"], SIZE_RULE_MEASURES),
+                       ((EIGENVECTOR, []), (PAGERANK, []),
+                        (TINY_TELEPORT, []))),
+    "ring": (*ENSEMBLES["ring"], ((TINY_TELEPORT, [30] * 12),)),
+    # Largest components of 267, 255, 265, 269, 255, 250, 265, 255, 256,
+    # 254, 261 and 259 nodes.
+    "straddling": (*ENSEMBLES["straddling"],
+                   ((EIGENVECTOR, [255, 255, 250, 255, 254]),
+                    (PAGERANK, [255, 255, 250, 255, 254]),
+                    (TINY_TELEPORT, []))),
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIZE_RULE_ENSEMBLES))
-def test_members_of_lanczos_min_nodes_or_more_are_solved_alone(
+@pytest.mark.parametrize("name", sorted(START_RULE_ENSEMBLES))
+def test_members_that_may_start_from_a_solve_are_solved_alone(
         solve_batches, name):
-    # Eigenvector and PageRank members of LANCZOS_MIN_NODES nodes or more
-    # may start from a solve that a batch does not take, so each is solved
-    # alone whatever its start; the smaller ones stay batched.
-    spec, n_graphs, measures = SIZE_RULE_ENSEMBLES[name]
-    sizes = [connected_sample(spec, i, SEED).node_count
-             for i in range(n_graphs)]
-    batched = [n for n in sizes if n < centrality.LANCZOS_MIN_NODES]
-    for measure in measures:
+    # An eigenvector or PageRank member that may start from a solve, which
+    # a batch does not take, is solved alone whatever its start; the others
+    # are batched, and every sample equals the per-member solve's.
+    spec, n_graphs, cases = START_RULE_ENSEMBLES[name]
+    for measure, batched in cases:
         solve_batches.clear()
         got = bias_distribution(spec, measure, n_graphs, SEED).samples
         want = _per_member_samples(spec, measure, n_graphs, SEED)
@@ -780,19 +790,32 @@ def test_batched_solve_fails_as_the_per_member_loop():
         spec, measure, n_graphs, SEED)) == want
 
 
-def test_batched_pagerank_fails_as_the_per_member_loop():
+def test_batched_pagerank_fails_as_the_per_member_loop(solve_batches):
     spec, n_graphs = ENSEMBLES["erdos_renyi"]
-    steps = [compute(connected_sample(spec, i, SEED), CentralityParams(
-        kind="pagerank", beta=0.15)).iterations for i in range(n_graphs)]
-    # The first member to reach the budget raises, after some converge,
-    # with its own last residual.
+    steps = [compute(connected_sample(spec, i, SEED), PAGERANK).iterations
+             for i in range(n_graphs)]
+    # A budget that a quarter of the power loops from the uniform vector
+    # reach: 2 (1 - beta)^budget > tol, so no member, none regular, is
+    # batched, and each converges from its conjugate-gradient start.
     budget = sorted(steps)[3 * n_graphs // 4]
-    assert steps[0] < budget
+    assert steps[0] < budget and 2 * 0.85 ** budget > 1e-12
     measure = CentralityParams(kind="pagerank", beta=0.15, max_iters=budget)
+    got = bias_distribution(spec, measure, n_graphs, SEED).samples
+    assert solve_batches == []
+    want = _per_member_samples(spec, measure, n_graphs, SEED)
+    assert got.tobytes() == want.tobytes()
+    # Where the budget surely suffices, the members are batched.  A tol
+    # below rounding stops member 8 short of it: it raises, after the
+    # members before it converge, with its own last residual.
+    measure = CentralityParams(kind="pagerank", beta=0.15, tol=1e-16,
+                               max_iters=300)
     want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED))
-    assert want[0] is ConvergenceError and want[3] == budget
+    assert want[0] is ConvergenceError and want[3] == 300
     assert _raised(lambda: bias_distribution(
         spec, measure, n_graphs, SEED)) == want
+    assert [len(batch) for batch in solve_batches] == [n_graphs]
+    assert _raised(lambda: compute(connected_sample(spec, 8, SEED),
+                                   measure)) == want
 
 
 @pytest.mark.parametrize("budget", [None, "short"])
