@@ -529,7 +529,7 @@ DIGESTS = {
     "paradox-path60-katz-5-budget":
         "c5e45b8ab767e201f3dceca7dd7aeb7bb7b3b943b8d8e6a822fd47fe1adccc99",
     "paradox-path60-pagerank-budget":
-        "315c769b76696c3842ce5b172f510c362cd7600cab9f69d187f3444d23a83a12",
+        "b6b98844db97026d29c5ee2393ae2c2c9f545e2f8cc1110564fa64867f767100",
     "paradox-pendant302-eigenvector":
         "87a95da63278064263974d6cae7ab045f6da47d4a8a262cf7d235aff50700895",
     "paradox-searched-closeness":
