@@ -47,7 +47,8 @@ print(f"3-regular eigenvector bias: largest |delta| "
       f"{max(-regular.min, regular.max):.1e}")
 
 # Random 2-regular graphs are unions of cycles; members are resampled in
-# rounds until they form one ring, then PageRank is solved per batch.
+# rounds until they form one ring, then PageRank is solved once over the
+# window's union.
 rings = bias_distribution(RandomGraphSpec(model="k_regular", n=40, k=2),
                           CentralityParams(kind="pagerank", beta=0.15),
                           n_graphs=25, seed=7)

@@ -54,9 +54,10 @@ _ARPACK_NCV = 20
 # words of 64 sources with W * len(column_targets) within the cap (or W =
 # 1), gathers W words per arc at each level, and holds levels x n integer
 # counts, fewer than 128 levels.  Picked by measurement on paths and
-# heavy-tailed graphs; see CHANGES.md.  bias_distribution caps the unions
-# it solves by it too, and sizes its sampling windows by it from each
-# candidate's expected nodes plus stored arcs.
+# heavy-tailed graphs; see CHANGES.md.  bias_distribution sizes its
+# ensemble windows by it from each candidate's expected nodes plus stored
+# arcs: a window is sampled in rounds, then solved, its admitted members
+# as one union.
 BFS_BLOCK_ARCS = 1 << 18
 
 EPS = np.finfo(np.float64).eps
@@ -761,7 +762,7 @@ def _reach_counts(graph: Graph, start: int, stop: int) -> np.ndarray:
     bound is stated at ``BFS_BLOCK_ARCS``.
     """
     from scipy.sparse.csgraph import shortest_path
-    dist = shortest_path(graph.adjacency, indices=np.arange(start, stop),
+    dist = shortest_path(graph._pattern, indices=np.arange(start, stop),
                          unweighted=True).astype(np.int64)
     k, levels = stop - start, int(dist.max()) + 1
     dist += np.arange(0, k * levels, levels)[:, None]
@@ -816,7 +817,7 @@ def _few_levels(graph: Graph) -> bool:
     ``BFS_BLOCK_ARCS``.
     """
     from scipy.sparse.csgraph import shortest_path
-    return shortest_path(graph.adjacency, indices=0,
+    return shortest_path(graph._pattern, indices=0,
                          unweighted=True).max() < 64
 
 

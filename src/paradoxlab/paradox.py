@@ -307,14 +307,6 @@ def pagerank_paradox_check(graph: Graph, r: CentralityVector) -> tuple[float, fl
     return float(apply_transition(graph, values).sum()), float(values.sum())
 
 
-def _candidates(spec: RandomGraphSpec, master_seed: int, indices,
-                attempt: int) -> list:
-    """The edges of attempt ``attempt`` of each member in ``indices``, or
-    the error its draw gave, in order, drawn in one batch."""
-    return _draw_edges(spec, [derive_seed(derive_seed(master_seed, index),
-                                          attempt) for index in indices])
-
-
 def _mean_extent(spec: RandomGraphSpec) -> float:
     """Nodes plus stored arcs of one candidate, ``n + 2 * edges``: exact
     where the model fixes the edge count, an upper bound for the
@@ -359,22 +351,24 @@ def _sampling_round(spec: RandomGraphSpec, candidates: list) -> list:
 
 def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
                        master_seed: int):
-    """Yield the connected sample of each ensemble member in member order,
-    and raise ``GenerationError`` at the first member that has none.
+    """Yield the connected samples of the ensemble window by window, each
+    window a list in member order; where a member has none, yield the
+    members of its window before it, then raise its ``GenerationError``.
 
     Member ``i`` draws its attempt ``a`` from ``derive_seed(base, a)`` with
     ``base = derive_seed(master_seed, i)`` and takes the first attempt
     that is connected, or its largest component when the spec extracts
-    it, within ``MAX_CONNECTED_ATTEMPTS`` attempts.  Members are sampled
-    in windows of ``BFS_BLOCK_ARCS // _mean_extent(spec)`` consecutive
-    members (at least one), in rounds: round ``a`` draws attempt ``a`` of
-    every member of the window still pending in one batch and labels them
-    together (see :func:`_sampling_round`).  So a round's union stays
-    within ``BFS_BLOCK_ARCS`` nodes and stored arcs, unless one candidate
-    alone has more, for every model but Erdos-Renyi, where the bound
-    holds on average over the window.  The samples equal those of one
-    ``generate`` and one connectivity check per attempt; each window
-    draws all its rounds before the next window draws.
+    it, within ``MAX_CONNECTED_ATTEMPTS`` attempts.  A window holds
+    ``BFS_BLOCK_ARCS // _mean_extent(spec)`` consecutive members (at least
+    one) and is sampled in rounds: round ``a`` draws attempt ``a`` of every
+    member of the window still pending in one batch, which pairs the
+    stubs of ``k_regular`` and ``configuration`` members together, and
+    labels them together (see :func:`_sampling_round`).  So a round's
+    union stays within ``BFS_BLOCK_ARCS`` nodes and stored arcs, unless
+    one candidate alone has more, for every model but Erdos-Renyi, where
+    the bound holds on average over the window.  The samples equal those
+    of one ``generate`` and one connectivity check per attempt; each
+    window draws all its rounds before it is yielded.
     """
     window = max(1, int(BFS_BLOCK_ARCS // _mean_extent(spec)))
     for first in range(0, n_graphs, window):
@@ -383,22 +377,22 @@ def _connected_samples(spec: RandomGraphSpec, n_graphs: int,
         for attempt in range(MAX_CONNECTED_ATTEMPTS):
             if not pending:
                 break
-            candidates = _candidates(spec, master_seed,
-                                     [first + slot for slot in pending],
-                                     attempt)
-            for slot, sample in zip(pending,
-                                    _sampling_round(spec, candidates)):
+            seeds = [derive_seed(derive_seed(master_seed, first + slot),
+                                 attempt) for slot in pending]
+            for slot, sample in zip(pending, _sampling_round(
+                    spec, _draw_edges(spec, seeds))):
                 samples[slot] = sample
             pending = [slot for slot in pending if samples[slot] is None]
         for slot, sample in enumerate(samples):
-            if sample is None:
-                raise GenerationError(
+            if not isinstance(sample, Graph):
+                del samples[slot:]
+                yield samples
+                # None: no attempt was connected.
+                raise sample or GenerationError(
                     f"no connected graph from {spec.model!r} after "
                     f"{MAX_CONNECTED_ATTEMPTS} attempts "
                     f"(graph {first + slot})")
-            if isinstance(sample, GenerationError):
-                raise sample
-            yield sample
+        yield samples
 
 
 def _bias(graph: Graph, values: np.ndarray) -> np.ndarray:
@@ -429,48 +423,38 @@ def bias_distribution(spec: RandomGraphSpec, measure: CentralityParams,
     neighbour average minus its own value; samples from all graphs are
     pooled.
 
-    Members are sampled in rounds over windows of consecutive members,
-    each window sized from the spec so that its candidates' nodes and
-    stored arcs stay within ``BFS_BLOCK_ARCS`` (on average, for
-    Erdos-Renyi): each round draws the next attempt of every member of
-    the window still pending in one batch, which pairs the stubs of
-    ``k_regular`` and ``configuration`` members together, assembles them
-    as one disjoint union and labels it once, so no attempt is assembled
-    or labelled alone.  Members that ``_in_blocks`` admits (the start
-    rule is ``centrality._starts_from_solve``) are then solved in batches
-    of consecutive members, one solve and one neighbour average over the
-    disjoint union of each batch, a batch closing before its stored arcs
-    would pass ``BFS_BLOCK_ARCS``.  The other members and a lone node,
-    whose neighbour average is undefined, take one solve per member.
-    Samples and errors are those of one ``generate`` per attempt and one
-    solve per member, in member order: a member that cannot be sampled
-    raises after the members before it are solved.
+    Members are taken window by window, a window being a run of
+    consecutive members whose candidates' nodes and stored arcs stay
+    within ``BFS_BLOCK_ARCS`` (on average, for Erdos-Renyi).  A window is
+    sampled in rounds, each assembling and labelling the next attempt of
+    every pending member as one disjoint union (see
+    :func:`_connected_samples`), and then solved: the members that
+    ``_in_blocks`` admits (the start rule is
+    ``centrality._starts_from_solve``) take one solve and one neighbour
+    average over their disjoint union, split only at the members solved
+    alone: those ``_in_blocks`` refuses, and a lone node, whose neighbour
+    average is undefined.  A solved member is a connected piece of its
+    candidate, so no solve's union is larger than its window's first
+    round.  Samples and errors are those of one ``generate`` per attempt
+    and one solve per member, in member order: a member that cannot be
+    sampled raises after the members before it are solved.
     """
     _require_int("n_graphs", n_graphs, 1)
     _require_int("seed", seed)
 
     deltas: list[np.ndarray] = []
-    batch: list[Graph] = []
-    arcs = 0
-    samples = _connected_samples(spec, n_graphs, seed)
-    for _ in range(n_graphs):
-        try:
-            graph = next(samples)
-        except GenerationError:
-            # The members before it are solved first: one that does not
-            # converge raises before this member's generation error.
-            _union_bias(batch, measure)
-            raise
-        alone = graph.node_count == 1 or not _in_blocks(measure, graph)
-        if alone or arcs + len(graph.column_targets) > BFS_BLOCK_ARCS:
-            deltas += _union_bias(batch, measure)
-            arcs = 0
-        if alone:
-            deltas.append(_bias(graph, compute(graph, measure).values))
-        else:
-            batch.append(graph)
-            arcs += len(graph.column_targets)
-    deltas += _union_bias(batch, measure)
+    for window in _connected_samples(spec, n_graphs, seed):
+        batch: list[Graph] = []
+        # Only the batch, and then its union, holds a member while the
+        # union is solved.
+        for slot, graph in enumerate(window):
+            window[slot] = None
+            if graph.node_count == 1 or not _in_blocks(measure, graph):
+                deltas += _union_bias(batch, measure)
+                deltas.append(_bias(graph, compute(graph, measure).values))
+            else:
+                batch.append(graph)
+        deltas += _union_bias(batch, measure)
     samples = np.concatenate(deltas)
     quantiles = {level: float(np.quantile(samples, level))
                  for level in QUANTILE_LEVELS}

@@ -17,12 +17,12 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         RandomGraphSpec, UsageError, adjacency_matvec,
                         apply_transition, apply_transition_transpose,
                         build_directed, build_undirected,
-                        connected_component_labels, dense_from_graph,
-                        dense_hop_distances, eigenvector_centrality,
-                        extract_lcc, fiedler_check, generate, is_connected,
-                        is_strongly_connected, katz_centrality,
-                        neighbor_average, pagerank_centrality,
-                        symmetrization_identity)
+                        closeness_harmonic, connected_component_labels,
+                        dense_from_graph, dense_hop_distances,
+                        eigenvector_centrality, extract_lcc, fiedler_check,
+                        generate, is_connected, is_strongly_connected,
+                        katz_centrality, neighbor_average,
+                        pagerank_centrality, symmetrization_identity)
 from paradoxlab.graph import (_connected_blocks, _index_dtype,
                               disjoint_union)
 from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
@@ -628,6 +628,9 @@ def test_solves_leave_no_matrix_behind(make):
     spectral, eigenvector = eigenvector_centrality(graph)
     katz_centrality(graph, 0.85 / spectral.lambda1)
     pagerank = pagerank_centrality(graph, 0.15)
+    # csgraph searches read only the index arrays, through _pattern.
+    closeness_harmonic(graph, "closeness")
+    closeness_harmonic(graph, "harmonic")
     neighbor_average(graph, eigenvector.values)
     neighbor_average(graph, pagerank.values)
     symmetrization_identity(graph)
@@ -652,12 +655,15 @@ def _assert_shares_index_arrays(graph):
     labels = csgraph.connected_components(
         matrix, directed=True, connection="strong")[1]
     assert labels.tolist() == graph._component_labels.tolist()
+    # The searches run on the pattern matrix, whose data is a read-only
+    # broadcast 1.0.
+    pattern = graph._pattern
     assert np.array_equal(
-        csgraph.shortest_path(matrix, indices=0, unweighted=True),
+        csgraph.shortest_path(pattern, indices=0, unweighted=True),
         csgraph.shortest_path(writable, indices=0, unweighted=True))
     sources = np.arange(graph.node_count)
     assert np.array_equal(
-        csgraph.shortest_path(matrix, indices=sources, unweighted=True),
+        csgraph.shortest_path(pattern, indices=sources, unweighted=True),
         csgraph.shortest_path(writable, indices=sources, unweighted=True))
     symmetric = not graph.directed
     assert np.array_equal(

@@ -1,4 +1,5 @@
 import logging
+import math
 from dataclasses import replace as dataclass_replace
 from fractions import Fraction
 
@@ -541,6 +542,14 @@ def solve_batches(monkeypatch):
     return batches
 
 
+def _windows_of(monkeypatch, spec, members):
+    """Set ``BFS_BLOCK_ARCS`` so that the sampler takes windows of
+    ``members`` consecutive members."""
+    cap = math.ceil(members * paradox._mean_extent(spec))
+    assert cap // paradox._mean_extent(spec) == members
+    monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", cap)
+
+
 @pytest.mark.parametrize("batch", ["one", "two", "all"])
 @pytest.mark.parametrize("name", sorted(ENSEMBLES))
 def test_batched_eigenvector_bias_matches_per_member_solves(
@@ -549,15 +558,11 @@ def test_batched_eigenvector_bias_matches_per_member_solves(
     members = [connected_sample(spec, i, SEED) for i in range(n_graphs)]
     wants = [_per_member_samples(spec, measure, n_graphs, SEED)
              for measure in MEASURES]
-    arcs = [len(member.column_targets) for member in members]
     if batch == "one":
         monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", 0)
     elif batch == "two":
-        # Any two neighbours fit, no three do.
-        pairs = max(a + b for a, b in zip(arcs, arcs[1:]))
-        assert pairs < min(a + b + c for a, b, c
-                           in zip(arcs, arcs[1:], arcs[2:]))
-        monkeypatch.setattr(paradox, "BFS_BLOCK_ARCS", pairs)
+        # Windows of two members.
+        _windows_of(monkeypatch, spec, 2)
     for measure, want in zip(MEASURES, wants):
         solve_batches.clear()
         got = bias_distribution(spec, measure, n_graphs, SEED).samples
@@ -838,13 +843,22 @@ def test_a_failing_member_waits_for_the_members_before_it(monkeypatch,
             return connected_sample(spec, index, seed)
         return fault(index)
 
-    samples = paradox._connected_samples
+    sampling_round = paradox._sampling_round
+    injected = []
 
-    def samples_or_fail(spec, n_graphs, seed):
-        for index, graph in enumerate(samples(spec, n_graphs, seed)):
-            yield graph if index != failing else fault(index)
+    def round_or_fail(spec, candidates):
+        outcomes = sampling_round(spec, candidates)
+        # Every member is sampled in round 0, one window wide, so slot i
+        # is member i.
+        assert not injected and len(outcomes) == n_graphs
+        try:
+            outcomes[failing] = fault(failing)
+        except GenerationError as error:
+            outcomes[failing] = error
+        injected.append(failing)
+        return outcomes
 
-    monkeypatch.setattr(paradox, "_connected_samples", samples_or_fail)
+    monkeypatch.setattr(paradox, "_sampling_round", round_or_fail)
     measure = (EIGENVECTOR if budget is None else CentralityParams(
         kind="eigenvector", max_iters=max(steps[:failing])))
     want = _raised(lambda: _per_member_samples(spec, measure, n_graphs, SEED,
@@ -854,6 +868,42 @@ def test_a_failing_member_waits_for_the_members_before_it(monkeypatch,
                        "short": ConvergenceError}[budget]
     assert _raised(lambda: bias_distribution(
         spec, measure, n_graphs, SEED)) == want
+    assert injected == [failing]
+
+
+def test_windows_split_their_union_only_at_members_solved_alone(
+        monkeypatch, solve_batches):
+    spec, n_graphs = ENSEMBLES["straddling"]
+    # Windows of members 0-3, 4-7 and 8-11.  Members 1, 4, 5, 7 and 9 have
+    # fewer than LANCZOS_MIN_NODES nodes and are batched; member 6, solved
+    # alone, splits its window's union.
+    _windows_of(monkeypatch, spec, 4)
+    batches = [[255], [255, 250], [255], [254]]
+    got = bias_distribution(spec, EIGENVECTOR, n_graphs, SEED).samples
+    want = _per_member_samples(spec, EIGENVECTOR, n_graphs, SEED)
+    assert got.tobytes() == want.tobytes()
+    assert solve_batches == batches
+    # Member 10, in the last window, cannot be sampled: its window's
+    # members before it are solved, then its draw's error is raised.
+    doomed = {derive_seed(derive_seed(SEED, 10), attempt)
+              for attempt in range(paradox.MAX_CONNECTED_ATTEMPTS)}
+    draw = generators._draw_edges
+
+    def draw_or_fail(spec, seeds):
+        return [GenerationError(f"no graph from seed {seed}")
+                if seed in doomed else edges
+                for seed, edges in zip(seeds, draw(spec, seeds))]
+
+    # generate, and so the reference, calls the generators module's name.
+    monkeypatch.setattr(generators, "_draw_edges", draw_or_fail)
+    monkeypatch.setattr(paradox, "_draw_edges", draw_or_fail)
+    solve_batches.clear()
+    want = _raised(lambda: _per_member_samples(spec, EIGENVECTOR, n_graphs,
+                                               SEED))
+    assert want[0] is GenerationError and "no graph" in want[1]
+    assert _raised(lambda: bias_distribution(
+        spec, EIGENVECTOR, n_graphs, SEED)) == want
+    assert solve_batches == batches
 
 
 @pytest.mark.parametrize("budget", [None, "short"])
