@@ -22,9 +22,9 @@ from .centrality import (DEFAULT_MAX_ITERS, DEFAULT_TOL, KNOBS, VALID_KINDS,
                          pagerank_centrality, solve_lambda1)
 from .errors import (ConvergenceError, InputError, ParadoxLabError,
                      PreconditionError, UsageError)
-from .formats import (ReportDocument, emit_edge_list, emit_json,
-                      emit_matrix_market, emit_report, parse_edge_list,
-                      parse_matrix_market)
+from .formats import (ReportDocument, _is_matrix_market, emit_edge_list,
+                      emit_json, emit_matrix_market, emit_report,
+                      parse_edge_list, parse_matrix_market)
 from .generators import (MODELS, RandomGraphSpec, effective_lcc_extract,
                          generate)
 from .graph import Graph, _require_int
@@ -111,7 +111,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict, int | None]:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
-        if text.lstrip().lower().startswith("%%matrixmarket"):
+        if _is_matrix_market(text):
             graph = parse_matrix_market(text)
         else:
             graph = parse_edge_list(text, directed=args.directed)

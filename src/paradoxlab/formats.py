@@ -2,7 +2,8 @@
 
 Two graph formats: a whitespace edge list ('#' comments, optional
 ``directed`` header line) and Matrix Market coordinate/pattern files
-(``symmetric`` maps to undirected, ``general`` to directed).  Report
+(``symmetric`` maps to undirected, ``general`` to directed), both read by
+:func:`_int_pairs` under one comment rule and one error wording.  Report
 documents serialise to JSON with a fixed key order and to CSV for node
 tables; floats are written with ``repr``, the shortest string that parses
 back to the same double, so identical inputs give byte-identical output.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -33,79 +35,77 @@ def parse_edge_list_with_map(text: str,
     ``directed=True`` switches to arc semantics.
     """
     lines = text.splitlines()
-    first = next((k for k, raw in enumerate(lines) if _uncommented(raw)),
-                 None)
-    if first is not None and _uncommented(lines[first]) == "directed":
+    first = next((k for k, raw in enumerate(lines)
+                  if _uncommented(raw, "#")), None)
+    if first is not None and _uncommented(lines[first], "#") == "directed":
         directed = True
         # Blanked rather than removed, so that line numbers still count it.
         lines[first] = ""
-    pairs = _int_pairs(lines, "#", 0, np.iinfo(np.int64).max)
-    if pairs is None:
-        pairs = _scan_edges(lines)
+    pairs = _int_pairs(lines, 1, "#", 0, math.inf)
+    if not len(pairs):
+        raise InputError("edge list contains no edges")
     ids, mapped = np.unique(pairs.ravel(), return_inverse=True)
     mapped = mapped.reshape(-1, 2).astype(np.int64, copy=False)
     build = build_directed if directed else build_undirected
     return build(len(ids), mapped), ids.tolist()
 
 
-def _uncommented(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _uncommented(line: str, comment: str) -> str:
+    return line.split(comment, 1)[0].strip()
 
 
-def _scan_edges(lines: list[str]) -> np.ndarray:
-    """Check the edge lines one by one, so that an error names its line,
-    and return the pairs as int64, or as Python ints beyond int64."""
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = _uncommented(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise InputError(
-                f"line {lineno}: expected two node ids, got {len(tokens)} "
-                f"tokens")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise InputError(
-                f"line {lineno}: node ids must be integers, got "
-                f"{tokens[0]!r} {tokens[1]!r}") from None
-        if u < 0 or v < 0:
-            raise InputError(f"line {lineno}: node ids must be nonnegative")
-        if u == v:
-            raise InputError(f"line {lineno}: self-loop ({u}, {u}) "
-                             f"is not allowed")
-        pairs.append((u, v))
-    if not pairs:
-        raise InputError("edge list contains no edges")
-    try:
-        return np.array(pairs, dtype=np.int64)
-    except OverflowError:
-        # Ids beyond int64 stay exact as Python ints.
-        return np.array(pairs, dtype=object)
-
-
-def _int_pairs(lines: list[str], comments: str | None, least: int,
-               most: int) -> np.ndarray | None:
-    """The lines read by numpy as an ``(m, 2)`` int64 array with ``m > 0``,
-    every id in ``[least, most]`` and no self-loop; ``None`` if numpy
-    rejects them or any of that fails.  Blank and comment lines are
-    skipped.  ``None`` sends the file to its parser's line scan
-    (:func:`_scan_edges` or :func:`_scan_entries`), which finds the faulty
-    line."""
+def _int_pairs(lines: list[str], first_no: int, comment: str, least,
+               most) -> np.ndarray:
+    """``lines``, numbered from ``first_no``, as an ``(m, 2)`` array of ids
+    in ``[least, most]`` without self-loops; ``comment`` starts a comment
+    anywhere on a line.  numpy reads them as int64; what it rejects, or
+    whose ids fail those checks, goes to :func:`_scan_pairs`, which names
+    the faulty line or reads what numpy cannot (``1_0``, ids past int64)."""
+    if not lines:
+        return np.empty((0, 2), dtype=np.int64)
     # A warning rejects too: numpy warns on input without data.
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pairs = np.loadtxt(lines, dtype=np.int64, comments=comments,
+            pairs = np.loadtxt(lines, dtype=np.int64, comments=comment,
                                ndmin=2)
     except (ValueError, OverflowError, Warning):
-        return None
-    if pairs.shape[1] != 2 or ((pairs < least) | (pairs > most)).any() or \
-            (pairs[:, 0] == pairs[:, 1]).any():
-        return None
+        pairs = None
+    if pairs is None or pairs.shape[1] != 2 or pairs.min() < least or \
+            pairs.max() > most or (pairs[:, 0] == pairs[:, 1]).any():
+        return _scan_pairs(lines, first_no, comment, least, most)
     return pairs
+
+
+def _scan_pairs(lines: list[str], first_no: int, comment: str, least,
+                most) -> np.ndarray:
+    """:func:`_int_pairs` line by line: an error names its line and the
+    tokens or ids as written; ids beyond int64 stay exact as Python ints."""
+    pairs: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(lines, start=first_no):
+        tokens = _uncommented(raw, comment).split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise InputError(f"line {lineno}: expected two node ids, got "
+                             f"{len(tokens)} tokens")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise InputError(f"line {lineno}: node ids must be integers, "
+                             f"got {tokens[0]!r} {tokens[1]!r}") from None
+        for node in (u, v):
+            if not least <= node <= most:
+                raise InputError(f"line {lineno}: node id {node} out of "
+                                 f"range {least}..{most}")
+        if u == v:
+            raise InputError(f"line {lineno}: self-loop ({u}, {u}) "
+                             f"is not allowed")
+        pairs.append((u, v))
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.array(pairs, dtype=object)
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -143,20 +143,26 @@ def _pair_lines(pairs: np.ndarray) -> str:
     return _sliced(pairs, "%d %d\n", lambda rows: rows.ravel().tolist())
 
 
+# Whether a text's first non-blank line opens with the banner: parser and CLI.
+_is_matrix_market = re.compile(r"\s*%%matrixmarket", re.IGNORECASE).match
+
+
 def parse_matrix_market(text: str) -> Graph:
     """Parse a Matrix Market ``coordinate pattern`` file.
 
     ``symmetric`` files build undirected graphs (each off-diagonal entry
     read once), ``general`` files build directed graphs with entry (i, j)
     meaning an arc i -> j.  The header dimension fixes the node count, so
-    isolated nodes survive a round trip.
+    isolated nodes survive a round trip.  Blank lines may precede the
+    banner; errors name lines as they stand in ``text``.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].lower().startswith("%%matrixmarket"):
+    if not _is_matrix_market(text):
         raise InputError("missing %%MatrixMarket banner")
-    banner = lines[0].split()
+    lines = text.splitlines()
+    at = next(k for k, line in enumerate(lines) if line.strip())
+    banner = lines[at].split()
     if len(banner) != 5 or banner[1].lower() != "matrix":
-        raise InputError(f"unsupported banner {lines[0]!r}")
+        raise InputError(f"unsupported banner {lines[at]!r}")
     layout, field, symmetry = (tok.lower() for tok in banner[2:5])
     if layout != "coordinate":
         raise InputError(f"unsupported Matrix Market layout {layout!r}; "
@@ -167,11 +173,11 @@ def parse_matrix_market(text: str) -> Graph:
     if symmetry not in ("symmetric", "general"):
         raise InputError(f"unsupported Matrix Market symmetry {symmetry!r}; "
                          f"expected 'symmetric' or 'general'")
-    size_at = next((k for k in range(1, len(lines)) if _is_body(lines[k])),
-                   None)
+    size_at = next((k for k in range(at + 1, len(lines))
+                    if _uncommented(lines[k], "%")), None)
     if size_at is None:
         raise InputError("missing Matrix Market size line")
-    size_no, size = size_at + 1, lines[size_at].split()
+    size_no, size = size_at + 1, _uncommented(lines[size_at], "%").split()
     if len(size) != 3:
         raise InputError(f"line {size_no}: size line must hold rows, "
                          f"columns and entry count")
@@ -182,52 +188,12 @@ def parse_matrix_market(text: str) -> Graph:
     if rows != cols:
         raise InputError(
             f"adjacency matrix must be square, got {rows} x {cols}")
-    entries = lines[size_at + 1:]
-    # numpy warns on an empty body, which would send it to the line scan.
-    pairs = (_int_pairs(entries, None, 1, rows) if entries
-             else np.empty((0, 2), dtype=np.int64))
-    if pairs is None or len(pairs) != nnz:
-        pairs = _scan_entries(entries, size_no + 1, rows, nnz)
-    else:
-        pairs -= 1
+    pairs = _int_pairs(lines[size_at + 1:], size_no + 1, "%", 1, rows)
+    if len(pairs) != nnz:
+        raise InputError(f"expected {nnz} entries, found {len(pairs)}")
+    pairs -= 1
     build = build_undirected if symmetry == "symmetric" else build_directed
     return build(rows, pairs)
-
-
-def _is_body(line: str) -> bool:
-    """Not blank and not a ``%`` comment."""
-    return bool(line.strip()) and not line.lstrip().startswith("%")
-
-
-def _scan_entries(entries: list[str], first_no: int, rows: int,
-                  nnz: int) -> list[tuple[int, int]]:
-    """Check the entry lines one by one, so that an error names its line,
-    and return the 0-based pairs."""
-    body = [(no, ln.strip()) for no, ln in enumerate(entries, start=first_no)
-            if _is_body(ln)]
-    if len(body) != nnz:
-        raise InputError(f"expected {nnz} entries, found {len(body)}")
-    pairs = []
-    for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise InputError(
-                f"line {lineno}: pattern entries need exactly two indices")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise InputError(
-                f"line {lineno}: entry indices must be integers") from None
-        if not (1 <= i <= rows and 1 <= j <= rows):
-            raise InputError(
-                f"line {lineno}: entry ({i}, {j}) out of range for "
-                f"{rows} nodes")
-        if i == j:
-            raise InputError(
-                f"line {lineno}: diagonal entry ({i}, {j}) would be a "
-                f"self-loop")
-        pairs.append((i - 1, j - 1))
-    return pairs
 
 
 def emit_matrix_market(graph: Graph) -> str:
@@ -260,12 +226,9 @@ class ReportDocument:
 
 
 def _measure_payload(params: CentralityParams) -> dict:
-    payload = {}
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if value is not None:
-            payload[field.name] = value
-    return payload
+    values = ((field.name, getattr(params, field.name))
+              for field in fields(params))
+    return {name: value for name, value in values if value is not None}
 
 
 def report_payload(doc: ReportDocument) -> dict:
@@ -339,13 +302,24 @@ def emit_report(doc: ReportDocument, fmt: str = "json") -> str:
     if fmt == "json":
         return emit_json(report_payload(doc))
     if fmt == "csv":
-        if doc.node_table is None:
+        table = doc.node_table
+        if table is None:
             raise UsageError("csv output needs a node table; this report "
                              "has none")
         cells = itemgetter(*_NODE_COLUMNS)
-        return ",".join(_NODE_COLUMNS) + "\n" + _sliced(
-            doc.node_table, "%s,%s,%s,%s,%s\n",
-            lambda rows: chain.from_iterable(map(cells, rows)))
+        try:
+            return ",".join(_NODE_COLUMNS) + "\n" + _sliced(
+                table, "%s,%s,%s,%s,%s\n",
+                lambda rows: chain.from_iterable(map(cells, rows)))
+        except (KeyError, TypeError):
+            # Only a table read back from outside gets here.
+            if type(table) is not list:
+                raise InputError(f"csv output needs a list of node rows, "
+                                 f"got {type(table).__name__}") from None
+            at = next(k for k, row in enumerate(table) if type(row) is not
+                      dict or not row.keys() >= set(_NODE_COLUMNS))
+        raise InputError(f"csv output: node table row {at} is not an "
+                         f"object with {', '.join(_NODE_COLUMNS)}")
     raise UsageError(f"unknown report format {fmt!r}; expected json or csv")
 
 
@@ -363,13 +337,12 @@ def parse_report(text: str) -> ReportDocument:
             measure = CentralityParams(**payload["measure"])
         except (TypeError, ParameterError) as exc:
             raise InputError(f"report measure is malformed: {exc}") from None
-    node_table = payload.get("node_table")
     return ReportDocument(
         graph_meta=payload["graph_meta"],
         measure=measure,
         stats=payload.get("stats"),
         decomposition=payload.get("decomposition"),
         bias_summary=payload.get("bias_summary"),
-        node_table=node_table,
+        node_table=payload.get("node_table"),
         tool_version=payload.get("tool_version", ""),
         seed=payload.get("seed"))

@@ -281,6 +281,19 @@ def test_one_node_file_names_the_zero_degree_condition(capsys, tmp_path):
                    "operations need every node to have a neighbour\n")
 
 
+def test_blank_lines_before_the_banner_still_read_as_matrix_market(
+        capsys, tmp_path):
+    text = ("%%MatrixMarket matrix coordinate pattern symmetric\n"
+            "3 3 2\n2 1\n3 2\n")
+    plain, padded = tmp_path / "plain.mtx", tmp_path / "padded.mtx"
+    plain.write_text(text)
+    padded.write_text("\n  \n" + text)
+    expected = run_cli(capsys, "paradox", str(plain), "--measure", "degree")
+    assert expected[0] == 0
+    assert run_cli(capsys, "paradox", str(padded), "--measure",
+                   "degree") == expected
+
+
 def test_argparse_usage_maps_to_exit_one(capsys):
     assert main(["frobnicate"]) == 1
     captured = capsys.readouterr()

@@ -169,7 +169,7 @@ def test_matrix_market_rejects_bad_files():
         parse_matrix_market(
             "%%MatrixMarket matrix coordinate pattern general\n"
             "2 3 1\n1 2\n")
-    with pytest.raises(InputError, match="diagonal"):
+    with pytest.raises(InputError, match="self-loop"):
         parse_matrix_market(
             "%%MatrixMarket matrix coordinate pattern symmetric\n"
             "2 2 1\n1 1\n")
@@ -230,6 +230,28 @@ def test_report_csv_requires_node_table():
         emit_report(doc, "csv")
     with pytest.raises(UsageError):
         emit_report(sample_document(), "yaml")
+
+
+@pytest.mark.parametrize("table, message", [
+    ('[{"id": 0}]', "csv output: node table row 0 is not an object with "
+     "id, degree, r, neighbor_avg, delta"),
+    ('[{"id": 0, "degree": 1, "r": 1.0, "neighbor_avg": 1.0, "delta": 0.0},'
+     ' [0, 1]]', "csv output: node table row 1 is not an object"),
+    ("5", "csv output needs a list of node rows, got int"),
+])
+def test_report_csv_rejects_malformed_tables_read_back(table, message):
+    doc = parse_report('{"graph_meta": {}, "node_table": %s}' % table)
+    with pytest.raises(InputError) as info:
+        emit_report(doc, "csv")
+    assert str(info.value).startswith(message)
+
+
+def test_matrix_market_banner_may_follow_blank_lines():
+    text = "%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 2\n"
+    assert parse_matrix_market("\n \t\n" + text) == \
+        parse_matrix_market(text)
+    with pytest.raises(InputError, match="^line 5: self-loop"):
+        parse_matrix_market("\n\n" + text.replace("1 2", "2 2"))
 
 
 def test_report_optional_sections_are_omitted():

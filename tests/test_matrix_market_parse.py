@@ -1,8 +1,9 @@
 """The numpy fast path of ``parse_matrix_market`` against its line scan.
 
 The fast path reads the entry lines as one int64 array and hands any file
-it cannot vouch for to the per-line scan, which names the faulty line.  The
-two must agree on every file: same graph, or same error.
+it cannot vouch for to the per-line scan that both graph formats share,
+which names the faulty line.  The two must agree on every file: same
+graph, or same error.
 """
 
 import random
@@ -58,7 +59,7 @@ def test_fast_path_agrees_with_the_line_scan(monkeypatch):
     rng = random.Random(2024)
     texts = [_random_file(rng) for _ in range(3000)]
     fast = [_outcome(text) for text in texts]
-    monkeypatch.setattr(formats, "_int_pairs", lambda *args: None)
+    monkeypatch.setattr(formats, "_int_pairs", formats._scan_pairs)
     scanned = [_outcome(text) for text in texts]
     assert fast == scanned
     # Both paths were exercised: some files parse, some fail.
@@ -73,14 +74,14 @@ def test_plain_files_skip_the_line_scan(monkeypatch, body):
     def refuse(*args):
         raise AssertionError("the line scan ran on a plain file")
 
-    monkeypatch.setattr(formats, "_scan_entries", refuse)
+    monkeypatch.setattr(formats, "_scan_pairs", refuse)
     text = "%%MatrixMarket matrix coordinate pattern symmetric\n" + body
     g = parse_matrix_market(text)
     assert g.node_count == 3
 
 
 def test_generated_graph_round_trips_on_the_fast_path(monkeypatch):
-    monkeypatch.setattr(formats, "_scan_entries", None)
+    monkeypatch.setattr(formats, "_scan_pairs", None)
     g = generate(RandomGraphSpec(model="preferential_attachment", n=2000,
                                  m_attach=3, seed=4))
     assert parse_matrix_market(emit_matrix_market(g)) == g
@@ -105,18 +106,18 @@ def test_blank_entry_lines_read_without_a_warning():
 
 
 @pytest.mark.parametrize("body, message", [
-    ("3 3 2\n1 2\n3 3\n", "line 4: diagonal entry (3, 3)"),
-    ("3 3 2\n1 2\n0 3\n", "line 4: entry (0, 3) out of range"),
+    ("3 3 2\n1 2\n3 3\n", "line 4: self-loop (3, 3) is not allowed"),
+    ("3 3 2\n1 2\n0 3\n", "line 4: node id 0 out of range 1..3"),
     ("3 3 2\n1 2\n9223372036854775808 1\n",
-     "line 4: entry (9223372036854775808, 1) out of range"),
-    ("3 3 2\n1 2 3\n2\n", "line 3: pattern entries need exactly two"),
-    ("3 3 2\n12\n2 3\n", "line 3: pattern entries need exactly two"),
+     "line 4: node id 9223372036854775808 out of range 1..3"),
+    ("3 3 2\n1 2 3\n2\n", "line 3: expected two node ids, got 3 tokens"),
+    ("3 3 2\n12\n2 3\n", "line 3: expected two node ids, got 1 tokens"),
     ("3 3 1\n1 2\n2 3\n", "expected 1 entries, found 2"),
-    ("3 3 2\n1 2 2 3\n", "expected 2 entries, found 1"),
-    ("3 3 1\n1 2 2 3\n", "line 3: pattern entries need exactly two"),
-    ("3 3 2\n1\n2 3 1\n", "line 3: pattern entries need exactly two"),
-    ("3 3 1\n1.0 2\n", "line 3: entry indices must be integers"),
-    ("3 3 1\n1e3 2\n", "line 3: entry indices must be integers"),
+    ("3 3 2\n1 2 2 3\n", "line 3: expected two node ids, got 4 tokens"),
+    ("3 3 1\n1 2 2 3\n", "line 3: expected two node ids, got 4 tokens"),
+    ("3 3 2\n1\n2 3 1\n", "line 3: expected two node ids, got 1 tokens"),
+    ("3 3 1\n1.0 2\n", "line 3: node ids must be integers, got '1.0' '2'"),
+    ("3 3 1\n1e3 2\n", "line 3: node ids must be integers, got '1e3' '2'"),
     ("", "missing Matrix Market size line"),
     ("% only a comment\n\n", "missing Matrix Market size line"),
     ("3 3\n", "line 2: size line must hold rows, columns and entry count"),
@@ -140,3 +141,34 @@ def test_banner_needs_five_tokens_naming_a_matrix(banner):
     with pytest.raises(InputError) as info:
         parse_matrix_market(banner + "\n3 3 0\n")
     assert str(info.value) == f"unsupported banner {banner!r}"
+
+
+def test_comment_lines_among_entries_stay_on_the_fast_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the line scan ran on a commented file")
+
+    head = "%%MatrixMarket matrix coordinate pattern general\n4 4 3\n"
+    plain = parse_matrix_market(head + "1 2\n2 3\n3 4\n")
+    monkeypatch.setattr(formats, "_scan_pairs", refuse)
+    commented = head + "1 2\n% a note\n2 3\n  %\n3 4\n% last\n"
+    assert parse_matrix_market(commented) == plain
+
+
+@pytest.mark.parametrize("scan", [False, True])
+def test_trailing_notes_on_the_size_and_entry_lines_are_accepted(
+        monkeypatch, scan):
+    if scan:
+        monkeypatch.setattr(formats, "_int_pairs", formats._scan_pairs)
+    else:
+        monkeypatch.setattr(formats, "_scan_pairs", None)
+    text = ("%%MatrixMarket matrix coordinate pattern symmetric\n"
+            "3 3 2 % rows, columns, entries\n1 2 % first\n2 3\t%second\n")
+    assert edge_pairs(parse_matrix_market(text)) == [(0, 1), (1, 2)]
+
+
+def test_a_bad_line_is_reported_before_a_wrong_count():
+    text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 5\n" \
+        "1 2\n2 x\n"
+    with pytest.raises(InputError) as info:
+        parse_matrix_market(text)
+    assert str(info.value) == "line 4: node ids must be integers, got '2' 'x'"
