@@ -2,8 +2,9 @@
 plus closeness/harmonic for comparison tables.
 
 The eigenvector, Katz and PageRank solvers run one fixed-point loop,
-``_iterate_blocks``.  It stops on explicit residuals, never on iteration
-plateaus, and reports the residual and iteration count achieved.
+``_iterate_blocks``.  It stops on explicit residuals or an exactly
+repeated iterate, never on plateaus, and reports the residual and
+iteration count achieved.
 """
 
 from __future__ import annotations
@@ -221,8 +222,8 @@ class _BudgetSpent(Exception):
 
 
 class _Stalled(Exception):
-    """Shift-invert iteration left the residual no smaller than the step
-    before, or spent ``_ARPACK_NCV`` solves short of ``tol``."""
+    """Shift-invert iteration cycled, left the residual no smaller than
+    the step before, or spent ``_ARPACK_NCV`` solves short of ``tol``."""
 
 
 def _banded(graph: Graph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -354,9 +355,12 @@ def _shift_invert(graph: Graph, banded: tuple[np.ndarray, np.ndarray],
         solved = solve(vec)
         return np.array([residual]), solved / solved.sum()
 
+    def stalled(anchor, period):
+        raise _Stalled
+
     try:
         vec, _, _ = _iterate_blocks([n], None, shift_invert_step, params,
-                                    "eigenvector")
+                                    "eigenvector", 0, stalled)
     except _Stalled:
         return None, solves
     return (vec if (vec > 0).all() else None), solves
@@ -410,7 +414,8 @@ def _lanczos(graph: Graph, params: CentralityParams, spent: int = 0,
 
 
 def _iterate_blocks(sizes: Sequence[int], start: np.ndarray | None, step,
-                    params: CentralityParams, what: str, spent: int = 0):
+                    params: CentralityParams, what: str, spent: int = 0,
+                    jump=None):
     """The one fixed-point loop of the eigenvector, Katz and PageRank
     solvers for each graph of a disjoint union, block ``b`` holding the
     next ``sizes[b]`` nodes.  Each block starts from the uniform vector,
@@ -421,33 +426,53 @@ def _iterate_blocks(sizes: Sequence[int], start: np.ndarray | None, step,
     ``starts``.  A segment reads only its own slice, so each block takes
     the steps it would alone, byte for byte.  A block freezes at the step
     its residual is at most ``tol``: its entries keep their values, so its
-    residual recurs.  Steps count on from ``spent`` and are checked only
-    while the count is below ``max_iters``; then the first block still
-    running raises.  Returns the stacked vector, and per block the
-    residuals and iterations.
+    residual recurs.  It stalls, and freezes too, where its image repeats
+    its slice of the anchor, the image taken each time the steps since the
+    last one reach a power of two (Brent 1980): it cycles from there, so
+    every residual it would give has been checked.  A single block may go
+    on from ``jump(anchor, period)`` instead, and the search restarts.
+    Steps count on from ``spent`` and are checked only while the count is
+    below ``max_iters``.  The first block stalled or still running raises
+    once every block before it has passed.  Returns the stacked vector,
+    and per block the residuals and iterations.
     """
     sizes = np.asarray(sizes)
     starts = np.cumsum(sizes) - sizes
     # Updated in place, so that a frozen block keeps its vector.
     vec = np.repeat(1.0 / sizes, sizes) if start is None else start.copy()
-    iterations = np.full(len(sizes), spent)
+    iterations = np.full(len(sizes), params.max_iters)
+    periods = np.zeros(len(sizes), dtype=np.int64)
     running = np.ones(len(sizes), dtype=bool)
     moving = True
+    anchor, since, horizon = vec.copy(), 0, 1
     for iteration in range(spent, params.max_iters):
         residuals, image = step(vec, starts)
         passed = running & (residuals <= params.tol)
-        if passed.any():
-            iterations[passed] = iteration
-            running &= ~passed
-            if not running.any():
+        since += 1
+        repeated = running & np.logical_and.reduceat(image == anchor, starts)
+        if jump is not None and repeated.any() and not passed.any():
+            image = anchor = jump(anchor, since)
+            since, horizon = 0, 1
+        elif passed.any() or repeated.any():
+            periods[repeated & ~passed] = since
+            iterations[passed | repeated] = iteration
+            running &= ~(passed | repeated)
+            unresolved = running | (periods > 0)
+            if not unresolved.any():
                 return vec, residuals, iterations.tolist()
+            if periods[unresolved.argmax()]:
+                break
             moving = running.repeat(sizes)
+        if since == horizon:
+            anchor, since, horizon = image, 0, 2 * horizon
         np.copyto(vec, image, where=moving)
+    first = np.argmax(running | (periods > 0))
     noun = "step" if params.max_iters == 1 else "steps"
+    cause = (f": its iterates repeat with period {periods[first]}"
+             if periods[first] else f" in {params.max_iters} {noun}")
     raise ConvergenceError(
-        f"{what} iteration did not reach {params.tol} in "
-        f"{params.max_iters} {noun}",
-        residual=float(residuals[running][0]), iterations=params.max_iters)
+        f"{what} iteration did not reach {params.tol}{cause}",
+        residual=float(residuals[first]), iterations=int(iterations[first]))
 
 
 def _power_blocks(union: Graph, sizes: Sequence[int],
@@ -606,12 +631,11 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
     r - r|`` is at most ``tol``, with that defect as its residual.  Every
     entry of the result is at least 1.
 
-    Rounding can trap the tail in a cycle of iterates short of ``tol``
-    (seen on bipartite graphs with ``alpha * lambda1`` near 1).  A cycle
-    is found by Brent's method, and the tail goes on from the entrywise
-    maximum of its iterates.  The rounded Jacobi map is monotone, so that
-    maximum is below its own image, and the iterates from it increase
-    until they pass, as those from the all-ones vector do.
+    Rounding can trap the tail in a cycle short of ``tol``, as on
+    bipartite graphs with ``alpha * lambda1`` near 1; the loop finds it,
+    and the tail goes on from its entrywise maximum.  The rounded Jacobi
+    map is monotone, so that maximum is below its own image, and the
+    iterates from it increase until they pass, as from the all-ones vector.
 
     ``alpha`` is certified on the way.  Every iterate and every conjugate
     direction ``x`` gives the Rayleigh bound
@@ -650,29 +674,22 @@ def katz_centrality(graph: Graph, alpha: float, tol: float = DEFAULT_TOL,
                    else (image, "jacobi"))
     # A one-step budget has no tail step: re-check the all-ones vector.
     vec, spent = (vec, 1 + spent) if max_iters > 1 else (ones, 0)
-    # Brent's cycle search: later iterates are compared with anchor, set
-    # every horizon steps; peak is the maximum of the iterates since.
-    anchor = peak = vec
-    since, horizon = 0, 1
 
     def jacobi_step(vec, starts):
-        nonlocal anchor, peak, since, horizon
         image = ones + _katz_step(graph, alpha, vec)
         # max|image - vec| is the self-consistency defect of vec itself,
         # the iterate the loop returns.
-        residual = np.abs(image - vec).max(keepdims=True)
-        peak = np.maximum(peak, vec)
-        since += 1
-        if np.array_equal(image, anchor):
-            image = anchor = peak
-            since, horizon = 0, 1
-        elif since == horizon:
-            anchor = peak = image
-            since, horizon = 0, 2 * horizon
-        return residual, image
+        return np.abs(image - vec).max(keepdims=True), image
+
+    def cycle_max(anchor, period):
+        peak = vec = anchor
+        for _ in range(period - 1):
+            vec = jacobi_step(vec, None)[1]
+            peak = np.maximum(peak, vec)
+        return peak
 
     vec, residuals, iterations = _iterate_blocks(
-        [graph.node_count], vec, jacobi_step, params, "Katz", spent)
+        [graph.node_count], vec, jacobi_step, params, "Katz", spent, cycle_max)
     return CentralityVector(values=vec, params=params,
                             iterations=iterations[0],
                             residual=float(residuals[0]), method=method)
@@ -882,8 +899,9 @@ def solve_lambda1(graph: Graph, tol: float = DEFAULT_TOL,
 
 
 def _power_suffices(params: CentralityParams) -> bool:
-    """Whether PageRank's power loop surely finishes within ``max_iters``:
-    each step contracts the L1 residual, at most 2, by ``1 - beta``."""
+    """Whether PageRank's power loop surely finishes within ``max_iters``
+    in exact arithmetic: each step contracts the L1 residual, at most 2,
+    by ``1 - beta``.  Rounded, it may stall in a cycle short of ``tol``."""
     return 2.0 * (1.0 - params.beta) ** params.max_iters <= params.tol
 
 

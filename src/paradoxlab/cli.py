@@ -108,7 +108,7 @@ def _load_graph(args: argparse.Namespace) -> tuple[Graph, dict, int | None]:
     else:
         path = Path(args.graph)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from None
         if _is_matrix_market(text):

@@ -1,9 +1,9 @@
 """Exception taxonomy shared by the whole package.
 
 Each class carries the command line's exit code for it as ``exit_code``:
-usage and parameter problems exit 1, iteration-budget exhaustion exits 3,
-and every other error (inadmissible input, failed preconditions, range
-guards, generation and numerical failures) exits 2.
+usage and parameter problems exit 1, a solver that runs out of budget or
+stalls exits 3, and every other error (inadmissible input, failed
+preconditions, range guards, generation and numerical failures) exits 2.
 """
 
 
@@ -50,8 +50,8 @@ class NumericalError(ParadoxLabError):
 
 
 class ConvergenceError(ParadoxLabError):
-    """An iterative solver exhausted ``max_iters`` before reaching its
-    tolerance.  Carries the last residual and the iteration count."""
+    """An iterative solver spent ``max_iters`` or stalled in a cycle short
+    of its tolerance.  Carries the last residual and the iteration count."""
 
     exit_code = 3
 

@@ -1512,6 +1512,55 @@ def test_pagerank_blocks_match_one_solve_per_graph():
         (str(want.value), want.value.residual, want.value.iterations)
 
 
+def _below_rounding():
+    """An Erdős–Rényi graph on which the eigenvector loop at tol 1e-17 and
+    the PageRank loop at beta 0.15 and tol 1e-16 repeat an iterate, with
+    period 2, at step 128."""
+    return generate(RandomGraphSpec(model="erdos_renyi", n=40, p=0.1,
+                                    seed=3))
+
+
+def _failure(call):
+    with pytest.raises(ConvergenceError) as info:
+        call()
+    return str(info.value), info.value.residual, info.value.iterations
+
+
+def test_an_earlier_block_out_of_budget_raises_before_a_later_stall():
+    # The star converges at step 39 and the Erdős–Rényi graph stalls at
+    # step 128; path(40) is still running when the budget is spent.
+    params = CentralityParams(kind="eigenvector", tol=1e-17, max_iters=200)
+    stalled = _failure(lambda: eigenvector_centrality(
+        _below_rounding(), tol=1e-17, max_iters=200))
+    assert "period 2" in stalled[0] and stalled[2] == 128
+    want = _failure(lambda: eigenvector_centrality(path(40), tol=1e-17,
+                                                   max_iters=200))
+    assert want[0].endswith("in 200 steps") and want[2] == 200
+    graphs = [star(6), path(40), _below_rounding()]
+    assert _failure(lambda: centrality._power_blocks(
+        disjoint_union(graphs), [graph.node_count for graph in graphs],
+        params)) == want
+
+
+def test_an_earlier_stall_raises_though_later_blocks_converge():
+    # complete(5) passes at step 0, path(60) and path(7) at steps 204 and
+    # 215, after the Erdős–Rényi graph stalls.
+    params = CentralityParams(kind="pagerank", beta=0.15, tol=1e-16,
+                              max_iters=300)
+    want = _failure(lambda: pagerank_centrality(
+        _below_rounding(), 0.15, tol=1e-16, max_iters=300))
+    assert want == ("pagerank iteration did not reach 1e-16: its iterates "
+                    "repeat with period 2", want[1], 128)
+    assert 1e-16 < want[1] < 2e-16
+    graphs = [complete(5), _below_rounding(), path(60), path(7)]
+    assert [pagerank_centrality(graph, 0.15, tol=1e-16,
+                                max_iters=300).iterations
+            for graph in graphs[2:]] == [204, 215]
+    assert _failure(lambda: centrality._pagerank_blocks(
+        disjoint_union(graphs), [graph.node_count for graph in graphs],
+        params)) == want
+
+
 @pytest.mark.parametrize("max_iters", [5, 20, 200])
 @pytest.mark.parametrize("beta", [1e-3, 0.05, 0.15])
 def test_pagerank_start_rule_loses_no_converging_input(beta, max_iters):

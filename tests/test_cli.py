@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -213,6 +214,40 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "paradox", str(star_file), "--measure",
                            "pagerank", "--tol", "1e-30", "--max-iters", "3")
     assert code == 3 and "residual" in err
+
+
+@pytest.mark.parametrize("measure", [
+    ("pagerank", "--beta", "0.15", "--tol", "1e-16"),
+    ("eigenvector", "--tol", "1e-17"),
+])
+def test_a_tol_below_rounding_stops_where_the_iterates_repeat(capsys,
+                                                              measure):
+    # Both loops repeat an iterate short of tol; they spun out the default
+    # budget here, exit 3 after 100,000 steps and about 2 s.
+    code, out, err = run_cli(capsys, "paradox", "--model", "erdos_renyi",
+                             "--n", "40", "--p", "0.1", "--seed", "3",
+                             "--measure", *measure)
+    assert (code, out) == (3, "")
+    stop = re.search(r"repeat with period (\d+) \(residual \S+ after "
+                     r"(\d+) iterations\)\n$", err)
+    assert stop and int(stop[1]) >= 1 and int(stop[2]) < 1000
+
+
+@pytest.mark.parametrize("text", [
+    "0 1\n1 2\n",
+    "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n",
+])
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path, text):
+    # A leading U+FEFF hid the Matrix Market banner, and an edge list
+    # exited 2 on its first node id.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = run_cli(capsys, "paradox", str(plain), "--measure", "degree")
+    assert expected[0] == 0
+    assert run_cli(capsys, "paradox", str(marked), "--measure",
+                   "degree") == expected
 
 
 def test_unreadable_text_is_an_input_error(capsys, tmp_path):
