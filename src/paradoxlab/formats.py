@@ -23,7 +23,7 @@ import numpy as np
 
 from .centrality import CentralityParams
 from .errors import InputError, ParameterError, UsageError
-from .graph import Graph, build_directed, build_undirected
+from .graph import _MAX_GRAPH_SIZE, Graph, build_directed, build_undirected
 
 
 def parse_edge_list_with_map(text: str,
@@ -188,6 +188,10 @@ def parse_matrix_market(text: str) -> Graph:
     if rows != cols:
         raise InputError(
             f"adjacency matrix must be square, got {rows} x {cols}")
+    arcs = nnz if symmetry == "general" else 2 * nnz
+    if max(rows, arcs) > _MAX_GRAPH_SIZE:
+        raise InputError(f"line {size_no}: {rows} nodes and {arcs} stored "
+                         f"arcs exceed the limit of {_MAX_GRAPH_SIZE}")
     pairs = _int_pairs(lines[size_at + 1:], size_no + 1, "%", 1, rows)
     if len(pairs) != nnz:
         raise InputError(f"expected {nnz} entries, found {len(pairs)}")

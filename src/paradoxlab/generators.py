@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GenerationError, ParameterError
-from .graph import (Graph, _is_int, _is_real, _require_int, build_undirected,
-                    extract_lcc)
+from .graph import (_MAX_GRAPH_SIZE, Graph, _is_int, _is_real, _require_int,
+                    build_undirected, extract_lcc)
 from .rng import SplitMix64, _swap_limits, _uint64_rows
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,9 @@ class RandomGraphSpec:
     rare for ``k >= 4``, so such a spec often raises ``GenerationError``
     (``n=100, k=5`` fails for 158 of the seeds 0-199), and
     ``bias_distribution`` raises at the first member whose draw fails.
+
+    A spec over the size limit of :mod:`paradoxlab.graph` raises
+    ``ParameterError`` before anything is drawn.
     """
 
     model: str
@@ -127,6 +130,22 @@ class RandomGraphSpec:
                 raise ParameterError(
                     f"preferential attachment needs n >= m_attach + 1, "
                     f"got n={self.n}, m_attach={self.m_attach}")
+        # Stored arcs, both orientations of each edge, and two more for a
+        # path or a star; an Erdos-Renyi draw's are random, so only its n
+        # is checked.
+        arcs = 0 if self.model == "erdos_renyi" else 2 * self.n
+        if self.model == "complete":
+            arcs = self.n * (self.n - 1)
+        elif self.model == "k_regular":
+            arcs = self.n * self.k
+        elif self.model == "configuration":
+            arcs = sum(self.degree_sequence)
+        elif self.model == "preferential_attachment":
+            arcs = 2 * self.n * self.m_attach
+        if max(self.n, arcs) > _MAX_GRAPH_SIZE:
+            raise ParameterError(f"{self.model} on n={self.n} exceeds the "
+                                 f"limit of {_MAX_GRAPH_SIZE} nodes and "
+                                 f"stored arcs")
 
 
 def effective_lcc_extract(spec: RandomGraphSpec) -> bool:

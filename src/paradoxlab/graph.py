@@ -5,24 +5,35 @@ multiplicities.  Undirected graphs keep both orientations of every edge, so
 the adjacency matrix is symmetric by construction; directed graphs store
 out-edges per row.  Node ids are dense 0-based integers and self-loops are
 rejected everywhere.  The CSR arrays are in the index dtype scipy.sparse
-picks for the adjacency matrix, which therefore shares them.
+picks for the adjacency matrix, which therefore shares them.  scipy is
+imported where a matrix is first built, so ``import paradoxlab`` loads only
+numpy and the standard library.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InputError, ParameterError, PreconditionError, UsageError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Largest integer count that float64 arithmetic keeps exact.
 MAX_EXACT_COUNT = 2 ** 53
 
 _INT32_MAX = 2 ** 31 - 1
+
+# Most nodes, and most stored arcs counted with multiplicity, that a Matrix
+# Market size line or a random graph spec may ask for, checked before
+# anything is allocated: the int32 index range.  At the limit a graph's
+# int32 CSR arrays and its float64 matvec layout already take 20 bytes per
+# stored arc (40 GiB), and past it the index dtype doubles to int64.
+_MAX_GRAPH_SIZE = _INT32_MAX
 
 
 def _index_dtype(node_count: int, arcs: int) -> type[np.signedinteger]:
@@ -78,6 +89,8 @@ class Graph:
         """Adjacency matrix with float64 multiplicity entries.  Its index
         arrays are ``column_targets`` and ``row_offsets`` themselves; only
         the data is new."""
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (self.multiplicities.astype(np.float64), self.column_targets,
              self.row_offsets),
@@ -93,6 +106,8 @@ class Graph:
         ``A @ x`` bit for bit, in any order of equal-length rows.  It is
         faster: the inner loop's trip count changes only where the length
         does, so the branch predictor seldom misses it."""
+        from scipy import sparse
+
         lengths = np.diff(self.row_offsets)
         if (lengths[1:] >= lengths[:-1]).all():
             return self.adjacency, None
@@ -119,6 +134,8 @@ class Graph:
         """A matrix of the adjacency's pattern whose data is a broadcast
         1.0, for the csgraph routines that read only the index arrays: it
         allocates no float64 copy of the arcs."""
+        from scipy import sparse
+
         return sparse.csr_matrix(
             (np.broadcast_to(1.0, len(self.column_targets)),
              self.column_targets, self.row_offsets),
@@ -137,7 +154,6 @@ class Graph:
         count up from 0 in the order scipy's search, started at the
         lowest unlabelled node, completes the components: for an
         undirected graph, the order of each component's smallest id."""
-        # Imported here so that ``import paradoxlab`` leaves csgraph out.
         from scipy.sparse.csgraph import connected_components
 
         # Both arcs of every undirected edge are stored, so its strong

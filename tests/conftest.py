@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ def search_calls(monkeypatch):
 
     monkeypatch.setattr(csgraph, "connected_components", counted)
     return calls
+
+
+def peak_bytes_raising(error, call):
+    """The peak bytes traced while ``call()`` raises ``error``, and the
+    error; numpy reports its array data to tracemalloc too."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            call()
+        return tracemalloc.get_traced_memory()[1], info.value
+    finally:
+        tracemalloc.stop()
 
 
 def neighbors(graph, node):

@@ -563,6 +563,34 @@ def test_pagerank_sums_to_one_with_small_residual(hub_digraph):
         assert vector.residual <= 1e-12
 
 
+@pytest.mark.parametrize("graph, beta, method", [
+    (lambda: generate(RandomGraphSpec(model="erdos_renyi", n=320, p=0.03,
+                                      seed=4)), 0.85, "power"),
+    (lambda: path(300), 0.15, "band"),
+    (lambda: path(150), 1e-6, "cg"),
+], ids=["er320-power", "path300-band", "path150-cg"])
+def test_pagerank_is_within_its_residual_of_a_dense_solve(graph, beta,
+                                                          method):
+    # The step r -> (1 - beta) C^T r + beta/n contracts by 1 - beta in the
+    # L1 norm, so a vector of fixed-point residual rho lies within
+    # rho/beta of the true PageRank.  The oracle's r* = D z / sum(D z) is
+    # judged the same way: its own residual over beta allows for the
+    # rounding of the dense solve.
+    g = graph()
+    vector = pagerank_centrality(g, beta)
+    assert vector.method == method
+    adjacency = dense_from_graph(g)
+    degrees = adjacency.sum(axis=1)
+    n = g.node_count
+    z = dense_solve(np.diag(degrees) - (1 - beta) * adjacency,
+                    np.full(n, beta / n))
+    expected = degrees * z / (degrees * z).sum()
+    oracle_residual = np.abs((1 - beta) * (adjacency @ (expected / degrees))
+                             + beta / n - expected).sum()
+    assert np.abs(vector.values - expected).sum() <= (
+        vector.residual + oracle_residual) / beta
+
+
 def test_pagerank_requires_strong_connectivity():
     dag = build_directed(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionError,

@@ -259,6 +259,28 @@ def test_unreadable_text_is_an_input_error(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {latin}: ")
 
 
+@pytest.mark.parametrize("size, entries, message", [
+    ("9223372036854775808 9223372036854775808 1", "1 2\n",
+     "9223372036854775808 nodes and 2 stored arcs"),
+    ("4000000000 4000000000 0", "", "4000000000 nodes and 0 stored arcs"),
+])
+def test_an_oversized_matrix_market_file_exits_2(capsys, tmp_path, size,
+                                                  entries, message):
+    # One past int64 and one of 29.8 GiB of degrees: an error line, no
+    # traceback.
+    graph = tmp_path / "huge.mtx"
+    graph.write_text("%%MatrixMarket matrix coordinate pattern symmetric\n"
+                     f"{size}\n{entries}")
+    assert run_cli(capsys, "paradox", str(graph), "--measure", "degree") == (
+        2, "", f"error: line 2: {message} exceed the limit of 2147483647\n")
+
+
+def test_an_oversized_spec_exits_1_before_drawing(capsys):
+    assert run_cli(capsys, "gen", "--model", "complete", "--n", "1000000") == (
+        1, "", "error: complete on n=1000000 exceeds the limit of 2147483647 "
+        "nodes and stored arcs\n")
+
+
 @pytest.mark.parametrize("target", ["directory", "no/such/dir/x"])
 def test_unwritable_output_exits_2(capsys, tmp_path, target):
     output = tmp_path if target == "directory" else tmp_path / target

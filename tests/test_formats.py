@@ -13,7 +13,7 @@ from paradoxlab import (CentralityParams, InputError, ReportDocument,
                         parse_matrix_market, parse_report)
 from paradoxlab import formats
 from paradoxlab.formats import emit_json
-from conftest import edge_pairs, path, star
+from conftest import edge_pairs, path, peak_bytes_raising, star
 
 
 def test_parse_edge_list_basic():
@@ -244,6 +244,35 @@ def test_report_csv_rejects_malformed_tables_read_back(table, message):
     with pytest.raises(InputError) as info:
         emit_report(doc, "csv")
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("symmetry, size, message", [
+    ("symmetric", "9223372036854775808 9223372036854775808 1",
+     "9223372036854775808 nodes and 2 stored arcs"),
+    ("symmetric", "4000000000 4000000000 0",
+     "4000000000 nodes and 0 stored arcs"),
+    ("symmetric", "3 3 1073741824", "3 nodes and 2147483648 stored arcs"),
+    ("general", "3 3 2147483648", "3 nodes and 2147483648 stored arcs"),
+])
+def test_matrix_market_size_over_the_limit_allocates_nothing(symmetry, size,
+                                                              message):
+    # Refused from the size line, before any entry is read or any array of
+    # that size allocated.
+    text = (f"%%MatrixMarket matrix coordinate pattern {symmetry}\n"
+            f"{size}\n1 2\n")
+    peak, error = peak_bytes_raising(InputError,
+                                     lambda: parse_matrix_market(text))
+    assert str(error) == f"line 2: {message} exceed the limit of 2147483647"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("size, entries", [
+    ("2147483647 2147483647 2", 2), ("3 3 1073741823", 1073741823)])
+def test_matrix_market_size_at_the_limit_reads_its_entries(size, entries):
+    with pytest.raises(InputError, match=f"expected {entries} entries, "
+                                         f"found 1$"):
+        parse_matrix_market("%%MatrixMarket matrix coordinate pattern "
+                            f"symmetric\n{size}\n1 2\n")
 
 
 def test_matrix_market_banner_may_follow_blank_lines():

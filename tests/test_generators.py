@@ -8,7 +8,7 @@ from paradoxlab import (GenerationError, ParameterError, RandomGraphSpec,
                         is_connected)
 from paradoxlab.rng import _GAMMA, SplitMix64
 from conftest import (edge_pairs, k_regular_edges, pair_stubs,
-                      rejecting_seed, unshuffled_rows)
+                      peak_bytes_raising, rejecting_seed, unshuffled_rows)
 
 
 def test_deterministic_families():
@@ -81,6 +81,30 @@ def test_spec_rejections_name_their_rule(fields, message):
     with pytest.raises(ParameterError) as info:
         RandomGraphSpec(**fields)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("fields", [
+    {"model": "complete", "n": 10 ** 6},
+    {"model": "path", "n": 2 ** 30 + 1},
+    {"model": "k_regular", "n": 2 ** 30, "k": 2},
+    {"model": "configuration", "n": 46342,
+     "degree_sequence": (46341,) * 46342},
+    {"model": "preferential_attachment", "n": 2 ** 30, "m_attach": 1},
+    {"model": "erdos_renyi", "n": 2 ** 31, "p": 0.0},
+], ids=lambda fields: fields["model"])
+def test_spec_over_the_size_limit_allocates_nothing(fields):
+    # The complete graph on 10^6 nodes would ask for about 10^12 arcs.
+    peak, error = peak_bytes_raising(ParameterError,
+                                     lambda: RandomGraphSpec(**fields))
+    assert str(error) == (f"{fields['model']} on n={fields['n']} exceeds "
+                          f"the limit of 2147483647 nodes and stored arcs")
+    assert peak < 1 << 20
+
+
+def test_spec_at_the_size_limit_is_accepted():
+    # 2^31 - 2 stored arcs; a spec is checked, not drawn.
+    RandomGraphSpec(model="cycle", n=2 ** 30 - 1)
+    RandomGraphSpec(model="erdos_renyi", n=2 ** 31 - 1, p=0.0)
 
 
 @pytest.mark.parametrize("fields", [

@@ -1,4 +1,5 @@
 import importlib
+import json
 import subprocess
 import sys
 import tomllib
@@ -23,6 +24,7 @@ from paradoxlab import (Graph, InputError, PreconditionError,
                         generate, is_connected, is_strongly_connected,
                         katz_centrality, neighbor_average,
                         pagerank_centrality, symmetrization_identity)
+from paradoxlab import cli
 from paradoxlab.graph import (_connected_blocks, _index_dtype,
                               disjoint_union)
 from conftest import (complete, cycle, edge_pairs, hop_distances, neighbors,
@@ -433,14 +435,60 @@ def test_extract_lcc_matches_scipy_reference(case):
 
 
 def test_import_leaves_out_csgraph_and_linalg():
-    # Each of these costs import time that no code path needs.
+    # scipy is imported where a matrix is first built: about 0.2 s of
+    # start-up that a command building none need not pay.
     code = ("import sys, paradoxlab; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.sparse.csgraph', "
-            "'scipy.sparse.linalg', 'scipy.linalg'))))")
+            "if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs cli.main on each argv of a JSON list and prints, per run, the exit
+# code and the scipy modules loaded so far.
+_CLI_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from paradoxlab import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with (contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        code = cli.main(argv)
+    seen.append([code, sorted(m for m in sys.modules
+                              if m.split(".")[0] == "scipy")])
+print(json.dumps(seen))
+"""
+
+
+def test_commands_that_build_no_matrix_leave_out_scipy(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("0 x\n")
+    runs = [(["gen", "--model", "k_regular", "--n", "20", "--k", "3",
+              "--seed", "1"], 0),
+            (["--help"], 0),
+            (["gen", "--model", "path", "--n", "1"], 1),
+            (["paradox", str(bad), "--measure", "degree"], 2)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SCIPY_PROBE,
+         json.dumps([argv for argv, _ in runs])],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[code, []] for _, code in runs]
+
+
+@pytest.mark.parametrize("argv", [
+    ["paradox", "--model", "path", "--n", "300", "--measure", "eigenvector"],
+    ["gen", "--model", "erdos_renyi", "--n", "100", "--p", "0.05"],
+], ids=["eigenvector", "erdos-renyi"])
+def test_first_matrix_in_a_fresh_process(capsys, argv):
+    # This process imported scipy with the tests; a fresh one imports it
+    # at its first matrix, and prints the same bytes.
+    proc = subprocess.run([sys.executable, "-m", "paradoxlab", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_running_stack_meets_the_declared_floors():
