@@ -160,7 +160,7 @@ def _require_undirected_connected(graph: Graph, what: str) -> None:
 def degree_centrality(graph: Graph) -> CentralityVector:
     """Degree of every node as float64."""
     _require_undirected_connected(graph, "degree centrality")
-    return CentralityVector(values=graph.degree_seq.astype(np.float64),
+    return CentralityVector(values=graph._float_degrees,
                             params=CentralityParams(kind="degree"),
                             iterations=0, residual=0.0, method="exact")
 
@@ -935,7 +935,7 @@ def _block_values(union: Graph, sizes: Sequence[int],
     :func:`_in_blocks` admits, the bytes :func:`compute` gives on each
     alone, and the error of the first that fails."""
     if params.kind == "degree":
-        return union.degree_seq.astype(np.float64)
+        return union._float_degrees
     if params.kind == "walk_count":
         return _walks(union, params.ell)
     if params.kind == "eigenvector":

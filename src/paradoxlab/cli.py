@@ -25,8 +25,8 @@ from .errors import (ConvergenceError, InputError, ParadoxLabError,
 from .formats import (ReportDocument, _is_matrix_market, emit_edge_list,
                       emit_json, emit_matrix_market, emit_report,
                       parse_edge_list, parse_matrix_market)
-from .generators import (MODELS, RandomGraphSpec, effective_lcc_extract,
-                         generate)
+from .generators import (MODEL_KNOBS, MODELS, RandomGraphSpec,
+                         effective_lcc_extract, generate)
 from .graph import Graph, _require_int
 from .paradox import (BILINEAR_TOL, MAX_FIEDLER_NODES,
                       bias_distribution, compare_averages, eaves_check,
@@ -216,7 +216,7 @@ def _cmd_bias(args: argparse.Namespace) -> str:
     params = _measure_params(args, None)
     dist = bias_distribution(spec, params, args.graphs, args.seed)
     ensemble = {"model": spec.model, "n": spec.n}
-    for key in ("p", "k", "degree_sequence", "m_attach"):
+    for key in MODEL_KNOBS.values():
         value = getattr(spec, key)
         if value is not None:
             ensemble[key] = list(value) if isinstance(value, tuple) else value

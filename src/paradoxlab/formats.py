@@ -236,17 +236,15 @@ def _measure_payload(params: CentralityParams) -> dict:
 
 
 def report_payload(doc: ReportDocument) -> dict:
-    """The document as one ordered dict, optional sections omitted."""
-    payload: dict = {"graph_meta": doc.graph_meta}
-    if doc.measure is not None:
-        payload["measure"] = _measure_payload(doc.measure)
-    for key in ("stats", "decomposition", "bias_summary", "node_table"):
-        value = getattr(doc, key)
-        if value is not None:
-            payload[key] = value
-    payload["tool_version"] = doc.tool_version
-    if doc.seed is not None:
-        payload["seed"] = doc.seed
+    """The document as one ordered dict, in field order; a section whose
+    default is ``None`` is omitted while it is ``None``."""
+    payload: dict = {}
+    for field in fields(ReportDocument):
+        value = getattr(doc, field.name)
+        if value is None and field.default is None:
+            continue
+        payload[field.name] = (_measure_payload(value)
+                               if field.name == "measure" else value)
     return payload
 
 
@@ -335,18 +333,11 @@ def parse_report(text: str) -> ReportDocument:
         raise InputError(f"report is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "graph_meta" not in payload:
         raise InputError("report JSON must be an object with graph_meta")
-    measure = None
+    sections = {field.name: payload.get(field.name, field.default)
+                for field in fields(ReportDocument)}
     if "measure" in payload:
         try:
-            measure = CentralityParams(**payload["measure"])
+            sections["measure"] = CentralityParams(**payload["measure"])
         except (TypeError, ParameterError) as exc:
             raise InputError(f"report measure is malformed: {exc}") from None
-    return ReportDocument(
-        graph_meta=payload["graph_meta"],
-        measure=measure,
-        stats=payload.get("stats"),
-        decomposition=payload.get("decomposition"),
-        bias_summary=payload.get("bias_summary"),
-        node_table=payload.get("node_table"),
-        tool_version=payload.get("tool_version", ""),
-        seed=payload.get("seed"))
+    return ReportDocument(**sections)

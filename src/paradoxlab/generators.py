@@ -23,6 +23,12 @@ logger = logging.getLogger(__name__)
 MODELS = ("path", "cycle", "star", "complete", "k_regular", "erdos_renyi",
           "configuration", "preferential_attachment")
 
+# The parameter each parametrised model requires; no other model accepts
+# it.  The spec checks them, and a bias report lists them, in this order.
+MODEL_KNOBS = {"erdos_renyi": "p", "k_regular": "k",
+               "configuration": "degree_sequence",
+               "preferential_attachment": "m_attach"}
+
 # Models whose raw samples are frequently disconnected keep their largest
 # component by default.
 LCC_DEFAULT_MODELS = ("erdos_renyi",)
@@ -51,7 +57,11 @@ class RandomGraphSpec:
     ``bias_distribution`` raises at the first member whose draw fails.
 
     A spec over the size limit of :mod:`paradoxlab.graph` raises
-    ``ParameterError`` before anything is drawn.
+    ``ParameterError`` before anything is drawn.  The limit applies to
+    ``n`` and to the stored arcs that :func:`_mean_extent` counts, the
+    ``2 * edges`` of its ``n + 2 * edges``: exact where the model fixes
+    its edges and an upper bound for the configuration model; for
+    Erdos-Renyi, whose arcs are drawn, only ``n`` is checked.
     """
 
     model: str
@@ -70,15 +80,12 @@ class RandomGraphSpec:
                 f"{', '.join(MODELS)}")
         _require_int("n", self.n, 1)
         _require_int("seed", self.seed)
-        needs = {"erdos_renyi": ("p",), "k_regular": ("k",),
-                 "configuration": ("degree_sequence",),
-                 "preferential_attachment": ("m_attach",)}
-        wanted = needs.get(self.model, ())
-        for name in ("p", "k", "degree_sequence", "m_attach"):
+        wanted = MODEL_KNOBS.get(self.model)
+        for name in MODEL_KNOBS.values():
             value = getattr(self, name)
-            if name in wanted and value is None:
+            if name == wanted and value is None:
                 raise ParameterError(f"model {self.model!r} requires {name}")
-            if name not in wanted and value is not None:
+            if name != wanted and value is not None:
                 raise ParameterError(
                     f"model {self.model!r} does not accept {name}")
         if self.model == "path" and self.n < 2:
@@ -130,22 +137,35 @@ class RandomGraphSpec:
                 raise ParameterError(
                     f"preferential attachment needs n >= m_attach + 1, "
                     f"got n={self.n}, m_attach={self.m_attach}")
-        # Stored arcs, both orientations of each edge, and two more for a
-        # path or a star; an Erdos-Renyi draw's are random, so only its n
-        # is checked.
-        arcs = 0 if self.model == "erdos_renyi" else 2 * self.n
-        if self.model == "complete":
-            arcs = self.n * (self.n - 1)
-        elif self.model == "k_regular":
-            arcs = self.n * self.k
-        elif self.model == "configuration":
-            arcs = sum(self.degree_sequence)
-        elif self.model == "preferential_attachment":
-            arcs = 2 * self.n * self.m_attach
+        # An Erdos-Renyi draw's arcs are random, so only its n is checked.
+        arcs = 0 if self.model == "erdos_renyi" else \
+            _mean_extent(self) - self.n
         if max(self.n, arcs) > _MAX_GRAPH_SIZE:
             raise ParameterError(f"{self.model} on n={self.n} exceeds the "
                                  f"limit of {_MAX_GRAPH_SIZE} nodes and "
                                  f"stored arcs")
+
+
+def _mean_extent(spec: RandomGraphSpec) -> float:
+    """Nodes plus stored arcs of one candidate, ``n + 2 * edges``, which
+    sizes the ensemble windows and the spec's size limit: exact where the
+    model fixes the edge count, an upper bound for the configuration
+    model, whose erasures only remove edges, and the mean for
+    Erdos-Renyi."""
+    n = spec.n
+    if spec.model == "erdos_renyi":
+        edges = spec.p * n * (n - 1) / 2
+    elif spec.model == "k_regular":
+        edges = n * spec.k // 2
+    elif spec.model == "configuration":
+        edges = sum(spec.degree_sequence) // 2
+    elif spec.model == "preferential_attachment":
+        edges = n * spec.m_attach - spec.m_attach * (spec.m_attach + 1) // 2
+    elif spec.model == "complete":
+        edges = n * (n - 1) // 2
+    else:
+        edges = n if spec.model == "cycle" else n - 1
+    return n + 2 * edges
 
 
 def effective_lcc_extract(spec: RandomGraphSpec) -> bool:

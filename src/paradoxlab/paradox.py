@@ -20,7 +20,8 @@ from .centrality import (BFS_BLOCK_ARCS, CentralityParams, CentralityVector,
                          SpectralResult, _block_values, _in_blocks, _walks,
                          compute)
 from .errors import GenerationError, InputError, NumericalError, RangeError
-from .generators import RandomGraphSpec, _draw_edges, effective_lcc_extract
+from .generators import (RandomGraphSpec, _draw_edges, _mean_extent,
+                         effective_lcc_extract)
 from .graph import (MAX_EXACT_COUNT, Graph, _as_vector, _connected_blocks,
                     _require_int, _require_positive_degrees,
                     _require_undirected, adjacency_matvec, apply_transition,
@@ -138,7 +139,7 @@ def paradox_report(graph: Graph, r: CentralityVector) -> ParadoxReport:
     """Compare the plain, neighbour and edge-sampled means of a measure."""
     values = _measure_values(graph, r)
     averages = neighbor_average(graph, values)
-    degrees = graph.degree_seq.astype(np.float64)
+    degrees = graph._float_degrees
     mu = float(values.mean())
     mu_bar = float(averages.mean())
     mu_tilde = float((values @ degrees) / degrees.sum())
@@ -178,15 +179,12 @@ def compare_averages(graph: Graph, r: CentralityVector) -> ComparisonDecompositi
     """Split mu_bar - mu_tilde into per-node contributions (see
     :class:`ComparisonDecomposition`); lhs and rhs agree to rounding."""
     _require_undirected(graph, "the comparison decomposition")
-    values = _measure_values(graph, r)
-    degrees = graph.degree_seq.astype(np.float64)
-    averages = neighbor_average(graph, values)
-    n = graph.node_count
-    a = adjacency_matvec(graph, 1.0 / degrees)
-    b = degrees / degrees.sum()
-    lhs = float(averages.mean() - (values @ degrees) / degrees.sum())
-    rhs = float(values @ (a / n - b))
-    return ComparisonDecomposition(a=a, b=b, lhs=lhs, rhs=rhs)
+    report = paradox_report(graph, r)
+    a = adjacency_matvec(graph, 1.0 / graph._float_degrees)
+    b = report.edge_weights
+    rhs = float(_measure_values(graph, r) @ (a / graph.node_count - b))
+    return ComparisonDecomposition(
+        a=a, b=b, lhs=report.mu_bar - report.mu_tilde, rhs=rhs)
 
 
 def symmetrization_identity(graph: Graph) -> tuple[float, float]:
@@ -196,7 +194,7 @@ def symmetrization_identity(graph: Graph) -> tuple[float, float]:
 
     which exhibits the degree-paradox gap as a sum of squares."""
     _require_undirected(graph, "the symmetrisation identity")
-    degrees = graph.degree_seq.astype(np.float64)
+    degrees = graph._float_degrees
     lhs = float(apply_transition(graph, degrees).sum() - degrees.sum())
     d_i = np.repeat(degrees, np.diff(graph.row_offsets))
     d_j = degrees[graph.column_targets]
@@ -305,27 +303,6 @@ def pagerank_paradox_check(graph: Graph, r: CentralityVector) -> tuple[float, fl
     over out-neighbours never lowers the total score."""
     values = _measure_values(graph, r)
     return float(apply_transition(graph, values).sum()), float(values.sum())
-
-
-def _mean_extent(spec: RandomGraphSpec) -> float:
-    """Nodes plus stored arcs of one candidate, ``n + 2 * edges``: exact
-    where the model fixes the edge count, an upper bound for the
-    configuration model, whose erasures only remove edges, and the mean
-    for Erdos-Renyi."""
-    n = spec.n
-    if spec.model == "erdos_renyi":
-        edges = spec.p * n * (n - 1) / 2
-    elif spec.model == "k_regular":
-        edges = n * spec.k // 2
-    elif spec.model == "configuration":
-        edges = sum(spec.degree_sequence) // 2
-    elif spec.model == "preferential_attachment":
-        edges = n * spec.m_attach - spec.m_attach * (spec.m_attach + 1) // 2
-    elif spec.model == "complete":
-        edges = n * (n - 1) // 2
-    else:
-        edges = n if spec.model == "cycle" else n - 1
-    return n + 2 * edges
 
 
 def _sampling_round(spec: RandomGraphSpec, candidates: list) -> list:

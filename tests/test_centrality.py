@@ -591,6 +591,115 @@ def test_pagerank_is_within_its_residual_of_a_dense_solve(graph, beta,
         vector.residual + oracle_residual) / beta
 
 
+def _katz_at(g, share, **kwargs):
+    """``g`` and Katz at ``share / lambda1``, as the CLI's default decay."""
+    lambda1 = np.linalg.eigvalsh(dense_from_graph(g))[-1]
+    return g, CentralityParams(kind="katz", alpha=share / lambda1, **kwargs)
+
+
+def _er(n, p, seed):
+    return generate(RandomGraphSpec(model="erdos_renyi", n=n, p=p, seed=seed))
+
+
+# One case for every value of CentralityVector.method, each checked against
+# the dense oracle within the error that its own certificate allows.
+ORACLE_CORPUS = [
+    pytest.param(lambda: (path(6), CentralityParams(kind="degree")),
+                 "exact", id="degree"),
+    pytest.param(lambda: (grid(3, 4),
+                          CentralityParams(kind="walk_count", ell=3)),
+                 "exact", id="walk_count"),
+    pytest.param(lambda: (path(6), CentralityParams(kind="eigenvector")),
+                 "power", id="eigenvector-power-path6"),
+    pytest.param(lambda: (path(300), CentralityParams(kind="eigenvector")),
+                 "shift-invert", id="eigenvector-shift-invert-path300"),
+    pytest.param(lambda: (_er(300, 0.03, 4),
+                          CentralityParams(kind="eigenvector")),
+                 "lanczos", id="eigenvector-lanczos-er300"),
+    pytest.param(lambda: (path(10), CentralityParams(kind="katz",
+                                                     alpha=1e-14)),
+                 "ones", id="katz-ones-path10"),
+    # No step is left for a start solve.
+    pytest.param(lambda: (path(10), CentralityParams(
+        kind="katz", alpha=1e-7, max_iters=2)), "jacobi",
+        id="katz-jacobi-path10"),
+    pytest.param(lambda: (path(300), CentralityParams(kind="katz",
+                                                      alpha=0.45)),
+                 "band", id="katz-band-path300"),
+    pytest.param(lambda: _katz_at(_er(200, 0.05, 3), 0.85), "cg",
+                 id="katz-cg-er200"),
+    pytest.param(lambda: (path(64), CentralityParams(kind="closeness")),
+                 "bit-bfs", id="closeness-bit-bfs-path64"),
+    pytest.param(lambda: (path(65), CentralityParams(kind="harmonic")),
+                 "csgraph", id="harmonic-csgraph-path65"),
+]
+
+
+def _davis_kahan(adjacency, spectrum, vector):
+    """``vector`` scaled to unit length, and the Davis–Kahan bound on the
+    sine of its angle to the Perron vector: the residual of its Rayleigh
+    quotient over the quotient's distance to the rest of the spectrum."""
+    unit = vector / np.linalg.norm(vector)
+    image = adjacency @ unit
+    theta = unit @ image
+    gap = np.abs(spectrum[:-1] - theta).min()
+    return unit, np.linalg.norm(image - theta * unit) / gap
+
+
+@pytest.mark.parametrize("case, method", ORACLE_CORPUS)
+def test_every_solver_path_is_within_its_certified_error_of_the_oracle(
+        case, method):
+    g, params = case()
+    vector = compute(g, params)
+    assert vector.method == method
+    n = g.node_count
+    adjacency = dense_from_graph(g)
+    if params.kind == "degree":
+        assert np.array_equal(vector.values, adjacency.sum(axis=1))
+    elif params.kind == "walk_count":
+        assert np.array_equal(vector.values, enumerate_walks(g, params.ell))
+    elif params.kind in ("closeness", "harmonic"):
+        dist = dense_hop_distances(g).astype(np.float64)
+        if params.kind == "closeness":
+            assert np.array_equal(vector.values, (n - 1) / dist.sum(axis=1))
+        else:
+            np.fill_diagonal(dist, np.inf)
+            expected = (1.0 / dist).sum(axis=1)
+            assert np.abs(vector.values - expected).max() <= (
+                n * np.finfo(np.float64).eps * expected.max())
+    elif params.kind == "katz":
+        # The defect e = 1 + alpha A r - r has (I - alpha A)(r* - r) = e,
+        # and |(I - alpha A)^-1|_2 = 1 / (1 - alpha lambda1) for a
+        # symmetric A, so |r - r*|_2 <= sqrt(n) max|e| / (1 - alpha
+        # lambda1).  The dense solve is judged by its own defect the same
+        # way, and the two bounds add.
+        lambda1 = np.linalg.eigvalsh(adjacency)[-1]
+        expected = dense_solve(np.eye(n) - params.alpha * adjacency,
+                               np.ones(n))
+        oracle_residual = np.abs(
+            1 + params.alpha * (adjacency @ expected) - expected).max()
+        assert np.linalg.norm(vector.values - expected) <= np.sqrt(n) * (
+            vector.residual + oracle_residual) / (1 - params.alpha * lambda1)
+    else:
+        # Davis & Kahan (1970) bound the sine of each vector's angle to
+        # the Perron vector; the angle between the two is at most the sum.
+        # A path's Perron vector is sin(pi i / (n + 1)); elsewhere the
+        # oracle is dense power iteration.
+        spectrum = np.linalg.eigvalsh(adjacency)
+        perron = (np.sin(np.arange(1, n + 1) * np.pi / (n + 1))
+                  if g == path(n) else dense_perron(adjacency)[1])
+        unit, bound = _davis_kahan(adjacency, spectrum, vector.values)
+        expected, oracle_bound = _davis_kahan(adjacency, spectrum, perron)
+        sine = np.linalg.norm(expected - (unit @ expected) * unit)
+        assert sine <= bound + oracle_bound
+
+
+def test_the_oracle_corpus_reaches_every_method():
+    assert {case.values[1] for case in ORACLE_CORPUS} == {
+        "exact", "power", "lanczos", "shift-invert", "ones", "band", "cg",
+        "jacobi", "bit-bfs", "csgraph"}
+
+
 def test_pagerank_requires_strong_connectivity():
     dag = build_directed(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionError,
@@ -1374,6 +1483,33 @@ def test_failed_shift_invert_falls_back_to_lanczos(monkeypatch, kind):
     assert spectral.method == "lanczos"
     assert spectral.iterations == want[0].iterations + spent
     assert np.array_equal(vector.values, want[1].values)
+
+
+def test_a_repeated_shift_invert_iterate_hands_over_to_lanczos(monkeypatch):
+    # An identity solve on P_256: the uniform start, 1/256 per node, sums
+    # to exactly 1, so the first solve gives it back bit for bit.  The
+    # loop's cycle check sees the repeat at that step, before a second
+    # step could find the residual no smaller, and its stall hook ends
+    # the solves; without the hook the repeat would raise
+    # ConvergenceError.
+    g = path(256)
+    monkeypatch.setattr(centrality, "_band_solver",
+                        lambda banded, sigma, scale: lambda rhs: rhs.copy())
+    matvecs = []
+    real_matvec = centrality.adjacency_matvec
+
+    def counted(graph, x):
+        matvecs.append(len(x))
+        return real_matvec(graph, x)
+
+    monkeypatch.setattr(centrality, "adjacency_matvec", counted)
+    params = CentralityParams(kind="eigenvector")
+    assert centrality._shift_invert(g, centrality._banded(g), params) == \
+        (None, 1)
+    assert len(matvecs) == 1
+    spectral, vector = eigenvector_centrality(g)
+    assert spectral.method == vector.method == "lanczos"
+    assert spectral.residual == vector.residual <= 1e-12
 
 
 def test_shift_invert_converges_on_a_path_of_100000_nodes():

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paradoxlab import adjacency_matvec, cli
 from paradoxlab.cli import main
@@ -279,6 +284,78 @@ def test_an_oversized_spec_exits_1_before_drawing(capsys):
     assert run_cli(capsys, "gen", "--model", "complete", "--n", "1000000") == (
         1, "", "error: complete on n=1000000 exceeds the limit of 2147483647 "
         "nodes and stored arcs\n")
+
+
+# Two valid graph files, a 5-cycle with a chord, that the fuzz gate
+# mutates.
+FUZZ_SOURCES = [
+    b"# five nodes\n0 1\n1 2\n2 3\n3 4\n4 0\n0 2\n",
+    b"%%MatrixMarket matrix coordinate pattern symmetric\n% five nodes\n"
+    b"5 5 6\n2 1\n3 2\n4 3\n5 4\n5 1\n3 1\n",
+]
+# What may stand in for a token: ids and sizes past the size limit, int64
+# and uint64, negative, not integers, and banner fields of other kinds.
+# Values just below the limit would allocate gigabytes, so none is here.
+FUZZ_TOKENS = [
+    b"0", b"1", b"-1", b"2147483648", b"9223372036854775808",
+    b"18446744073709551616", b"-9223372036854775809", b"1.5", b"1e3",
+    b"0x1f", b"1_0", b"+2", "\u0663".encode(), b"nan", b"directed",
+    b"%%MatrixMarket", b"%%matrixmarket", b"vector", b"array", b"real",
+    b"integer", b"complex", b"general", b"hermitian", b"skew-symmetric",
+    b""]
+# Bytes that may be inserted anywhere: a byte-order mark, NUL, a tab,
+# bytes that are not UTF-8, line ends and comment marks.
+FUZZ_INSERTS = [b"\xef\xbb\xbf", b"\x00", b"\t", b"\xff", b"\xc3(",
+                b"\r", b"\n", b" ", b"%", b"#"]
+FUZZ_COMMANDS = [
+    ["paradox", "--measure", "degree"],
+    ["centrality", "--measure", "eigenvector", "--format", "csv"],
+    ["compare", "--measure", "pagerank"],
+    ["identities"],
+]
+
+
+@st.composite
+def mutated_graph_files(draw):
+    data = draw(st.sampled_from(FUZZ_SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        change = draw(st.sampled_from(["token", "insert", "line end", "tab",
+                                       "mark", "truncate"]))
+        if change == "token":
+            tokens = list(re.finditer(rb"\S+", data))
+            if tokens:
+                at = draw(st.sampled_from(tokens))
+                data = (data[:at.start()] + draw(st.sampled_from(FUZZ_TOKENS))
+                        + data[at.end():])
+        elif change == "insert":
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(FUZZ_INSERTS)) + data[at:]
+        elif change == "line end":
+            data = data.replace(b"\n", draw(st.sampled_from([b"\r",
+                                                             b"\r\n"])))
+        elif change == "tab":
+            data = data.replace(b" ", b"\t")
+        elif change == "mark":
+            data = b"\xef\xbb\xbf" + data
+        else:
+            data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_graph_files(), command=st.sampled_from(FUZZ_COMMANDS))
+def test_no_graph_file_ends_in_a_traceback(tmp_path_factory, data, command):
+    source = tmp_path_factory.mktemp("fuzz") / "graph"
+    source.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command[0], str(source), *command[1:]])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert any(line.startswith("error: ")
+                   for line in err.getvalue().splitlines())
 
 
 @pytest.mark.parametrize("target", ["directory", "no/such/dir/x"])

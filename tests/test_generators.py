@@ -89,7 +89,7 @@ def test_spec_rejections_name_their_rule(fields, message):
     {"model": "k_regular", "n": 2 ** 30, "k": 2},
     {"model": "configuration", "n": 46342,
      "degree_sequence": (46341,) * 46342},
-    {"model": "preferential_attachment", "n": 2 ** 30, "m_attach": 1},
+    {"model": "preferential_attachment", "n": 2 ** 30 + 1, "m_attach": 1},
     {"model": "erdos_renyi", "n": 2 ** 31, "p": 0.0},
 ], ids=lambda fields: fields["model"])
 def test_spec_over_the_size_limit_allocates_nothing(fields):
@@ -102,8 +102,11 @@ def test_spec_over_the_size_limit_allocates_nothing(fields):
 
 
 def test_spec_at_the_size_limit_is_accepted():
-    # 2^31 - 2 stored arcs; a spec is checked, not drawn.
+    # 2^31 - 2 stored arcs each; a spec is checked, not drawn.
     RandomGraphSpec(model="cycle", n=2 ** 30 - 1)
+    RandomGraphSpec(model="path", n=2 ** 30)
+    RandomGraphSpec(model="star", n=2 ** 30)
+    RandomGraphSpec(model="preferential_attachment", n=2 ** 30, m_attach=1)
     RandomGraphSpec(model="erdos_renyi", n=2 ** 31 - 1, p=0.0)
 
 
